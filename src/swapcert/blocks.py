@@ -17,11 +17,9 @@ import numpy as np
 import scipy.linalg
 
 from . import certify, protocol
+from .certify import SQRT2, TSIRELSON
 from .linalg import DensityMatrix, PureState, ValidationError, _as_matrix, tensor
 from .measurements import DichotomicObservable, FourOutcomeMeasurement
-
-SQRT2 = math.sqrt(2.0)
-TSIRELSON = 2.0 * SQRT2
 
 # Eigenphases of the product A0*A1 closer than this are grouped together.
 ANGLE_TOL = 1e-7
@@ -274,6 +272,8 @@ def sep_bound_oracle(
         raise ValidationError("operator must be Hermitian")
     if restarts < 1:
         raise ValidationError("need at least one restart")
+    if iters < 1:
+        raise ValidationError("need at least one iteration")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
     reshaped = beta.reshape(d_a, d_b, d_a, d_b)

@@ -119,8 +119,8 @@ def _finite(values: Sequence[float]) -> list[float]:
 
 def _verdict(criterion: str, s_ac: float, s_bc: float, values: Sequence[float],
              tol: float, threshold: float, need_both: bool) -> Verdict:
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol}")
     dev_ac = abs(s_ac - TSIRELSON)
     dev_bc = abs(s_bc - TSIRELSON)
     hit_ac = dev_ac <= tol

@@ -39,9 +39,21 @@ def _default_tol() -> float:
     if raw is None:
         return 1e-9
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise UsageError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
+    if not math.isfinite(tol):
+        raise UsageError(f"{TOL_ENV_VAR}={raw!r} is not finite")
+    return tol
+
+
+def _tolerance(value: float | None, flag: str = "--tol") -> float:
+    """A tolerance flag's value, or the default when the flag is absent."""
+    if value is None:
+        return _default_tol()
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite, got {value}")
+    return value
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -93,7 +105,7 @@ def _report_payload(report: protocol.ChshReport, tol: float) -> tuple[dict, list
 
 
 def cmd_ideal(args: argparse.Namespace) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tolerance(args.tol)
     report = protocol.exact_report(protocol.ideal_scenario())
     payload, verdicts = _report_payload(report, tol)
     _write_output(_render(payload, args.format), args.out)
@@ -104,7 +116,7 @@ def cmd_noisy(args: argparse.Namespace) -> int:
     for name, value in (("--v-ac", args.v_ac), ("--v-bc", args.v_bc)):
         if not 0.0 <= value <= 1.0:
             raise UsageError(f"{name} must lie in [0, 1], got {value}")
-    tol = args.tol if args.tol is not None else _default_tol()
+    tol = _tolerance(args.tol)
     sc = protocol.noisy_scenario(args.v_ac, args.v_bc, args.theta)
     payload, _ = _report_payload(protocol.exact_report(sc), tol)
     _write_output(_render(payload, args.format), args.out)
@@ -135,9 +147,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     if args.tol_sigma is not None:
         if report.stderr is None:
             raise UsageError("--tol-sigma needs a report with standard errors (counts input)")
-        tol = args.tol_sigma * max(report.stderr.s_ac, report.stderr.s_bc)
+        tol = _tolerance(args.tol_sigma, "--tol-sigma") * max(report.stderr.s_ac, report.stderr.s_bc)
     else:
-        tol = args.tol if args.tol is not None else _default_tol()
+        tol = _tolerance(args.tol)
     for c, value in enumerate(report.s_ab_given_c):
         if not math.isfinite(value):
             raise ValidationError(f"report is missing the conditional value for outcome {c + 1}")
@@ -224,6 +236,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_sep_bound(args: argparse.Namespace) -> int:
     if args.restarts < 1:
         raise UsageError("--restarts must be at least 1")
+    if args.iters < 1:
+        raise UsageError("--iters must be at least 1")
     a0, a1, b0, b1 = _load_settings(args.settings)
     payload, _ = _structure_payload(a0, a1, b0, b1)
     beta = blocks.chsh_operator(a0, a1, b0, b1)

@@ -9,12 +9,14 @@ the end parties, z in {1, 2, 3} for the middle party, raw outcomes c in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 from . import certify
+from .certify import SQRT2, TSIRELSON
 from .linalg import (
     DensityMatrix,
     ValidationError,
@@ -28,20 +30,17 @@ from .measurements import (
     BinnedMeasurement,
     DichotomicObservable,
     FourOutcomeMeasurement,
-    bell_measurement,
     charlie_settings_ideal,
     perturbed_bell_measurement,
     qubit_observable,
 )
-
-SQRT2 = math.sqrt(2.0)
-TSIRELSON = 2.0 * SQRT2
 
 # Conditional outcomes with probability below this are flagged as undefined
 # rather than producing NaN ratios from degenerate states.
 PROB_FLOOR = 1e-12
 
 OUTCOME_SIGNS = (1.0, -1.0)  # index 0 is the +1 outcome, index 1 the -1 outcome
+_SIGNS = np.array(OUTCOME_SIGNS)
 
 
 @dataclass(frozen=True)
@@ -128,64 +127,64 @@ class ChshReport:
                 raise ValidationError(f"CHSH value {value} exceeds the quantum ceiling")
 
 
-def _charlie_projectors(sc: Scenario, z: int) -> tuple[np.ndarray, ...]:
-    if z in (1, 2):
-        return sc.charlie12[z - 1].base.projectors
-    if z == 3:
-        return sc.charlie3.projectors
-    raise ValidationError("z must be in {1, 2, 3}")
+def born_tables(sc: Scenario) -> np.ndarray:
+    """Every outcome probability of the scenario, from one Born-rule contraction.
+
+    The result is real and indexed ``[x-1, y-1, z-1, a, b, c]`` like
+    :attr:`CountsTable.counts`: a (resp. b) is 0 for outcome +1 and 1 for
+    outcome -1, and c is the 0-based raw outcome of the middle party. It is
+    ``einsum('xaij,ybkl,zcmn,jlnikm->xyzabc', PA, PB, PC, rho)`` over the
+    stacked projectors of the three parties and the state reshaped to
+    ``(dA, dB, dC, dA, dB, dC)``, contracted one party at a time.
+    """
+    d_a, d_b, d_ca, d_cb = sc.dims
+    d_c = d_ca * d_cb
+    pa = np.array([obs.projectors() for obs in sc.alice])
+    pb = np.array([obs.projectors() for obs in sc.bob])
+    pc = np.array([*(binned.base.projectors for binned in sc.charlie12), sc.charlie3.projectors])
+    rho = sc.state.matrix.reshape(d_a, d_b, d_c, d_a, d_b, d_c)
+    t = np.einsum("zcmn,jlnikm->zcjlik", pc, rho)
+    t = np.einsum("ybkl,zcjlik->ybzcji", pb, t)
+    return np.einsum("xaij,ybzcji->xyzabc", pa, t).real.copy()
 
 
 def joint_distribution(sc: Scenario, x: int, y: int, z: int) -> np.ndarray:
-    """Exact outcome table p[a, b, c] for one setting triple via the Born rule.
+    """Exact outcome table p[a, b, c] for one setting triple: a slice of :func:`born_tables`.
 
     Index a (resp. b) is 0 for outcome +1 and 1 for outcome -1; c is the
     0-based raw outcome of the middle party.
     """
     if x not in (1, 2) or y not in (1, 2):
         raise ValidationError("x and y must be in {1, 2}")
-    pa = sc.alice[x - 1].projectors()
-    pb = sc.bob[y - 1].projectors()
-    pc = _charlie_projectors(sc, z)
-    rho = sc.state.matrix
-    table = np.empty((2, 2, 4))
-    for ia in range(2):
-        for ib in range(2):
-            local = tensor(pa[ia], pb[ib])
-            for ic in range(4):
-                op = tensor(local, pc[ic])
-                table[ia, ib, ic] = float(np.trace(op @ rho).real)
-    return table
+    if z not in (1, 2, 3):
+        raise ValidationError("z must be in {1, 2, 3}")
+    return born_tables(sc)[x - 1, y - 1, z - 1]
+
+
+def _swap_side_record(tables: np.ndarray, sc: Scenario, context: str) -> CorrelationRecord:
+    """Correlators E_sz of one end party (s its setting) with its bit of settings z = 1, 2.
+
+    'AC' reads the y = 1 tables and the 'a' bits, 'BC' the x = 1 tables and
+    the 'b' bits.
+    """
+    if context == "AC":
+        block = tables[:, 0, :2].sum(axis=3)  # [x, z, a, c]
+        bits = [binned.bit_for_a for binned in sc.charlie12]
+    else:
+        block = tables[0, :, :2].sum(axis=2)  # [y, z, b, c]
+        bits = [binned.bit_for_b for binned in sc.charlie12]
+    e = np.einsum("szoc,o,zc->sz", block, _SIGNS, np.array(bits, dtype=float))
+    return CorrelationRecord(context, {(s + 1, z + 1): float(e[s, z]) for s in range(2) for z in range(2)})
 
 
 def correlators_ac(sc: Scenario) -> CorrelationRecord:
     """E_xz between the first party's outcome and the middle party's 'a' bit."""
-    values: dict[tuple[int, int], float] = {}
-    for x in (1, 2):
-        for z in (1, 2):
-            table = joint_distribution(sc, x, 1, z)
-            bits = sc.charlie12[z - 1].bit_for_a
-            e = 0.0
-            for ia, sa in enumerate(OUTCOME_SIGNS):
-                for ic in range(4):
-                    e += sa * bits[ic] * float(table[ia, :, ic].sum())
-            values[(x, z)] = e
-    return CorrelationRecord("AC", values)
+    return _swap_side_record(born_tables(sc), sc, "AC")
 
 
 def correlators_bc(sc: Scenario) -> CorrelationRecord:
     """E_yz between the second party's outcome and the middle party's 'b' bit."""
-    values: dict[tuple[int, int], float] = {}
-    for y in (1, 2):
-        for z in (1, 2):
-            table = joint_distribution(sc, 1, y, z)
-            bits = sc.charlie12[z - 1].bit_for_b
-            e = 0.0
-            for ib, sb in enumerate(OUTCOME_SIGNS):
-                for ic in range(4):
-                    e += sb * bits[ic] * float(table[:, ib, ic].sum())
-            values[(y, z)] = e
-    return CorrelationRecord("BC", values)
+    return _swap_side_record(born_tables(sc), sc, "BC")
 
 
 def _chsh_combination(values: dict[tuple[int, int], float]) -> float:
@@ -202,6 +201,17 @@ def chsh_bc(sc: Scenario) -> float:
     return _chsh_combination(correlators_bc(sc).values)
 
 
+def _version_matrix(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    joint = tables[:, :, 2]  # [x, y, a, b, c]
+    p_c = joint.sum(axis=(2, 3))  # [x, y, c]
+    e = np.einsum("xyabc,a,b->xyc", joint, _SIGNS, _SIGNS)
+    defined = np.all(p_c >= PROB_FLOOR, axis=(0, 1))
+    cond = (e / np.where(defined, p_c, 1.0)).reshape(4, 4)  # [(x, y), c]
+    matrix = (np.array(certify.VERSION_SIGNS, dtype=float) @ cond).T
+    matrix[~defined] = math.nan
+    return matrix, p_c[0, 0]
+
+
 def conditional_version_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """All four CHSH variants conditioned on each raw outcome of setting 3.
 
@@ -209,28 +219,7 @@ def conditional_version_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     value given outcome c+1 and ``probs[c]`` the outcome probability. Rows for
     outcomes below the probability floor are NaN.
     """
-    tables = {(x, y): joint_distribution(sc, x, y, 3) for x in (1, 2) for y in (1, 2)}
-    probs = tables[(1, 1)].sum(axis=(0, 1))
-    matrix = np.full((4, 4), math.nan)
-    for c in range(4):
-        cond = {}
-        defined = True
-        for (x, y), table in tables.items():
-            p_c = float(table[:, :, c].sum())
-            if p_c < PROB_FLOOR:
-                defined = False
-                break
-            e = 0.0
-            for ia, sa in enumerate(OUTCOME_SIGNS):
-                for ib, sb in enumerate(OUTCOME_SIGNS):
-                    e += sa * sb * float(table[ia, ib, c])
-            cond[(x, y)] = e / p_c
-        if not defined:
-            continue
-        e_list = (cond[(1, 1)], cond[(1, 2)], cond[(2, 1)], cond[(2, 2)])
-        for v, signs in enumerate(certify.VERSION_SIGNS):
-            matrix[c, v] = sum(s * e for s, e in zip(signs, e_list))
-    return matrix, probs
+    return _version_matrix(born_tables(sc))
 
 
 def conditional_chsh_ab(sc: Scenario) -> tuple[tuple[float, float, float, float], np.ndarray]:
@@ -280,18 +269,30 @@ def _two_pair_state(rho_pair_a: np.ndarray, rho_pair_b: np.ndarray) -> DensityMa
     return DensityMatrix(reordered, (2, 2, 2, 2))
 
 
-def ideal_scenario() -> Scenario:
-    """The four-qubit scenario reaching the quantum ceiling on every tested value."""
-    pair = _pair_state_vector()
-    rho_pair = np.outer(pair, pair)
+@cache
+def _ideal_settings() -> tuple[
+    tuple[DichotomicObservable, DichotomicObservable],
+    tuple[DichotomicObservable, DichotomicObservable],
+    tuple[BinnedMeasurement, BinnedMeasurement],
+]:
+    """The ideal settings of the first, second and middle party, built once.
+
+    They are frozen dataclasses over read-only arrays, so every scenario can
+    share them.
+    """
     s = 1.0 / SQRT2
-    return Scenario(
-        state=_two_pair_state(rho_pair, rho_pair),
-        alice=(qubit_observable((0.0, 0.0, 1.0)), qubit_observable((1.0, 0.0, 0.0))),
-        bob=(qubit_observable((s, 0.0, s)), qubit_observable((-s, 0.0, s))),
-        charlie12=charlie_settings_ideal(),
-        charlie3=bell_measurement(),
-    )
+    alice = (qubit_observable((0.0, 0.0, 1.0)), qubit_observable((1.0, 0.0, 0.0)))
+    bob = (qubit_observable((s, 0.0, s)), qubit_observable((-s, 0.0, s)))
+    return alice, bob, charlie_settings_ideal()
+
+
+def ideal_scenario() -> Scenario:
+    """The four-qubit scenario reaching the quantum ceiling on every tested value.
+
+    It is ``noisy_scenario(1, 1, 0)``: noiseless pairs and the unrotated
+    entangled basis.
+    """
+    return noisy_scenario(1.0, 1.0, 0.0)
 
 
 def noisy_scenario(v_ac: float, v_bc: float, theta: float) -> Scenario:
@@ -308,24 +309,27 @@ def noisy_scenario(v_ac: float, v_bc: float, theta: float) -> Scenario:
     noise = np.eye(4) / 4.0
     rho_a = v_ac * rho_ideal + (1.0 - v_ac) * noise
     rho_b = v_bc * rho_ideal + (1.0 - v_bc) * noise
-    base = ideal_scenario()
-    return replace(
-        base,
+    alice, bob, charlie12 = _ideal_settings()
+    return Scenario(
         state=_two_pair_state(rho_a, rho_b),
+        alice=alice,
+        bob=bob,
+        charlie12=charlie12,
         charlie3=perturbed_bell_measurement(theta, pair=1),
     )
 
 
 def exact_report(sc: Scenario) -> ChshReport:
     """Exact CHSH report with conditional values relabeled to their best variants."""
-    matrix, probs = conditional_version_matrix(sc)
+    tables = born_tables(sc)
+    matrix, probs = _version_matrix(tables)
     perm, values = certify.relabel(matrix)
     slot_probs = [0.0] * 4
     for c in range(4):
         slot_probs[perm[c]] = float(probs[c])
     report = ChshReport(
-        s_ac=chsh_ac(sc),
-        s_bc=chsh_bc(sc),
+        s_ac=_chsh_combination(_swap_side_record(tables, sc, "AC").values),
+        s_bc=_chsh_combination(_swap_side_record(tables, sc, "BC").values),
         s_ab_given_c=values,
         outcome_probs=tuple(slot_probs),
         relabeling=perm,
@@ -357,24 +361,22 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
 
     Each triple gets its own generator derived from ``(seed, x, y, z)``, so the
     result is byte-identical for a fixed seed no matter how the work is split.
-    Sampling inverts the CDF of the 16-cell outcome table.
+    Each triple's 16 cell counts are one multinomial draw of ``n_per_setting``
+    trials over its outcome table from :func:`born_tables`.
     """
     if n_per_setting < 1:
         raise ValidationError("n_per_setting must be at least 1")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
-    counts = np.zeros((2, 2, 3, 2, 2, 4), dtype=np.int64)
+    tables = np.clip(born_tables(sc), 0.0, None).reshape(2, 2, 3, 16)
+    counts = np.empty((2, 2, 3, 16), dtype=np.int64)
     for x in (1, 2):
         for y in (1, 2):
             for z in (1, 2, 3):
-                table = joint_distribution(sc, x, y, z).reshape(-1)
-                cdf = np.cumsum(np.clip(table, 0.0, None))
-                cdf /= cdf[-1]
+                table = tables[x - 1, y - 1, z - 1]
                 rng = np.random.default_rng([seed, x, y, z])
-                draws = np.searchsorted(cdf, rng.random(n_per_setting), side="right")
-                cells = np.bincount(draws, minlength=16)
-                counts[x - 1, y - 1, z - 1] = cells.reshape(2, 2, 4)
-    return CountsTable(counts, n_per_setting)
+                counts[x - 1, y - 1, z - 1] = rng.multinomial(n_per_setting, table / table.sum())
+    return CountsTable(counts.reshape(2, 2, 3, 2, 2, 4), n_per_setting)
 
 
 def _pooled_correlator(counts: np.ndarray, signs: np.ndarray) -> tuple[float, float]:
@@ -406,7 +408,6 @@ def estimate_report(
     if np.any(totals <= 0):
         x, y, z = np.argwhere(totals <= 0)[0] + 1
         raise ValidationError(f"empty cells: no counts for setting triple ({x},{y},{z})")
-    a_signs = np.asarray(OUTCOME_SIGNS)
 
     def swap_side_chsh(party_axis: int) -> tuple[float, float]:
         s = 0.0
@@ -418,7 +419,7 @@ def estimate_report(
                     block = arr[first_setting - 1, :, z - 1].sum(axis=(0, 2))  # pooled over y, b
                 else:
                     block = arr[:, first_setting - 1, z - 1].sum(axis=(0, 1))  # pooled over x, a
-                signs = np.outer(a_signs, bits)
+                signs = np.outer(_SIGNS, bits)
                 e, v = _pooled_correlator(block, signs)
                 coeff = -1.0 if (first_setting, z) == (2, 2) else 1.0
                 s += coeff * e
@@ -428,7 +429,7 @@ def estimate_report(
     s_ac, se_ac = swap_side_chsh(0)
     s_bc, se_bc = swap_side_chsh(1)
 
-    pair_signs = np.outer(a_signs, a_signs)
+    pair_signs = np.outer(_SIGNS, _SIGNS)
     matrix = np.full((4, 4), math.nan)
     se_c = [math.nan] * 4
     probs = np.zeros(4)

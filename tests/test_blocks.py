@@ -297,6 +297,11 @@ class TestSepBoundOracle:
         with pytest.raises(ValidationError):
             sep_bound_oracle(np.arange(16.0).reshape(4, 4), (2, 2))
 
+    def test_rejects_zero_iterations(self):
+        beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)
+        with pytest.raises(ValidationError):
+            sep_bound_oracle(beta, (2, 2), iters=0)
+
 
 class TestTheoremCheck:
     def ideal_args(self):

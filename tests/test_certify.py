@@ -121,6 +121,12 @@ class TestCriteria:
         with pytest.raises(ValidationError):
             certify_crit1(TSIRELSON, TSIRELSON, [2.5] * 4, -1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        for rule in (certify_crit1, certify_crit2):
+            with pytest.raises(ValidationError):
+                rule(TSIRELSON, TSIRELSON, [2.5] * 4, tol)
+
 
 class TestTraceDistance:
     def test_ideal_measurement(self):

@@ -225,6 +225,26 @@ class TestSampleAndCertify:
         code, _, err = run(capsys, "certify", str(report_path), "--tol", "1e-9", "--tol-sigma", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--tol", "--tol-sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_certify_non_finite_tolerance_is_usage_error(self, capsys, tmp_path, flag, value):
+        counts_path = tmp_path / "counts.csv"
+        run(capsys, "sample", "--n-per-setting", "200", "--seed", "1", "--out", str(counts_path))
+        code, out, err = run(capsys, "certify", str(counts_path), flag, value)
+        assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("command", [["ideal"], ["noisy", "--v-ac", "0.95"]])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_tol_flag_is_usage_error(self, capsys, command, value):
+        code, out, err = run(capsys, *command, f"--tol={value}")
+        assert code == 2 and out == "" and "finite" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tol_env_var_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SWAPCERT_TOL", value)
+        code, out, err = run(capsys, "ideal")
+        assert code == 2 and out == "" and "SWAPCERT_TOL" in err
+
     def test_tol_env_var(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("SWAPCERT_TOL", "0.5")
         code, out, _ = run(capsys, "noisy", "--v-ac", "0.95")
@@ -310,3 +330,8 @@ class TestSepBound:
         with pytest.raises(SystemExit) as excinfo:
             main(["sep-bound", str(path)])
         assert excinfo.value.code == 2
+
+    def test_zero_iterations_is_usage_error(self, capsys, tmp_path):
+        path = settings_file(tmp_path)
+        code, out, err = run(capsys, "sep-bound", str(path), "--seed", "1", "--iters", "0")
+        assert code == 2 and out == "" and "--iters" in err

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -10,6 +11,8 @@ from swapcert import (
     Scenario,
     ValidationError,
     bell_basis,
+    bell_measurement,
+    born_tables,
     chsh_ac,
     chsh_bc,
     conditional_chsh_ab,
@@ -19,19 +22,61 @@ from swapcert import (
     ideal_scenario,
     joint_distribution,
     noisy_scenario,
+    overlap_version_matrix,
     partial_trace,
     product_measurement,
     qubit_observable,
+    relabel,
     sample_counts,
     steered_states,
 )
-from support import I2, SQRT2, TSIRELSON, Z, random_scenario
+from support import (
+    I2,
+    SQRT2,
+    TSIRELSON,
+    Z,
+    four_factor_state,
+    kron_all,
+    maximally_entangled_pair,
+    random_scenario,
+)
 
 IDEAL = ideal_scenario()
+TRIPLES = list(itertools.product((1, 2), (1, 2), (1, 2, 3)))
 
 
 def mixed_scenario() -> Scenario:
     return replace(IDEAL, state=DensityMatrix(np.eye(16) / 16, (2, 2, 2, 2)))
+
+
+def kron_born_tables(sc: Scenario) -> np.ndarray:
+    """Born rule cell by cell: the trace of one full Kronecker product per outcome."""
+    pa = [[(np.eye(o.dim) + s * o.matrix) / 2 for s in (1, -1)] for o in sc.alice]
+    pb = [[(np.eye(o.dim) + s * o.matrix) / 2 for s in (1, -1)] for o in sc.bob]
+    pc = [binned.base.projectors for binned in sc.charlie12] + [sc.charlie3.projectors]
+    out = np.empty((2, 2, 3, 2, 2, 4))
+    for x, y, z, a, b, c in np.ndindex(out.shape):
+        op = kron_all(pa[x][a], pb[y][b], pc[z][c])
+        out[x, y, z, a, b, c] = np.trace(op @ sc.state.matrix).real
+    return out
+
+
+class TestBornTables:
+    def test_matches_kronecker_reference(self):
+        rng = np.random.default_rng(6000)
+        scenarios = [IDEAL, noisy_scenario(0.9, 0.8, 0.4)]
+        for d_a, d_b in itertools.product((2, 3), (2, 3)):
+            scenarios += [random_scenario(rng, d_a, d_b) for _ in range(2)]
+        for sc in scenarios:
+            tables = born_tables(sc)
+            assert tables.shape == (2, 2, 3, 2, 2, 4)
+            np.testing.assert_allclose(tables, kron_born_tables(sc), rtol=0, atol=1e-12)
+
+    def test_joint_distribution_is_a_slice(self):
+        sc = random_scenario(np.random.default_rng(6001), 3, 2)
+        tables = born_tables(sc)
+        for x, y, z in TRIPLES:
+            np.testing.assert_array_equal(joint_distribution(sc, x, y, z), tables[x - 1, y - 1, z - 1])
 
 
 class TestJointDistribution:
@@ -153,6 +198,25 @@ class TestScenarios:
         np.testing.assert_allclose(sc.state.matrix, IDEAL.state.matrix, atol=1e-12)
         for p, q in zip(sc.charlie3.projectors, IDEAL.charlie3.projectors):
             np.testing.assert_allclose(p, q, atol=1e-12)
+        # and both match an independent construction of the ideal state and basis
+        pair = maximally_entangled_pair(2)
+        np.testing.assert_allclose(IDEAL.state.matrix, four_factor_state(pair, pair).matrix, atol=1e-12)
+        for p, q in zip(IDEAL.charlie3.projectors, bell_measurement().projectors):
+            np.testing.assert_allclose(p, q, atol=1e-12)
+
+    def test_ideal_settings_are_shared_and_read_only(self):
+        sc = noisy_scenario(0.9, 0.8, 0.1)
+        assert sc.alice is IDEAL.alice and sc.bob is IDEAL.bob and sc.charlie12 is IDEAL.charlie12
+        arrays = [obs.matrix for obs in (*sc.alice, *sc.bob)]
+        arrays += [proj for binned in sc.charlie12 for proj in binned.base.projectors]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0, 0] = 7.0
+        assert IDEAL.alice[0].matrix[0, 0] == 1.0
+
+    def test_non_finite_rotation_rejected(self):
+        with pytest.raises(ValidationError):
+            noisy_scenario(1.0, 1.0, math.nan)
 
     def test_out_of_range_visibility(self):
         with pytest.raises(ValidationError):
@@ -227,6 +291,19 @@ class TestExactReport:
         np.testing.assert_allclose(report.outcome_probs, [0.25] * 4, atol=1e-10)
         assert report.stderr is None
 
+    def test_noisy_grid_matches_overlap_prediction(self):
+        rng = np.random.default_rng(6200)
+        for _ in range(64):
+            v_ac, v_bc = rng.uniform(0.8, 1.0, size=2)
+            theta = rng.uniform(0.0, math.pi / 4)
+            sc = noisy_scenario(v_ac, v_bc, theta)
+            perm, values = relabel(v_ac * v_bc * overlap_version_matrix(sc.charlie3))
+            report = exact_report(sc)
+            assert report.relabeling == perm
+            np.testing.assert_allclose(report.s_ab_given_c, values, rtol=0, atol=1e-12)
+            assert report.s_ac == pytest.approx(TSIRELSON * v_ac, abs=1e-12)
+            assert report.s_bc == pytest.approx(TSIRELSON * v_bc, abs=1e-12)
+
     def test_quarter_turn_relabels(self):
         sc = noisy_scenario(1.0, 1.0, math.pi / 2)
         report = exact_report(sc)
@@ -235,6 +312,34 @@ class TestExactReport:
 
 
 class TestSampling:
+    def test_each_triple_is_its_own_multinomial_draw(self):
+        # the per-triple generators make the table independent of how the
+        # triples are split up: each one is a single draw from its own stream
+        sc = random_scenario(np.random.default_rng(6100), 3, 2)
+        n, seed = 1000, 17
+        table = sample_counts(sc, n, seed)
+        for x, y, z in TRIPLES:
+            p = np.clip(joint_distribution(sc, x, y, z), 0.0, None).reshape(-1)
+            expected = np.random.default_rng([seed, x, y, z]).multinomial(n, p / p.sum())
+            np.testing.assert_array_equal(table.counts[x - 1, y - 1, z - 1].reshape(-1), expected)
+        assert np.all(table.counts.sum(axis=(3, 4, 5)) == n)
+        np.testing.assert_array_equal(sample_counts(sc, n, seed).counts, table.counts)
+
+    def test_pooled_estimates_within_5_sigma_of_exact(self):
+        sc = noisy_scenario(0.95, 0.97, 0.26)
+        n, seeds = 20_000, range(5)
+        pooled = sum(sample_counts(sc, n, seed).counts for seed in seeds)
+        est = estimate_report(CountsTable(pooled, n * len(seeds)))
+        exact = exact_report(sc)
+        assert est.relabeling == exact.relabeling
+        pairs = [(est.s_ac, exact.s_ac, est.stderr.s_ac), (est.s_bc, exact.s_bc, est.stderr.s_bc)]
+        pairs += zip(est.s_ab_given_c, exact.s_ab_given_c, est.stderr.s_ab_given_c)
+        z3_total = 4 * n * len(seeds)
+        pairs += [(p_hat, p, math.sqrt(p * (1 - p) / z3_total))
+                  for p_hat, p in zip(est.outcome_probs, exact.outcome_probs)]
+        for got, want, se in pairs:
+            assert abs(got - want) <= 5 * se
+
     def test_counts_sum_per_setting(self):
         table = sample_counts(IDEAL, 500, seed=9)
         totals = table.counts.sum(axis=(3, 4, 5))
