@@ -14,14 +14,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import certify, protocol
 from .certify import SQRT2, TSIRELSON
 from .linalg import DensityMatrix, PureState, ValidationError, _as_matrix, tensor
 from .measurements import DichotomicObservable, FourOutcomeMeasurement
 
-# Eigenphases of the product A0*A1 closer than this are grouped together.
+# Eigenphases of the product A0*A1 closer than this are grouped together. A
+# 2x2 block whose phase lies within it of 0 or pi is split into 1x1 blocks,
+# which fails the 1e-8 reconstruction check once the phase exceeds about 2e-8.
 ANGLE_TOL = 1e-7
 
 
@@ -109,8 +110,12 @@ def jordan_blocks(
     The unitary U = A0 A1 is diagonalized; eigenvectors at phase 0 (pi) are
     common eigenvectors of both observables (of A0 and -A1) and give size-1
     blocks, while each eigenvector u at phase phi in (0, pi) pairs with A0 u
-    to span a size-2 block. Phases within ``ANGLE_TOL`` are grouped. The
-    reconstruction from the returned blocks is verified to 1e-8.
+    to span a size-2 block. Phases within ``ANGLE_TOL`` are grouped, and the
+    eigenvectors ``np.linalg.eig`` returns for a group are re-orthonormalized
+    by one QR: eigenspaces of a unitary at distinct eigenvalues are
+    orthogonal, so Gram-Schmidt inside a group keeps every vector in its
+    eigenspace. The reconstruction from the returned blocks is verified to
+    1e-8.
     """
     mat0 = _require_involution(a0, "first observable", tol)
     mat1 = _require_involution(a1, "second observable", tol)
@@ -118,8 +123,8 @@ def jordan_blocks(
         raise ValidationError("observables must act on the same space")
     d = mat0.shape[0]
 
-    t_mat, q_mat = scipy.linalg.schur(mat0 @ mat1, output="complex")
-    phases = np.angle(np.diag(t_mat))
+    eigvals, eigvecs = np.linalg.eig(mat0 @ mat1)
+    phases = np.angle(eigvals)
     folded = np.abs(phases)
 
     order = np.argsort(folded, kind="stable")
@@ -133,10 +138,10 @@ def jordan_blocks(
     blocks: list[ObservableBlock] = []
     for cluster in clusters:
         center = float(np.mean(folded[cluster]))
-        cols = q_mat[:, cluster]
         if center <= ANGLE_TOL or center >= math.pi - ANGLE_TOL:
             # Common invariant subspace: A1 = +/-A0 there. Diagonalizing the
             # restriction of A0 yields simultaneous eigenvectors.
+            cols = np.linalg.qr(eigvecs[:, cluster])[0]
             restricted = cols.conj().T @ mat0 @ cols
             _, w_vecs = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
             for k in range(w_vecs.shape[1]):
@@ -153,8 +158,7 @@ def jordan_blocks(
             negative = [idx for idx in cluster if phases[idx] <= 0.0]
             if len(positive) != len(negative):
                 raise ValidationError("eigenphases of A0*A1 do not pair into conjugates")
-            for idx in positive:
-                u = q_mat[:, idx]
+            for u in np.linalg.qr(eigvecs[:, positive])[0].T:
                 v2 = mat0 @ u
                 v2 = v2 - (u.conj() @ v2) * u
                 v2 = v2 / np.linalg.norm(v2)

@@ -42,8 +42,8 @@ def _default_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise UsageError(f"{TOL_ENV_VAR}={raw!r} is not a number") from None
-    if not math.isfinite(tol):
-        raise UsageError(f"{TOL_ENV_VAR}={raw!r} is not finite")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"{TOL_ENV_VAR}={raw!r} is not finite and nonnegative")
     return tol
 
 
@@ -51,9 +51,19 @@ def _tolerance(value: float | None, flag: str = "--tol") -> float:
     """A tolerance flag's value, or the default when the flag is absent."""
     if value is None:
         return _default_tol()
-    if not math.isfinite(value):
-        raise UsageError(f"{flag} must be finite, got {value}")
+    if not (math.isfinite(value) and value >= 0):
+        raise UsageError(f"{flag} must be finite and nonnegative, got {value}")
     return value
+
+
+def _noisy_scenario(args: argparse.Namespace) -> protocol.Scenario:
+    """The scenario named by the --v-ac, --v-bc and --theta flags."""
+    for name, value in (("--v-ac", args.v_ac), ("--v-bc", args.v_bc)):
+        if not 0.0 <= value <= 1.0:
+            raise UsageError(f"{name} must lie in [0, 1], got {value}")
+    if not math.isfinite(args.theta):
+        raise UsageError(f"--theta must be finite, got {args.theta}")
+    return protocol.noisy_scenario(args.v_ac, args.v_bc, args.theta)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -113,11 +123,8 @@ def cmd_ideal(args: argparse.Namespace) -> int:
 
 
 def cmd_noisy(args: argparse.Namespace) -> int:
-    for name, value in (("--v-ac", args.v_ac), ("--v-bc", args.v_bc)):
-        if not 0.0 <= value <= 1.0:
-            raise UsageError(f"{name} must lie in [0, 1], got {value}")
+    sc = _noisy_scenario(args)
     tol = _tolerance(args.tol)
-    sc = protocol.noisy_scenario(args.v_ac, args.v_bc, args.theta)
     payload, _ = _report_payload(protocol.exact_report(sc), tol)
     _write_output(_render(payload, args.format), args.out)
     return EXIT_OK
@@ -264,10 +271,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
             raise ValidationError(f"{path.name}: {exc}") from None
         sc = serialize.scenario_from_json(obj)
     else:
-        for name, value in (("--v-ac", args.v_ac), ("--v-bc", args.v_bc)):
-            if not 0.0 <= value <= 1.0:
-                raise UsageError(f"{name} must lie in [0, 1], got {value}")
-        sc = protocol.noisy_scenario(args.v_ac, args.v_bc, args.theta)
+        sc = _noisy_scenario(args)
     table = protocol.sample_counts(sc, args.n_per_setting, args.seed)
     _write_output(serialize.counts_to_csv(table), args.out)
     return EXIT_OK

@@ -179,6 +179,8 @@ def perturbed_bell_measurement(theta: float, pair: int = 1) -> FourOutcomeMeasur
     """
     if pair not in (1, 2):
         raise ValidationError("pair must be 1 or 2")
+    if not math.isfinite(theta):
+        raise ValidationError(f"theta must be finite, got {theta}")
     basis = [s.vector.copy() for s in bell_basis()]
     lo, hi = pair - 1, 4 - pair
     c, s = math.cos(theta), math.sin(theta)

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .certify import DistanceBounds, Verdict
-from .linalg import DensityMatrix, ValidationError
+from .linalg import DEFAULT_TOL, DensityMatrix, ValidationError
 from .measurements import BinnedMeasurement, DichotomicObservable, FourOutcomeMeasurement
 from .protocol import ChshReport, CountsTable, ReportStdErr, Scenario
 
@@ -172,31 +172,72 @@ def report_to_json(report: ChshReport) -> dict:
     return out
 
 
+# A parsed report may sit above 2*sqrt(2) by sampling noise, but no CHSH
+# value of +/-1 correlators exceeds 4 in magnitude.
+CHSH_ALGEBRAIC_MAX = 4.0
+# Probabilities written at 9 significant digits sum to 1 within about 2e-9.
+PROB_SUM_TOL = 1e-6
+
+
+def _report_number(value: Any, name: str, nullable: bool = False) -> float:
+    """A finite JSON number, or NaN for ``null`` where a value may be undefined."""
+    if value is None and nullable:
+        return math.nan
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValidationError(f"report: {name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _report_list(values: Any, name: str, nullable: bool = False) -> tuple[float, ...]:
+    if not isinstance(values, list) or len(values) != 4:
+        raise ValidationError(f"report: {name} must list four values")
+    return tuple(_report_number(v, f"{name}[{k}]", nullable) for k, v in enumerate(values))
+
+
 def report_from_json(obj: Any) -> ChshReport:
+    """Parse a report, rejecting any that no CHSH experiment could produce.
+
+    The relabeling must be a permutation of 1..4, the outcome probabilities a
+    distribution (to ``PROB_SUM_TOL``), every CHSH value at most 4 in
+    magnitude, and ``stderr`` either null or complete. The quantum ceiling
+    2*sqrt(2) is not applied: sampled values can exceed it.
+    """
     if not isinstance(obj, dict):
         raise ValidationError("report: expected a JSON object")
     for key in ("s_ac", "s_bc", "s_ab_given_c", "outcome_probs", "relabeling"):
         if key not in obj:
             raise ValidationError(f"report: missing '{key}'")
-    values = obj["s_ab_given_c"]
-    if not isinstance(values, list) or len(values) != 4:
-        raise ValidationError("report: s_ab_given_c must list four values")
-    parsed = [math.nan if v is None else float(v) for v in values]
-    relabeling = tuple(int(s) - 1 for s in obj["relabeling"])
+    s_ac = _report_number(obj["s_ac"], "s_ac")
+    s_bc = _report_number(obj["s_bc"], "s_bc")
+    values = _report_list(obj["s_ab_given_c"], "s_ab_given_c", nullable=True)
+    for value in (s_ac, s_bc, *values):  # NaN (undefined) compares False
+        if abs(value) > CHSH_ALGEBRAIC_MAX:
+            raise ValidationError(f"report: CHSH value {value} exceeds the algebraic maximum 4")
+    probs = _report_list(obj["outcome_probs"], "outcome_probs")
+    if min(probs) < -DEFAULT_TOL or abs(sum(probs) - 1.0) > PROB_SUM_TOL:
+        raise ValidationError(f"report: outcome_probs {list(probs)} are not a probability distribution")
+    slots = obj["relabeling"]
+    if (not isinstance(slots, list) or any(isinstance(s, bool) or not isinstance(s, int) for s in slots)
+            or sorted(slots) != [1, 2, 3, 4]):
+        raise ValidationError(f"report: relabeling {slots!r} is not a permutation of 1..4")
     stderr = None
     if obj.get("stderr") is not None:
         block = obj["stderr"]
+        if not isinstance(block, dict) or any(k not in block for k in ("s_ac", "s_bc", "s_ab_given_c")):
+            raise ValidationError("report: stderr must hold s_ac, s_bc and s_ab_given_c")
         stderr = ReportStdErr(
-            float(block["s_ac"]),
-            float(block["s_bc"]),
-            tuple(math.nan if v is None else float(v) for v in block["s_ab_given_c"]),
+            _report_number(block["s_ac"], "stderr.s_ac"),
+            _report_number(block["s_bc"], "stderr.s_bc"),
+            _report_list(block["s_ab_given_c"], "stderr.s_ab_given_c", nullable=True),
         )
+        if any(v < 0 for v in (stderr.s_ac, stderr.s_bc, *stderr.s_ab_given_c)):
+            raise ValidationError("report: standard errors must be nonnegative")
     return ChshReport(
-        s_ac=float(obj["s_ac"]),
-        s_bc=float(obj["s_bc"]),
-        s_ab_given_c=tuple(parsed),
-        outcome_probs=tuple(float(p) for p in obj["outcome_probs"]),
-        relabeling=relabeling,
+        s_ac=s_ac,
+        s_bc=s_bc,
+        s_ab_given_c=values,
+        outcome_probs=probs,
+        relabeling=tuple(s - 1 for s in slots),
         stderr=stderr,
     )
 

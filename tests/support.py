@@ -168,12 +168,28 @@ def planted_observables(
     rng: np.random.Generator | None = None,
 ) -> tuple[DichotomicObservable, DichotomicObservable]:
     """Direct sum of planted two-dimensional pairs, optionally Haar-conjugated."""
-    d = 2 * len(angles)
+    return planted_layout((), angles, rng)
+
+
+def planted_layout(
+    ones: tuple[tuple[float, float], ...],
+    angles: tuple[float, ...],
+    rng: np.random.Generator | None = None,
+) -> tuple[DichotomicObservable, DichotomicObservable]:
+    """Direct sum of 1x1 blocks and planted two-dimensional pairs.
+
+    ``ones`` lists the (a0, a1) sign pairs of the 1x1 blocks, which come
+    first; each angle in ``angles`` adds one :func:`planted_pair`. With
+    ``rng`` the sum is conjugated by one Haar unitary.
+    """
+    d = len(ones) + 2 * len(angles)
     a0 = np.zeros((d, d), dtype=complex)
     a1 = np.zeros((d, d), dtype=complex)
+    for k, (s0, s1) in enumerate(ones):
+        a0[k, k], a1[k, k] = s0, s1
     for k, angle in enumerate(angles):
         b0, b1 = planted_pair(angle)
-        sl = slice(2 * k, 2 * k + 2)
+        sl = slice(len(ones) + 2 * k, len(ones) + 2 * k + 2)
         a0[sl, sl] = b0
         a1[sl, sl] = b1
     if rng is not None:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from swapcert import (
@@ -22,6 +22,7 @@ from swapcert import (
     sep_bound_value,
     theorem_check,
 )
+from swapcert.blocks import ANGLE_TOL
 from support import (
     I2,
     SQRT2,
@@ -33,7 +34,9 @@ from support import (
     haar_unitary,
     kron_all,
     maximally_entangled_pair,
+    planted_layout,
     planted_observables,
+    planted_pair,
     random_bloch_observable,
 )
 
@@ -122,6 +125,85 @@ class TestJordanBlocks:
         good = Z_OBS
         with pytest.raises(ValidationError):
             jordan_blocks(good, DichotomicObservable(np.eye(3)))
+
+
+SIGN_PAIRS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
+
+
+@st.composite
+def degenerate_layouts(draw):
+    """Planted 1x1 blocks and 2x2 blocks at repeated phases, d <= 16.
+
+    The 2x2 phases come from a pool of interior phases in (0.05, pi - 0.05)
+    and phases 2 to 10 ANGLE_TOL away from 0 or pi. Pool phases closer than
+    2 ANGLE_TOL to an earlier one are dropped, so every planted phase is
+    either repeated exactly or resolvable.
+    """
+    n_two = draw(st.integers(0, 8))
+    n_one = draw(st.integers(0 if n_two else 2, 16 - 2 * n_two))
+    interior = draw(st.lists(st.floats(0.05, math.pi - 0.05, exclude_min=True, exclude_max=True),
+                             min_size=1, max_size=2))
+    near_edge = draw(st.lists(st.tuples(st.sampled_from((0.0, math.pi)), st.floats(2.0, 10.0)),
+                              max_size=2))
+    pool: list[float] = []
+    for phase in interior + [abs(edge - k * ANGLE_TOL) for edge, k in near_edge]:
+        if all(abs(phase - kept) > 2 * ANGLE_TOL for kept in pool):
+            pool.append(phase)
+    # One seed assigns phases and sign pairs and draws the Haar unitary, which
+    # keeps the number of hypothesis draws (and their cost) small.
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng([seed, 0])
+    angles = tuple(pool[k] for k in rng.integers(len(pool), size=n_two))
+    ones = tuple(SIGN_PAIRS[k] for k in rng.integers(len(SIGN_PAIRS), size=n_one))
+    return ones, angles, seed
+
+
+class TestJordanBlocksDegenerate:
+    @given(degenerate_layouts())
+    @settings(max_examples=1000, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_planted_layout_recovered(self, layout):
+        ones, angles, seed = layout
+        a0, a1 = planted_layout(ones, angles, np.random.default_rng(seed))
+        u = haar_unitary(a0.dim, np.random.default_rng(seed))  # the conjugation planted_layout applied
+        blocks = jordan_blocks(a0, a1)
+        assert sorted(b.size for b in blocks.blocks) == [1] * len(ones) + [2] * len(angles)
+        assert embed_error(blocks, a0, a1) <= 1e-8
+
+        # Each block's restrictions are gauge-free: +/-1 on a 1x1 block, and
+        # (X, cos(phi) X + sin(phi) Y) on the basis (u, A0 u) of a 2x2 block.
+        # Blocks sharing a label together span the planted span of that label.
+        recovered: dict[tuple, np.ndarray] = {}
+        for b in blocks.blocks:
+            if b.size == 1:
+                label = (round(b.a0[0, 0].real), round(b.a1[0, 0].real))
+                assert np.abs(np.array([b.a0[0, 0], b.a1[0, 0]]) - label).max() <= 1e-8
+            else:
+                phase = abs(np.angle(np.linalg.eigvals(b.a0 @ b.a1))).max()
+                label = min(set(angles), key=lambda a: abs(a - phase))
+                assert abs(phase - label) <= 1e-9
+                want0, want1 = planted_pair(label)
+                assert max(np.abs(b.a0 - want0).max(), np.abs(b.a1 - want1).max()) <= 1e-8
+            proj = b.basis @ b.basis.conj().T
+            recovered[label] = recovered.get(label, 0) + proj
+        planted: dict[tuple, np.ndarray] = {}
+        columns = [(pair, [k]) for k, pair in enumerate(ones)]
+        columns += [(a, [len(ones) + 2 * k, len(ones) + 2 * k + 1]) for k, a in enumerate(angles)]
+        for label, idx in columns:
+            planted[label] = planted.get(label, 0) + u[:, idx] @ u[:, idx].conj().T
+        assert recovered.keys() == planted.keys()
+        for label, proj in planted.items():
+            assert np.abs(recovered[label] - proj).max() <= 1e-8
+
+    @pytest.mark.parametrize("edge", [0.0, math.pi])
+    @pytest.mark.parametrize("offset", [5e-8, 9e-8])
+    def test_near_edge_dead_zone_is_rejected(self, edge, offset):
+        # A 2x2 block this close to 0 or pi lies inside ANGLE_TOL, is split
+        # into two 1x1 blocks, and fails the 1e-8 reconstruction check.
+        assert offset < ANGLE_TOL
+        a0, a1 = planted_layout((), (abs(edge - offset), 0.7, 1.9, 2.6), np.random.default_rng(5))
+        with pytest.raises(ValidationError, match="reconstruction"):
+            jordan_blocks(a0, a1)
 
 
 class TestChshOperator:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,12 @@ class TestNoisy:
         code, _, err = run(capsys, "noisy", "--v-ac", "1.5")
         assert code == 2
         assert "v-ac" in err
+
+    @pytest.mark.parametrize("command", [["noisy"], ["sample", "--n-per-setting", "10", "--seed", "1"]])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_theta_is_usage_error(self, capsys, command, value):
+        code, out, err = run(capsys, *command, f"--theta={value}")
+        assert code == 2 and out == "" and "--theta" in err
 
 
 class TestBoundsCurve:
@@ -209,6 +219,29 @@ class TestSampleAndCertify:
         assert code == 3
         assert "outcome 3" in err
 
+    def test_certify_impossible_report_is_validation_error(self, capsys, tmp_path):
+        report_path = tmp_path / "impossible.json"
+        report_path.write_text(json.dumps({
+            "s_ac": TSIRELSON, "s_bc": TSIRELSON,
+            "s_ab_given_c": [5.0, 5.0, 5.0, 5.0],
+            "outcome_probs": [0.9, 0.9, 0.9, 0.9],
+            "relabeling": [1, 1, 1, 1],
+            "stderr": None,
+        }))
+        code, out, err = run(capsys, "certify", str(report_path), "--tol", "1")
+        assert code == 3 and out == "" and "validation error" in err
+
+    def test_certify_partial_stderr_is_validation_error(self, capsys, tmp_path):
+        from swapcert.protocol import exact_report
+        from swapcert.serialize import report_to_json
+
+        obj = report_to_json(exact_report(ideal_scenario()))
+        obj["stderr"] = {"s_ac": 0.01}
+        report_path = tmp_path / "partial_stderr.json"
+        report_path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "certify", str(report_path), "--tol-sigma", "5")
+        assert code == 3 and out == "" and "stderr" in err
+
     def test_certify_malformed_csv_reports_line(self, capsys, tmp_path):
         counts_path = tmp_path / "bad.csv"
         counts_path.write_text("x,y,z,a,b,c,count\n1,1,1,1,1,1,not_a_number\n")
@@ -239,9 +272,26 @@ class TestSampleAndCertify:
         code, out, err = run(capsys, *command, f"--tol={value}")
         assert code == 2 and out == "" and "finite" in err
 
+    @pytest.mark.parametrize("command", [["ideal"], ["noisy", "--v-ac", "0.95"]])
+    def test_negative_tol_flag_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *command, "--tol=-1")
+        assert code == 2 and out == "" and "nonnegative" in err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--tol-sigma"])
+    def test_certify_negative_tolerance_is_usage_error(self, capsys, tmp_path, flag):
+        counts_path = tmp_path / "counts.csv"
+        run(capsys, "sample", "--n-per-setting", "200", "--seed", "1", "--out", str(counts_path))
+        code, out, err = run(capsys, "certify", str(counts_path), flag, "-1")
+        assert code == 2 and out == "" and "nonnegative" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tol_env_var_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("SWAPCERT_TOL", value)
+        code, out, err = run(capsys, "ideal")
+        assert code == 2 and out == "" and "SWAPCERT_TOL" in err
+
+    def test_negative_tol_env_var_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SWAPCERT_TOL", "-1")
         code, out, err = run(capsys, "ideal")
         assert code == 2 and out == "" and "SWAPCERT_TOL" in err
 
@@ -335,3 +385,13 @@ class TestSepBound:
         path = settings_file(tmp_path)
         code, out, err = run(capsys, "sep-bound", str(path), "--seed", "1", "--iters", "0")
         assert code == 2 and out == "" and "--iters" in err
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a cold command must not pay for scipy
+    code = ("import swapcert.cli, sys; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -126,6 +126,11 @@ class TestPerturbedBellMeasurement:
         with pytest.raises(ValidationError):
             perturbed_bell_measurement(0.3, pair=3)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_theta(self, theta):
+        with pytest.raises(ValidationError, match="theta"):
+            perturbed_bell_measurement(theta)
+
 
 class TestProductMeasurement:
     def test_zz_basis(self):

@@ -127,6 +127,52 @@ class TestReportFormat:
         with pytest.raises(ValidationError):
             report_from_json(obj)
 
+    @pytest.mark.parametrize("key, value", [
+        ("relabeling", [1, 1, 1, 1]),
+        ("relabeling", [0, 1, 2, 3]),
+        ("relabeling", [1, 2, 3]),
+        ("relabeling", [1.0, 2, 3, 4]),
+        ("relabeling", "1234"),
+        ("s_ab_given_c", [2.8, 2.8, 2.8]),
+        ("outcome_probs", [0.25, 0.25, 0.5]),
+        ("outcome_probs", [0.5, 0.5, 0.5, -0.5]),
+        ("outcome_probs", [0.9, 0.9, 0.9, 0.9]),
+        ("outcome_probs", [0.25, 0.25, 0.25, 0.2500011]),
+        ("s_ab_given_c", [5.0, 2.8, 2.8, 2.8]),
+        ("s_ab_given_c", [2.8, 2.8, "2.8", 2.8]),
+        ("s_ac", -4.5),
+        ("s_bc", math.inf),
+        ("s_ac", None),
+        ("s_ac", True),
+    ])
+    def test_impossible_report_rejected(self, key, value):
+        obj = report_to_json(exact_report(ideal_scenario()))
+        obj[key] = value
+        with pytest.raises(ValidationError):
+            report_from_json(obj)
+
+    @pytest.mark.parametrize("stderr", [
+        {"s_ac": 0.01},
+        {"s_ac": 0.01, "s_bc": 0.01, "s_ab_given_c": [0.01, 0.01]},
+        {"s_ac": "x", "s_bc": 0.01, "s_ab_given_c": [0.01] * 4},
+        {"s_ac": -0.01, "s_bc": 0.01, "s_ab_given_c": [0.01] * 4},
+        [0.01, 0.01],
+    ])
+    def test_bad_stderr_rejected(self, stderr):
+        obj = report_to_json(exact_report(ideal_scenario()))
+        obj["stderr"] = stderr
+        with pytest.raises(ValidationError):
+            report_from_json(obj)
+
+    def test_values_above_quantum_ceiling_accepted(self):
+        # sampled reports can exceed 2*sqrt(2); only the algebraic 4 is a hard limit
+        obj = report_to_json(exact_report(ideal_scenario()))
+        obj["s_ac"] = 2.9
+        obj["s_ab_given_c"] = [2.9, 2.83, None, -4.0]
+        obj["outcome_probs"] = [0.25, 0.25, 0.25, 0.250000002]
+        report = report_from_json(obj)
+        assert report.s_ac == 2.9 and report.s_ab_given_c[3] == -4.0
+
 
 class TestCountsCsv:
     def test_round_trip(self):
