@@ -93,18 +93,7 @@ class TheoremCheckReport:
     satisfied: bool
 
 
-def _require_involution(obs: DichotomicObservable, name: str, tol: float) -> np.ndarray:
-    mat = obs.matrix
-    if np.max(np.abs(mat @ mat - np.eye(mat.shape[0]))) > tol:
-        raise ValidationError(f"{name} does not square to the identity within {tol:g}")
-    return mat
-
-
-def jordan_blocks(
-    a0: DichotomicObservable,
-    a1: DichotomicObservable,
-    tol: float = 1e-9,
-) -> ObservableBlocks:
+def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> ObservableBlocks:
     """Split a pair of +/-1 observables into jointly invariant blocks of size <= 2.
 
     The unitary U = A0 A1 is diagonalized; eigenvectors at phase 0 (pi) are
@@ -117,8 +106,7 @@ def jordan_blocks(
     eigenspace. The reconstruction from the returned blocks is verified to
     1e-8.
     """
-    mat0 = _require_involution(a0, "first observable", tol)
-    mat1 = _require_involution(a1, "second observable", tol)
+    mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
         raise ValidationError("observables must act on the same space")
     d = mat0.shape[0]

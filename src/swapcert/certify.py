@@ -153,15 +153,6 @@ def certify_crit2(s_ac: float, s_bc: float, s_ab_values: Sequence[float], tol: f
     return _verdict("crit2", s_ac, s_bc, s_ab_values, tol, SQRT2, need_both=True)
 
 
-def _require_rank_one(meas: FourOutcomeMeasurement) -> None:
-    if meas.dims != (2, 2):
-        raise ValidationError(f"measurement acts on {meas.dims}, expected (2, 2)")
-    for k, proj in enumerate(meas.projectors):
-        # trace of a projector is its rank
-        if abs(float(np.trace(proj).real) - 1.0) > 1e-6:
-            raise ValidationError(f"projector {k + 1} has rank != 1")
-
-
 def _reference_overlaps(meas: FourOutcomeMeasurement) -> np.ndarray:
     """overlaps[c, v] = |<e_c|ref_v>|^2 as the quadratic form <ref_v|P_c|ref_v>.
 
@@ -169,7 +160,9 @@ def _reference_overlaps(meas: FourOutcomeMeasurement) -> np.ndarray:
     square-root-amplified quantities downstream as clean as double precision
     allows.
     """
-    _require_rank_one(meas)
+    if meas.dims != (2, 2):
+        raise ValidationError(f"measurement acts on {meas.dims}, expected (2, 2)")
+    meas.require_rank_one()
     reference = [s.vector for s in bell_basis()]
     out = np.empty((4, 4))
     for c, proj in enumerate(meas.projectors):

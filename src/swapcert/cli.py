@@ -75,26 +75,8 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
 
 
-def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
-    rows: list[tuple[str, Any]] = []
-    if isinstance(obj, dict):
-        for key in sorted(obj):
-            rows.extend(_flatten(obj[key], f"{prefix}{key}." if prefix else f"{key}."))
-    elif isinstance(obj, (list, tuple)):
-        for idx, item in enumerate(obj):
-            rows.extend(_flatten(item, f"{prefix}{idx}."))
-    else:
-        rows.append((prefix.rstrip("."), obj))
-    return rows
-
-
 def _render(payload: dict, fmt: str) -> str:
-    if fmt == "json":
-        return serialize.json_dumps(payload)
-    lines = ["key,value"]
-    for key, value in _flatten(serialize._round_tree(payload)):
-        lines.append(f"{key},{value}")
-    return "\n".join(lines)
+    return serialize.json_dumps(payload) if fmt == "json" else serialize.key_value_csv(payload)
 
 
 def _report_payload(report: protocol.ChshReport, tol: float) -> tuple[dict, list[certify.Verdict]]:
@@ -130,25 +112,31 @@ def cmd_noisy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_report(path: Path, text: str) -> protocol.ChshReport:
-    stripped = text.lstrip()
-    looks_json = path.suffix.lower() == ".json" or stripped.startswith("{")
-    if looks_json:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path.name}: {exc}") from None
-        return serialize.report_from_json(obj)
-    return protocol.estimate_report(serialize.counts_from_csv(text))
+def _load_input(path_str: str, counts_ok: bool = False) -> Any:
+    """The parsed JSON of an input file; a file that cannot be read or parsed is a validation error.
 
-
-def cmd_certify(args: argparse.Namespace) -> int:
-    path = Path(args.input)
+    With ``counts_ok`` a file that is neither named ``*.json`` nor starts
+    with ``{`` is parsed as a counts CSV and returned as a ``CountsTable``.
+    """
+    path = Path(path_str)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(str(exc)) from None
-    report = _load_report(path, text)
+    if counts_ok and path.suffix.lower() != ".json" and not text.lstrip().startswith("{"):
+        return serialize.counts_from_csv(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path.name}: {exc}") from None
+
+
+def cmd_certify(args: argparse.Namespace) -> int:
+    data = _load_input(args.input, counts_ok=True)
+    if isinstance(data, protocol.CountsTable):
+        report = protocol.estimate_report(data)
+    else:
+        report = serialize.report_from_json(data)
     if args.tol is not None and args.tol_sigma is not None:
         raise UsageError("--tol and --tol-sigma are mutually exclusive")
     if args.tol_sigma is not None:
@@ -187,19 +175,14 @@ def cmd_bounds_curve(args: argparse.Namespace) -> int:
 
 
 def _load_settings(path_str: str) -> tuple:
-    path = Path(path_str)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path.name}: {exc}") from None
+    obj = _load_input(path_str)
+    name = Path(path_str).name
     if not isinstance(obj, dict):
-        raise ValidationError(f"{path.name}: expected a JSON object")
+        raise ValidationError(f"{name}: expected a JSON object")
     out = []
     for key in ("a0", "a1", "b0", "b1"):
         if key not in obj:
-            raise ValidationError(f"{path.name}: missing observable '{key}'")
+            raise ValidationError(f"{name}: missing observable '{key}'")
         out.append(serialize.observable_from_json(obj[key], key))
     return tuple(out)
 
@@ -262,14 +245,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.n_per_setting < 1:
         raise UsageError("--n-per-setting must be at least 1")
     if args.scenario is not None:
-        path = Path(args.scenario)
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ValidationError(str(exc)) from None
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path.name}: {exc}") from None
-        sc = serialize.scenario_from_json(obj)
+        sc = serialize.scenario_from_json(_load_input(args.scenario))
     else:
         sc = _noisy_scenario(args)
     table = protocol.sample_counts(sc, args.n_per_setting, args.seed)

@@ -126,16 +126,17 @@ class FourOutcomeMeasurement:
         if np.max(np.abs(total - np.eye(self.dim))) > tol:
             raise ValidationError("projectors do not sum to the identity within tolerance")
 
-    def eigenstates(self) -> tuple[np.ndarray, ...]:
-        """Unit eigenvector of each projector; requires every projector rank 1."""
-        states = []
+    def require_rank_one(self) -> None:
+        """Raise unless every projector has rank 1."""
         for k, proj in enumerate(self.projectors):
             # trace of a projector is its rank, so this is a robust rank test
             if abs(float(np.trace(proj).real) - 1.0) > 1e-6:
-                raise ValidationError(f"projector {k + 1} has rank != 1; eigenstate undefined")
-            w, v = np.linalg.eigh((proj + proj.conj().T) / 2.0)
-            states.append(v[:, -1])
-        return tuple(states)
+                raise ValidationError(f"projector {k + 1} has rank != 1")
+
+    def eigenstates(self) -> tuple[np.ndarray, ...]:
+        """Unit eigenvector of each projector; requires every projector rank 1."""
+        self.require_rank_one()
+        return tuple(np.linalg.eigh((proj + proj.conj().T) / 2.0)[1][:, -1] for proj in self.projectors)
 
 
 @dataclass(frozen=True)
@@ -220,11 +221,6 @@ def product_measurement(
     pb = _validate_two_outcome(mb, "second factor", tol)
     projs = tuple(tensor(pa[a], pb[b]) for a in range(2) for b in range(2))
     return FourOutcomeMeasurement(projs, (pa[0].shape[0], pb[0].shape[0]))
-
-
-def two_outcome_projectors(obs: DichotomicObservable) -> tuple[np.ndarray, np.ndarray]:
-    """The +1/-1 spectral projectors of a dichotomic observable."""
-    return obs.projectors()
 
 
 def charlie_settings_ideal() -> tuple[BinnedMeasurement, BinnedMeasurement]:

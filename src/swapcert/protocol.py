@@ -41,6 +41,8 @@ PROB_FLOOR = 1e-12
 
 OUTCOME_SIGNS = (1.0, -1.0)  # index 0 is the +1 outcome, index 1 the -1 outcome
 _SIGNS = np.array(OUTCOME_SIGNS)
+_VERSION_SIGNS = np.array(certify.VERSION_SIGNS, dtype=float)  # [v, (x, y)]
+_SWAP_SUBSCRIPTS = ("xyzabc,a,zc->xz", "xyzabc,b,zc->yz")  # E[s, z] of the first, second party
 
 
 @dataclass(frozen=True)
@@ -79,19 +81,6 @@ class Scenario:
     @property
     def dims(self) -> tuple[int, int, int, int]:
         return self.state.dims
-
-
-@dataclass(frozen=True)
-class CorrelationRecord:
-    """Correlators E_xy for one context: 'AC', 'BC' or 'AB|c'."""
-
-    context: str
-    values: dict[tuple[int, int], float]
-
-    def __post_init__(self) -> None:
-        for key, val in self.values.items():
-            if abs(val) > 1.0 + 1e-12:
-                raise ValidationError(f"correlator {key} = {val} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -161,55 +150,53 @@ def joint_distribution(sc: Scenario, x: int, y: int, z: int) -> np.ndarray:
     return born_tables(sc)[x - 1, y - 1, z - 1]
 
 
-def _swap_side_record(tables: np.ndarray, sc: Scenario, context: str) -> CorrelationRecord:
-    """Correlators E_sz of one end party (s its setting) with its bit of settings z = 1, 2.
+def _bit_maps(sc: Scenario) -> np.ndarray:
+    """The middle party's bits as ``[z, side, c]``: side 0 goes with the first party."""
+    return np.array([(binned.bit_for_a, binned.bit_for_b) for binned in sc.charlie12], dtype=float)
 
-    'AC' reads the y = 1 tables and the 'a' bits, 'BC' the x = 1 tables and
-    the 'b' bits.
+
+def _swap_side(table: np.ndarray, bits: np.ndarray, party: int) -> tuple[np.ndarray, np.ndarray]:
+    """Correlators E[s, z] of one end party (0 first, 1 second) with its bit of settings z = 1, 2.
+
+    ``table`` is laid out like :func:`born_tables` and ``bits`` like
+    :func:`_bit_maps`. Each correlator pools over the other end party's
+    setting and outcome; the weights it is read from are returned with it.
     """
-    if context == "AC":
-        block = tables[:, 0, :2].sum(axis=3)  # [x, z, a, c]
-        bits = [binned.bit_for_a for binned in sc.charlie12]
-    else:
-        block = tables[0, :, :2].sum(axis=2)  # [y, z, b, c]
-        bits = [binned.bit_for_b for binned in sc.charlie12]
-    e = np.einsum("szoc,o,zc->sz", block, _SIGNS, np.array(bits, dtype=float))
-    return CorrelationRecord(context, {(s + 1, z + 1): float(e[s, z]) for s in range(2) for z in range(2)})
+    binned = table[:, :, :2]  # the middle party's settings z = 1, 2
+    weights = binned.sum(axis=(1 - party, 3, 4, 5))
+    return np.einsum(_SWAP_SUBSCRIPTS[party], binned, _SIGNS, bits[:, party]) / weights, weights
 
 
-def correlators_ac(sc: Scenario) -> CorrelationRecord:
-    """E_xz between the first party's outcome and the middle party's 'a' bit."""
-    return _swap_side_record(born_tables(sc), sc, "AC")
+def _chsh(e: np.ndarray) -> float:
+    return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
-def correlators_bc(sc: Scenario) -> CorrelationRecord:
-    """E_yz between the second party's outcome and the middle party's 'b' bit."""
-    return _swap_side_record(born_tables(sc), sc, "BC")
+def _conditional(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Version matrix of the setting-3 tables, with the correlators and weights it is read from.
 
-
-def _chsh_combination(values: dict[tuple[int, int], float]) -> float:
-    return values[(1, 1)] + values[(1, 2)] + values[(2, 1)] - values[(2, 2)]
+    Returns ``(matrix, e, weights)``: ``matrix[c, v]`` is the variant-(v+1)
+    value given raw outcome c+1, and ``e``/``weights`` are indexed
+    ``[x, y, c]``. An outcome is undefined, and its row and correlators NaN,
+    when any (x, y) block of it weighs less than ``PROB_FLOOR``.
+    """
+    joint = table[:, :, 2]  # [x, y, a, b, c]
+    weights = joint.sum(axis=(2, 3))
+    defined = np.all(weights >= PROB_FLOOR, axis=(0, 1))
+    e = np.einsum("xyabc,a,b->xyc", joint, _SIGNS, _SIGNS) / np.where(defined, weights, 1)
+    e[:, :, ~defined] = math.nan
+    # summed term by term in (x, y) order, as the variants' sign patterns are written
+    matrix = (_VERSION_SIGNS[:, :, None] * e.reshape(4, 4)).sum(axis=1).T
+    return matrix, e, weights
 
 
 def chsh_ac(sc: Scenario) -> float:
     """CHSH value between the first party and the middle party's 'a' bit."""
-    return _chsh_combination(correlators_ac(sc).values)
+    return _chsh(_swap_side(born_tables(sc), _bit_maps(sc), 0)[0])
 
 
 def chsh_bc(sc: Scenario) -> float:
     """CHSH value between the second party and the middle party's 'b' bit."""
-    return _chsh_combination(correlators_bc(sc).values)
-
-
-def _version_matrix(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    joint = tables[:, :, 2]  # [x, y, a, b, c]
-    p_c = joint.sum(axis=(2, 3))  # [x, y, c]
-    e = np.einsum("xyabc,a,b->xyc", joint, _SIGNS, _SIGNS)
-    defined = np.all(p_c >= PROB_FLOOR, axis=(0, 1))
-    cond = (e / np.where(defined, p_c, 1.0)).reshape(4, 4)  # [(x, y), c]
-    matrix = (np.array(certify.VERSION_SIGNS, dtype=float) @ cond).T
-    matrix[~defined] = math.nan
-    return matrix, p_c[0, 0]
+    return _chsh(_swap_side(born_tables(sc), _bit_maps(sc), 1)[0])
 
 
 def conditional_version_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +206,8 @@ def conditional_version_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     value given outcome c+1 and ``probs[c]`` the outcome probability. Rows for
     outcomes below the probability floor are NaN.
     """
-    return _version_matrix(born_tables(sc))
+    matrix, _, weights = _conditional(born_tables(sc))
+    return matrix, weights.sum(axis=(0, 1)) / weights.sum()
 
 
 def conditional_chsh_ab(sc: Scenario) -> tuple[tuple[float, float, float, float], np.ndarray]:
@@ -319,21 +307,33 @@ def noisy_scenario(v_ac: float, v_bc: float, theta: float) -> Scenario:
     )
 
 
+def _report(table: np.ndarray, bits: np.ndarray) -> ChshReport:
+    """The relabeled CHSH report of a table laid out like :func:`born_tables`.
+
+    ``table`` holds probabilities, or counts when its dtype is integer;
+    ``bits`` is laid out like :func:`_bit_maps`. Outcome probabilities pool
+    over (x, y). Only counts get standard errors, from the plug-in variance
+    (1 - E^2)/n of each correlator, one independent multinomial per setting
+    triple.
+    """
+    swap = [_swap_side(table, bits, party) for party in (0, 1)]
+    matrix, e, weights = _conditional(table)
+    perm, values = certify.relabel(matrix)
+    slots = sorted(range(4), key=perm.__getitem__)  # raw outcome landing in each slot
+    probs = (weights.sum(axis=(0, 1)) / weights.sum())[slots]
+    stderr = None
+    if table.dtype.kind in "iu":  # counts
+        se_swap = [math.sqrt(np.maximum(0.0, (1.0 - e_s * e_s) / w_s).sum()) for e_s, w_s in swap]
+        var_c = np.maximum(0.0, (1.0 - e * e) / weights).reshape(4, 4)
+        se_c = np.sqrt(var_c.sum(axis=0))  # NaN for undefined outcomes
+        stderr = ReportStdErr(*se_swap, tuple(float(v) for v in se_c[slots]))
+    return ChshReport(_chsh(swap[0][0]), _chsh(swap[1][0]), values,
+                      tuple(float(p) for p in probs), perm, stderr)
+
+
 def exact_report(sc: Scenario) -> ChshReport:
     """Exact CHSH report with conditional values relabeled to their best variants."""
-    tables = born_tables(sc)
-    matrix, probs = _version_matrix(tables)
-    perm, values = certify.relabel(matrix)
-    slot_probs = [0.0] * 4
-    for c in range(4):
-        slot_probs[perm[c]] = float(probs[c])
-    report = ChshReport(
-        s_ac=_chsh_combination(_swap_side_record(tables, sc, "AC").values),
-        s_bc=_chsh_combination(_swap_side_record(tables, sc, "BC").values),
-        s_ab_given_c=values,
-        outcome_probs=tuple(slot_probs),
-        relabeling=perm,
-    )
+    report = _report(born_tables(sc), _bit_maps(sc))
     report.validate()
     return report
 
@@ -379,16 +379,6 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
     return CountsTable(counts.reshape(2, 2, 3, 2, 2, 4), n_per_setting)
 
 
-def _pooled_correlator(counts: np.ndarray, signs: np.ndarray) -> tuple[float, float]:
-    """Plug-in correlator and its variance from a pooled count block."""
-    total = float(counts.sum())
-    if total <= 0:
-        raise ValidationError("empty cells: a setting triple has no counts")
-    e = float((signs * counts).sum() / total)
-    var = max(0.0, (1.0 - e * e) / total)
-    return e, var
-
-
 def estimate_report(
     counts: CountsTable,
     bit_maps: tuple[tuple[Sequence[int], Sequence[int]], ...] | None = None,
@@ -403,73 +393,8 @@ def estimate_report(
     """
     if bit_maps is None:
         bit_maps = ((CANONICAL_BIT_FOR_A, CANONICAL_BIT_FOR_B),) * 2
-    arr = counts.counts
-    totals = arr.sum(axis=(3, 4, 5))
+    totals = counts.counts.sum(axis=(3, 4, 5))
     if np.any(totals <= 0):
         x, y, z = np.argwhere(totals <= 0)[0] + 1
         raise ValidationError(f"empty cells: no counts for setting triple ({x},{y},{z})")
-
-    def swap_side_chsh(party_axis: int) -> tuple[float, float]:
-        s = 0.0
-        var = 0.0
-        for first_setting in (1, 2):
-            for z in (1, 2):
-                bits = np.asarray(bit_maps[z - 1][party_axis], dtype=float)
-                if party_axis == 0:
-                    block = arr[first_setting - 1, :, z - 1].sum(axis=(0, 2))  # pooled over y, b
-                else:
-                    block = arr[:, first_setting - 1, z - 1].sum(axis=(0, 1))  # pooled over x, a
-                signs = np.outer(_SIGNS, bits)
-                e, v = _pooled_correlator(block, signs)
-                coeff = -1.0 if (first_setting, z) == (2, 2) else 1.0
-                s += coeff * e
-                var += v
-        return s, math.sqrt(var)
-
-    s_ac, se_ac = swap_side_chsh(0)
-    s_bc, se_bc = swap_side_chsh(1)
-
-    pair_signs = np.outer(_SIGNS, _SIGNS)
-    matrix = np.full((4, 4), math.nan)
-    se_c = [math.nan] * 4
-    probs = np.zeros(4)
-    z3_total = float(arr[:, :, 2].sum())
-    if z3_total <= 0:
-        raise ValidationError("empty cells: no counts for setting triple with z=3")
-    for c in range(4):
-        probs[c] = float(arr[:, :, 2, :, :, c].sum()) / z3_total
-        cond = {}
-        var_sum = 0.0
-        defined = True
-        for x in (1, 2):
-            for y in (1, 2):
-                block = arr[x - 1, y - 1, 2, :, :, c]
-                if block.sum() == 0:
-                    defined = False
-                    break
-                e, v = _pooled_correlator(block, pair_signs)
-                cond[(x, y)] = e
-                var_sum += v
-            if not defined:
-                break
-        if not defined:
-            continue
-        e_list = (cond[(1, 1)], cond[(1, 2)], cond[(2, 1)], cond[(2, 2)])
-        for v, signs in enumerate(certify.VERSION_SIGNS):
-            matrix[c, v] = sum(s * e for s, e in zip(signs, e_list))
-        se_c[c] = math.sqrt(var_sum)
-
-    perm, values = certify.relabel(matrix)
-    slot_probs = [0.0] * 4
-    slot_se = [math.nan] * 4
-    for c in range(4):
-        slot_probs[perm[c]] = float(probs[c])
-        slot_se[perm[c]] = se_c[c]
-    return ChshReport(
-        s_ac=s_ac,
-        s_bc=s_bc,
-        s_ab_given_c=values,
-        outcome_probs=tuple(slot_probs),
-        relabeling=perm,
-        stderr=ReportStdErr(se_ac, se_bc, tuple(slot_se)),
-    )
+    return _report(counts.counts, np.array(bit_maps, dtype=float))

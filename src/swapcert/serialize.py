@@ -46,6 +46,44 @@ def json_dumps(obj: Any) -> str:
     return json.dumps(_round_tree(obj), indent=2, sort_keys=True)
 
 
+def _json_list(value: Any, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{name}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _int_list(value: Any, name: str) -> tuple[int, ...]:
+    items = _json_list(value, name)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in items):
+        raise ValidationError(f"{name}: expected a list of integers, got {value!r}")
+    return tuple(items)
+
+
+def _dims(value: Any, name: str, count: int) -> tuple[int, ...]:
+    dims = _int_list(value, name)
+    if len(dims) != count or min(dims) < 1:
+        raise ValidationError(f"{name}: expected {count} positive integers, got {value!r}")
+    return dims
+
+
+def _flatten(obj: Any, prefix: str = "") -> list[tuple[str, Any]]:
+    rows: list[tuple[str, Any]] = []
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            rows.extend(_flatten(obj[key], f"{prefix}{key}." if prefix else f"{key}."))
+    elif isinstance(obj, (list, tuple)):
+        for idx, item in enumerate(obj):
+            rows.extend(_flatten(item, f"{prefix}{idx}."))
+    else:
+        rows.append((prefix.rstrip("."), obj))
+    return rows
+
+
+def key_value_csv(obj: Any) -> str:
+    """A nested payload as ``key,value`` rows with dotted keys, in sorted key order."""
+    return "\n".join(["key,value", *(f"{key},{value}" for key, value in _flatten(_round_tree(obj)))])
+
+
 def matrix_to_json(mat: np.ndarray) -> dict:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim == 1:
@@ -62,15 +100,18 @@ def matrix_from_json(obj: Any, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name}: expected an object, got {type(obj).__name__}")
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name}: missing or malformed rows/cols/data ({exc})") from None
+    if rows < 1 or cols < 1:
+        raise ValidationError(f"{name}: rows and cols must be positive, got {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValidationError(f"{name}: data length {len(data) if isinstance(data, list) else '?'} "
                               f"does not equal rows*cols = {rows * cols}")
     out = np.empty(rows * cols, dtype=complex)
     for k, cell in enumerate(data):
-        if not (isinstance(cell, list) and len(cell) == 2):
-            raise ValidationError(f"{name}: entry {k} is not an [re, im] pair")
+        if not (isinstance(cell, list) and len(cell) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)):
+            raise ValidationError(f"{name}: entry {k} is not an [re, im] pair of numbers")
         out[k] = complex(float(cell[0]), float(cell[1]))
     if not np.all(np.isfinite(out)):
         raise ValidationError(f"{name}: non-finite entries")
@@ -87,11 +128,12 @@ def measurement_to_json(meas: FourOutcomeMeasurement) -> dict:
 def measurement_from_json(obj: Any, name: str = "measurement") -> FourOutcomeMeasurement:
     if not isinstance(obj, dict) or "projectors" not in obj:
         raise ValidationError(f"{name}: expected object with 'projectors'")
-    projs = [matrix_from_json(p, f"{name} projector {k + 1}") for k, p in enumerate(obj["projectors"])]
+    projectors = _json_list(obj["projectors"], f"{name} projectors")
+    projs = [matrix_from_json(p, f"{name} projector {k + 1}") for k, p in enumerate(projectors)]
     if "dims" in obj:
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = _dims(obj["dims"], f"{name} dims", 2)
     else:
-        side = projs[0].shape[0]
+        side = projs[0].shape[0] if projs else 0
         root = int(round(math.sqrt(side)))
         if root * root != side:
             raise ValidationError(f"{name}: cannot infer dims for side {side}; provide 'dims'")
@@ -111,7 +153,8 @@ def binned_from_json(obj: Any, name: str = "binned measurement") -> BinnedMeasur
     for key in ("bit_for_A", "bit_for_B"):
         if key not in obj:
             raise ValidationError(f"{name}: missing '{key}'")
-    return BinnedMeasurement(base, tuple(obj["bit_for_A"]), tuple(obj["bit_for_B"]))
+    return BinnedMeasurement(base, _int_list(obj["bit_for_A"], f"{name} bit_for_A"),
+                             _int_list(obj["bit_for_B"], f"{name} bit_for_B"))
 
 
 def observable_to_json(obs: DichotomicObservable) -> dict:
@@ -139,13 +182,14 @@ def scenario_from_json(obj: Any) -> Scenario:
     for key in ("dims", "state", "alice", "bob", "charlie12", "charlie3"):
         if key not in obj:
             raise ValidationError(f"scenario: missing '{key}'")
-    dims = tuple(int(d) for d in obj["dims"])
-    if len(dims) != 4:
-        raise ValidationError("scenario: dims must list four factors")
+    dims = _dims(obj["dims"], "scenario dims", 4)
     state = DensityMatrix(matrix_from_json(obj["state"], "state"), dims)
-    alice = tuple(observable_from_json(o, f"alice setting {k + 1}") for k, o in enumerate(obj["alice"]))
-    bob = tuple(observable_from_json(o, f"bob setting {k + 1}") for k, o in enumerate(obj["bob"]))
-    charlie12 = tuple(binned_from_json(b, f"charlie setting {k + 1}") for k, b in enumerate(obj["charlie12"]))
+    alice = tuple(observable_from_json(o, f"alice setting {k + 1}")
+                  for k, o in enumerate(_json_list(obj["alice"], "alice")))
+    bob = tuple(observable_from_json(o, f"bob setting {k + 1}")
+                for k, o in enumerate(_json_list(obj["bob"], "bob")))
+    charlie12 = tuple(binned_from_json(b, f"charlie setting {k + 1}")
+                      for k, b in enumerate(_json_list(obj["charlie12"], "charlie12")))
     charlie3 = measurement_from_json(obj["charlie3"], "charlie3")
     return Scenario(state, alice, bob, charlie12, charlie3)
 

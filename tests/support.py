@@ -13,13 +13,19 @@ import numpy as np
 
 from swapcert import (
     BinnedMeasurement,
+    ChshReport,
+    CountsTable,
     DensityMatrix,
     DichotomicObservable,
     FourOutcomeMeasurement,
+    ReportStdErr,
     Scenario,
     bell_basis,
+    born_tables,
     charlie_settings_ideal,
+    relabel,
 )
+from swapcert.certify import VERSION_SIGNS
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
@@ -227,3 +233,87 @@ def scenario_settings_ideal():
 def canonical_charlie_bits() -> tuple[tuple[int, ...], tuple[int, ...]]:
     c1, _ = charlie_settings_ideal()
     return c1.bit_for_a, c1.bit_for_b
+
+
+def _slots(perm, by_outcome):
+    out = [math.nan] * 4
+    for c in range(4):
+        out[perm[c]] = by_outcome[c]
+    return tuple(out)
+
+
+def reference_estimate_report(counts: CountsTable, bit_maps) -> ChshReport:
+    """Plug-in estimates and standard errors by explicit loops over the count blocks.
+
+    Every correlator is one pooled block read separately: the swap-side
+    values pool over the other end party's setting and outcome, and an
+    outcome with an empty (x, y) block has no conditional value.
+    """
+    arr = counts.counts
+    signs = (1.0, -1.0)
+
+    def pooled(block, sign_of):
+        total = float(block.sum())
+        e = sum(sign_of(idx) * float(n) for idx, n in np.ndenumerate(block)) / total
+        return e, max(0.0, (1.0 - e * e) / total)
+
+    def swap_side(party):
+        s = var = 0.0
+        for first in (0, 1):
+            for z in (0, 1):
+                bits = bit_maps[z][party]
+                if party == 0:
+                    block = arr[first, :, z].sum(axis=(0, 2))  # [a, c], pooled over y, b
+                else:
+                    block = arr[:, first, z].sum(axis=(0, 1))  # [b, c], pooled over x, a
+                e, v = pooled(block, lambda idx: signs[idx[0]] * bits[idx[1]])
+                s += -e if (first, z) == (1, 1) else e
+                var += v
+        return s, math.sqrt(var)
+
+    s_ac, se_ac = swap_side(0)
+    s_bc, se_bc = swap_side(1)
+    matrix = np.full((4, 4), math.nan)
+    se_c = [math.nan] * 4
+    probs = [float(arr[:, :, 2, :, :, c].sum()) / float(arr[:, :, 2].sum()) for c in range(4)]
+    for c in range(4):
+        blocks = [arr[x, y, 2, :, :, c] for x in (0, 1) for y in (0, 1)]
+        if any(block.sum() == 0 for block in blocks):
+            continue
+        cond = [pooled(block, lambda idx: signs[idx[0]] * signs[idx[1]]) for block in blocks]
+        for v, pattern in enumerate(VERSION_SIGNS):
+            matrix[c, v] = sum(p * e for p, (e, _) in zip(pattern, cond))
+        se_c[c] = math.sqrt(sum(var for _, var in cond))
+    perm, values = relabel(matrix)
+    return ChshReport(s_ac, s_bc, values, _slots(perm, probs), perm,
+                      ReportStdErr(se_ac, se_bc, _slots(perm, se_c)))
+
+
+def reference_exact_report(sc: Scenario) -> ChshReport:
+    """Exact report read from single slices of the Born tables.
+
+    The AC values come from the y = 1 tables, the BC values from the x = 1
+    tables, and the outcome probabilities from the (x, y) = (1, 1) table of
+    setting 3; an outcome below 1e-12 in any (x, y) table is undefined.
+    """
+    tables = born_tables(sc)
+    signs = np.array([1.0, -1.0])
+
+    def swap_side(block, bits):  # block [s, z, o, c] of one end party
+        e = [[float(np.einsum("oc,o,c->", block[s, z], signs, np.array(bits[z], dtype=float)))
+              for z in (0, 1)] for s in (0, 1)]
+        return e[0][0] + e[0][1] + e[1][0] - e[1][1]
+
+    s_ac = swap_side(tables[:, 0, :2].sum(axis=3), [b.bit_for_a for b in sc.charlie12])
+    s_bc = swap_side(tables[0, :, :2].sum(axis=2), [b.bit_for_b for b in sc.charlie12])
+    matrix = np.full((4, 4), math.nan)
+    for c in range(4):
+        blocks = [tables[x, y, 2, :, :, c] for x in (0, 1) for y in (0, 1)]
+        if any(block.sum() < 1e-12 for block in blocks):
+            continue
+        cond = [float(signs @ block @ signs) / float(block.sum()) for block in blocks]
+        for v, pattern in enumerate(VERSION_SIGNS):
+            matrix[c, v] = sum(p * e for p, e in zip(pattern, cond))
+    perm, values = relabel(matrix)
+    probs = [float(tables[0, 0, 2, :, :, c].sum()) for c in range(4)]
+    return ChshReport(s_ac, s_bc, values, _slots(perm, probs), perm)

@@ -13,6 +13,7 @@ from swapcert.serialize import matrix_to_json
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -177,6 +178,42 @@ class TestSampleAndCertify:
         )
         assert code == 0
         assert out_path.exists()
+
+    @pytest.mark.parametrize("field,value", [
+        (("dims",), "abcd"),
+        (("alice",), 5),
+        (("charlie12", 0, "bit_for_A"), 3),
+        (("charlie3", "dims"), ["x", 2]),
+        (("state", "data", 0), ["x", 0]),
+        (("state", "rows"), math.inf),
+    ])
+    def test_malformed_scenario_is_validation_error(self, capsys, tmp_path, field, value):
+        from swapcert.serialize import json_dumps, scenario_to_json
+
+        obj = json.loads(json_dumps(scenario_to_json(ideal_scenario())))
+        target = obj
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "sample", "--scenario", str(sc_path),
+                             "--n-per-setting", "5", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("validation error: ") and err.count("\n") == 1
+
+    def test_counts_path_output_is_pinned(self, capsys, tmp_path):
+        # bytes written by the loop estimator this path replaced
+        code, out, _ = run(capsys, "sample", "--n-per-setting", "50", "--seed", "7",
+                           "--v-ac", "0.9", "--v-bc", "0.8", "--theta", "0.3")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "sample_n50_seed7.csv").read_bytes()
+        counts_path = tmp_path / "counts.csv"
+        counts_path.write_text(out)
+        code, out, _ = run(capsys, "certify", str(counts_path), "--tol-sigma", "3")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "certify_n50_seed7_tol_sigma3.json").read_bytes()
 
     def test_certify_report_json(self, capsys, tmp_path):
         from swapcert.protocol import exact_report

@@ -39,6 +39,8 @@ from support import (
     kron_all,
     maximally_entangled_pair,
     random_scenario,
+    reference_estimate_report,
+    reference_exact_report,
 )
 
 IDEAL = ideal_scenario()
@@ -410,3 +412,41 @@ class TestEstimateReport:
         counts[0, 0, 0] = 0
         with pytest.raises(ValidationError):
             estimate_report(CountsTable(counts, 100))
+
+
+def assert_same_report(report, reference, atol=1e-12):
+    """Every field equal within ``atol``, undefined (NaN) entries in the same places."""
+    assert report.relabeling == reference.relabeling
+    for name in ("s_ac", "s_bc", "s_ab_given_c", "outcome_probs"):
+        np.testing.assert_allclose(getattr(report, name), getattr(reference, name), rtol=0, atol=atol)
+    assert (report.stderr is None) == (reference.stderr is None)
+    if reference.stderr is not None:
+        for name in ("s_ac", "s_bc", "s_ab_given_c"):
+            np.testing.assert_allclose(getattr(report.stderr, name), getattr(reference.stderr, name),
+                                       rtol=0, atol=atol)
+
+
+class TestOneReportPath:
+    """Exact and estimated reports against independent loop and slice readers."""
+
+    @pytest.mark.parametrize("d_a,d_b", list(itertools.product((2, 3), repeat=2)))
+    def test_exact_matches_slice_reader(self, d_a, d_b):
+        rng = np.random.default_rng(7100 + 10 * d_a + d_b)
+        for _ in range(8):
+            sc = random_scenario(rng, d_a, d_b)
+            assert_same_report(exact_report(sc), reference_exact_report(sc))
+
+    @pytest.mark.parametrize("n", [3, 50])
+    @pytest.mark.parametrize("d_a,d_b", list(itertools.product((2, 3), repeat=2)))
+    def test_estimate_matches_loop_reference(self, d_a, d_b, n):
+        rng = np.random.default_rng(7200 + 10 * d_a + d_b)
+        undefined = 0
+        for seed in range(8):
+            sc = random_scenario(rng, d_a, d_b)
+            bit_maps = tuple((binned.bit_for_a, binned.bit_for_b) for binned in sc.charlie12)
+            counts = sample_counts(sc, n, seed)
+            report = estimate_report(counts, bit_maps)
+            assert_same_report(report, reference_estimate_report(counts, bit_maps))
+            undefined += int(np.isnan(report.s_ab_given_c).sum())
+        if n == 3:  # four (x, y) blocks of three draws cannot reach all four outcomes
+            assert undefined >= 8
