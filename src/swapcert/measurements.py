@@ -139,6 +139,17 @@ class FourOutcomeMeasurement:
         return tuple(np.linalg.eigh((proj + proj.conj().T) / 2.0)[1][:, -1] for proj in self.projectors)
 
 
+def checked_bits(bits: Sequence[int], name: str) -> tuple[int, int, int, int]:
+    """A map of the four outcomes to bits, each of which must be -1 or +1."""
+    try:
+        valid = len(bits) == 4 and all(b in (-1, 1) for b in bits)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValidationError(f"{name} must map all four outcomes to -1 or +1")
+    return tuple(int(b) for b in bits)
+
+
 @dataclass(frozen=True)
 class BinnedMeasurement:
     """Four-outcome measurement plus maps sending each outcome to one bit per side."""
@@ -149,10 +160,7 @@ class BinnedMeasurement:
 
     def __post_init__(self) -> None:
         for name, bits in (("bit_for_a", self.bit_for_a), ("bit_for_b", self.bit_for_b)):
-            bits = tuple(int(b) for b in bits)
-            if len(bits) != 4 or any(b not in (-1, 1) for b in bits):
-                raise ValidationError(f"{name} must map all four outcomes to -1 or +1")
-            object.__setattr__(self, name, bits)
+            object.__setattr__(self, name, checked_bits(bits, name))
 
     def bit_observable(self, side: str) -> np.ndarray:
         """Sum of bit(c) * P_c for the requested side ('a' or 'b')."""

@@ -31,6 +31,7 @@ from .measurements import (
     DichotomicObservable,
     FourOutcomeMeasurement,
     charlie_settings_ideal,
+    checked_bits,
     perturbed_bell_measurement,
     qubit_observable,
 )
@@ -389,12 +390,21 @@ def estimate_report(
     and 2; by default the canonical binning of the ideal protocol is used.
     Standard errors use the independent-multinomial approximation per setting.
     Estimates are relabeled the same way exact reports are; finite-sample
-    values are not forced under the quantum ceiling.
+    values are not forced under the quantum ceiling. Every bit must be -1 or
+    +1, as for :class:`BinnedMeasurement`.
     """
     if bit_maps is None:
         bit_maps = ((CANONICAL_BIT_FOR_A, CANONICAL_BIT_FOR_B),) * 2
+    try:
+        well_formed = len(bit_maps) == 2 and all(len(pair) == 2 for pair in bit_maps)
+    except TypeError:
+        well_formed = False
+    if not well_formed:
+        raise ValidationError("bit_maps must give (bit_for_a, bit_for_b) for middle-party settings 1 and 2")
+    bits = np.array([[checked_bits(b, f"setting {z + 1} bit_for_{side}") for side, b in zip("ab", pair)]
+                     for z, pair in enumerate(bit_maps)], dtype=float)
     totals = counts.counts.sum(axis=(3, 4, 5))
     if np.any(totals <= 0):
         x, y, z = np.argwhere(totals <= 0)[0] + 1
         raise ValidationError(f"empty cells: no counts for setting triple ({x},{y},{z})")
-    return _report(counts.counts, np.array(bit_maps, dtype=float))
+    return _report(counts.counts, bits)

@@ -99,9 +99,10 @@ def matrix_from_json(obj: Any, name: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValidationError(f"{name}: expected an object, got {type(obj).__name__}")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name}: missing or malformed rows/cols/data ({exc})") from None
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
+        raise ValidationError(f"{name}: missing rows/cols/data ({exc})") from None
+    rows, cols = _int_list([rows, cols], f"{name} rows/cols")
     if rows < 1 or cols < 1:
         raise ValidationError(f"{name}: rows and cols must be positive, got {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:

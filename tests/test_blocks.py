@@ -38,6 +38,8 @@ from support import (
     planted_observables,
     planted_pair,
     random_bloch_observable,
+    random_observable,
+    reference_sep_bound_oracle,
 )
 
 Z_OBS = qubit_observable((0, 0, 1))
@@ -383,6 +385,63 @@ class TestSepBoundOracle:
         beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)
         with pytest.raises(ValidationError):
             sep_bound_oracle(beta, (2, 2), iters=0)
+
+
+def oracle_input(kind: str, d: int, seed: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """CHSH operator of seeded generic or planted settings, or a fixed operator."""
+    if kind == "ideal":
+        return chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS), (2, 2)
+    if kind == "classical":
+        return 2.0 * kron_all(Z, Z), (2, 2)
+    rng = np.random.default_rng([seed, d])
+    if kind == "generic":
+        obs = [random_observable(d, rng) for _ in range(4)]
+    else:
+        obs = [*planted_observables(tuple(rng.uniform(0.2, math.pi - 0.2, size=d // 2)), rng),
+               *planted_observables(tuple(rng.uniform(0.2, math.pi - 0.2, size=d // 2)), rng)]
+    return chsh_operator(*obs), (d, d)
+
+
+ORACLE_CASES = [("ideal", 2, 0), ("classical", 2, 0)] + [
+    (kind, d, seed) for kind in ("generic", "planted") for d in (2, 4, 8) for seed in (0, 1, 2)
+]
+
+
+class TestBatchedSeeSaw:
+    """The batched see-saw against the one-restart-at-a-time reference loop."""
+
+    @pytest.mark.parametrize("kind,d,seed", ORACLE_CASES)
+    def test_matches_reference_loop(self, kind, d, seed):
+        beta, dims = oracle_input(kind, d, seed)
+        value, state = sep_bound_oracle(beta, dims, seed=seed)
+        ref_value, _ = reference_sep_bound_oracle(beta, dims, seed=seed)
+        assert abs(value - ref_value) <= 1e-12
+        assert f"{value:.9g}" == f"{ref_value:.9g}"
+        svals = np.linalg.svd(state.vector.reshape(dims), compute_uv=False)
+        assert svals[1] < 1e-9
+        achieved = float(np.real(state.vector.conj() @ beta @ state.vector))
+        assert abs(achieved - value) <= 1e-10
+        again_value, again_state = sep_bound_oracle(beta, dims, seed=seed)
+        assert again_value == value
+        assert again_state.vector.tobytes() == state.vector.tobytes()
+        # one sweep per restart: the cap applies to each restart, not to the batch
+        capped, _ = sep_bound_oracle(beta, dims, iters=1, seed=seed)
+        assert abs(capped - reference_sep_bound_oracle(beta, dims, iters=1, seed=seed)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("arg,value", [
+        ("restarts", 2.5), ("restarts", True), ("iters", 1.5), ("iters", "3"),
+        ("seed", 1.5), ("seed", None),
+    ])
+    def test_rejects_non_integer_arguments(self, arg, value):
+        beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)
+        with pytest.raises(ValidationError, match=arg):
+            sep_bound_oracle(beta, (2, 2), **{arg: value})
+
+    def test_accepts_numpy_integers(self):
+        beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)
+        value, _ = sep_bound_oracle(beta, (2, 2), restarts=np.int64(4), iters=np.int32(50),
+                                    seed=np.uint8(3))
+        assert value == pytest.approx(SQRT2, abs=1e-9)
 
 
 class TestTheoremCheck:

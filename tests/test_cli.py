@@ -424,6 +424,32 @@ class TestSepBound:
         assert code == 2 and out == "" and "--iters" in err
 
 
+@pytest.mark.parametrize("settings,name", [(None, "ideal"), ("planted_d4_settings.json", "planted_d4")])
+def test_blocks_output_is_pinned(capsys, tmp_path, settings, name):
+    # lambda, alpha, sep_bound and oracle_value equal the bytes of the per-restart
+    # see-saw loop; oracle_state is the lowest-index restart within 1e-9 of the best
+    path = settings_file(tmp_path) if settings is None else GOLDEN / settings
+    code, out, _ = run(capsys, "decompose", str(path))
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"decompose_{name}.json").read_bytes()
+    code, out, _ = run(capsys, "sep-bound", str(path), "--seed", "7")
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"sep_bound_{name}_seed7.json").read_bytes()
+
+
+@pytest.mark.parametrize("field,value", [("rows", 2.0), ("rows", 1.9), ("cols", "2"), ("cols", True)])
+def test_non_integer_matrix_shape_is_validation_error(capsys, tmp_path, field, value):
+    payload = json.loads(settings_file(tmp_path).read_text())
+    payload["b1"][field] = value
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(payload))
+    for argv in (("decompose", str(path)), ("sep-bound", str(path), "--seed", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("validation error: ") and "rows/cols: expected a list of integers" in err
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; a cold command must not pay for scipy
     code = ("import swapcert.cli, sys; "

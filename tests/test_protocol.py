@@ -413,6 +413,19 @@ class TestEstimateReport:
         with pytest.raises(ValidationError):
             estimate_report(CountsTable(counts, 100))
 
+    @pytest.mark.parametrize("bit_maps", [
+        (((0, 0, 0, 0), (2, 2, 2, 2)),) * 2,
+        (((1, 1, -1, -1), (1, -1, 1, 0.5)),) * 2,
+        (((1, 1, -1, -1), (1, -1, 1)),) * 2,
+        (((1, 1, -1, -1), (1, -1, 1, -1)),),
+        (((1, 1, -1, -1),),) * 2,
+        5,
+    ])
+    def test_bad_bit_maps_rejected(self, bit_maps):
+        table = sample_counts(IDEAL, 100, seed=3)
+        with pytest.raises(ValidationError):
+            estimate_report(table, bit_maps)
+
 
 def assert_same_report(report, reference, atol=1e-12):
     """Every field equal within ``atol``, undefined (NaN) entries in the same places."""

@@ -48,6 +48,13 @@ class TestMatrixFormat:
         with pytest.raises(ValidationError):
             matrix_from_json([1, 2, 3])
 
+    @pytest.mark.parametrize("rows,cols", [
+        (1.9, "1"), (1.0, 1), (1, "1"), (True, 1), (1, None), (1, [1]),
+    ])
+    def test_rejects_non_integer_shape(self, rows, cols):
+        with pytest.raises(ValidationError, match="rows/cols: expected a list of integers"):
+            matrix_from_json({"rows": rows, "cols": cols, "data": [[1.0, 0.0]]})
+
 
 class TestRounding:
     def test_round9(self):
