@@ -17,7 +17,7 @@ import numpy as np
 
 from . import certify, protocol
 from .certify import SQRT2, TSIRELSON
-from .linalg import DensityMatrix, PureState, ValidationError, _as_matrix, tensor
+from .linalg import DensityMatrix, PureState, ValidationError, _as_matrix, _checked_int, tensor
 from .measurements import DichotomicObservable, FourOutcomeMeasurement
 
 # Eigenphases of the product A0*A1 closer than this are grouped together. A
@@ -262,9 +262,10 @@ def sep_bound_oracle(
     separable maximum, achieved by the returned product state.
     """
     for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    d_a, d_b = int(dims[0]), int(dims[1])
+        _checked_int(value, name)
+    if np.ndim(dims) != 1 or len(dims) != 2:
+        raise ValidationError(f"dims must be a pair of integers, got {dims!r}")
+    d_a, d_b = (_checked_int(d, "dims entry") for d in dims)
     beta = _as_matrix(beta, "operator")
     if beta.shape != (d_a * d_b, d_a * d_b):
         raise ValidationError(f"operator side {beta.shape[0]} does not match dims {dims}")

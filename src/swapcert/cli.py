@@ -2,7 +2,9 @@
 
 Subcommands: ideal | noisy | certify | bounds-curve | decompose | sep-bound |
 sample. Exit codes: 0 success or certification pass, 1 certification fail,
-2 usage error, 3 validation error (malformed or inconsistent input files).
+2 usage error, 3 validation error (malformed or inconsistent input files),
+4 internal error (any other exception, so that a crash never reads as a
+certification verdict).
 The default tolerance can be set through the SWAPCERT_TOL environment
 variable; commands that draw samples require an explicit seed.
 """
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_CERT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
+EXIT_INTERNAL = 4
 
 TOL_ENV_VAR = "SWAPCERT_TOL"
 
@@ -332,6 +335,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except Exception as exc:
+        detail = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

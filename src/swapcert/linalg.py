@@ -21,6 +21,13 @@ class ValidationError(ValueError):
     """Raised when a value violates one of its declared invariants."""
 
 
+def _checked_int(value: object, name: str) -> int:
+    """``value`` as an ``int`` if it is a Python or numpy integer (not a bool); else ``ValidationError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_matrix(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     out = np.asarray(mat, dtype=complex)
     if out.ndim != 2:

@@ -20,6 +20,7 @@ from .certify import SQRT2, TSIRELSON
 from .linalg import (
     DensityMatrix,
     ValidationError,
+    _checked_int,
     permute_subsystems,
     ptrace_array,
     tensor,
@@ -347,14 +348,20 @@ class CountsTable:
     n_per_setting: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.counts, dtype=np.int64)
-        if arr.shape != (2, 2, 3, 2, 2, 4):
-            raise ValidationError(f"counts must have shape (2,2,3,2,2,4), got {arr.shape}")
+        raw = np.asarray(self.counts)
+        if raw.shape != (2, 2, 3, 2, 2, 4):
+            raise ValidationError(f"counts must have shape (2,2,3,2,2,4), got {raw.shape}")
+        if raw.dtype.kind not in "biuf":
+            raise ValidationError(f"counts must be a numeric array of whole numbers, got dtype {raw.dtype}")
+        with np.errstate(invalid="ignore"):  # a NaN or out-of-range value casts to garbage, caught below
+            arr = raw.astype(np.int64)
+        if not np.can_cast(raw.dtype, np.int64) and not np.array_equal(arr, raw):
+            raise ValidationError("counts must be whole numbers that fit in int64")
         if np.any(arr < 0):
             raise ValidationError("counts must be nonnegative")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "n_per_setting", int(self.n_per_setting))
+        object.__setattr__(self, "n_per_setting", _checked_int(self.n_per_setting, "n_per_setting"))
 
 
 def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
@@ -365,9 +372,9 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
     Each triple's 16 cell counts are one multinomial draw of ``n_per_setting``
     trials over its outcome table from :func:`born_tables`.
     """
-    if n_per_setting < 1:
+    if _checked_int(n_per_setting, "n_per_setting") < 1:
         raise ValidationError("n_per_setting must be at least 1")
-    if seed < 0:
+    if _checked_int(seed, "seed") < 0:
         raise ValidationError("seed must be a nonnegative integer")
     tables = np.clip(born_tables(sc), 0.0, None).reshape(2, 2, 3, 16)
     counts = np.empty((2, 2, 3, 16), dtype=np.int64)

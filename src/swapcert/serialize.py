@@ -310,25 +310,40 @@ def bounds_to_json(bounds: DistanceBounds) -> dict:
     return {"lower": float(bounds.lower), "upper": float(bounds.upper)}
 
 
+# The row prefix "x,y,z,a,b,c," of every cell of a counts table in the table's
+# C order (outcome +1 at index 0, -1 at index 1), and the flat cell index of
+# each prefix's six fields.
+_COUNTS_ROW_PREFIXES = tuple(
+    f"{x},{y},{z},{a},{b},{c},"
+    for x in (1, 2) for y in (1, 2) for z in (1, 2, 3)
+    for a in (1, -1) for b in (1, -1) for c in (1, 2, 3, 4)
+)
+_COUNTS_CELL_INDEX = {tuple(prefix.split(",")[:6]): k for k, prefix in enumerate(_COUNTS_ROW_PREFIXES)}
+_CELLS_PER_TRIPLE = 16
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def counts_to_csv(table: CountsTable) -> str:
     """All cells of a counts table, zeros included, in fixed row order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COUNTS_HEADER)
-    signs = (1, -1)
-    for x in (1, 2):
-        for y in (1, 2):
-            for z in (1, 2, 3):
-                for ia, a in enumerate(signs):
-                    for ib, b in enumerate(signs):
-                        for c in range(4):
-                            writer.writerow([x, y, z, a, b, c + 1,
-                                             int(table.counts[x - 1, y - 1, z - 1, ia, ib, c])])
-    return buf.getvalue()
+    counts = table.counts.reshape(-1).tolist()
+    return ",".join(COUNTS_HEADER) + "\n" + "".join(f"{p}{n}\n" for p, n in zip(_COUNTS_ROW_PREFIXES, counts))
 
 
 def counts_from_csv(text: str) -> CountsTable:
-    """Parse a counts CSV; malformed rows are reported with their line number."""
+    """Parse a counts CSV; malformed rows are reported with their line number.
+
+    Rows are read by :mod:`csv`, so quoting, CRLF line ends and blank lines
+    are handled there. A row's first six fields are looked up, as a tuple of
+    strings, among the 192 canonical spellings the writer uses (``1,1,1,-1,1,4``).
+    Only a row that misses goes through ``int()`` on each field and the range
+    checks, so other spellings such as ``+1``, ``01`` or a leading space are
+    accepted. The count always goes through ``int()``. Within a line the
+    checks fire in this order: 7 fields, every field an integer, setting in
+    range, outcome in range, count nonnegative, count within int64; the first
+    bad line is reported. Rows that name the same cell add up. Then the grand
+    total must fit in int64, every setting triple must have a row and every
+    triple a positive total.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -336,26 +351,41 @@ def counts_from_csv(text: str) -> CountsTable:
         raise ValidationError("counts CSV is empty") from None
     if [h.strip() for h in header] != COUNTS_HEADER:
         raise ValidationError(f"line 1: expected header {','.join(COUNTS_HEADER)}")
-    counts = np.zeros((2, 2, 3, 2, 2, 4), dtype=np.int64)
-    seen = np.zeros((2, 2, 3), dtype=bool)
+    cells: list[int] = []
+    values: list[int] = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 7:
             raise ValidationError(f"line {lineno}: expected 7 fields, got {len(row)}")
         try:
-            x, y, z, a, b, c, n = (int(v) for v in row)
+            n = int(row[6])
         except ValueError:
             raise ValidationError(f"line {lineno}: non-integer field") from None
-        if x not in (1, 2) or y not in (1, 2) or z not in (1, 2, 3):
-            raise ValidationError(f"line {lineno}: setting ({x},{y},{z}) out of range")
-        if a not in (1, -1) or b not in (1, -1) or c not in (1, 2, 3, 4):
-            raise ValidationError(f"line {lineno}: outcome ({a},{b},{c}) out of range")
+        cell = _COUNTS_CELL_INDEX.get(tuple(row[:6]))
+        if cell is None:  # not spelled canonically, or malformed
+            try:
+                x, y, z, a, b, c = (int(v) for v in row[:6])
+            except ValueError:
+                raise ValidationError(f"line {lineno}: non-integer field") from None
+            if x not in (1, 2) or y not in (1, 2) or z not in (1, 2, 3):
+                raise ValidationError(f"line {lineno}: setting ({x},{y},{z}) out of range")
+            if a not in (1, -1) or b not in (1, -1) or c not in (1, 2, 3, 4):
+                raise ValidationError(f"line {lineno}: outcome ({a},{b},{c}) out of range")
+            cell = _COUNTS_CELL_INDEX[tuple(str(v) for v in (x, y, z, a, b, c))]
         if n < 0:
             raise ValidationError(f"line {lineno}: negative count")
-        ia, ib = (0 if a == 1 else 1), (0 if b == 1 else 1)
-        counts[x - 1, y - 1, z - 1, ia, ib, c - 1] += n
-        seen[x - 1, y - 1, z - 1] = True
+        if n > _INT64_MAX:
+            raise ValidationError(f"line {lineno}: count {n} does not fit in int64")
+        cells.append(cell)
+        values.append(n)
+    if sum(values) > _INT64_MAX:
+        raise ValidationError("total count does not fit in int64")
+    cells_arr = np.array(cells, dtype=np.intp)
+    counts = np.zeros(len(_COUNTS_ROW_PREFIXES), dtype=np.int64)
+    np.add.at(counts, cells_arr, np.array(values, dtype=np.int64))
+    counts = counts.reshape(2, 2, 3, 2, 2, 4)
+    seen = np.bincount(cells_arr // _CELLS_PER_TRIPLE, minlength=12).reshape(2, 2, 3) > 0
     missing = np.argwhere(~seen)
     if missing.size:
         x, y, z = missing[0] + 1

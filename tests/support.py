@@ -7,6 +7,8 @@ on, so that tests cross-check two separate computation paths.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ from swapcert import (
     FourOutcomeMeasurement,
     ReportStdErr,
     Scenario,
+    ValidationError,
     bell_basis,
     born_tables,
     charlie_settings_ideal,
@@ -357,3 +360,46 @@ def reference_sep_bound_oracle(
         if value > best_value:
             best_value, best_pair = value, (a_vec, b_vec)
     return best_value, np.kron(*best_pair)
+
+
+def reference_counts_from_csv(text: str) -> CountsTable:
+    """Counts CSV parsed row by row: every field through ``int()``, every cell added in place.
+
+    No int64 overflow check: counts are assumed to fit.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError("counts CSV is empty") from None
+    if [h.strip() for h in header] != ["x", "y", "z", "a", "b", "c", "count"]:
+        raise ValidationError("line 1: expected header x,y,z,a,b,c,count")
+    counts = np.zeros((2, 2, 3, 2, 2, 4), dtype=np.int64)
+    seen = np.zeros((2, 2, 3), dtype=bool)
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 7:
+            raise ValidationError(f"line {lineno}: expected 7 fields, got {len(row)}")
+        try:
+            x, y, z, a, b, c, n = (int(v) for v in row)
+        except ValueError:
+            raise ValidationError(f"line {lineno}: non-integer field") from None
+        if x not in (1, 2) or y not in (1, 2) or z not in (1, 2, 3):
+            raise ValidationError(f"line {lineno}: setting ({x},{y},{z}) out of range")
+        if a not in (1, -1) or b not in (1, -1) or c not in (1, 2, 3, 4):
+            raise ValidationError(f"line {lineno}: outcome ({a},{b},{c}) out of range")
+        if n < 0:
+            raise ValidationError(f"line {lineno}: negative count")
+        ia, ib = (0 if a == 1 else 1), (0 if b == 1 else 1)
+        counts[x - 1, y - 1, z - 1, ia, ib, c - 1] += n
+        seen[x - 1, y - 1, z - 1] = True
+    missing = np.argwhere(~seen)
+    if missing.size:
+        x, y, z = missing[0] + 1
+        raise ValidationError(f"empty cells: no rows for setting triple ({x},{y},{z})")
+    totals = counts.sum(axis=(3, 4, 5))
+    if np.any(totals <= 0):
+        x, y, z = np.argwhere(totals <= 0)[0] + 1
+        raise ValidationError(f"empty cells: zero total count for setting triple ({x},{y},{z})")
+    return CountsTable(counts, int(totals.max()))

@@ -437,6 +437,12 @@ class TestBatchedSeeSaw:
         with pytest.raises(ValidationError, match=arg):
             sep_bound_oracle(beta, (2, 2), **{arg: value})
 
+    @pytest.mark.parametrize("dims", [(2.7, 2.2), ("2", 2), (2, True), (2.0, 2.0), (2,), (2, 2, 1), 4])
+    def test_rejects_non_integer_dims(self, dims):
+        beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)
+        with pytest.raises(ValidationError, match="dims"):
+            sep_bound_oracle(beta, dims)
+
     def test_accepts_numpy_integers(self):
         beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)
         value, _ = sep_bound_oracle(beta, (2, 2), restarts=np.int64(4), iters=np.int32(50),

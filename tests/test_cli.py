@@ -286,6 +286,18 @@ class TestSampleAndCertify:
         assert code == 3
         assert "line 2" in err
 
+    @pytest.mark.parametrize("extra,message", [
+        (["1,1,1,1,1,1,100000000000000000000"], "line 194: count 100000000000000000000 does not fit in int64"),
+        ([f"1,1,1,1,1,1,{2**62}"] * 2, "total count does not fit in int64"),
+    ])
+    def test_certify_counts_overflowing_int64_is_validation_error(self, capsys, tmp_path, extra, message):
+        text = (GOLDEN / "sample_n50_seed7.csv").read_text() + "\n".join(extra) + "\n"
+        counts_path = tmp_path / "huge.csv"
+        counts_path.write_text(text)
+        code, out, err = run(capsys, "certify", str(counts_path))
+        assert code == 3 and out == ""
+        assert err == f"validation error: {message}\n"
+
     def test_certify_tol_flags_exclusive(self, capsys, tmp_path):
         from swapcert.protocol import exact_report
         from swapcert.serialize import json_dumps, report_to_json
@@ -458,3 +470,17 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    # exit 1 is a certification verdict, so a crash must not produce it
+    from swapcert import cli
+
+    def crash(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_ideal", crash)
+    code, out, err = run(capsys, "ideal")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"

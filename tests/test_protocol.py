@@ -370,6 +370,49 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_counts(IDEAL, 0, seed=1)
 
+    @pytest.mark.parametrize("arg,value", [
+        ("n_per_setting", 2.5), ("n_per_setting", 10.0), ("n_per_setting", True), ("n_per_setting", "10"),
+        ("seed", 1.5), ("seed", False), ("seed", None),
+    ])
+    def test_rejects_non_integer_arguments(self, arg, value):
+        kwargs = {"n_per_setting": 10, "seed": 1, arg: value}
+        with pytest.raises(ValidationError, match=f"{arg} must be an integer"):
+            sample_counts(IDEAL, **kwargs)
+
+    def test_accepts_numpy_integers(self):
+        table = sample_counts(IDEAL, np.int32(10), np.uint8(1))
+        np.testing.assert_array_equal(table.counts, sample_counts(IDEAL, 10, 1).counts)
+        assert table.n_per_setting == 10 and type(table.n_per_setting) is int
+
+
+class TestCountsTable:
+    SHAPE = (2, 2, 3, 2, 2, 4)
+
+    @pytest.mark.parametrize("counts", [
+        np.full(SHAPE, 1.7),
+        np.full(SHAPE, np.nan),
+        np.full(SHAPE, 2.0**63),
+        np.full(SHAPE, 2**63, dtype=np.uint64),
+        np.full(SHAPE, 2**63, dtype=object),
+        np.full(SHAPE, "1"),
+    ])
+    def test_rejects_counts_that_are_not_int64_integers(self, counts):
+        with pytest.raises(ValidationError, match="whole numbers"):
+            CountsTable(counts, 3)
+
+    @pytest.mark.parametrize("n_per_setting", [3.9, 3.0, True, "3", None])
+    def test_rejects_non_integer_n_per_setting(self, n_per_setting):
+        with pytest.raises(ValidationError, match="n_per_setting must be an integer"):
+            CountsTable(np.ones(self.SHAPE, dtype=np.int64), n_per_setting)
+
+    def test_accepts_whole_numbers_of_any_numeric_dtype(self):
+        for counts in (np.full(self.SHAPE, 3.0), np.full(self.SHAPE, 3, dtype=np.uint16),
+                       np.full(self.SHAPE, 2**63 - 1, dtype=np.uint64)):
+            table = CountsTable(counts, np.int64(3))
+            assert table.counts.dtype == np.int64
+            np.testing.assert_array_equal(table.counts, counts)
+            assert table.n_per_setting == 3 and type(table.n_per_setting) is int
+
 
 class TestEstimateReport:
     def test_exact_counts_reproduce_exact_values(self):

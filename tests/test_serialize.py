@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swapcert import ValidationError, bell_measurement, ideal_scenario, noisy_scenario
+from swapcert import CountsTable, ValidationError, bell_measurement, ideal_scenario, noisy_scenario
 from swapcert.protocol import exact_report, sample_counts
 from swapcert.serialize import (
     binned_from_json,
@@ -22,6 +24,7 @@ from swapcert.serialize import (
     scenario_from_json,
     scenario_to_json,
 )
+from support import reference_counts_from_csv
 
 
 class TestMatrixFormat:
@@ -217,3 +220,243 @@ class TestCountsCsv:
     def test_wrong_header_rejected(self):
         with pytest.raises(ValidationError, match="line 1"):
             counts_from_csv("a,b,c\n1,2,3")
+
+
+COUNTS_SHAPE = (2, 2, 3, 2, 2, 4)
+HEADER = "x,y,z,a,b,c,count"
+
+
+def canonical_rows(counts: np.ndarray) -> list[list[str]]:
+    """The fields of every cell, zeros included, in the writer's row order, by explicit loops."""
+    rows = []
+    for x in (1, 2):
+        for y in (1, 2):
+            for z in (1, 2, 3):
+                for ia, a in enumerate((1, -1)):
+                    for ib, b in enumerate((1, -1)):
+                        for c in (1, 2, 3, 4):
+                            n = int(counts[x - 1, y - 1, z - 1, ia, ib, c - 1])
+                            rows.append([str(v) for v in (x, y, z, a, b, c, n)])
+    return rows
+
+
+def random_counts(rng: np.random.Generator) -> np.ndarray:
+    """Counts of up to 15 digits with about a fifth of the cells zero and every triple positive."""
+    counts = rng.integers(0, 10 ** rng.integers(1, 16, size=COUNTS_SHAPE)) * (rng.random(COUNTS_SHAPE) > 0.2)
+    counts[..., 0, 0, 0] += 1
+    return counts
+
+
+def respell(field: str, rng: np.random.Generator) -> str:
+    """Another spelling ``int()`` reads as the same integer: padded, signed, zero-led or quoted."""
+    sign, digits = ("-", field[1:]) if field.startswith("-") else ("", field)
+    options = [f" {field}", f"{field} ", f"{sign}0{digits}", f'"{field}"', f" {sign}00{digits} "]
+    if not sign:
+        options.append(f"+{field}")
+    return options[rng.integers(len(options))]
+
+
+def noisy(rows: list[list[str]], rng: np.random.Generator) -> list[list[str]]:
+    """Rows shuffled, with about a tenth of the fields respelled."""
+    rows = [[respell(f, rng) if rng.random() < 0.1 else f for f in row] for row in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def split_duplicates(rows: list[list[str]], rng: np.random.Generator) -> list[list[str]]:
+    """Some rows split in two whose counts add up, and some zero rows repeated."""
+    out = []
+    for row in rows:
+        n = int(row[6])
+        if n and rng.random() < 0.3:
+            part = int(rng.integers(0, n + 1))
+            out += [row[:6] + [str(part)], row[:6] + [str(n - part)]]
+        else:
+            out += [row] * (2 if n == 0 and rng.random() < 0.3 else 1)
+    return out
+
+
+def render(rows: list[list[str]], rng: np.random.Generator, crlf: bool, blanks: bool) -> str:
+    """CSV text of ``rows`` under the header, with CRLF line ends and blank lines if asked."""
+    lines = [HEADER, *(",".join(row) for row in rows)]
+    if blanks:
+        for _ in range(int(rng.integers(1, 6))):
+            lines.insert(int(rng.integers(1, len(lines) + 1)), ["", "  "][rng.integers(2)])
+        lines += [""] * int(rng.integers(0, 3))
+    eol = "\r\n" if crlf else "\n"
+    return eol.join(lines) + eol
+
+
+# Malformations of one row. Each touches only its own fields (the wrong field
+# count, applied last, excepted), so several can land on one line.
+def _setting(row, rng, untouched):
+    field = int(rng.integers(3))
+    row[field] = str(rng.choice([0, 3, -1] if field < 2 else [0, 4]))
+    untouched.discard(field)
+
+
+def _outcome(row, rng, untouched):
+    field = int(3 + rng.integers(3))
+    row[field] = str(rng.choice([0, 2, -2] if field < 5 else [0, 5]))
+    untouched.discard(field)
+
+
+def _negative(row, rng, untouched):
+    row[6] = f"-{rng.integers(1, 10)}"
+    untouched.discard(6)
+
+
+def _non_integer(row, rng, untouched):
+    row[rng.choice(sorted(untouched))] = str(rng.choice(["x", "1.5", "", "1e3", "--1"]))
+
+
+def _field_count(row, rng, untouched):
+    if rng.random() < 0.5:
+        row.append("1")
+    else:
+        del row[rng.integers(len(row))]
+
+
+ROW_ERRORS = {
+    "setting": (_setting, "setting"),
+    "outcome": (_outcome, "outcome"),
+    "negative": (_negative, "negative count"),
+    "non_integer": (_non_integer, "non-integer field"),
+    "field_count": (_field_count, "expected 7 fields"),
+}
+# Malformations put on one line, and the one whose message that line gives:
+# field count, non-integer field, setting range, outcome range, negative count.
+LINE_CASES = [((kind,), kind) for kind in ROW_ERRORS] + [
+    (("setting", "non_integer"), "non_integer"),
+    (("outcome", "non_integer"), "non_integer"),
+    (("negative", "non_integer"), "non_integer"),
+    (("setting", "outcome"), "setting"),
+    (("setting", "negative"), "setting"),
+    (("outcome", "negative"), "outcome"),
+    (("non_integer", "field_count"), "field_count"),
+    (("setting", "outcome", "negative", "non_integer"), "non_integer"),
+]
+CORPUS_KINDS = ["clean", "noisy", "duplicates", "spaced_header", "bad_header", "missing_triple",
+                "zero_triple", *(f"line_{'+'.join(kinds)}" for kinds, _ in LINE_CASES)]
+
+
+def break_line(rows, rng, kinds, lo=0) -> int:
+    """Apply the malformations ``kinds`` to one random row at or after ``lo``; return its index."""
+    k = int(rng.integers(lo, len(rows)))
+    untouched = set(range(7))
+    for kind in kinds:
+        ROW_ERRORS[kind][0](rows[k], rng, untouched)
+    return k
+
+
+def corpus_case(kind: str, rng: np.random.Generator) -> tuple[str, str | None]:
+    """A counts CSV of one kind, with a fragment of the message it must give (None: it parses)."""
+    rows = canonical_rows(random_counts(rng))
+    crlf, blanks = bool(rng.integers(2)), bool(rng.integers(2))
+    if kind == "clean":
+        return render(rows, rng, False, False), None
+    if kind == "spaced_header":
+        return render(rows, rng, crlf, blanks).replace(HEADER, " x, y ,z,a,b ,c,count ", 1), None
+    if kind == "bad_header":
+        return render(rows, rng, crlf, blanks).replace("count", "counts", 1), "line 1"
+    if kind == "duplicates":
+        return render(noisy(split_duplicates(rows, rng), rng), rng, crlf, blanks), None
+    if kind in ("missing_triple", "zero_triple"):
+        triple = [str(rng.integers(1, 3)), str(rng.integers(1, 3)), str(rng.integers(1, 4))]
+        if kind == "missing_triple":
+            rows = [row for row in rows if row[:3] != triple]
+        else:
+            rows = [row[:6] + ["0"] if row[:3] == triple else row for row in rows]
+        return render(noisy(rows, rng), rng, crlf, blanks), f"({','.join(triple)})"
+    rows = noisy(rows, rng)
+    if kind == "noisy":
+        return render(rows, rng, crlf, blanks), None
+    kinds, first = next(case for case in LINE_CASES if kind == f"line_{'+'.join(case[0])}")
+    k = break_line(rows, rng, kinds)
+    if k + 1 < len(rows) and rng.random() < 0.5:  # a later bad line must not win
+        break_line(rows, rng, [str(rng.choice(list(ROW_ERRORS)))], lo=k + 1)
+    return render(rows, rng, crlf, blanks), ROW_ERRORS[first][1]
+
+
+def parse_outcome(parser, text: str) -> tuple[str, np.ndarray | None, int | None]:
+    """``(message, None, None)`` if ``parser`` rejects ``text``, else ``("", counts, n_per_setting)``."""
+    try:
+        table = parser(text)
+    except ValidationError as exc:
+        return str(exc), None, None
+    return "", table.counts, table.n_per_setting
+
+
+def assert_same_parse(text: str) -> str:
+    """Both parsers give the same table or the same message; returns the message."""
+    message, counts, n = parse_outcome(counts_from_csv, text)
+    want_message, want_counts, want_n = parse_outcome(reference_counts_from_csv, text)
+    assert message == want_message
+    if not message:
+        np.testing.assert_array_equal(counts, want_counts)
+        assert n == want_n
+    return message
+
+
+class TestCountsCsvAgainstReference:
+    @pytest.mark.parametrize("kind", CORPUS_KINDS)
+    def test_same_table_or_message_as_reference(self, kind):
+        for seed in range(8):
+            text, fragment = corpus_case(kind, np.random.default_rng([seed, CORPUS_KINDS.index(kind)]))
+            message = assert_same_parse(text)
+            assert (fragment or "") in message and bool(fragment) == bool(message)
+
+    def test_empty_text(self):
+        for text in ("", "\n", "\r\n\r\n"):
+            assert assert_same_parse(text)
+
+    def test_other_spellings_read_as_integers(self):
+        counts = random_counts(np.random.default_rng(5))
+        rows = canonical_rows(counts)
+        rows[0][:6] = [" 1", "+1", "01", '"1"', "+01", " 1 "]
+        rows[1][3:] = ["01", " +1", '"2"', "+" + rows[1][6]]
+        rows[16 + 15][3:6] = ["-01", " -1 ", '"4"']  # cell (1,1,2,-1,-1,4), respelled
+        text = render(rows, None, True, False) + "\r\n\r\n"
+        np.testing.assert_array_equal(counts_from_csv(text).counts, counts)
+
+    @given(st.lists(
+        st.lists(st.integers(0, 2**62 // 192), min_size=16, max_size=16).map(
+            lambda cells: cells if any(cells) else [1, *cells[1:]]),
+        min_size=12, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_random_tables(self, triples):
+        counts = np.array(triples, dtype=np.int64).reshape(COUNTS_SHAPE)
+        table = CountsTable(counts, int(counts.sum(axis=(3, 4, 5)).max()))
+        text = counts_to_csv(table)
+        recovered = counts_from_csv(text)
+        assert np.array_equal(recovered.counts, counts)
+        assert recovered.n_per_setting == table.n_per_setting
+        assert counts_to_csv(recovered) == text
+        assert text.splitlines()[1:] == [",".join(row) for row in canonical_rows(counts)]
+
+
+class TestCountsOverflow:
+    def rows(self):
+        return canonical_rows(random_counts(np.random.default_rng(9)))
+
+    @pytest.mark.parametrize("count", [str(2**63), "100000000000000000000", "9" * 400],
+                             ids=["2**63", "10**20", "400 digits"])
+    def test_count_above_int64_names_its_line(self, count):
+        rows = self.rows()
+        rows[40][6] = count
+        with pytest.raises(ValidationError, match=r"^line 42: count \d+ does not fit in int64$"):
+            counts_from_csv(render(rows, None, False, False))
+
+    def test_largest_int64_count_is_read(self):
+        rows = [row[:6] + ["0"] for row in self.rows()]
+        for k in range(0, 192, 16):
+            rows[k][6] = "1"
+        rows[17][6] = str(2**63 - 13)
+        table = counts_from_csv(render(rows, None, False, False))
+        assert table.counts.sum() == 2**63 - 1 and table.n_per_setting == 2**63 - 12
+
+    def test_total_above_int64_rejected(self):
+        rows = self.rows()
+        rows += [rows[0][:6] + [str(2**62)], rows[0][:6] + [str(2**62)]]
+        with pytest.raises(ValidationError, match="^total count does not fit in int64$"):
+            counts_from_csv(render(rows, None, False, False))
