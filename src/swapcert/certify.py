@@ -31,6 +31,11 @@ VERSION_SIGNS = (
     (-1, -1, -1, 1),
 )
 
+# The 24 bijections of outcomes to slots in itertools order, which is
+# lexicographic: row p maps outcome c to slot _PERMUTATIONS[p][c].
+_PERMUTATIONS = tuple(itertools.permutations(range(4)))
+_PERMUTATION_TABLE = np.array(_PERMUTATIONS)
+
 
 @dataclass(frozen=True)
 class VerdictWitness:
@@ -94,41 +99,38 @@ def relabel(version_matrix: np.ndarray) -> tuple[tuple[int, int, int, int], tupl
     m = np.asarray(version_matrix, dtype=float)
     if m.shape != (4, 4):
         raise ValidationError(f"version matrix must be 4x4, got {m.shape}")
-    usable = [c for c in range(4) if np.all(np.isfinite(m[c]))]
+    finite = np.isfinite(m)
+    usable = [c for c in range(4) if finite[c].all()]
     for c in range(4):
-        if c in usable:
-            continue
-        if np.any(np.isfinite(m[c])):
+        if c not in usable and finite[c].any():
             raise ValidationError(f"outcome {c + 1} has a partially defined row")
-    best_perm = None
-    best_score = -math.inf
-    for perm in itertools.permutations(range(4)):
-        score = sum(m[c, perm[c]] for c in usable)
-        if score > best_score:
-            best_score = score
-            best_perm = perm
+    landed = m[range(4), _PERMUTATION_TABLE]  # [p, c]: the value outcome c brings to its slot
+    scores = np.zeros(len(_PERMUTATIONS))
+    for c in usable:  # summed in outcome order, as the score of each bijection is defined
+        scores += landed[:, c]
+    best_perm = _PERMUTATIONS[int(np.argmax(scores))]  # the first maximum wins ties
     values = [math.nan] * 4
     for c in usable:
         values[best_perm[c]] = float(m[c, best_perm[c]])
-    return tuple(best_perm), tuple(values)
-
-
-def _finite(values: Sequence[float]) -> list[float]:
-    return [float(v) for v in values if math.isfinite(v)]
+    return best_perm, tuple(values)
 
 
 def _verdict(criterion: str, s_ac: float, s_bc: float, values: Sequence[float],
              tol: float, threshold: float, need_both: bool) -> Verdict:
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tolerance must be finite and nonnegative, got {tol}")
+    values = [float(v) for v in values]
+    for c, v in enumerate(values):
+        if math.isinf(v):
+            raise ValidationError(f"conditional value for slot {c + 1} is infinite")
     dev_ac = abs(s_ac - TSIRELSON)
     dev_bc = abs(s_bc - TSIRELSON)
     hit_ac = dev_ac <= tol
     hit_bc = dev_bc <= tol
-    finite = _finite(values)
-    if finite:
-        best_value = max(finite)
-        best_outcome = 1 + int(np.nanargmax(np.asarray(values, dtype=float)))
+    defined = [v for v in values if not math.isnan(v)]
+    if defined:
+        best_value = max(defined)
+        best_outcome = 1 + values.index(best_value)  # the first slot holding it
         margin = best_value - threshold
     else:
         best_value = best_outcome = margin = None

@@ -247,6 +247,8 @@ def cmd_sep_bound(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     if args.n_per_setting < 1:
         raise UsageError("--n-per-setting must be at least 1")
+    if args.n_per_setting > protocol.MAX_N_PER_SETTING:
+        raise UsageError(f"--n-per-setting must be at most {protocol.MAX_N_PER_SETTING}")
     if args.scenario is not None:
         sc = serialize.scenario_from_json(_load_input(args.scenario))
     else:

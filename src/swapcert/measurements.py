@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +27,10 @@ ID2 = np.eye(2, dtype=complex)
 # first party, the sign of the second factor the bit for the second party.
 CANONICAL_BIT_FOR_A = (1, 1, -1, -1)
 CANONICAL_BIT_FOR_B = (1, -1, 1, -1)
+
+# The six pairs (i, j), i < j, of the four outcomes, in lexicographic order.
+_PAIRS_I = [0, 0, 0, 1, 1, 2]
+_PAIRS_J = [1, 2, 3, 2, 3, 3]
 
 
 @dataclass(frozen=True)
@@ -66,11 +71,13 @@ def qubit_observable(bloch: Sequence[float]) -> DichotomicObservable:
     return DichotomicObservable(vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
 
 
+@cache
 def bell_basis() -> tuple[PureState, PureState, PureState, PureState]:
     """The four maximally entangled two-qubit states, in the fixed outcome order.
 
     Outcome 1 is (|00>+|11>)/sqrt2, outcome 2 is (|00>-|11>)/sqrt2, outcome 3
-    is (|01>+|10>)/sqrt2 and outcome 4 is (|01>-|10>)/sqrt2.
+    is (|01>+|10>)/sqrt2 and outcome 4 is (|01>-|10>)/sqrt2. The states are
+    built once and shared: they are frozen dataclasses over read-only vectors.
     """
     s = 1.0 / math.sqrt(2.0)
     vectors = (
@@ -111,19 +118,29 @@ class FourOutcomeMeasurement:
         return self.dims[0] * self.dims[1]
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        """Enforce Hermiticity, idempotence, mutual orthogonality and completeness."""
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, proj in enumerate(self.projectors):
-            if np.max(np.abs(proj - proj.conj().T)) > tol:
+        """Enforce Hermiticity, idempotence, mutual orthogonality and completeness.
+
+        Every deviation is computed at once over the stacked projectors; the
+        error raised is the first failure in the order projector by projector
+        (Hermitian, then idempotent), then pairs (i, j) with i < j in
+        lexicographic order, then completeness.
+        """
+        stack = np.array(self.projectors)
+        with np.errstate(all="ignore"):  # an overflow shows up as an inf deviation
+            herm = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), axis=(1, 2))
+            idem = np.max(np.abs(stack @ stack - stack), axis=(1, 2))
+            overlap = np.max(np.abs(stack[_PAIRS_I] @ stack[_PAIRS_J]), axis=(1, 2))
+            total = stack[0] + stack[1] + stack[2] + stack[3]
+            incomplete = np.max(np.abs(total - np.eye(self.dim))) > tol
+        for k in range(4):
+            if herm[k] > tol:
                 raise ValidationError(f"projector {k + 1} is not Hermitian within tolerance")
-            if np.max(np.abs(proj @ proj - proj)) > tol:
+            if idem[k] > tol:
                 raise ValidationError(f"projector {k + 1} is not idempotent within tolerance")
-            total += proj
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if np.max(np.abs(self.projectors[i] @ self.projectors[j])) > tol:
-                    raise ValidationError(f"projectors {i + 1} and {j + 1} are not orthogonal")
-        if np.max(np.abs(total - np.eye(self.dim))) > tol:
+        for i, j, value in zip(_PAIRS_I, _PAIRS_J, overlap):
+            if value > tol:
+                raise ValidationError(f"projectors {i + 1} and {j + 1} are not orthogonal")
+        if incomplete:
             raise ValidationError("projectors do not sum to the identity within tolerance")
 
     def require_rank_one(self) -> None:

@@ -21,7 +21,6 @@ from .linalg import (
     DensityMatrix,
     ValidationError,
     _checked_int,
-    permute_subsystems,
     ptrace_array,
     tensor,
 )
@@ -40,6 +39,10 @@ from .measurements import (
 # Conditional outcomes with probability below this are flagged as undefined
 # rather than producing NaN ratios from degenerate states.
 PROB_FLOOR = 1e-12
+
+# The largest sample size per setting triple whose total over all 12 triples
+# still fits in int64, as a counts table read back from CSV must.
+MAX_N_PER_SETTING = (2**63 - 1) // 12
 
 OUTCOME_SIGNS = (1.0, -1.0)  # index 0 is the +1 outcome, index 1 the -1 outcome
 _SIGNS = np.array(OUTCOME_SIGNS)
@@ -253,10 +256,15 @@ def _pair_state_vector(d: int = 2) -> np.ndarray:
 
 
 def _two_pair_state(rho_pair_a: np.ndarray, rho_pair_b: np.ndarray) -> DensityMatrix:
-    """Assemble a (A,CA) x (B,CB) product into the global (A,B,CA,CB) ordering."""
-    combined = tensor(rho_pair_a, rho_pair_b)  # ordered (A, CA, B, CB)
-    reordered = permute_subsystems(combined, (2, 2, 2, 2), (0, 2, 1, 3))
-    return DensityMatrix(reordered, (2, 2, 2, 2))
+    """Assemble a (A,CA) x (B,CB) product into the global (A,B,CA,CB) ordering.
+
+    Each entry is one product of an entry of each pair state, written straight
+    into the reordered layout.
+    """
+    pair_a = np.asarray(rho_pair_a).reshape(2, 2, 2, 2)  # [a, ca, a', ca']
+    pair_b = np.asarray(rho_pair_b).reshape(2, 2, 2, 2)  # [b, cb, b', cb']
+    joint = np.einsum("ikjl,mnop->imknjolp", pair_a, pair_b)
+    return DensityMatrix(joint.reshape(16, 16), (2, 2, 2, 2))
 
 
 @cache
@@ -370,10 +378,13 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
     Each triple gets its own generator derived from ``(seed, x, y, z)``, so the
     result is byte-identical for a fixed seed no matter how the work is split.
     Each triple's 16 cell counts are one multinomial draw of ``n_per_setting``
-    trials over its outcome table from :func:`born_tables`.
+    trials over its outcome table from :func:`born_tables`. ``n_per_setting``
+    lies in 1..``MAX_N_PER_SETTING``.
     """
     if _checked_int(n_per_setting, "n_per_setting") < 1:
         raise ValidationError("n_per_setting must be at least 1")
+    if n_per_setting > MAX_N_PER_SETTING:
+        raise ValidationError(f"n_per_setting must be at most {MAX_N_PER_SETTING}")
     if _checked_int(seed, "seed") < 0:
         raise ValidationError("seed must be a nonnegative integer")
     tables = np.clip(born_tables(sc), 0.0, None).reshape(2, 2, 3, 16)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -403,3 +404,52 @@ def reference_counts_from_csv(text: str) -> CountsTable:
         x, y, z = np.argwhere(totals <= 0)[0] + 1
         raise ValidationError(f"empty cells: zero total count for setting triple ({x},{y},{z})")
     return CountsTable(counts, int(totals.max()))
+
+
+def reference_relabel(version_matrix: np.ndarray) -> tuple[tuple[int, int, int, int], tuple[float, ...]]:
+    """Relabeling by scoring the 24 bijections one at a time in ``itertools`` order.
+
+    A bijection replaces the best only when its score is strictly larger, so
+    the first maximum wins ties.
+    """
+    m = np.asarray(version_matrix, dtype=float)
+    if m.shape != (4, 4):
+        raise ValidationError(f"version matrix must be 4x4, got {m.shape}")
+    usable = [c for c in range(4) if np.all(np.isfinite(m[c]))]
+    for c in range(4):
+        if c in usable:
+            continue
+        if np.any(np.isfinite(m[c])):
+            raise ValidationError(f"outcome {c + 1} has a partially defined row")
+    best_perm = None
+    best_score = -math.inf
+    for perm in itertools.permutations(range(4)):
+        score = sum(m[c, perm[c]] for c in usable)
+        if score > best_score:
+            best_score = score
+            best_perm = perm
+    values = [math.nan] * 4
+    for c in usable:
+        values[best_perm[c]] = float(m[c, best_perm[c]])
+    return tuple(best_perm), tuple(values)
+
+
+def reference_validate_projectors(projectors, dim: int, tol: float = 1e-9) -> None:
+    """The projector checks one matrix product at a time, raising at the first failure.
+
+    Per projector Hermiticity then idempotence, then the pairs i < j, then
+    completeness.
+    """
+    total = np.zeros((dim, dim), dtype=complex)
+    for k, proj in enumerate(projectors):
+        if np.max(np.abs(proj - proj.conj().T)) > tol:
+            raise ValidationError(f"projector {k + 1} is not Hermitian within tolerance")
+        if np.max(np.abs(proj @ proj - proj)) > tol:
+            raise ValidationError(f"projector {k + 1} is not idempotent within tolerance")
+        total += proj
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if np.max(np.abs(projectors[i] @ projectors[j])) > tol:
+                raise ValidationError(f"projectors {i + 1} and {j + 1} are not orthogonal")
+    if np.max(np.abs(total - np.eye(dim))) > tol:
+        raise ValidationError("projectors do not sum to the identity within tolerance")

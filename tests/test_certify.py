@@ -29,6 +29,7 @@ from support import (
     TSIRELSON,
     ideal_with_charlie3,
     kron_all,
+    reference_relabel,
     rotated_bell_measurement,
     scenario_settings_ideal,
 )
@@ -85,6 +86,51 @@ class TestRelabel:
             relabel(np.zeros((3, 4)))
 
 
+def _outcome(fn, *args):
+    """The repr of ``fn(*args)``, or the message of the ``ValidationError`` it raises."""
+    try:
+        return repr(fn(*args))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+class TestRelabelAgainstReference:
+    @staticmethod
+    def _matrices(seed):
+        """Small-integer matrices, which tie heavily, some with undefined rows."""
+        rng = np.random.default_rng(seed)
+        for k in range(200):
+            low, high = ((0, 2), (-1, 2), (-2, 3))[k % 3]
+            matrix = rng.integers(low, high, size=(4, 4)).astype(float)
+            for c in rng.choice(4, size=int(rng.integers(0, 5)), replace=False):
+                matrix[c] = math.nan
+            yield matrix
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_assignment_and_values(self, seed):
+        for matrix in self._matrices(seed):
+            perm, values = relabel(matrix)
+            assert all(type(slot) is int for slot in perm)
+            assert repr((perm, values)) == repr(reference_relabel(matrix))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_same_error_on_partially_defined_rows(self, seed):
+        rng = np.random.default_rng([seed, 5])
+        for matrix in self._matrices(seed):
+            for _ in range(int(rng.integers(1, 3))):
+                matrix[rng.integers(0, 4), rng.integers(0, 4)] = rng.choice([math.nan, math.inf, -math.inf])
+            expected = _outcome(reference_relabel, matrix)
+            assert _outcome(relabel, matrix) == expected
+            if not all(np.isfinite(row).all() or not np.isfinite(row).any() for row in matrix):
+                assert "partially defined row" in expected
+
+    def test_real_valued_matrices(self):
+        rng = np.random.default_rng(91)
+        for _ in range(100):
+            matrix = rng.normal(size=(4, 4))
+            assert repr(relabel(matrix)) == repr(reference_relabel(matrix))
+
+
 class TestCriteria:
     def test_crit1_ideal_passes(self):
         verdict = certify_crit1(TSIRELSON, TSIRELSON, [TSIRELSON] * 4, 1e-9)
@@ -126,6 +172,34 @@ class TestCriteria:
         for rule in (certify_crit1, certify_crit2):
             with pytest.raises(ValidationError):
                 rule(TSIRELSON, TSIRELSON, [2.5] * 4, tol)
+
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_conditional_value_rejected(self, value):
+        for rule in (certify_crit1, certify_crit2):
+            with pytest.raises(ValidationError, match="slot 2 is infinite"):
+                rule(2.828427, 2.0, [1.0, value, 0.5, 0.2], 1e-3)
+
+    def test_undefined_values_are_skipped(self):
+        witness = certify_crit1(TSIRELSON, TSIRELSON, [math.nan, 2.1, math.nan, 2.4], 1e-9).witness
+        assert (witness.best_outcome, witness.best_value) == (4, 2.4)
+        witness = certify_crit2(TSIRELSON, TSIRELSON, [math.nan] * 4, 1e-9).witness
+        assert witness.best_outcome is witness.best_value is witness.margin is None
+
+    @given(st.lists(st.one_of(st.sampled_from([math.nan, -1.0, 0.0, -0.0, 1.5, 2.5]),
+                              st.floats(-4.0, 4.0)), min_size=4, max_size=4))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_best_outcome_names_the_slot_of_best_value(self, values):
+        for rule in (certify_crit1, certify_crit2):
+            witness = rule(TSIRELSON, TSIRELSON, values, 1e-9).witness
+            defined = [v for v in values if not math.isnan(v)]
+            if not defined:
+                assert witness.best_outcome is None and witness.best_value is None
+                continue
+            assert witness.best_value == max(defined)
+            slot = witness.best_outcome - 1
+            assert values[slot] == witness.best_value
+            assert all(math.isnan(v) or v < witness.best_value for v in values[:slot])
 
 
 class TestTraceDistance:

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -6,10 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapcert import ideal_scenario
 from swapcert.cli import main
-from swapcert.serialize import matrix_to_json
+from swapcert.protocol import MAX_N_PER_SETTING
+from swapcert.serialize import json_dumps, matrix_to_json, scenario_to_json
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
@@ -214,6 +220,13 @@ class TestSampleAndCertify:
         code, out, _ = run(capsys, "certify", str(counts_path), "--tol-sigma", "3")
         assert code == 0
         assert out.encode() == (GOLDEN / "certify_n50_seed7_tol_sigma3.json").read_bytes()
+
+    @pytest.mark.parametrize("n", [str(10**19), str(MAX_N_PER_SETTING + 1)])
+    def test_sample_n_above_int64_total_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "sample", "--n-per-setting", n, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --n-per-setting must be at most {MAX_N_PER_SETTING}\n"
 
     def test_certify_report_json(self, capsys, tmp_path):
         from swapcert.protocol import exact_report
@@ -447,6 +460,84 @@ def test_blocks_output_is_pinned(capsys, tmp_path, settings, name):
     code, out, _ = run(capsys, "sep-bound", str(path), "--seed", "7")
     assert code == 0
     assert out.encode() == (GOLDEN / f"sep_bound_{name}_seed7.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("ideal",), "ideal.json"),
+    (("ideal", "--format", "csv"), "ideal.csv"),
+    (("noisy", "--v-ac", "0.95", "--v-bc", "0.97", "--theta", "0.26"), "noisy_095_097_026.json"),
+    (("noisy", "--v-ac", "0.95", "--v-bc", "0.97", "--theta", "0.26", "--format", "csv"), "noisy_095_097_026.csv"),
+])
+def test_exact_path_output_is_pinned(capsys, argv, name):
+    # bytes of the exact path before the projector checks and relabeling were batched
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+IDEAL_SCENARIO_JSON = json.loads(json_dumps(scenario_to_json(ideal_scenario())))
+SCENARIO_MATRICES = ([("charlie3", "projectors", k) for k in range(4)]
+                     + [("charlie12", z, "projectors", k) for z in range(2) for k in range(4)]
+                     + [("state",), ("alice", 0), ("bob", 1)])
+SCENARIO_MEASUREMENTS = [("charlie3",), ("charlie12", 0), ("charlie12", 1)]
+ENTRY_VALUES = st.one_of(st.floats(), st.sampled_from([0.0, 0.5, -0.5, 1.0, 1e-9, 1e200, -1e308]))
+SCENARIO_MUTATIONS = st.one_of(
+    st.tuples(st.just("entry"), st.sampled_from(SCENARIO_MATRICES), st.integers(0, 255),
+              st.integers(0, 1), ENTRY_VALUES),
+    st.tuples(st.just("nudge"), st.sampled_from(SCENARIO_MATRICES), st.integers(0, 255),
+              st.integers(0, 1), st.floats(-1e-6, 1e-6)),
+    st.tuples(st.just("shape"), st.sampled_from(SCENARIO_MATRICES), st.sampled_from(["rows", "cols"]),
+              st.integers(-1, 17)),
+    st.tuples(st.just("dims"), st.sampled_from([()] + SCENARIO_MEASUREMENTS), st.lists(st.integers(-1, 5), max_size=5)),
+    st.tuples(st.just("bits"), st.integers(0, 1), st.sampled_from(["bit_for_A", "bit_for_B"]),
+              st.lists(st.integers(-2, 2), max_size=5)),
+    st.tuples(st.just("count"), st.sampled_from(SCENARIO_MEASUREMENTS), st.integers(0, 6)),
+)
+
+
+def _mutate(obj, mutation):
+    kind, *args = mutation
+
+    def at(path):
+        node = obj
+        for key in path:
+            node = node[key]
+        return node
+
+    if kind in ("entry", "nudge"):
+        path, index, part, value = args
+        data = at(path)["data"]
+        cell = data[index % len(data)]
+        cell[part] = value if kind == "entry" else cell[part] + value
+    elif kind == "shape":
+        path, field, value = args
+        at(path)[field] = value
+    elif kind == "dims":
+        path, value = args
+        at(path)["dims"] = value
+    elif kind == "bits":
+        z, field, value = args
+        obj["charlie12"][z][field] = value
+    else:  # the number of projectors: truncated, or padded with repeats of the first
+        path, count = args
+        projectors = at(path)["projectors"]
+        at(path)["projectors"] = (projectors * 2)[:count]
+
+
+@given(st.lists(SCENARIO_MUTATIONS, min_size=1, max_size=3))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_scenario_file_never_crashes(tmp_path_factory, mutations):
+    obj = copy.deepcopy(IDEAL_SCENARIO_JSON)
+    for mutation in mutations:
+        with contextlib.suppress(LookupError, TypeError):  # an earlier mutation removed the target
+            _mutate(obj, mutation)
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sample", "--scenario", str(path), "--n-per-setting", "5", "--seed", "1"])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
 
 
 @pytest.mark.parametrize("field,value", [("rows", 2.0), ("rows", 1.9), ("cols", "2"), ("cols", True)])

@@ -15,7 +15,15 @@ from swapcert import (
     product_measurement,
     qubit_observable,
 )
-from support import I2, X, Z, kron_all, rotated_bell_measurement
+from support import (
+    I2,
+    X,
+    Z,
+    haar_unitary,
+    kron_all,
+    reference_validate_projectors,
+    rotated_bell_measurement,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,6 +72,18 @@ class TestBellBasis:
                 assert abs(np.vdot(basis[i].vector, basis[j].vector)) == pytest.approx(
                     expected, abs=1e-12
                 )
+
+    def test_built_once_and_read_only(self):
+        basis = bell_basis()
+        assert bell_basis() is basis
+        before = [s.vector.copy() for s in basis]
+        perturbed_bell_measurement(0.4, pair=1)
+        perturbed_bell_measurement(-1.1, pair=2)
+        for state, vector in zip(basis, before):
+            assert not state.vector.flags.writeable
+            np.testing.assert_array_equal(state.vector, vector)
+        with pytest.raises(ValueError):
+            basis[0].vector[0] = 1.0
 
     def test_marginals_maximally_mixed(self):
         from swapcert import partial_trace
@@ -226,3 +246,83 @@ class TestValidation:
         meas = FourOutcomeMeasurement(rank2, (2, 2))
         with pytest.raises(ValidationError):
             meas.eigenstates()
+
+
+def _valid_projectors(rng, dims):
+    """Four orthogonal projectors summing to the identity, from the columns of a Haar unitary."""
+    side = dims[0] * dims[1]
+    u = haar_unitary(side, rng)
+    cuts = np.sort(rng.choice(np.arange(1, side), size=3, replace=False)) if side > 4 else [1, 2, 3]
+    groups = np.split(np.arange(side), cuts)
+    return [u[:, g] @ u[:, g].conj().T for g in groups]
+
+
+def _break(projs, rng, kind, where):
+    """Perturb ``projs`` in place so that one property fails at projector or pair ``where``."""
+    side = projs[0].shape[0]
+    size = float(rng.choice([1e-3, 1e-6, 3e-9, 2e-9]))
+    if kind == "hermitian":
+        projs[where] = projs[where] + size * np.triu(np.ones((side, side)), 1)
+    elif kind == "idempotent":
+        projs[where] = projs[where] * (1.0 + size)
+    elif kind == "orthogonal":  # a projector again, tilted towards the range of projector i
+        i, j = where
+        vec = projs[i][:, int(np.argmax(np.abs(np.diag(projs[i]))))]
+        vec = vec / np.linalg.norm(vec)
+        _, vecs = np.linalg.eigh(projs[j])
+        tilted = vecs[:, -1] + size * vec
+        tilted /= np.linalg.norm(tilted)
+        projs[j] = projs[j] - np.outer(vecs[:, -1], vecs[:, -1].conj()) + np.outer(tilted, tilted.conj())
+    else:  # completeness: a projector is dropped, which keeps every other property
+        projs[where] = np.zeros_like(projs[where])
+
+
+class TestValidateAgainstReference:
+    KINDS = [("hermitian", k) for k in range(4)] + [("idempotent", k) for k in range(4)]
+    KINDS += [("orthogonal", (i, j)) for i in range(4) for j in range(i + 1, 4)] + [("complete", 3)]
+
+    @staticmethod
+    def _outcomes(projs, dims, tol=1e-9):
+        try:
+            reference_validate_projectors(projs, dims[0] * dims[1], tol)
+            expected = None
+        except ValidationError as exc:
+            expected = str(exc)
+        try:
+            FourOutcomeMeasurement(tuple(projs), dims, tol)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        return got, expected
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+    def test_same_message_for_each_failure(self, dims):
+        rng = np.random.default_rng([41, *dims])
+        for first in self.KINDS:
+            for second in [None, *self.KINDS]:  # a second failure may come earlier or later
+                projs = _valid_projectors(rng, dims)
+                _break(projs, rng, *first)
+                if second is not None:
+                    _break(projs, rng, *second)
+                got, expected = self._outcomes(projs, dims)
+                assert got == expected
+
+    @pytest.mark.parametrize("kind,where", KINDS)
+    def test_each_failure_is_named(self, kind, where):
+        rng = np.random.default_rng(7)
+        projs = _valid_projectors(rng, (2, 2))
+        _break(projs, rng, kind, where)
+        got, expected = self._outcomes(projs, (2, 2), tol=1e-12)
+        if kind == "orthogonal":
+            assert got == expected == f"projectors {where[0] + 1} and {where[1] + 1} are not orthogonal"
+        elif kind == "complete":
+            assert got == expected == "projectors do not sum to the identity within tolerance"
+        else:
+            word = {"hermitian": "Hermitian", "idempotent": "idempotent"}[kind]
+            assert got == expected == f"projector {where + 1} is not {word} within tolerance"
+
+    def test_valid_sets_accepted(self):
+        rng = np.random.default_rng(43)
+        for dims in ((2, 2), (2, 3), (1, 4)):
+            for _ in range(20):
+                assert self._outcomes(_valid_projectors(rng, dims), dims) == (None, None)

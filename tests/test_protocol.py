@@ -30,6 +30,9 @@ from swapcert import (
     sample_counts,
     steered_states,
 )
+from swapcert.linalg import permute_subsystems, tensor
+from swapcert.protocol import MAX_N_PER_SETTING, _two_pair_state
+from swapcert.serialize import counts_from_csv, counts_to_csv
 from support import (
     I2,
     SQRT2,
@@ -216,6 +219,22 @@ class TestScenarios:
                 arr[0, 0] = 7.0
         assert IDEAL.alice[0].matrix[0, 0] == 1.0
 
+    def test_two_pair_state_matches_kronecker_reorder(self):
+        rng = np.random.default_rng(17)
+        for v_ac, v_bc in [(1.0, 1.0), (0.0, 0.3), *rng.uniform(0, 1, size=(20, 2))]:
+            pair = maximally_entangled_pair(2)
+            rho_a = v_ac * pair + (1 - v_ac) * np.eye(4) / 4
+            rho_b = v_bc * pair + (1 - v_bc) * np.eye(4) / 4
+            expected = permute_subsystems(tensor(rho_a, rho_b), (2, 2, 2, 2), (0, 2, 1, 3))
+            state = _two_pair_state(rho_a, rho_b)
+            assert state.dims == (2, 2, 2, 2)
+            assert state.matrix.tobytes() == expected.tobytes()
+
+    def test_two_pair_state_checks_positivity(self):
+        not_positive = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            _two_pair_state(not_positive, np.eye(4) / 4)
+
     def test_non_finite_rotation_rejected(self):
         with pytest.raises(ValidationError):
             noisy_scenario(1.0, 1.0, math.nan)
@@ -378,6 +397,18 @@ class TestSampling:
         kwargs = {"n_per_setting": 10, "seed": 1, arg: value}
         with pytest.raises(ValidationError, match=f"{arg} must be an integer"):
             sample_counts(IDEAL, **kwargs)
+
+    @pytest.mark.parametrize("n", [MAX_N_PER_SETTING + 1, 10**19])
+    def test_rejects_n_whose_total_overflows_int64(self, n):
+        with pytest.raises(ValidationError, match=f"at most {MAX_N_PER_SETTING}"):
+            sample_counts(IDEAL, n, seed=1)
+
+    def test_largest_n_reads_back(self):
+        assert 12 * MAX_N_PER_SETTING <= 2**63 - 1 < 12 * (MAX_N_PER_SETTING + 1)
+        table = sample_counts(IDEAL, MAX_N_PER_SETTING, seed=1)
+        assert np.all(table.counts.sum(axis=(3, 4, 5)) == MAX_N_PER_SETTING)
+        parsed = counts_from_csv(counts_to_csv(table))
+        np.testing.assert_array_equal(parsed.counts, table.counts)
 
     def test_accepts_numpy_integers(self):
         table = sample_counts(IDEAL, np.int32(10), np.uint8(1))
