@@ -17,7 +17,7 @@ import numpy as np
 
 from . import certify, protocol
 from .certify import SQRT2, TSIRELSON
-from .linalg import DensityMatrix, PureState, ValidationError, _as_matrix, _checked_int, tensor
+from .linalg import DensityMatrix, PureState, ValidationError, _as_matrix, _checked_int, hermitian_deviation
 from .measurements import DichotomicObservable, FourOutcomeMeasurement
 
 # Eigenphases of the product A0*A1 closer than this are grouped together. A
@@ -167,6 +167,22 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     return result
 
 
+def _chsh_products(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """CHSH operators A0 x (B0 + B1) + A1 x (B0 - B1) of every pair from a stack of A and of B settings.
+
+    ``a0`` and ``a1`` are ``(m, p, p)``, ``b0`` and ``b1`` are ``(n, q, q)``,
+    and the result is ``(m, n, pq, pq)``. Each Kronecker entry is the single
+    product that ``np.kron`` forms, so every operator has the bytes of the
+    ``np.kron`` sum of its pair.
+    """
+    (m, p), (n, q) = a0.shape[:2], b0.shape[:2]
+
+    def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(m, n, p * q, p * q)
+
+    return kron(a0, b0 + b1) + kron(a1, b0 - b1)
+
+
 def chsh_operator(
     a0: DichotomicObservable,
     a1: DichotomicObservable,
@@ -176,38 +192,49 @@ def chsh_operator(
     """CHSH operator A0 x (B0 + B1) + A1 x (B0 - B1)."""
     if a0.dim != a1.dim or b0.dim != b1.dim:
         raise ValidationError("settings of one party must share a dimension")
-    return tensor(a0.matrix, b0.matrix + b1.matrix) + tensor(a1.matrix, b0.matrix - b1.matrix)
-
-
-def _block_alpha(beta: np.ndarray, da: int, db: int) -> float:
-    # Spectral radius: two-qubit block pairs have a +/- symmetric spectrum so
-    # this is the top eigenvalue; pairs with a scalar factor carry no CHSH
-    # structure and the radius pins them to the classical value 2.
-    if da == 1 and db == 1:
-        return 2.0
-    w = np.linalg.eigvalsh((beta + beta.conj().T) / 2.0)
-    alpha = float(max(w[-1], -w[0]))
-    # Snap eigensolver noise at the window edges; sqrt(8 - alpha^2) is
-    # infinitely steep at the ceiling, so femto-scale noise there would
-    # otherwise blow up in the separable bound.
-    if abs(alpha - 2.0) <= 1e-9:
-        return 2.0
-    if abs(alpha - TSIRELSON) <= 1e-9:
-        return TSIRELSON
-    return alpha
+    return _chsh_products(*(obs.matrix[None] for obs in (a0, a1, b0, b1)))[0, 0]
 
 
 def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBlockStructure:
-    """Restrict the CHSH operator to every block pair and record top eigenvalues."""
-    pairs: list[BlockPair] = []
-    lam = math.inf
-    for i, ab in enumerate(a_blocks.blocks):
-        for j, bb in enumerate(b_blocks.blocks):
-            beta = np.kron(ab.a0, bb.a0 + bb.a1) + np.kron(ab.a1, bb.a0 - bb.a1)
-            alpha = _block_alpha(beta, ab.size, bb.size)
-            pairs.append(BlockPair(i, j, beta, alpha))
-            lam = min(lam, alpha)
-    return ChshBlockStructure(tuple(pairs), lam)
+    """Restrict the CHSH operator to every block pair and record top eigenvalues.
+
+    The pairs are handled by size class (1x1, 1x2, 2x1 and 2x2 blocks): the
+    operators of one class come from one broadcast product and their spectra
+    from one stacked ``eigvalsh``. Alpha is the spectral radius. Two-qubit
+    block pairs have a +/- symmetric spectrum, so it is their top eigenvalue.
+    Pairs with a scalar factor carry no CHSH structure and the radius pins
+    them to the classical value 2; two 1x1 blocks get 2 without a spectrum.
+    Eigensolver noise within 1e-9 of 2 or 2*sqrt(2) is snapped to the edge:
+    sqrt(8 - alpha^2) is infinitely steep at the ceiling, so femto-scale
+    noise there would otherwise blow up in the separable bound.
+    """
+    def size_class(decomposition: ObservableBlocks, size: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+        idx = [k for k, block in enumerate(decomposition.blocks) if block.size == size]
+        chosen = [decomposition.blocks[k] for k in idx]
+        return idx, np.array([block.a0 for block in chosen]), np.array([block.a1 for block in chosen])
+
+    operators: dict[tuple[int, int], np.ndarray] = {}
+    alphas: dict[tuple[int, int], float] = {}
+    b_classes = [size_class(b_blocks, 1), size_class(b_blocks, 2)]
+    for size_a in (1, 2):
+        rows, a0, a1 = size_class(a_blocks, size_a)
+        for size_b, (cols, b0, b1) in zip((1, 2), b_classes):
+            if not rows or not cols:
+                continue
+            betas = _chsh_products(a0, a1, b0, b1)
+            if size_a == size_b == 1:
+                alpha = np.full((len(rows), len(cols)), 2.0)
+            else:
+                w = np.linalg.eigvalsh((betas + betas.conj().swapaxes(-1, -2)) / 2.0)
+                alpha = np.maximum(w[..., -1], -w[..., 0])
+                alpha[np.abs(alpha - 2.0) <= 1e-9] = 2.0
+                alpha[np.abs(alpha - TSIRELSON) <= 1e-9] = TSIRELSON
+            for r, i in enumerate(rows):
+                for c, j in enumerate(cols):
+                    operators[i, j], alphas[i, j] = betas[r, c], float(alpha[r, c])
+    pairs = tuple(BlockPair(i, j, operators[i, j], alphas[i, j])
+                  for i in range(len(a_blocks.blocks)) for j in range(len(b_blocks.blocks)))
+    return ChshBlockStructure(pairs, min((pair.alpha for pair in pairs), default=math.inf))
 
 
 def chsh_spectrum(beta2q: np.ndarray, tol: float = 1e-8) -> tuple[float, float]:
@@ -269,7 +296,7 @@ def sep_bound_oracle(
     beta = _as_matrix(beta, "operator")
     if beta.shape != (d_a * d_b, d_a * d_b):
         raise ValidationError(f"operator side {beta.shape[0]} does not match dims {dims}")
-    if np.max(np.abs(beta - beta.conj().T)) > 1e-9:
+    if hermitian_deviation(beta) > 1e-9:
         raise ValidationError("operator must be Hermitian")
     if restarts < 1:
         raise ValidationError("need at least one restart")

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, PureState, ValidationError, _as_matrix, tensor
+from .linalg import DEFAULT_TOL, PureState, ValidationError, _as_matrix, hermitian_deviation, tensor
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -44,7 +44,7 @@ class DichotomicObservable:
         mat = np.array(_as_matrix(self.matrix, "observable"))
         if mat.shape[0] != mat.shape[1]:
             raise ValidationError("observable must be square")
-        if np.max(np.abs(mat - mat.conj().T)) > tol:
+        if hermitian_deviation(mat) > tol:
             raise ValidationError("observable is not Hermitian within tolerance")
         if np.max(np.abs(mat @ mat - np.eye(mat.shape[0]))) > tol:
             raise ValidationError("observable does not square to the identity within tolerance")
@@ -59,6 +59,13 @@ class DichotomicObservable:
         """Spectral projectors onto the +1 and -1 outcomes, in that order."""
         eye = np.eye(self.dim)
         return (eye + self.matrix) / 2.0, (eye - self.matrix) / 2.0
+
+    @cached_property
+    def projector_stack(self) -> np.ndarray:
+        """:meth:`projectors` as one read-only ``(2, d, d)`` array, built on first use and shared."""
+        stack = np.array(self.projectors())
+        stack.setflags(write=False)
+        return stack
 
 
 def qubit_observable(bloch: Sequence[float]) -> DichotomicObservable:
@@ -117,6 +124,13 @@ class FourOutcomeMeasurement:
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
 
+    @cached_property
+    def projector_stack(self) -> np.ndarray:
+        """The projectors as one read-only ``(4, d, d)`` array, built on first use and shared."""
+        stack = np.array(self.projectors)
+        stack.setflags(write=False)
+        return stack
+
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Enforce Hermiticity, idempotence, mutual orthogonality and completeness.
 
@@ -125,9 +139,9 @@ class FourOutcomeMeasurement:
         (Hermitian, then idempotent), then pairs (i, j) with i < j in
         lexicographic order, then completeness.
         """
-        stack = np.array(self.projectors)
+        stack = self.projector_stack
         with np.errstate(all="ignore"):  # an overflow shows up as an inf deviation
-            herm = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), axis=(1, 2))
+            herm = hermitian_deviation(stack)
             idem = np.max(np.abs(stack @ stack - stack), axis=(1, 2))
             overlap = np.max(np.abs(stack[_PAIRS_I] @ stack[_PAIRS_J]), axis=(1, 2))
             total = stack[0] + stack[1] + stack[2] + stack[3]
@@ -190,8 +204,12 @@ class BinnedMeasurement:
         return out
 
 
+@cache
 def bell_measurement() -> FourOutcomeMeasurement:
-    """Projective measurement onto the maximally entangled basis, in outcome order."""
+    """Projective measurement onto the maximally entangled basis, in outcome order.
+
+    Built once and shared, like :func:`bell_basis`: its projectors are read-only.
+    """
     projs = tuple(np.outer(s.vector, s.vector.conj()) for s in bell_basis())
     return FourOutcomeMeasurement(projs, (2, 2))
 
@@ -200,21 +218,21 @@ def perturbed_bell_measurement(theta: float, pair: int = 1) -> FourOutcomeMeasur
     """Rotate one two-dimensional plane of the entangled basis by ``theta``.
 
     ``pair`` selects the rotated plane: pair 1 mixes outcomes 1 and 4, pair 2
-    mixes outcomes 2 and 3. The other two projectors are untouched, so the
-    result is always a valid projective four-outcome measurement.
+    mixes outcomes 2 and 3. The other two projectors are those of
+    :func:`bell_measurement`, reused as they are, so the result is always a
+    valid projective four-outcome measurement.
     """
     if pair not in (1, 2):
         raise ValidationError("pair must be 1 or 2")
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
-    basis = [s.vector.copy() for s in bell_basis()]
     lo, hi = pair - 1, 4 - pair
+    v_lo, v_hi = bell_basis()[lo].vector, bell_basis()[hi].vector
     c, s = math.cos(theta), math.sin(theta)
-    e_lo = c * basis[lo] + s * basis[hi]
-    e_hi = -s * basis[lo] + c * basis[hi]
-    basis[lo], basis[hi] = e_lo, e_hi
-    projs = tuple(np.outer(v, v.conj()) for v in basis)
-    return FourOutcomeMeasurement(projs, (2, 2))
+    projs = list(bell_measurement().projectors)
+    for k, v in ((lo, c * v_lo + s * v_hi), (hi, -s * v_lo + c * v_hi)):
+        projs[k] = np.outer(v, v.conj())
+    return FourOutcomeMeasurement(tuple(projs), (2, 2))
 
 
 def _validate_two_outcome(projs: Sequence[np.ndarray], name: str, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +243,7 @@ def _validate_two_outcome(projs: Sequence[np.ndarray], name: str, tol: float) ->
     if p0.shape != p1.shape or p0.shape[0] != p0.shape[1]:
         raise ValidationError(f"{name} projectors must be square and equal-sized")
     for k, p in enumerate((p0, p1)):
-        if np.max(np.abs(p - p.conj().T)) > tol or np.max(np.abs(p @ p - p)) > tol:
+        if hermitian_deviation(p) > tol or np.max(np.abs(p @ p - p)) > tol:
             raise ValidationError(f"{name} outcome {k + 1} is not a projector within tolerance")
     if np.max(np.abs(p0 + p1 - np.eye(p0.shape[0]))) > tol:
         raise ValidationError(f"{name} outcomes do not sum to the identity")

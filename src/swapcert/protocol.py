@@ -49,6 +49,13 @@ _SIGNS = np.array(OUTCOME_SIGNS)
 _VERSION_SIGNS = np.array(certify.VERSION_SIGNS, dtype=float)  # [v, (x, y)]
 _SWAP_SUBSCRIPTS = ("xyzabc,a,zc->xz", "xyzabc,b,zc->yz")  # E[s, z] of the first, second party
 
+# The two terms of each noisy pair state v * ideal + (1 - v) * I/4, shared read-only.
+_PAIR_VECTOR = np.identity(2).reshape(-1) / math.sqrt(2)
+_IDEAL_PAIR = np.outer(_PAIR_VECTOR, _PAIR_VECTOR)
+_PAIR_NOISE = np.eye(4) / 4.0
+_IDEAL_PAIR.setflags(write=False)
+_PAIR_NOISE.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -133,9 +140,9 @@ def born_tables(sc: Scenario) -> np.ndarray:
     """
     d_a, d_b, d_ca, d_cb = sc.dims
     d_c = d_ca * d_cb
-    pa = np.array([obs.projectors() for obs in sc.alice])
-    pb = np.array([obs.projectors() for obs in sc.bob])
-    pc = np.array([*(binned.base.projectors for binned in sc.charlie12), sc.charlie3.projectors])
+    pa = np.array([obs.projector_stack for obs in sc.alice])
+    pb = np.array([obs.projector_stack for obs in sc.bob])
+    pc = np.array([*(binned.base.projector_stack for binned in sc.charlie12), sc.charlie3.projector_stack])
     rho = sc.state.matrix.reshape(d_a, d_b, d_c, d_a, d_b, d_c)
     t = np.einsum("zcmn,jlnikm->zcjlik", pc, rho)
     t = np.einsum("ybkl,zcjlik->ybzcji", pb, t)
@@ -251,10 +258,6 @@ def steered_states(sc: Scenario) -> list[tuple[float, DensityMatrix]]:
     return [(p, dm) for p, dm in steer(sc.state, sc.charlie3) if dm is not None]
 
 
-def _pair_state_vector(d: int = 2) -> np.ndarray:
-    return np.identity(d).reshape(-1) / math.sqrt(d)
-
-
 def _two_pair_state(rho_pair_a: np.ndarray, rho_pair_b: np.ndarray) -> DensityMatrix:
     """Assemble a (A,CA) x (B,CB) product into the global (A,B,CA,CB) ordering.
 
@@ -302,11 +305,8 @@ def noisy_scenario(v_ac: float, v_bc: float, theta: float) -> Scenario:
     for name, v in (("v_ac", v_ac), ("v_bc", v_bc)):
         if not 0.0 <= v <= 1.0:
             raise ValidationError(f"{name} must lie in [0, 1]")
-    pair = _pair_state_vector()
-    rho_ideal = np.outer(pair, pair)
-    noise = np.eye(4) / 4.0
-    rho_a = v_ac * rho_ideal + (1.0 - v_ac) * noise
-    rho_b = v_bc * rho_ideal + (1.0 - v_bc) * noise
+    rho_a = v_ac * _IDEAL_PAIR + (1.0 - v_ac) * _PAIR_NOISE
+    rho_b = v_bc * _IDEAL_PAIR + (1.0 - v_bc) * _PAIR_NOISE
     alice, bob, charlie12 = _ideal_settings()
     return Scenario(
         state=_two_pair_state(rho_a, rho_b),

@@ -162,8 +162,31 @@ def observable_to_json(obs: DichotomicObservable) -> dict:
     return matrix_to_json(obs.matrix)
 
 
+# An observable written at 9 significant digits reads back a few 1e-9 off
+# Hermitian and involutive; up to this far off, it is snapped back on load.
+OBSERVABLE_SNAP_TOL = 1e-6
+
+
 def observable_from_json(obj: Any, name: str = "observable") -> DichotomicObservable:
-    return DichotomicObservable(matrix_from_json(obj, name))
+    """Parse an observable, snapping one that :func:`json_dumps` rounded back onto a +/-1 observable.
+
+    A matrix that passes the checks of :class:`DichotomicObservable` at their
+    default tolerance loads unchanged. One that fails them but passes them at
+    ``OBSERVABLE_SNAP_TOL`` is replaced by sign(H) of its Hermitian part H,
+    from ``eigh``: the nearest Hermitian involution. Anything further off
+    raises the error of the default-tolerance checks.
+    """
+    mat = matrix_from_json(obj, name)
+    try:
+        return DichotomicObservable(mat)
+    except ValidationError as exc:
+        try:
+            with np.errstate(all="ignore"):  # the first checks have already warned of any overflow
+                DichotomicObservable(mat, OBSERVABLE_SNAP_TOL)
+        except ValidationError:
+            raise exc from None
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    return DichotomicObservable((v * np.sign(w)) @ v.conj().T)
 
 
 def scenario_to_json(sc: Scenario) -> dict:

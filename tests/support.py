@@ -453,3 +453,37 @@ def reference_validate_projectors(projectors, dim: int, tol: float = 1e-9) -> No
                 raise ValidationError(f"projectors {i + 1} and {j + 1} are not orthogonal")
     if np.max(np.abs(total - np.eye(dim))) > tol:
         raise ValidationError("projectors do not sum to the identity within tolerance")
+
+
+def reference_perturbed_bell_measurement(theta: float, pair: int) -> FourOutcomeMeasurement:
+    """The joint-basis rotation from copies of all four entangled vectors, one outer product each."""
+    basis = [s.vector.copy() for s in bell_basis()]
+    lo, hi = pair - 1, 4 - pair
+    c, s = math.cos(theta), math.sin(theta)
+    basis[lo], basis[hi] = c * basis[lo] + s * basis[hi], -s * basis[lo] + c * basis[hi]
+    return FourOutcomeMeasurement(tuple(np.outer(v, v.conj()) for v in basis), (2, 2))
+
+
+def reference_block_chsh(a_blocks, b_blocks) -> tuple[list[tuple[int, int, np.ndarray, float]], float]:
+    """Block CHSH one pair at a time: ``(row, col, operator, alpha)`` per pair and lambda.
+
+    Two ``np.kron`` calls and one ``eigvalsh`` per pair; two 1x1 blocks get 2,
+    and alpha within 1e-9 of 2 or 2*sqrt(2) is snapped there.
+    """
+    pairs = []
+    lam = math.inf
+    for i, ab in enumerate(a_blocks.blocks):
+        for j, bb in enumerate(b_blocks.blocks):
+            beta = np.kron(ab.a0, bb.a0 + bb.a1) + np.kron(ab.a1, bb.a0 - bb.a1)
+            if ab.size == 1 and bb.size == 1:
+                alpha = 2.0
+            else:
+                w = np.linalg.eigvalsh((beta + beta.conj().T) / 2.0)
+                alpha = float(max(w[-1], -w[0]))
+                if abs(alpha - 2.0) <= 1e-9:
+                    alpha = 2.0
+                elif abs(alpha - TSIRELSON) <= 1e-9:
+                    alpha = TSIRELSON
+            pairs.append((i, j, beta, alpha))
+            lam = min(lam, alpha)
+    return pairs, lam

@@ -39,6 +39,7 @@ from support import (
     planted_pair,
     random_bloch_observable,
     random_observable,
+    reference_block_chsh,
     reference_sep_bound_oracle,
 )
 
@@ -230,6 +231,15 @@ class TestChshOperator:
         with pytest.raises(ValidationError):
             chsh_operator(Z_OBS, DichotomicObservable(np.eye(4)), Z_OBS, X_OBS)
 
+    @pytest.mark.parametrize("d_a,d_b", [(1, 1), (2, 2), (2, 3), (4, 2), (5, 8)])
+    def test_matches_kron_bytes(self, d_a, d_b):
+        rng = np.random.default_rng(10 * d_a + d_b)
+        a0, a1 = random_observable(d_a, rng), random_observable(d_a, rng)
+        b0, b1 = random_observable(d_b, rng), random_observable(d_b, rng)
+        expected = np.kron(a0.matrix, b0.matrix + b1.matrix) + np.kron(a1.matrix, b0.matrix - b1.matrix)
+        got = chsh_operator(a0, a1, b0, b1)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
 
 class TestBlockChsh:
     def test_single_qubit_parties(self):
@@ -276,6 +286,31 @@ class TestBlockChsh:
             )
             for pair in structure.pairs:
                 assert 2.0 - 1e-9 <= pair.alpha <= TSIRELSON + 1e-9
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_matches_reference_loop(self, case):
+        # every size class: 1x1 blocks only, 2x2 only, mixed, odd dimensions,
+        # and planted pairs at pi/2, where alpha snaps to 2*sqrt(2)
+        rng = np.random.default_rng(900 + case)
+        layouts = [
+            (((1, 1), (1, -1)), ()), ((), (0.7, 1.1)), (((-1, 1),), (0.4,)), (((1, 1), (-1, -1)), (1.3, 1.3)),
+            ((), (math.pi / 2,)), (((1, -1),), (math.pi / 2, math.pi / 2)),
+        ]
+        if case < 6:
+            a0, a1 = planted_layout(*layouts[case], rng=rng)
+            b0, b1 = planted_layout(*layouts[(case + 1) % 6], rng=rng)
+        else:
+            d_a, d_b = (2, 2, 3, 4, 5, 8)[case - 6], (3, 4, 2, 4, 6, 8)[case - 6]
+            a0, a1 = random_observable(d_a, rng), random_observable(d_a, rng)
+            b0, b1 = random_observable(d_b, rng), random_observable(d_b, rng)
+        a_blocks, b_blocks = jordan_blocks(a0, a1), jordan_blocks(b0, b1)
+        structure = block_chsh(a_blocks, b_blocks)
+        pairs, lam = reference_block_chsh(a_blocks, b_blocks)
+        assert len(structure.pairs) == len(pairs)
+        for got, (row, col, operator, alpha) in zip(structure.pairs, pairs):
+            assert (got.row, got.col, repr(got.alpha)) == (row, col, repr(alpha))
+            assert got.operator.shape == operator.shape and got.operator.tobytes() == operator.tobytes()
+        assert repr(structure.lam) == repr(lam)
 
     def test_scalar_blocks_pin_alpha_to_classical(self):
         structure = block_chsh(jordan_blocks(Z_OBS, Z_OBS), jordan_blocks(Z_OBS, Z_OBS))

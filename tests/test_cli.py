@@ -8,14 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapcert import ideal_scenario
 from swapcert.cli import main
-from swapcert.protocol import MAX_N_PER_SETTING
-from swapcert.serialize import json_dumps, matrix_to_json, scenario_to_json
+from swapcert.protocol import MAX_N_PER_SETTING, estimate_report, sample_counts
+from swapcert.serialize import counts_to_csv, json_dumps, matrix_to_json, report_to_json, scenario_to_json
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
@@ -518,6 +519,12 @@ def _mutate(obj, mutation):
     elif kind == "bits":
         z, field, value = args
         obj["charlie12"][z][field] = value
+    elif kind == "set":
+        path, value = args
+        at(path[:-1])[path[-1]] = copy.deepcopy(value)  # never share a drawn value between examples
+    elif kind == "drop":
+        path, = args
+        del at(path[:-1])[path[-1]]
     else:  # the number of projectors: truncated, or padded with repeats of the first
         path, count = args
         projectors = at(path)["projectors"]
@@ -538,6 +545,123 @@ def test_mutated_scenario_file_never_crashes(tmp_path_factory, mutations):
         code = main(["sample", "--scenario", str(path), "--n-per-setting", "5", "--seed", "1"])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+
+
+def _run_fuzzed(command, path, *flags):
+    """Run ``main`` on one fuzzed input file: a verdict or a clean error, never a crash."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), *flags])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.sampled_from([2**70, -(2**70)]), st.floats(),
+    st.text(max_size=3), st.lists(st.floats(-5, 5), max_size=5), st.builds(dict),
+)
+CERTIFY_FLAGS = st.sampled_from([(), ("--tol-sigma", "3"), ("--tol", "0.01"), ("--format", "csv")])
+
+IDEAL_COUNTS_CSV = counts_to_csv(sample_counts(ideal_scenario(), 50, 1))
+COUNTS_FIELDS = st.one_of(
+    st.sampled_from(["", "x", "1.5", " 1", "+1", "01", "nan", "1e3", "-0", "5", '"1"',
+                     str(2**63 - 1), str(2**63)]),
+    st.integers(-10, 10**20).map(str),
+)
+COUNTS_MUTATIONS = st.one_of(
+    st.tuples(st.just("field"), st.integers(0, 192), st.integers(0, 6), COUNTS_FIELDS),
+    st.tuples(st.just("drop"), st.integers(0, 192)),
+    st.tuples(st.just("dup"), st.integers(0, 192)),
+    st.tuples(st.just("blank"), st.integers(0, 192)),
+    st.tuples(st.just("fields"), st.integers(0, 192), st.integers(0, 9)),
+)
+
+
+def _mutate_counts(lines, mutation):
+    kind, index, *args = mutation
+    index %= len(lines)
+    if kind == "field":
+        field, value = args
+        cells = lines[index].split(",")
+        cells[field % len(cells)] = value
+        lines[index] = ",".join(cells)
+    elif kind == "drop":
+        del lines[index]
+    elif kind == "dup":
+        lines.insert(index, lines[index])
+    elif kind == "blank":
+        lines.insert(index, "")
+    else:  # the number of fields: truncated, or padded with repeats of the last
+        count, = args
+        cells = lines[index].split(",")
+        lines[index] = ",".join((cells + cells[-1:] * 9)[:count])
+
+
+@given(st.lists(COUNTS_MUTATIONS, min_size=1, max_size=3), CERTIFY_FLAGS)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_counts_file_never_crashes(tmp_path_factory, mutations, flags):
+    lines = IDEAL_COUNTS_CSV.splitlines()
+    for mutation in mutations:
+        if lines:
+            _mutate_counts(lines, mutation)
+    path = tmp_path_factory.mktemp("fuzz") / "counts.csv"
+    path.write_text("\n".join(lines) + "\n")
+    _run_fuzzed("certify", path, *flags)
+
+
+IDEAL_REPORT_JSON = json.loads(json_dumps(report_to_json(estimate_report(sample_counts(ideal_scenario(), 500, 2)))))
+REPORT_PATHS = ([(key,) for key in ("s_ac", "s_bc", "s_ab_given_c", "outcome_probs", "relabeling", "stderr")]
+                + [(key, k) for key in ("s_ab_given_c", "outcome_probs", "relabeling") for k in range(5)]
+                + [("stderr", key) for key in ("s_ac", "s_bc", "s_ab_given_c")]
+                + [("stderr", "s_ab_given_c", k) for k in range(4)])
+REPORT_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(REPORT_PATHS), JSON_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(REPORT_PATHS)),
+)
+
+
+@given(st.lists(REPORT_MUTATIONS, min_size=1, max_size=3), CERTIFY_FLAGS)
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_report_file_never_crashes(tmp_path_factory, mutations, flags):
+    obj = copy.deepcopy(IDEAL_REPORT_JSON)
+    for mutation in mutations:
+        with contextlib.suppress(LookupError, TypeError):  # an earlier mutation removed the target
+            _mutate(obj, mutation)
+    path = tmp_path_factory.mktemp("fuzz") / "report.json"
+    path.write_text(json.dumps(obj))
+    _run_fuzzed("certify", path, *flags)
+
+
+SETTINGS_KEYS = ("a0", "a1", "b0", "b1")
+SETTINGS_JSON = {key: matrix_to_json(obs.matrix)
+                 for key, obs in zip(SETTINGS_KEYS, (*ideal_scenario().alice, *ideal_scenario().bob))}
+SETTINGS_MUTATIONS = st.one_of(
+    st.tuples(st.just("entry"), st.sampled_from(SETTINGS_KEYS).map(lambda k: (k,)), st.integers(0, 15),
+              st.integers(0, 1), ENTRY_VALUES),
+    st.tuples(st.just("nudge"), st.sampled_from(SETTINGS_KEYS).map(lambda k: (k,)), st.integers(0, 15),
+              st.integers(0, 1), st.floats(-1e-5, 1e-5)),
+    st.tuples(st.just("shape"), st.sampled_from(SETTINGS_KEYS).map(lambda k: (k,)),
+              st.sampled_from(["rows", "cols"]), st.integers(-1, 5)),
+    st.tuples(st.just("set"), st.sampled_from(SETTINGS_KEYS).map(lambda k: (k,)),
+              st.sampled_from([matrix_to_json(np.eye(1)), matrix_to_json(np.eye(3)), matrix_to_json(np.eye(4)),
+                               matrix_to_json(-np.eye(2)), matrix_to_json(np.zeros((2, 2))), [], "x", None])),
+    st.tuples(st.just("drop"), st.sampled_from([(key,) for key in SETTINGS_KEYS]
+                                               + [(key, field) for key in SETTINGS_KEYS
+                                                  for field in ("rows", "cols", "data")])),
+)
+
+
+@given(st.lists(SETTINGS_MUTATIONS, min_size=1, max_size=3))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_mutated_settings_file_never_crashes(tmp_path_factory, mutations):
+    obj = copy.deepcopy(SETTINGS_JSON)
+    for mutation in mutations:
+        with contextlib.suppress(LookupError, TypeError):  # an earlier mutation removed the target
+            _mutate(obj, mutation)
+    path = tmp_path_factory.mktemp("fuzz") / "settings.json"
+    path.write_text(json.dumps(obj))
+    _run_fuzzed("decompose", path)
+    _run_fuzzed("sep-bound", path, "--restarts", "2", "--iters", "5", "--seed", "1")
 
 
 @pytest.mark.parametrize("field,value", [("rows", 2.0), ("rows", 1.9), ("cols", "2"), ("cols", True)])

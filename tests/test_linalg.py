@@ -15,6 +15,7 @@ from swapcert import (
     ptrace_array,
     tensor,
 )
+from swapcert.linalg import hermitian_deviation
 from support import I2, X, Z, kron_all, ptrace_loops
 
 
@@ -163,6 +164,35 @@ class TestEigHermitian:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestHermitianDeviation:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (16, 16), (64, 64), (4, 2, 2), (6, 5, 5), (2, 3, 4, 4)])
+    def test_matches_strided_difference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mat = mat + mat.conj().swapaxes(-1, -2) + 1e-7 * rng.normal(size=shape)
+        expected = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)), axis=(-2, -1))
+        got = hermitian_deviation(mat)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "1x1", "real", "read-only"])
+    def test_input_untouched(self, layout):
+        rng = np.random.default_rng(3)
+        mat = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        if layout == "F":
+            mat = np.asfortranarray(mat)  # its transpose is C-contiguous already
+        elif layout == "1x1":
+            mat = np.array([[1.0 + 2.0j]])
+        elif layout == "real":
+            mat = mat.real.copy()
+        elif layout == "read-only":
+            mat.setflags(write=False)
+        before = mat.copy()
+        value = hermitian_deviation(mat)
+        np.testing.assert_array_equal(mat, before)
+        assert value == np.max(np.abs(before - before.conj().T))
 
 
 class TestOverlap:

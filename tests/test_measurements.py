@@ -21,6 +21,9 @@ from support import (
     Z,
     haar_unitary,
     kron_all,
+    random_binned,
+    random_observable,
+    reference_perturbed_bell_measurement,
     reference_validate_projectors,
     rotated_bell_measurement,
 )
@@ -111,6 +114,13 @@ class TestBellMeasurement:
         for p, q in zip(ideal.projectors, perturbed.projectors):
             np.testing.assert_allclose(p, q, atol=1e-12)
 
+    def test_built_once_and_read_only(self):
+        meas = bell_measurement()
+        assert bell_measurement() is meas
+        for proj in meas.projectors:
+            with pytest.raises(ValueError):
+                proj[0, 0] = 0.0
+
 
 class TestPerturbedBellMeasurement:
     def test_quarter_turn_swaps_pair(self):
@@ -138,6 +148,16 @@ class TestPerturbedBellMeasurement:
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("pair", [1, 2])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 4, -math.pi / 4, math.pi, 1e-12])
+    def test_matches_reference_bytes(self, theta, pair):
+        meas = perturbed_bell_measurement(theta, pair=pair)
+        expected = reference_perturbed_bell_measurement(theta, pair)
+        for p, q in zip(meas.projectors, expected.projectors):
+            assert p.dtype == q.dtype and p.shape == q.shape
+            assert p.tobytes() == q.tobytes()
+        assert meas.projector_stack.tobytes() == expected.projector_stack.tobytes()
+
     def test_always_valid(self):
         for theta in np.linspace(0, math.pi, 7):
             perturbed_bell_measurement(float(theta), pair=2).validate()
@@ -150,6 +170,52 @@ class TestPerturbedBellMeasurement:
     def test_non_finite_theta(self, theta):
         with pytest.raises(ValidationError, match="theta"):
             perturbed_bell_measurement(theta)
+
+
+def _observables():
+    rng = np.random.default_rng(17)
+    return [qubit_observable((0.0, 0.0, 1.0)), qubit_observable((0.6, 0.0, 0.8)),
+            *(random_observable(d, rng) for d in (1, 2, 3, 5))]
+
+
+def _measurements():
+    rng = np.random.default_rng(18)
+    return [bell_measurement(), perturbed_bell_measurement(0.3, pair=2), rotated_bell_measurement(rng),
+            charlie_settings_ideal()[0].base,
+            random_binned((2, 3), rng).base, random_binned((3, 3), rng).base]
+
+
+class TestProjectorStacks:
+    @pytest.mark.parametrize("k", range(6))
+    def test_observable_stack(self, k):
+        obs = _observables()[k]
+        stack = obs.projector_stack
+        assert obs.projector_stack is stack
+        assert stack.shape == (2, obs.dim, obs.dim)
+        expected = np.array(obs.projectors())
+        assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_measurement_stack(self, k):
+        meas = _measurements()[k]
+        stack = meas.projector_stack
+        assert meas.projector_stack is stack
+        assert stack.shape == (4, meas.dim, meas.dim)
+        expected = np.array(meas.projectors)
+        assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0.0
+
+    def test_shared_ideal_settings_keep_their_stacks(self):
+        from swapcert import noisy_scenario
+
+        first, second = noisy_scenario(0.9, 0.8, 0.2), noisy_scenario(0.5, 1.0, -1.0)
+        for a, b in zip((*first.alice, *first.bob), (*second.alice, *second.bob)):
+            assert a.projector_stack is b.projector_stack
+        for a, b in zip(first.charlie12, second.charlie12):
+            assert a.base.projector_stack is b.base.projector_stack
 
 
 class TestProductMeasurement:

@@ -18,13 +18,15 @@ from swapcert.serialize import (
     matrix_to_json,
     measurement_from_json,
     measurement_to_json,
+    observable_from_json,
+    observable_to_json,
     report_from_json,
     report_to_json,
     round9,
     scenario_from_json,
     scenario_to_json,
 )
-from support import reference_counts_from_csv
+from support import random_observable, reference_counts_from_csv
 
 
 class TestMatrixFormat:
@@ -88,6 +90,44 @@ class TestMeasurementFormat:
         obj = measurement_to_json(bell_measurement())
         with pytest.raises(ValidationError):
             binned_from_json(obj)
+
+
+class TestObservableFormat:
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_nine_digit_round_trip_loads(self, dim, seed):
+        obs = random_observable(dim, np.random.default_rng(seed))
+        recovered = observable_from_json(json.loads(json_dumps(observable_to_json(obs))))
+        assert np.max(np.abs(recovered.matrix - obs.matrix)) <= 1e-8
+
+    def test_passing_matrix_loads_unchanged(self):
+        rng = np.random.default_rng(5)
+        for obs in (*ideal_scenario().alice, *ideal_scenario().bob, random_observable(6, rng)):
+            obj = observable_to_json(obs)
+            assert observable_from_json(obj).matrix.tobytes() == matrix_from_json(obj).tobytes()
+
+    @pytest.mark.parametrize("kind,message", [
+        ("off-hermitian", "observable is not Hermitian within tolerance"),
+        ("scaled", "observable does not square to the identity within tolerance"),
+        # within the snap tolerance of Hermitian but not of involutive: the
+        # default-tolerance checks fail on Hermiticity first, and that error stands
+        ("both", "observable is not Hermitian within tolerance"),
+        ("non-square", "observable must be square"),
+    ])
+    def test_beyond_snap_tolerance_keeps_message(self, kind, message):
+        mat = random_observable(4, np.random.default_rng(8)).matrix.copy()
+        if kind == "off-hermitian":
+            mat[0, 1] += 1e-5
+        elif kind == "scaled":
+            mat *= 1.0 + 1e-5
+        elif kind == "both":
+            mat *= 1.0 + 1e-3
+            mat[0, 1] += 5e-7
+        else:
+            mat = mat[:, :3]
+        with pytest.raises(ValidationError) as excinfo:
+            observable_from_json(matrix_to_json(mat))
+        assert str(excinfo.value) == message
 
 
 class TestScenarioFormat:
