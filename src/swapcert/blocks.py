@@ -17,7 +17,15 @@ import numpy as np
 
 from . import certify, protocol
 from .certify import SQRT2, TSIRELSON
-from .linalg import DensityMatrix, PureState, ValidationError, _as_matrix, _checked_int, hermitian_deviation
+from .linalg import (
+    DensityMatrix,
+    PureState,
+    ValidationError,
+    _as_matrix,
+    _checked_int,
+    hermitian_deviation,
+    seeded_generator,
+)
 from .measurements import DichotomicObservable, FourOutcomeMeasurement
 
 # Eigenphases of the product A0*A1 closer than this are grouped together. A
@@ -318,10 +326,8 @@ def sep_bound_oracle(
         outer = vecs.conj()[:, :, None] * vecs[:, None, :]
         return (outer.reshape(len(vecs), -1) @ op).reshape(-1, side, side)
 
-    b_vecs = np.empty((restarts, d_b), dtype=complex)
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, restart])
-        b_vecs[restart] = rng.normal(size=d_b) + 1j * rng.normal(size=d_b)
+    starts = np.array([seeded_generator(seed, restart).normal(size=(2, d_b)) for restart in range(restarts)])
+    b_vecs = starts[:, 0] + 1j * starts[:, 1]
     b_vecs /= np.linalg.norm(b_vecs, axis=1, keepdims=True)
     a_vecs = np.empty((restarts, d_a), dtype=complex)
     values = np.full(restarts, -math.inf)

@@ -44,9 +44,12 @@ class DichotomicObservable:
         mat = np.array(_as_matrix(self.matrix, "observable"))
         if mat.shape[0] != mat.shape[1]:
             raise ValidationError("observable must be square")
-        if hermitian_deviation(mat) > tol:
+        with np.errstate(all="ignore"):  # an overflow shows up as an inf or NaN deviation
+            herm = hermitian_deviation(mat)
+            invol = np.max(np.abs(mat @ mat - np.eye(mat.shape[0])))
+        if not herm <= tol:  # NaN fails too
             raise ValidationError("observable is not Hermitian within tolerance")
-        if np.max(np.abs(mat @ mat - np.eye(mat.shape[0]))) > tol:
+        if not invol <= tol:
             raise ValidationError("observable does not square to the identity within tolerance")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -140,19 +143,19 @@ class FourOutcomeMeasurement:
         lexicographic order, then completeness.
         """
         stack = self.projector_stack
-        with np.errstate(all="ignore"):  # an overflow shows up as an inf deviation
+        with np.errstate(all="ignore"):  # an overflow shows up as an inf or NaN deviation
             herm = hermitian_deviation(stack)
             idem = np.max(np.abs(stack @ stack - stack), axis=(1, 2))
             overlap = np.max(np.abs(stack[_PAIRS_I] @ stack[_PAIRS_J]), axis=(1, 2))
             total = stack[0] + stack[1] + stack[2] + stack[3]
-            incomplete = np.max(np.abs(total - np.eye(self.dim))) > tol
-        for k in range(4):
-            if herm[k] > tol:
+            incomplete = not np.max(np.abs(total - np.eye(self.dim))) <= tol
+        for k in range(4):  # "not <=" so that NaN fails too
+            if not herm[k] <= tol:
                 raise ValidationError(f"projector {k + 1} is not Hermitian within tolerance")
-            if idem[k] > tol:
+            if not idem[k] <= tol:
                 raise ValidationError(f"projector {k + 1} is not idempotent within tolerance")
         for i, j, value in zip(_PAIRS_I, _PAIRS_J, overlap):
-            if value > tol:
+            if not value <= tol:
                 raise ValidationError(f"projectors {i + 1} and {j + 1} are not orthogonal")
         if incomplete:
             raise ValidationError("projectors do not sum to the identity within tolerance")

@@ -22,6 +22,7 @@ from .linalg import (
     ValidationError,
     _checked_int,
     ptrace_array,
+    seeded_generator,
     tensor,
 )
 from .measurements import (
@@ -388,14 +389,31 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
     if _checked_int(seed, "seed") < 0:
         raise ValidationError("seed must be a nonnegative integer")
     tables = np.clip(born_tables(sc), 0.0, None).reshape(2, 2, 3, 16)
+    tables = tables / tables.sum(axis=-1, keepdims=True)
     counts = np.empty((2, 2, 3, 16), dtype=np.int64)
     for x in (1, 2):
         for y in (1, 2):
             for z in (1, 2, 3):
-                table = tables[x - 1, y - 1, z - 1]
-                rng = np.random.default_rng([seed, x, y, z])
-                counts[x - 1, y - 1, z - 1] = rng.multinomial(n_per_setting, table / table.sum())
+                rng = seeded_generator(seed, x, y, z)
+                counts[x - 1, y - 1, z - 1] = rng.multinomial(n_per_setting, tables[x - 1, y - 1, z - 1])
     return CountsTable(counts.reshape(2, 2, 3, 2, 2, 4), n_per_setting)
+
+
+def _stacked_bits(bit_maps: tuple[tuple[Sequence[int], Sequence[int]], ...]) -> np.ndarray:
+    """The bit maps of middle-party settings 1 and 2, checked, laid out like :func:`_bit_maps`."""
+    try:
+        well_formed = len(bit_maps) == 2 and all(len(pair) == 2 for pair in bit_maps)
+    except TypeError:
+        well_formed = False
+    if not well_formed:
+        raise ValidationError("bit_maps must give (bit_for_a, bit_for_b) for middle-party settings 1 and 2")
+    return np.array([[checked_bits(b, f"setting {z + 1} bit_for_{side}") for side, b in zip("ab", pair)]
+                     for z, pair in enumerate(bit_maps)], dtype=float)
+
+
+# The canonical binning of the ideal protocol for both settings, checked once and shared read-only.
+_CANONICAL_BITS = _stacked_bits(((CANONICAL_BIT_FOR_A, CANONICAL_BIT_FOR_B),) * 2)
+_CANONICAL_BITS.setflags(write=False)
 
 
 def estimate_report(
@@ -411,16 +429,7 @@ def estimate_report(
     values are not forced under the quantum ceiling. Every bit must be -1 or
     +1, as for :class:`BinnedMeasurement`.
     """
-    if bit_maps is None:
-        bit_maps = ((CANONICAL_BIT_FOR_A, CANONICAL_BIT_FOR_B),) * 2
-    try:
-        well_formed = len(bit_maps) == 2 and all(len(pair) == 2 for pair in bit_maps)
-    except TypeError:
-        well_formed = False
-    if not well_formed:
-        raise ValidationError("bit_maps must give (bit_for_a, bit_for_b) for middle-party settings 1 and 2")
-    bits = np.array([[checked_bits(b, f"setting {z + 1} bit_for_{side}") for side, b in zip("ab", pair)]
-                     for z, pair in enumerate(bit_maps)], dtype=float)
+    bits = _CANONICAL_BITS if bit_maps is None else _stacked_bits(bit_maps)
     totals = counts.counts.sum(axis=(3, 4, 5))
     if np.any(totals <= 0):
         x, y, z = np.argwhere(totals <= 0)[0] + 1

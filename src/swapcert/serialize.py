@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import re
 from typing import Any, Sequence
 
 import numpy as np
@@ -126,11 +127,26 @@ def measurement_to_json(meas: FourOutcomeMeasurement) -> dict:
     }
 
 
+# A matrix written at 9 significant digits reads back a few 1e-9 off the
+# checks of an observable or a measurement; up to this far off, it is snapped
+# back on load.
+SNAP_TOL = 1e-6
+
+
 def measurement_from_json(obj: Any, name: str = "measurement") -> FourOutcomeMeasurement:
+    """Parse a measurement, snapping one that :func:`json_dumps` rounded back onto a projective one.
+
+    Projectors that pass the checks of :class:`FourOutcomeMeasurement` at
+    their default tolerance load unchanged. Ones that fail them but pass them
+    at ``SNAP_TOL`` are replaced by the eigenprojectors of the Hermitian part
+    of sum_k k * P_k, each eigenvector going to the outcome k nearest its
+    eigenvalue; the result is checked again. Anything further off raises the
+    error of the default-tolerance checks.
+    """
     if not isinstance(obj, dict) or "projectors" not in obj:
         raise ValidationError(f"{name}: expected object with 'projectors'")
     projectors = _json_list(obj["projectors"], f"{name} projectors")
-    projs = [matrix_from_json(p, f"{name} projector {k + 1}") for k, p in enumerate(projectors)]
+    projs = tuple(matrix_from_json(p, f"{name} projector {k + 1}") for k, p in enumerate(projectors))
     if "dims" in obj:
         dims = _dims(obj["dims"], f"{name} dims", 2)
     else:
@@ -139,7 +155,17 @@ def measurement_from_json(obj: Any, name: str = "measurement") -> FourOutcomeMea
         if root * root != side:
             raise ValidationError(f"{name}: cannot infer dims for side {side}; provide 'dims'")
         dims = (root, root)
-    return FourOutcomeMeasurement(tuple(projs), dims)
+    try:
+        return FourOutcomeMeasurement(projs, dims)
+    except ValidationError as exc:
+        try:
+            FourOutcomeMeasurement(projs, dims, SNAP_TOL)
+        except ValidationError:
+            raise exc from None
+    labeled = sum(k * p for k, p in enumerate(projs, start=1))
+    w, v = np.linalg.eigh((labeled + labeled.conj().T) / 2.0)
+    outcome = np.clip(np.rint(w), 1, 4)
+    return FourOutcomeMeasurement(tuple((v * (outcome == k)) @ v.conj().T for k in (1, 2, 3, 4)), dims)
 
 
 def binned_to_json(binned: BinnedMeasurement) -> dict:
@@ -162,27 +188,21 @@ def observable_to_json(obs: DichotomicObservable) -> dict:
     return matrix_to_json(obs.matrix)
 
 
-# An observable written at 9 significant digits reads back a few 1e-9 off
-# Hermitian and involutive; up to this far off, it is snapped back on load.
-OBSERVABLE_SNAP_TOL = 1e-6
-
-
 def observable_from_json(obj: Any, name: str = "observable") -> DichotomicObservable:
     """Parse an observable, snapping one that :func:`json_dumps` rounded back onto a +/-1 observable.
 
     A matrix that passes the checks of :class:`DichotomicObservable` at their
     default tolerance loads unchanged. One that fails them but passes them at
-    ``OBSERVABLE_SNAP_TOL`` is replaced by sign(H) of its Hermitian part H,
-    from ``eigh``: the nearest Hermitian involution. Anything further off
-    raises the error of the default-tolerance checks.
+    ``SNAP_TOL`` is replaced by sign(H) of its Hermitian part H, from
+    ``eigh``: the nearest Hermitian involution. Anything further off raises
+    the error of the default-tolerance checks.
     """
     mat = matrix_from_json(obj, name)
     try:
         return DichotomicObservable(mat)
     except ValidationError as exc:
         try:
-            with np.errstate(all="ignore"):  # the first checks have already warned of any overflow
-                DichotomicObservable(mat, OBSERVABLE_SNAP_TOL)
+            DichotomicObservable(mat, SNAP_TOL)
         except ValidationError:
             raise exc from None
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
@@ -344,28 +364,50 @@ _COUNTS_ROW_PREFIXES = tuple(
 _COUNTS_CELL_INDEX = {tuple(prefix.split(",")[:6]): k for k, prefix in enumerate(_COUNTS_ROW_PREFIXES)}
 _CELLS_PER_TRIPLE = 16
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_COUNTS_HEADER_LINE = ",".join(COUNTS_HEADER)
+# The 192 counts of a file in the writer's layout, joined by commas: each one
+# ASCII digits without a leading zero, at most 18 of them, so below 10**18 and
+# within int64. Handed to ``re``, whose cache compiles it on first use.
+_WRITER_COUNTS = r"(?:0|[1-9][0-9]{0,17})(?:,(?:0|[1-9][0-9]{0,17})){191}"
 
 
 def counts_to_csv(table: CountsTable) -> str:
     """All cells of a counts table, zeros included, in fixed row order."""
     counts = table.counts.reshape(-1).tolist()
-    return ",".join(COUNTS_HEADER) + "\n" + "".join(f"{p}{n}\n" for p, n in zip(_COUNTS_ROW_PREFIXES, counts))
+    return _COUNTS_HEADER_LINE + "\n" + "".join(f"{p}{n}\n" for p, n in zip(_COUNTS_ROW_PREFIXES, counts))
 
 
-def counts_from_csv(text: str) -> CountsTable:
-    """Parse a counts CSV; malformed rows are reported with their line number.
+def _writer_counts(text: str) -> np.ndarray | None:
+    """The 192 counts of ``text``, flat in cell order, if it is laid out exactly as :func:`counts_to_csv` writes.
 
-    Rows are read by :mod:`csv`, so quoting, CRLF line ends and blank lines
-    are handled there. A row's first six fields are looked up, as a tuple of
-    strings, among the 192 canonical spellings the writer uses (``1,1,1,-1,1,4``).
-    Only a row that misses goes through ``int()`` on each field and the range
-    checks, so other spellings such as ``+1``, ``01`` or a leading space are
-    accepted. The count always goes through ``int()``. Within a line the
-    checks fire in this order: 7 fields, every field an integer, setting in
-    range, outcome in range, count nonnegative, count within int64; the first
-    bad line is reported. Rows that name the same cell add up. Then the grand
-    total must fit in int64, every setting triple must have a row and every
-    triple a positive total.
+    That layout is the header, then each cell's canonical prefix and count in
+    the writer's row order, every line ended by ``\\n``. Any other text gives
+    None, also a count of 19 digits or more.
+    """
+    lines = text.split("\n", len(_COUNTS_ROW_PREFIXES) + 1)
+    if len(lines) != len(_COUNTS_ROW_PREFIXES) + 2 or lines[0] != _COUNTS_HEADER_LINE or lines[-1]:
+        return None
+    rows = lines[1:-1]
+    if not all(map(str.startswith, rows, _COUNTS_ROW_PREFIXES)):
+        return None
+    fields = ",".join(map(str.removeprefix, rows, _COUNTS_ROW_PREFIXES))
+    if not re.fullmatch(_WRITER_COUNTS, fields):
+        return None
+    return np.fromstring(fields, dtype=np.int64, sep=",")
+
+
+def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The counts of a counts CSV and the flat cell index of each, row by row through :mod:`csv`.
+
+    Quoting, CRLF line ends and blank lines are handled by :mod:`csv`. A row's
+    first six fields are looked up, as a tuple of strings, among the 192
+    canonical spellings the writer uses (``1,1,1,-1,1,4``). Only a row that
+    misses goes through ``int()`` on each field and the range checks, so other
+    spellings such as ``+1``, ``01`` or a leading space are accepted. The count
+    always goes through ``int()``. Within a line the checks fire in this
+    order: 7 fields, every field an integer, setting in range, outcome in
+    range, count nonnegative, count within int64; the first bad line is
+    reported.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -373,7 +415,7 @@ def counts_from_csv(text: str) -> CountsTable:
     except StopIteration:
         raise ValidationError("counts CSV is empty") from None
     if [h.strip() for h in header] != COUNTS_HEADER:
-        raise ValidationError(f"line 1: expected header {','.join(COUNTS_HEADER)}")
+        raise ValidationError(f"line 1: expected header {_COUNTS_HEADER_LINE}")
     cells: list[int] = []
     values: list[int] = []
     for lineno, row in enumerate(reader, start=2):
@@ -402,23 +444,39 @@ def counts_from_csv(text: str) -> CountsTable:
             raise ValidationError(f"line {lineno}: count {n} does not fit in int64")
         cells.append(cell)
         values.append(n)
-    if sum(values) > _INT64_MAX:
+    return np.array(values, dtype=np.int64), np.array(cells, dtype=np.intp)
+
+
+def counts_from_csv(text: str) -> CountsTable:
+    """Parse a counts CSV; malformed rows are reported with their line number.
+
+    Text laid out exactly as :func:`counts_to_csv` writes it is read in one
+    match (:func:`_writer_counts`); any other text row by row
+    (:func:`_read_rows`), which names the first bad line. Both end in the same
+    checks: the grand total must fit in int64, every setting triple must have
+    a row and every triple a positive total.
+    """
+    values, cells = _writer_counts(text), None
+    if values is None:
+        values, cells = _read_rows(text)
+    if sum(values.tolist()) > _INT64_MAX:
         raise ValidationError("total count does not fit in int64")
-    cells_arr = np.array(cells, dtype=np.intp)
-    counts = np.zeros(len(_COUNTS_ROW_PREFIXES), dtype=np.int64)
-    np.add.at(counts, cells_arr, np.array(values, dtype=np.int64))
-    counts = counts.reshape(2, 2, 3, 2, 2, 4)
-    seen = np.bincount(cells_arr // _CELLS_PER_TRIPLE, minlength=12).reshape(2, 2, 3) > 0
-    missing = np.argwhere(~seen)
-    if missing.size:
-        x, y, z = missing[0] + 1
-        raise ValidationError(f"empty cells: no rows for setting triple ({x},{y},{z})")
+    if cells is None:  # every cell once, in order
+        counts = values.reshape(2, 2, 3, 2, 2, 4)
+    else:  # rows that name the same cell add up
+        counts = np.zeros(len(_COUNTS_ROW_PREFIXES), dtype=np.int64)
+        np.add.at(counts, cells, values)
+        counts = counts.reshape(2, 2, 3, 2, 2, 4)
+        seen = np.bincount(cells // _CELLS_PER_TRIPLE, minlength=12).reshape(2, 2, 3) > 0
+        missing = np.argwhere(~seen)
+        if missing.size:
+            x, y, z = missing[0] + 1
+            raise ValidationError(f"empty cells: no rows for setting triple ({x},{y},{z})")
     totals = counts.sum(axis=(3, 4, 5))
     if np.any(totals <= 0):
         x, y, z = np.argwhere(totals <= 0)[0] + 1
         raise ValidationError(f"empty cells: zero total count for setting triple ({x},{y},{z})")
-    n_per_setting = int(totals.max())
-    return CountsTable(counts, n_per_setting)
+    return CountsTable(counts, int(totals.max()))
 
 
 def bounds_curve_csv(rows: Sequence[tuple[float, float, float]]) -> str:

@@ -366,7 +366,8 @@ def reference_sep_bound_oracle(
 def reference_counts_from_csv(text: str) -> CountsTable:
     """Counts CSV parsed row by row: every field through ``int()``, every cell added in place.
 
-    No int64 overflow check: counts are assumed to fit.
+    Each count, and the total of all counts summed as Python integers, must
+    fit in int64.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -377,6 +378,7 @@ def reference_counts_from_csv(text: str) -> CountsTable:
         raise ValidationError("line 1: expected header x,y,z,a,b,c,count")
     counts = np.zeros((2, 2, 3, 2, 2, 4), dtype=np.int64)
     seen = np.zeros((2, 2, 3), dtype=bool)
+    total = 0
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -392,9 +394,15 @@ def reference_counts_from_csv(text: str) -> CountsTable:
             raise ValidationError(f"line {lineno}: outcome ({a},{b},{c}) out of range")
         if n < 0:
             raise ValidationError(f"line {lineno}: negative count")
+        if n > 2**63 - 1:
+            raise ValidationError(f"line {lineno}: count {n} does not fit in int64")
+        total += n
         ia, ib = (0 if a == 1 else 1), (0 if b == 1 else 1)
-        counts[x - 1, y - 1, z - 1, ia, ib, c - 1] += n
+        if total <= 2**63 - 1:
+            counts[x - 1, y - 1, z - 1, ia, ib, c - 1] += n
         seen[x - 1, y - 1, z - 1] = True
+    if total > 2**63 - 1:
+        raise ValidationError("total count does not fit in int64")
     missing = np.argwhere(~seen)
     if missing.size:
         x, y, z = missing[0] + 1
@@ -404,6 +412,19 @@ def reference_counts_from_csv(text: str) -> CountsTable:
         x, y, z = np.argwhere(totals <= 0)[0] + 1
         raise ValidationError(f"empty cells: zero total count for setting triple ({x},{y},{z})")
     return CountsTable(counts, int(totals.max()))
+
+
+def reference_sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
+    """One multinomial per setting triple, each from ``default_rng([seed, x, y, z])`` over its own table."""
+    tables = np.clip(born_tables(sc), 0.0, None)
+    counts = np.zeros((2, 2, 3, 2, 2, 4), dtype=np.int64)
+    for x in (1, 2):
+        for y in (1, 2):
+            for z in (1, 2, 3):
+                table = tables[x - 1, y - 1, z - 1].reshape(-1)
+                rng = np.random.default_rng([seed, x, y, z])
+                counts[x - 1, y - 1, z - 1] = rng.multinomial(n_per_setting, table / table.sum()).reshape(2, 2, 4)
+    return CountsTable(counts, n_per_setting)
 
 
 def reference_relabel(version_matrix: np.ndarray) -> tuple[tuple[int, int, int, int], tuple[float, ...]]:

@@ -463,6 +463,15 @@ class TestBatchedSeeSaw:
         capped, _ = sep_bound_oracle(beta, dims, iters=1, seed=seed)
         assert abs(capped - reference_sep_bound_oracle(beta, dims, iters=1, seed=seed)[0]) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [2**31, 2**32 - 1, 2**32, 2**40 + 3])
+    def test_large_seeds_match_reference_loop(self, seed):
+        # seeds past 32 bits take the generator's list path, the others its uint32 path
+        beta, dims = oracle_input("generic", 3, 1)
+        for iters in (1, 500):
+            value, _ = sep_bound_oracle(beta, dims, restarts=8, iters=iters, seed=seed)
+            ref_value, _ = reference_sep_bound_oracle(beta, dims, restarts=8, iters=iters, seed=seed)
+            assert abs(value - ref_value) <= 1e-12
+
     @pytest.mark.parametrize("arg,value", [
         ("restarts", 2.5), ("restarts", True), ("iters", 1.5), ("iters", "3"),
         ("seed", 1.5), ("seed", None),

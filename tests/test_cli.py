@@ -186,6 +186,22 @@ class TestSampleAndCertify:
         assert code == 0
         assert out_path.exists()
 
+    def test_sample_from_nine_digit_scenario_with_rotated_joint_measurement(self, capsys, tmp_path):
+        # a Haar-rotated joint measurement written at 9 digits no longer sums to
+        # the identity within 1e-9; it is snapped back on load
+        from dataclasses import replace
+
+        from support import rotated_bell_measurement
+
+        sc_path = tmp_path / "scenario.json"
+        for seed in range(6):
+            sc = replace(ideal_scenario(), charlie3=rotated_bell_measurement(np.random.default_rng(seed)))
+            sc_path.write_text(json_dumps(scenario_to_json(sc)))
+            code, out, err = run(capsys, "sample", "--scenario", str(sc_path),
+                                 "--n-per-setting", "20", "--seed", "1")
+            assert (code, err) == (0, "")
+            assert out.startswith("x,y,z,a,b,c,count\n")
+
     @pytest.mark.parametrize("field,value", [
         (("dims",), "abcd"),
         (("alice",), 5),
@@ -409,6 +425,21 @@ class TestDecompose:
         path.write_text(json.dumps(payload))
         code, _, _ = run(capsys, "decompose", str(path))
         assert code == 3
+
+
+    def test_huge_entry_is_one_validation_line(self, tmp_path):
+        # numpy's overflow warnings would name the source path on stderr
+        payload = json.loads(settings_file(tmp_path).read_text())
+        payload["a0"]["data"][0][0] = 1e200
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "swapcert.cli", "decompose", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "validation error: observable does not square to the identity within tolerance\n"
 
 
 class TestSepBound:

@@ -15,7 +15,7 @@ from swapcert import (
     ptrace_array,
     tensor,
 )
-from swapcert.linalg import hermitian_deviation
+from swapcert.linalg import hermitian_deviation, seeded_generator
 from support import I2, X, Z, kron_all, ptrace_loops
 
 
@@ -263,3 +263,23 @@ class TestPermuteSubsystems:
     def test_invalid_permutation(self):
         with pytest.raises(ValidationError):
             permute_subsystems(np.eye(4), (2, 2), (0, 0))
+
+
+class TestSeededGenerator:
+    @pytest.mark.parametrize("key", [
+        (), (0,), (0, 0, 0, 0), (2**31, 1, 2, 3), (7, 2**32 - 1), (2**32, 1, 1, 1), (5, 2**32),
+        (2**64, 2, 2, 3), (2**40, 0), (np.int64(9), np.uint32(2), 1), (True, 2),
+    ])
+    def test_same_stream_as_default_rng(self, key):
+        got, want = seeded_generator(*key), np.random.default_rng(list(key))
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.integers(0, 2**63, size=16).tolist() == want.integers(0, 2**63, size=16).tolist()
+        assert got.normal(size=(2, 5)).tobytes() == want.normal(size=(2, 5)).tobytes()
+        assert got.multinomial(10**6, [0.25] * 4).tolist() == want.multinomial(10**6, [0.25] * 4).tolist()
+
+    @pytest.mark.parametrize("key,error", [((-1, 1), ValueError), ((1.5,), TypeError), ((2, -(2**40)), ValueError)])
+    def test_invalid_key_fails_like_default_rng(self, key, error):
+        with pytest.raises(error):
+            np.random.default_rng(list(key))
+        with pytest.raises(error):
+            seeded_generator(*key)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,34 @@ class TestValidation:
         p0 = np.outer(basis[0].vector, basis[0].vector.conj())
         with pytest.raises(ValidationError):
             FourOutcomeMeasurement((p0, p0, p0, p0), (2, 2))
+
+    @pytest.mark.parametrize("entries,message", [
+        # the square overflows: an inf deviation
+        ({(0, 0): 1e200}, "observable does not square to the identity within tolerance"),
+        # the complex square is inf - inf: a NaN deviation, which no comparison passes
+        ({(0, 1): 1e155 + 1e155j, (1, 0): 1e155 - 1e155j}, "observable does not square to the identity"),
+        ({(0, 1): 1e200, (1, 0): -1e200}, "observable is not Hermitian within tolerance"),
+    ])
+    def test_huge_observable_rejected_without_warnings(self, entries, message):
+        mat = np.array([[0, 1], [1, 0]], dtype=complex)
+        for index, value in entries.items():
+            mat[index] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                DichotomicObservable(mat)
+
+    def test_nan_deviation_rejected(self):
+        # P and I - P with a huge off-diagonal pair sum to I exactly, but P @ P
+        # is NaN: idempotence must fail rather than pass by comparison with NaN
+        huge = np.zeros((4, 4), dtype=complex)
+        huge[0, 1], huge[1, 0] = 1e155 + 1e155j, 1e155 - 1e155j
+        projs = (huge, np.diag([1.0, 1.0, 0.0, 0.0]) - huge, np.diag([0.0, 0.0, 1.0, 0.0]),
+                 np.diag([0.0, 0.0, 0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="projector 1 is not idempotent"):
+                FourOutcomeMeasurement(projs, (2, 2))
 
     def test_eigenstates_require_rank_one(self):
         z_projs = ((I2 + Z) / 2, (I2 - Z) / 2)

@@ -31,7 +31,7 @@ from swapcert import (
     steered_states,
 )
 from swapcert.linalg import permute_subsystems, tensor
-from swapcert.protocol import MAX_N_PER_SETTING, _two_pair_state
+from swapcert.protocol import _CANONICAL_BITS, MAX_N_PER_SETTING, _two_pair_state
 from swapcert.serialize import counts_from_csv, counts_to_csv
 from support import (
     I2,
@@ -44,6 +44,7 @@ from support import (
     random_scenario,
     reference_estimate_report,
     reference_exact_report,
+    reference_sample_counts,
 )
 
 IDEAL = ideal_scenario()
@@ -346,6 +347,15 @@ class TestSampling:
         assert np.all(table.counts.sum(axis=(3, 4, 5)) == n)
         np.testing.assert_array_equal(sample_counts(sc, n, seed).counts, table.counts)
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**40])
+    def test_matches_default_rng_reference(self, seed):
+        # the uint32 seed path and the list path give the streams of default_rng([seed, x, y, z])
+        rng = np.random.default_rng(6200)
+        scenarios = [IDEAL, noisy_scenario(0.95, 0.97, 0.26), random_scenario(rng, 3, 2), random_scenario(rng)]
+        for sc, n in itertools.product(scenarios, (1, 1000, 10**12)):
+            table = sample_counts(sc, n, seed)
+            assert table.counts.tobytes() == reference_sample_counts(sc, n, seed).counts.tobytes()
+
     def test_pooled_estimates_within_5_sigma_of_exact(self):
         sc = noisy_scenario(0.95, 0.97, 0.26)
         n, seeds = 20_000, range(5)
@@ -486,6 +496,12 @@ class TestEstimateReport:
         counts[0, 0, 0] = 0
         with pytest.raises(ValidationError):
             estimate_report(CountsTable(counts, 100))
+
+    def test_default_bit_maps_are_built_once(self):
+        assert not _CANONICAL_BITS.flags.writeable
+        table = sample_counts(noisy_scenario(0.9, 0.95, 0.3), 500, seed=5)
+        canonical = (((1, 1, -1, -1), (1, -1, 1, -1)),) * 2
+        assert repr(estimate_report(table)) == repr(estimate_report(table, canonical))
 
     @pytest.mark.parametrize("bit_maps", [
         (((0, 0, 0, 0), (2, 2, 2, 2)),) * 2,

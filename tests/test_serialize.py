@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from swapcert import CountsTable, ValidationError, bell_measurement, ideal_scenario, noisy_scenario
 from swapcert.protocol import exact_report, sample_counts
 from swapcert.serialize import (
+    SNAP_TOL,
+    _writer_counts,
     binned_from_json,
     binned_to_json,
     counts_from_csv,
@@ -26,7 +28,7 @@ from swapcert.serialize import (
     scenario_from_json,
     scenario_to_json,
 )
-from support import random_observable, reference_counts_from_csv
+from support import random_binned, random_observable, reference_counts_from_csv, rotated_bell_measurement
 
 
 class TestMatrixFormat:
@@ -90,6 +92,68 @@ class TestMeasurementFormat:
         obj = measurement_to_json(bell_measurement())
         with pytest.raises(ValidationError):
             binned_from_json(obj)
+
+    @given(st.sampled_from(["bell", (3, 3), (4, 4)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_nine_digit_round_trip_loads(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        meas = rotated_bell_measurement(rng) if kind == "bell" else random_binned(kind, rng).base
+        recovered = measurement_from_json(json.loads(json_dumps(measurement_to_json(meas))))
+        assert recovered.dims == meas.dims
+        assert max(np.max(np.abs(p - q)) for p, q in zip(recovered.projectors, meas.projectors)) <= 1e-8
+
+    def test_passing_measurement_loads_unchanged(self):
+        rng = np.random.default_rng(6)
+        for meas in (bell_measurement(), ideal_scenario().charlie3, ideal_scenario().charlie12[1].base,
+                     rotated_bell_measurement(rng), random_binned((3, 3), rng).base):
+            obj = measurement_to_json(meas)
+            recovered = measurement_from_json(obj)
+            for k, proj in enumerate(recovered.projectors):
+                assert proj.tobytes() == matrix_from_json(obj["projectors"][k]).tobytes()
+
+    @pytest.mark.parametrize("kind,message", [
+        ("off-hermitian", "projector 2 is not Hermitian within tolerance"),
+        ("scaled", "projector 1 is not idempotent within tolerance"),
+        ("overlap", "projectors 1 and 2 are not orthogonal"),
+        # within the snap tolerance of Hermitian but not of idempotent: the
+        # default-tolerance checks fail on Hermiticity first, and that error stands
+        ("both", "projector 1 is not Hermitian within tolerance"),
+        ("three", "expected 4 projectors, got 3"),
+    ])
+    def test_beyond_snap_tolerance_keeps_message(self, kind, message):
+        meas = rotated_bell_measurement(np.random.default_rng(8))
+        projs = [p.copy() for p in meas.projectors]
+        if kind == "off-hermitian":
+            projs[1][0, 1] += 1e-5
+        elif kind == "scaled":
+            projs[0] *= 1.0 + 1e-5
+        elif kind == "overlap":
+            first, second = meas.eigenstates()[:2]
+            tilted = (second + 1e-5 * first) / np.linalg.norm(second + 1e-5 * first)
+            projs[1] = np.outer(tilted, tilted.conj())  # still a projector, no longer orthogonal to the first
+        elif kind == "both":
+            projs[0] *= 1.0 + 1e-3
+            projs[0][0, 1] += 5e-7
+        else:
+            projs = projs[:3]
+        obj = {"dims": [2, 2], "projectors": [matrix_to_json(p) for p in projs]}
+        with pytest.raises(ValidationError) as excinfo:
+            measurement_from_json(obj)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("offset,loads", [(0.5 * SNAP_TOL, True), (2 * SNAP_TOL, False)])
+    def test_one_snap_tolerance_for_observables_and_measurements(self, offset, loads):
+        projs = [p.copy() for p in bell_measurement().projectors]
+        projs[0][0, 3] += offset
+        obs = random_observable(4, np.random.default_rng(3)).matrix.copy()
+        obs[0, 3] += offset
+        for parse, obj in ((measurement_from_json, {"projectors": [matrix_to_json(p) for p in projs]}),
+                           (observable_from_json, matrix_to_json(obs))):
+            if loads:
+                parse(obj)
+            else:
+                with pytest.raises(ValidationError, match="not Hermitian"):
+                    parse(obj)
 
 
 class TestObservableFormat:
@@ -500,3 +564,104 @@ class TestCountsOverflow:
         rows += [rows[0][:6] + [str(2**62)], rows[0][:6] + [str(2**62)]]
         with pytest.raises(ValidationError, match="^total count does not fit in int64$"):
             counts_from_csv(render(rows, None, False, False))
+
+
+def writer_layout_rows(rng: np.random.Generator) -> list[list[str]]:
+    """The rows of a random table in the writer's order: zeros, and counts up to 2**62 // 192."""
+    counts = rng.integers(0, 2**62 // 192, size=COUNTS_SHAPE, endpoint=True) * (rng.random(COUNTS_SHAPE) > 0.3)
+    counts[..., 0, 0, 0] += 1
+    return canonical_rows(counts)
+
+
+def swapped(rows):
+    rows = [list(row) for row in rows]
+    rows[7], rows[8] = rows[8], rows[7]
+    return rows
+
+
+# Texts one step from the writer's layout, read row by row.
+NEAR_MISSES = {
+    "crlf": lambda rows: render(rows, None, True, False),
+    "trailing_blank_line": lambda rows: render(rows, None, False, False) + "\n",
+    "no_final_newline": lambda rows: render(rows, None, False, False)[:-1],
+    "plus_count": lambda rows: render([rows[0][:6] + ["+" + rows[0][6]], *rows[1:]], None, False, False),
+    "zero_led_prefix": lambda rows: render([["01", *rows[0][1:]], *rows[1:]], None, False, False),
+    "rows_swapped": lambda rows: render(swapped(rows), None, False, False),
+    "row_duplicated": lambda rows: render([*rows[:9], rows[8], *rows[9:]], None, False, False),
+    "zero_led_count": lambda rows: render([rows[0][:6] + ["0" + rows[0][6]], *rows[1:]], None, False, False),
+}
+
+
+class TestCountsWriterLayout:
+    """The writer's own layout is read in one match, with the result of the row-by-row reader."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_writer_output_matches_reference(self, seed):
+        text = render(writer_layout_rows(np.random.default_rng(seed)), None, False, False)
+        assert _writer_counts(text) is not None
+        assert assert_same_parse(text) == ""
+
+    @pytest.mark.parametrize("count,fast,message", [
+        ("0", True, "empty cells: zero total count for setting triple (1,1,2)"),
+        ("9" * 18, True, ""),
+        (str(2**63 - 1), False, "total count does not fit in int64"),
+        (str(2**63), False, f"line 18: count {2**63} does not fit in int64"),
+        ("9" * 5000, False, "line 18: non-integer field"),
+    ], ids=["zero_total_triple", "18_digits", "int64_max", "above_int64", "5000_digits"])
+    def test_edge_counts_match_reference(self, count, fast, message):
+        rows = [row[:6] + ["0"] if row[:3] == ["1", "1", "2"] else row
+                for row in writer_layout_rows(np.random.default_rng(4))]
+        rows[16][6] = count  # the first cell of triple (1,1,2), on line 18
+        text = render(rows, None, False, False)
+        assert (_writer_counts(text) is not None) == fast
+        assert assert_same_parse(text) == message
+
+    def test_total_above_int64_in_writer_layout(self):
+        rows = writer_layout_rows(np.random.default_rng(5))
+        for k in range(0, 160, 16):
+            rows[k][6] = "9" * 18
+        text = render(rows, None, False, False)
+        assert _writer_counts(text) is not None
+        assert assert_same_parse(text) == "total count does not fit in int64"
+
+    @pytest.mark.parametrize("line,message", [
+        ("123", "line 6: expected 7 fields, got 1"),
+        ("1,1,1,1,1,1,", "line 6: non-integer field"),
+        ("1,1,1,1,1,1,5,6", "line 6: expected 7 fields, got 8"),
+        ("1,1,1,1,1,1,5x", "line 6: non-integer field"),
+        ("1,1,1,1,1,1,٣", ""),  # a digit int() reads, though not ASCII
+    ])
+    def test_bad_row_in_writer_layout_is_read_row_by_row(self, line, message):
+        rows = writer_layout_rows(np.random.default_rng(6))
+        lines = render(rows, None, False, False).split("\n")
+        lines[5] = line.replace("1,1,1,1,1,1,", ",".join(rows[4][:6]) + ",")
+        text = "\n".join(lines)
+        assert _writer_counts(text) is None
+        assert assert_same_parse(text) == message
+
+    @pytest.mark.parametrize("kind", list(NEAR_MISSES))
+    def test_near_misses_are_read_row_by_row(self, kind):
+        for seed in range(4):
+            text = NEAR_MISSES[kind](writer_layout_rows(np.random.default_rng([seed, 11])))
+            assert _writer_counts(text) is None
+            assert assert_same_parse(text) == ""
+
+    def test_writer_output_never_reaches_csv_reader(self, monkeypatch):
+        import csv
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called on writer output")
+
+        monkeypatch.setattr(csv, "reader", refuse)
+        tables = [sample_counts(noisy_scenario(0.95, 0.97, 0.26), n, seed=seed)
+                  for n, seed in ((1, 0), (50, 7), (250_000, 2**32 + 1))]
+        for table in tables:
+            recovered = counts_from_csv(counts_to_csv(table))
+            assert recovered.counts.tobytes() == table.counts.tobytes()
+            assert recovered.n_per_setting == table.n_per_setting
+        for seed in range(20):
+            rows = writer_layout_rows(np.random.default_rng([seed, 12]))
+            counts_from_csv(render(rows, None, False, False))
+        with pytest.raises(AssertionError, match="csv.reader"):
+            counts_from_csv(NEAR_MISSES["crlf"](rows))
