@@ -40,10 +40,7 @@ from .linalg import (
     DensityMatrix,
     PureState,
     ValidationError,
-    eig_hermitian,
-    overlap_sq,
     partial_trace,
-    permute_subsystems,
     ptrace_array,
     tensor,
 )

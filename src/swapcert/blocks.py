@@ -3,8 +3,9 @@
 Any two observables squaring to the identity decompose the space into
 invariant subspaces of dimension at most two. The CHSH operator built from
 two such pairs then splits into a direct sum over block pairs, whose top
-eigenvalues pin down the largest CHSH value reachable by separable states.
-A see-saw ascent over pure product states provides an independent check.
+eigenvalues pin down the largest CHSH value reachable by separable states;
+that bound needs only the eigenphases of A0 A1 and B0 B1. A see-saw ascent
+over pure product states provides an independent check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .linalg import (
     ValidationError,
     _as_matrix,
     _checked_int,
-    hermitian_deviation,
     seeded_generator,
 )
 from .measurements import DichotomicObservable, FourOutcomeMeasurement
@@ -77,6 +77,12 @@ class BlockPair:
 
 @dataclass(frozen=True)
 class ChshBlockStructure:
+    """Smallest top eigenvalue over the block pairs, and the pairs themselves.
+
+    Only :func:`block_chsh` lists the pairs; :func:`sep_bound` reads lam from
+    eigenphases and leaves ``pairs`` empty.
+    """
+
     pairs: tuple[BlockPair, ...]
     lam: float  # smallest alpha over all block pairs
 
@@ -275,48 +281,42 @@ def sep_bound_formula(structure: ChshBlockStructure) -> float:
     return sep_bound_value(structure.lam)
 
 
-def sep_bound_oracle(
-    beta: np.ndarray,
-    dims: tuple[int, int],
-    restarts: int = 32,
-    iters: int = 500,
-    seed: int = 0,
-) -> tuple[float, PureState]:
-    """Best CHSH value over pure product states found by alternating ascent.
-
-    From a random product start, one side is fixed while the other is set to
-    the top eigenvector of the contracted operator, back and forth until the
-    value improves by less than 1e-12 or ``iters`` sweeps elapse. All restarts
-    ascend together: each sweep contracts every active restart in one matrix
-    product against beta reshaped to a (d^2, d^2) matrix per side, takes all
-    top eigenvectors from one stacked ``eigh``, and drops the restarts that
-    have converged. Each restart derives its start from ``(seed, restart)``,
-    so runs are reproducible and restarts are independent. Many restarts tie
-    at the optimum up to rounding, so the lowest-index restart within 1e-9 of
-    the best is returned. Its value is a certified lower bound on the
-    separable maximum, achieved by the returned product state.
-    """
+def _check_see_saw_args(restarts: int, iters: int, seed: int) -> None:
     for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
         _checked_int(value, name)
-    if np.ndim(dims) != 1 or len(dims) != 2:
-        raise ValidationError(f"dims must be a pair of integers, got {dims!r}")
-    d_a, d_b = (_checked_int(d, "dims entry") for d in dims)
-    beta = _as_matrix(beta, "operator")
-    if beta.shape != (d_a * d_b, d_a * d_b):
-        raise ValidationError(f"operator side {beta.shape[0]} does not match dims {dims}")
-    if hermitian_deviation(beta) > 1e-9:
-        raise ValidationError("operator must be Hermitian")
     if restarts < 1:
         raise ValidationError("need at least one restart")
     if iters < 1:
         raise ValidationError("need at least one iteration")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
-    reshaped = beta.reshape(d_a, d_b, d_a, d_b)
-    # op_a[(j,l), (i,k)] = beta[(i,j), (k,l)], so vec(conj(b) b^T) @ op_a is the
-    # operator on A with B contracted against b; op_b likewise with A contracted.
-    op_a = reshaped.transpose(1, 3, 0, 2).reshape(d_b * d_b, d_a * d_a)
-    op_b = reshaped.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+
+
+def _see_saw(
+    op_a: np.ndarray,
+    op_b: np.ndarray,
+    dims: tuple[int, int],
+    restarts: int,
+    iters: int,
+    seed: int,
+) -> tuple[float, PureState]:
+    """Batched see-saw over the two contraction matrices of a CHSH operator beta.
+
+    ``op_a[(j, l), (i, k)]`` and ``op_b[(i, k), (j, l)]`` both hold
+    ``beta[(i, j), (k, l)]``, so ``vec(conj(b) b^T) @ op_a`` is the operator
+    on A with B contracted against b, and ``op_b`` likewise with A contracted.
+    So ``op_a`` is ``op_b`` transposed, but both must be C-ordered: a matrix
+    product against a transposed view can round differently.
+    """
+    d_a, d_b = dims
+    # beta[(k, l), (i, j)] sits at op_b[(k, i), (l, j)]; as in hermitian_deviation
+    # the swapped copy is made contiguous first and the difference formed in place
+    four = op_b.reshape(d_a, d_a, d_b, d_b)
+    diff = four.transpose(1, 0, 3, 2).copy()
+    np.conjugate(diff, out=diff)
+    np.subtract(four, diff, out=diff)
+    if np.max(np.abs(diff)) > 1e-9:
+        raise ValidationError("operator must be Hermitian")
 
     def top_eigvecs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, vecs = np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
@@ -343,11 +343,63 @@ def sep_bound_oracle(
 
     best = int(np.flatnonzero(values >= values.max() - 1e-9)[0])
     value = float(values[best])
-    state = PureState(np.kron(a_vecs[best], b_vecs[best]), (d_a, d_b))
-    achieved = float(np.real(state.vector.conj() @ beta @ state.vector))
+    a_vec, b_vec = a_vecs[best], b_vecs[best]
+    achieved = float(np.real(a_vec.conj() @ contract(op_a, b_vec[None], d_a)[0] @ a_vec))
     if abs(achieved - value) > 1e-9:
         raise ValidationError(f"see-saw state reaches {achieved:.12g}, not its value {value:.12g}")
-    return value, state
+    return value, PureState(np.kron(a_vec, b_vec), (d_a, d_b))
+
+
+def sep_bound_oracle(
+    beta: np.ndarray,
+    dims: tuple[int, int],
+    restarts: int = 32,
+    iters: int = 500,
+    seed: int = 0,
+) -> tuple[float, PureState]:
+    """Best CHSH value over pure product states found by alternating ascent.
+
+    From a random product start, one side is fixed while the other is set to
+    the top eigenvector of the contracted operator, back and forth until the
+    value improves by less than 1e-12 or ``iters`` sweeps elapse. All restarts
+    ascend together: each sweep contracts every active restart in one matrix
+    product against beta reshaped to a (d^2, d^2) matrix per side, takes all
+    top eigenvectors from one stacked ``eigh``, and drops the restarts that
+    have converged. Each restart derives its start from ``(seed, restart)``,
+    so runs are reproducible and restarts are independent. Many restarts tie
+    at the optimum up to rounding, so the lowest-index restart within 1e-9 of
+    the best is returned. Its value is a certified lower bound on the
+    separable maximum, achieved by the returned product state.
+    """
+    _check_see_saw_args(restarts, iters, seed)
+    if np.ndim(dims) != 1 or len(dims) != 2:
+        raise ValidationError(f"dims must be a pair of integers, got {dims!r}")
+    d_a, d_b = (_checked_int(d, "dims entry") for d in dims)
+    beta = _as_matrix(beta, "operator")
+    if beta.shape != (d_a * d_b, d_a * d_b):
+        raise ValidationError(f"operator side {beta.shape[0]} does not match dims {dims}")
+    reshaped = beta.reshape(d_a, d_b, d_a, d_b)
+    op_a = reshaped.transpose(1, 3, 0, 2).reshape(d_b * d_b, d_a * d_a)
+    op_b = reshaped.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    return _see_saw(op_a, op_b, (d_a, d_b), restarts, iters, seed)
+
+
+def _min_phase_sine(a0: DichotomicObservable, a1: DichotomicObservable) -> tuple[float, float]:
+    """Smallest |sin phi| over the eigenvalues w = e^{i phi} of A0 A1, and 1 minus it.
+
+    With c = |Re w| / |w|, 1 - |sin phi| is formed as c^2 / (1 + |sin phi|),
+    which keeps its relative accuracy where |sin phi| is close to 1.
+    """
+    if a0.dim != a1.dim:
+        raise ValidationError("observables must act on the same space")
+    w = np.linalg.eigvals(a0.matrix @ a1.matrix)
+    modulus = np.abs(w)
+    if np.max(np.abs(modulus - 1.0)) > 1e-8:
+        raise ValidationError("eigenvalues of A0*A1 lie off the unit circle by more than 1e-8")
+    sines = np.abs(w.imag) / modulus
+    cosines = np.abs(w.real) / modulus
+    k = int(np.argmin(sines))
+    return float(sines[k]), float(cosines[k] ** 2 / (1.0 + sines[k]))
 
 
 def sep_bound(
@@ -360,13 +412,45 @@ def sep_bound(
     iters: int = 500,
     seed: int = 0,
 ) -> tuple[ChshBlockStructure, SepBoundResult]:
-    """Block structure, closed-form separable bound and optional see-saw check."""
-    structure = block_chsh(jordan_blocks(a0, a1), jordan_blocks(b0, b1))
-    formula = sep_bound_formula(structure)
+    """Closed-form separable bound from eigenphases, with an optional see-saw check.
+
+    On a 2x2 Jordan block at phase phi, A0 = X and A1 = cos(phi) X + sin(phi) Y,
+    so [A0, A1] = 2i sin(phi) Z. Landau's identity
+    beta^2 = 4I - [A0, A1] x [B0, B1] then gives block pair (i, j) the top
+    eigenvalue alpha_ij = 2 sqrt(1 + sin(phi_i) sin(psi_j)), where phi_i and
+    psi_j lie in [0, pi]; a 1x1 block has sin = 0. Hence
+    lam = min alpha_ij = 2 sqrt(1 + p) with p = s_A s_B, where s_A is the
+    smallest |sin| over the eigenphases of A0 A1 and s_B that of B0 B1, and
+    the bound (lam + sqrt(8 - lam^2)) / 2 equals sqrt(1 + p) + sqrt(1 - p).
+    No blocks are built: two ``eigvals`` calls suffice. 1 - p is formed as
+    (1 - s_A) + s_A (1 - s_B), so the ideal settings give sqrt(2) without
+    snapping. Eigenvalues off the unit circle by more than 1e-8 raise
+    ``ValidationError``. Because no phases are grouped, the near-edge dead
+    zone of :func:`jordan_blocks` does not reach this bound: it affects only
+    the block output of the ``decompose`` and ``sep-bound`` commands.
+
+    The returned structure lists no block pairs (only :func:`block_chsh`
+    does) and carries lam for :func:`sep_bound_formula`; near
+    lam = 2 sqrt(2) that recomputes the bound from the rounded lam, so
+    ``formula_value`` is the accurate one. The see-saw runs on
+    contraction matrices built straight from the observables, each entry an
+    A entry times a (B0 +/- B1) entry as in :func:`chsh_operator`, so it
+    returns the bytes :func:`sep_bound_oracle` returns on that operator.
+    """
+    s_a, gap_a = _min_phase_sine(a0, a1)
+    s_b, gap_b = _min_phase_sine(b0, b1)
+    p = s_a * s_b
+    structure = ChshBlockStructure((), 2.0 * math.sqrt(1.0 + p))
+    formula = math.sqrt(1.0 + p) + math.sqrt(gap_a + s_a * gap_b)
     if not with_oracle:
         return structure, SepBoundResult(formula)
-    beta = chsh_operator(a0, a1, b0, b1)
-    value, state = sep_bound_oracle(beta, (a0.dim, b0.dim), restarts, iters, seed)
+    _check_see_saw_args(restarts, iters, seed)
+    d_a, d_b = a0.dim, b0.dim
+    plus, minus = b0.matrix + b1.matrix, b0.matrix - b1.matrix
+    # entry (i, k, j, l) is beta[(i, j), (k, l)], each product in the operand
+    # order and with the innermost axis on B as in _chsh_products
+    op_b = (a0.matrix[:, :, None, None] * plus + a1.matrix[:, :, None, None] * minus).reshape(d_a * d_a, -1)
+    value, state = _see_saw(op_b.T.copy(), op_b, (d_a, d_b), restarts, iters, seed)
     return structure, SepBoundResult(formula, value, state)
 
 

@@ -233,13 +233,10 @@ def cmd_sep_bound(args: argparse.Namespace) -> int:
         raise UsageError("--iters must be at least 1")
     a0, a1, b0, b1 = _load_settings(args.settings)
     payload, _ = _structure_payload(a0, a1, b0, b1)
-    beta = blocks.chsh_operator(a0, a1, b0, b1)
-    value, state = blocks.sep_bound_oracle(
-        beta, (a0.dim, b0.dim), restarts=args.restarts, iters=args.iters, seed=args.seed
-    )
-    payload["oracle_value"] = value
-    payload["oracle_state"] = serialize.matrix_to_json(state.vector)
-    payload["difference"] = abs(payload["sep_bound"] - value)
+    _, result = blocks.sep_bound(a0, a1, b0, b1, restarts=args.restarts, iters=args.iters, seed=args.seed)
+    payload["oracle_value"] = result.oracle_value
+    payload["oracle_state"] = serialize.matrix_to_json(result.oracle_state.vector)
+    payload["difference"] = abs(payload["sep_bound"] - result.oracle_value)
     _write_output(serialize.json_dumps(payload), args.out)
     return EXIT_OK
 

@@ -73,25 +73,6 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def permute_subsystems(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Reorder the tensor factors of a square operator.
-
-    ``perm[k]`` is the old position of the factor placed at position ``k`` in
-    the output.
-    """
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(n)):
-        raise ValidationError(f"{perm!r} is not a permutation of 0..{n - 1}")
-    mat = _as_matrix(mat)
-    side = int(np.prod(dims))
-    if mat.shape != (side, side):
-        raise ValidationError(f"operator side {mat.shape[0]} does not match dims {dims}")
-    axes = list(perm) + [p + n for p in perm]
-    return mat.reshape(dims + dims).transpose(axes).reshape(side, side)
-
-
 def ptrace_array(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Partial trace of a square operator, keeping the listed subsystems.
 
@@ -114,23 +95,6 @@ def ptrace_array(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> n
     reduced = np.einsum(mat.reshape(dims + dims), row + col, out)
     kept_side = int(np.prod([dims[k] for k in keep])) if keep else 1
     return reduced.reshape(kept_side, kept_side)
-
-
-def eig_hermitian(h: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues in ascending order and the matching orthonormal
-    eigenvectors as columns. Raises if the input deviates from Hermiticity by
-    more than ``tol`` in max norm. The basis chosen inside a degenerate
-    eigenvalue is unspecified beyond orthonormality.
-    """
-    h = _as_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise ValidationError("eig_hermitian needs a square matrix")
-    if h.size and hermitian_deviation(h) > tol:
-        raise ValidationError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return w, v
 
 
 @dataclass(frozen=True)
@@ -203,10 +167,3 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     keep = sorted({int(k) for k in keep})
     reduced = ptrace_array(rho.matrix, rho.dims, keep)
     return DensityMatrix(reduced, tuple(rho.dims[k] for k in keep))
-
-
-def overlap_sq(psi: PureState, phi: PureState) -> float:
-    """Squared inner product |<psi|phi>|^2."""
-    if psi.dim != phi.dim:
-        raise ValidationError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
-    return float(abs(np.vdot(psi.vector, phi.vector)) ** 2)

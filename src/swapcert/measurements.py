@@ -245,11 +245,12 @@ def _validate_two_outcome(projs: Sequence[np.ndarray], name: str, tol: float) ->
     p1 = _as_matrix(projs[1], f"{name} outcome 2")
     if p0.shape != p1.shape or p0.shape[0] != p0.shape[1]:
         raise ValidationError(f"{name} projectors must be square and equal-sized")
-    for k, p in enumerate((p0, p1)):
-        if hermitian_deviation(p) > tol or np.max(np.abs(p @ p - p)) > tol:
-            raise ValidationError(f"{name} outcome {k + 1} is not a projector within tolerance")
-    if np.max(np.abs(p0 + p1 - np.eye(p0.shape[0]))) > tol:
-        raise ValidationError(f"{name} outcomes do not sum to the identity")
+    with np.errstate(all="ignore"):  # an overflow shows up as an inf or NaN deviation, which fails
+        for k, p in enumerate((p0, p1)):
+            if not hermitian_deviation(p) <= tol or not np.max(np.abs(p @ p - p)) <= tol:
+                raise ValidationError(f"{name} outcome {k + 1} is not a projector within tolerance")
+        if not np.max(np.abs(p0 + p1 - np.eye(p0.shape[0]))) <= tol:
+            raise ValidationError(f"{name} outcomes do not sum to the identity")
     return p0, p1
 
 

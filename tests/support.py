@@ -21,6 +21,7 @@ from swapcert import (
     DensityMatrix,
     DichotomicObservable,
     FourOutcomeMeasurement,
+    PureState,
     ReportStdErr,
     Scenario,
     ValidationError,
@@ -30,6 +31,7 @@ from swapcert import (
     relabel,
 )
 from swapcert.certify import VERSION_SIGNS
+from swapcert.linalg import _as_matrix, hermitian_deviation
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
@@ -73,6 +75,48 @@ def ptrace_loops(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) 
             c = int(np.ravel_multi_index(col, kept_dims)) if kept_dims else 0
             out[r, c] = total
     return out
+
+
+def permute_subsystems(mat: np.ndarray, dims: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
+    """Reorder the tensor factors of a square operator.
+
+    ``perm[k]`` is the old position of the factor placed at position ``k`` in
+    the output.
+    """
+    dims = tuple(int(d) for d in dims)
+    n = len(dims)
+    perm = tuple(int(p) for p in perm)
+    if sorted(perm) != list(range(n)):
+        raise ValidationError(f"{perm!r} is not a permutation of 0..{n - 1}")
+    mat = _as_matrix(mat)
+    side = int(np.prod(dims))
+    if mat.shape != (side, side):
+        raise ValidationError(f"operator side {mat.shape[0]} does not match dims {dims}")
+    axes = list(perm) + [p + n for p in perm]
+    return mat.reshape(dims + dims).transpose(axes).reshape(side, side)
+
+
+def eig_hermitian(h: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns eigenvalues in ascending order and the matching orthonormal
+    eigenvectors as columns. Raises if the input deviates from Hermiticity by
+    more than ``tol`` in max norm. The basis chosen inside a degenerate
+    eigenvalue is unspecified beyond orthonormality.
+    """
+    h = _as_matrix(h)
+    if h.shape[0] != h.shape[1]:
+        raise ValidationError("eig_hermitian needs a square matrix")
+    if h.size and hermitian_deviation(h) > tol:
+        raise ValidationError("matrix is not Hermitian within tolerance")
+    return np.linalg.eigh((h + h.conj().T) / 2.0)
+
+
+def overlap_sq(psi: PureState, phi: PureState) -> float:
+    """Squared inner product |<psi|phi>|^2."""
+    if psi.dim != phi.dim:
+        raise ValidationError(f"dimension mismatch: {psi.dim} vs {phi.dim}")
+    return float(abs(np.vdot(psi.vector, phi.vector)) ** 2)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

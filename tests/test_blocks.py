@@ -209,6 +209,121 @@ class TestJordanBlocksDegenerate:
             jordan_blocks(a0, a1)
 
 
+def setting_pair(kind: str, d: int, rng: np.random.Generator):
+    """Generic settings, or planted ones: one 1x1 block at odd d, the rest 2x2 blocks at two phases."""
+    if kind == "generic":
+        return random_observable(d, rng), random_observable(d, rng)
+    phases = rng.uniform(0.2, math.pi - 0.2, size=2)
+    return planted_layout(((1.0, -1.0),) * (d % 2), tuple(phases[k % 2] for k in range(d // 2)), rng)
+
+
+@st.composite
+def bound_layouts(draw):
+    """Settings of one party: generic, planted degenerate (1x1-only included), or ideal.
+
+    Returns the two observables and whether every block sits at phase pi/2.
+    """
+    kind = draw(st.sampled_from(("generic", "planted", "ideal")))
+    if kind == "planted":
+        ones, angles, seed = draw(degenerate_layouts())
+        return (*planted_layout(ones, angles, np.random.default_rng(seed)), False)
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "generic":
+        d = draw(st.integers(1, 16))
+        return (*setting_pair("generic", d, np.random.default_rng([seed, 1])), False)
+    n_two = draw(st.integers(1, 8))
+    return (*planted_layout((), (math.pi / 2,) * n_two, np.random.default_rng([seed, 2])), True)
+
+
+class TestClosedFormBound:
+    """sep_bound reads lambda from eigenphases; the block path is the oracle."""
+
+    @given(bound_layouts(), bound_layouts())
+    @settings(max_examples=400, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_block_path(self, a_layout, b_layout):
+        a0, a1, ideal_a = a_layout
+        b0, b1, ideal_b = b_layout
+        blocks = block_chsh(jordan_blocks(a0, a1), jordan_blocks(b0, b1))
+        structure, result = sep_bound(a0, a1, b0, b1, with_oracle=False)
+        assert structure.pairs == () and result.oracle_value is None
+        assert sep_bound_formula(structure) == sep_bound_value(structure.lam)
+        if blocks.lam in (2.0, TSIRELSON) and not (ideal_a and ideal_b):
+            # block_chsh snaps an alpha within 1e-9 of an edge onto it; the
+            # closed form keeps the unsnapped value
+            assert abs(structure.lam - blocks.lam) <= 1e-9
+        else:
+            assert abs(structure.lam - blocks.lam) <= 1e-12
+        if blocks.lam != TSIRELSON or (ideal_a and ideal_b):
+            # at lambda = 2 the bound is flat in lambda, so a snap there moves it by < 1e-12
+            assert abs(result.formula_value - sep_bound_formula(blocks)) <= 1e-12
+        if ideal_a and ideal_b:
+            assert abs(result.formula_value - SQRT2) <= 1e-15
+
+    def test_ideal_settings_give_sqrt2(self):
+        structure, result = sep_bound(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS, with_oracle=False)
+        assert abs(structure.lam - TSIRELSON) <= 1e-15
+        assert abs(result.formula_value - SQRT2) <= 1e-15
+
+    @pytest.mark.parametrize("edge", [0.0, math.pi])
+    @pytest.mark.parametrize("offset", [5e-8, 9e-8])
+    def test_near_edge_dead_zone_does_not_reach_bound(self, edge, offset):
+        # the layouts of test_near_edge_dead_zone_is_rejected, which jordan_blocks rejects
+        a0, a1 = planted_layout((), (abs(edge - offset), 0.7, 1.9, 2.6), np.random.default_rng(5))
+        b0, b1 = planted_layout((), (1.2, 0.5, 2.0), np.random.default_rng(6))
+        p = math.sin(offset) * math.sin(0.5)
+        structure, result = sep_bound(a0, a1, b0, b1, with_oracle=False)
+        assert abs(structure.lam - 2.0 * math.sqrt(1.0 + p)) <= 1e-12
+        assert abs(result.formula_value - (math.sqrt(1.0 + p) + math.sqrt(1.0 - p))) <= 1e-12
+
+    @pytest.mark.parametrize("deltas", [(3e-8, 3e-8), (1e-7, 0.0), (1e-6, 2e-6), (1e-4, 1e-5)])
+    def test_near_ideal_phases_keep_accuracy(self, deltas):
+        # phases pi/2 - delta: 1 - p is of order delta^2, where (lam + sqrt(8 - lam^2)) / 2
+        # and 1 - |sin| taken as a difference lose digits
+        rng = np.random.default_rng(17)
+        (a0, a1), (b0, b1) = (planted_layout((), (math.pi / 2 - d, math.pi / 2 - d), rng) for d in deltas)
+        (gap_a, gap_b), (s_a, _) = ([2.0 * math.sin(d / 2) ** 2 for d in deltas], [math.cos(d) for d in deltas])
+        want = math.sqrt(2.0 - gap_a - s_a * gap_b) + math.sqrt(gap_a + s_a * gap_b)
+        _, result = sep_bound(a0, a1, b0, b1, with_oracle=False)
+        assert abs(result.formula_value - want) <= 1e-12
+
+    @pytest.mark.parametrize("stretch,accepted", [(0.2, False), (1e-6, False), (5e-9, True)])
+    def test_eigenvalues_off_the_unit_circle(self, stretch, accepted):
+        # observables only under a loose tolerance: A0 A1 = diag(1 + stretch, 1)
+        loose = DichotomicObservable(np.diag([1.0 + stretch, -1.0]), tol=1.0)
+        minus_z = qubit_observable((0, 0, -1))
+        if accepted:
+            assert sep_bound(loose, minus_z, Z_OBS, X_OBS, with_oracle=False)[1].formula_value == 2.0
+        else:
+            with pytest.raises(ValidationError, match="unit circle"):
+                sep_bound(loose, minus_z, Z_OBS, X_OBS, with_oracle=False)
+
+    @pytest.mark.parametrize("arg,value,match", [
+        ("restarts", 0, "restart"), ("iters", 0, "iteration"), ("seed", -1, "seed"),
+        ("restarts", 2.5, "restarts"), ("seed", None, "seed"),
+    ])
+    def test_rejects_bad_see_saw_arguments(self, arg, value, match):
+        with pytest.raises(ValidationError, match=match):
+            sep_bound(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS, **{arg: value})
+
+    def test_rejects_settings_on_different_spaces(self):
+        with pytest.raises(ValidationError, match="same space"):
+            sep_bound(Z_OBS, X_OBS, Z_OBS, DichotomicObservable(np.eye(3)), with_oracle=False)
+
+    @pytest.mark.parametrize("kind", ["generic", "planted"])
+    @pytest.mark.parametrize("d_a,d_b", [(2, 2), (3, 3), (4, 4), (8, 8), (3, 2), (4, 8)])
+    def test_see_saw_matches_operator_builder(self, kind, d_a, d_b):
+        # the seeds past 32 bits take the generator's list path, the others its uint32 path
+        rng = np.random.default_rng([d_a, d_b, kind == "planted"])
+        obs = setting_pair(kind, d_a, rng) + setting_pair(kind, d_b, rng)
+        beta = chsh_operator(*obs)
+        for iters, seed in ((500, 3), (1, 3), (500, 2**32 + 5), (1, 2**40)):
+            _, result = sep_bound(*obs, restarts=8, iters=iters, seed=seed)
+            value, state = sep_bound_oracle(beta, (d_a, d_b), restarts=8, iters=iters, seed=seed)
+            assert result.oracle_value == value
+            assert result.oracle_state.vector.tobytes() == state.vector.tobytes()
+
+
 class TestChshOperator:
     def test_ideal_settings(self):
         beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)

@@ -8,15 +8,12 @@ from swapcert import (
     PureState,
     ValidationError,
     bell_basis,
-    eig_hermitian,
-    overlap_sq,
     partial_trace,
-    permute_subsystems,
     ptrace_array,
     tensor,
 )
 from swapcert.linalg import hermitian_deviation, seeded_generator
-from support import I2, X, Z, kron_all, ptrace_loops
+from support import I2, X, Z, eig_hermitian, kron_all, overlap_sq, permute_subsystems, ptrace_loops
 
 
 class TestTensor:

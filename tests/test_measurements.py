@@ -256,6 +256,16 @@ class TestProductMeasurement:
         with pytest.raises(ValidationError):
             product_measurement(bad, bad)
 
+    def test_overflowing_factor_rejected_without_warnings(self):
+        # Hermitian, but its complex square is inf - inf: a NaN idempotence
+        # deviation, which must fail rather than pass by comparison with NaN
+        huge = np.array([[0, 1e155 + 1e155j], [1e155 - 1e155j, 0]])
+        z_projs = ((I2 + Z) / 2, (I2 - Z) / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="first factor outcome 1 is not a projector within tolerance"):
+                product_measurement((huge, I2 - huge), z_projs)
+
 
 class TestCharlieSettings:
     def test_completeness(self):

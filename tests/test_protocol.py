@@ -30,7 +30,7 @@ from swapcert import (
     sample_counts,
     steered_states,
 )
-from swapcert.linalg import permute_subsystems, tensor
+from swapcert.linalg import tensor
 from swapcert.protocol import _CANONICAL_BITS, MAX_N_PER_SETTING, _two_pair_state
 from swapcert.serialize import counts_from_csv, counts_to_csv
 from support import (
@@ -41,6 +41,7 @@ from support import (
     four_factor_state,
     kron_all,
     maximally_entangled_pair,
+    permute_subsystems,
     random_scenario,
     reference_estimate_report,
     reference_exact_report,
