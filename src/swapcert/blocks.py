@@ -2,10 +2,12 @@
 
 Any two observables squaring to the identity decompose the space into
 invariant subspaces of dimension at most two. The CHSH operator built from
-two such pairs then splits into a direct sum over block pairs, whose top
-eigenvalues pin down the largest CHSH value reachable by separable states;
-that bound needs only the eigenphases of A0 A1 and B0 B1. A see-saw ascent
-over pure product states provides an independent check.
+two such pairs then splits into a direct sum over block pairs. By Landau's
+identity the top eigenvalue of a block pair depends only on the two blocks'
+eigenphases, and the smallest of them pins down the largest CHSH value
+reachable by separable states; so both the block table and the bound are
+read from eigenphases of A0 A1 and B0 B1. A see-saw ascent over pure
+product states provides an independent check.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import certify, protocol
-from .certify import SQRT2, TSIRELSON
+from . import protocol
+from .certify import SQRT2
 from .linalg import (
     DensityMatrix,
     PureState,
@@ -28,10 +30,15 @@ from .linalg import (
 )
 from .measurements import DichotomicObservable, FourOutcomeMeasurement
 
-# Eigenphases of the product A0*A1 closer than this are grouped together. A
-# 2x2 block whose phase lies within it of 0 or pi is split into 1x1 blocks,
-# which fails the 1e-8 reconstruction check once the phase exceeds about 2e-8.
+# Eigenphases of the product A0*A1 closer than this are grouped together.
 ANGLE_TOL = 1e-7
+
+# A group at phase 0 (pi) splits into 1x1 blocks only where A1 - A0 (A1 + A0)
+# vanishes on it to within this; otherwise its phases pair into 2x2 blocks.
+EDGE_TOL = 1e-9
+
+# theorem_check: largest |A0 A1 + A1 A0| entry on either side, and slack over sqrt(2).
+THEOREM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ class ChshBlockStructure:
     """Smallest top eigenvalue over the block pairs, and the pairs themselves.
 
     Only :func:`block_chsh` lists the pairs; :func:`sep_bound` reads lam from
-    eigenphases and leaves ``pairs`` empty.
+    the eigenphases of the whole settings and leaves ``pairs`` empty.
     """
 
     pairs: tuple[BlockPair, ...]
@@ -100,7 +107,6 @@ class SepBoundResult:
 class TheoremCheckReport:
     """Outcome of the separable-steering check on a planted maximal instance."""
 
-    alphas: tuple[tuple[int, int, float], ...]
     version_values: np.ndarray  # [c, v], NaN for outcomes without statistics
     max_value: float
     bound: float
@@ -117,8 +123,11 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     eigenvectors ``np.linalg.eig`` returns for a group are re-orthonormalized
     by one QR: eigenspaces of a unitary at distinct eigenvalues are
     orthogonal, so Gram-Schmidt inside a group keeps every vector in its
-    eigenspace. The reconstruction from the returned blocks is verified to
-    1e-8.
+    eigenspace. A group within ``ANGLE_TOL`` of 0 (pi) gives size-1 blocks
+    only if A1 - A0 (A1 + A0) vanishes on its columns to ``EDGE_TOL``;
+    otherwise it holds 2x2 blocks at phases too close to the edge to tell
+    apart, and its +/- phases are paired like any other group's. The
+    reconstruction from the returned blocks is verified to 1e-8.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
@@ -140,10 +149,13 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     blocks: list[ObservableBlock] = []
     for cluster in clusters:
         center = float(np.mean(folded[cluster]))
-        if center <= ANGLE_TOL or center >= math.pi - ANGLE_TOL:
+        edge = center <= ANGLE_TOL or center >= math.pi - ANGLE_TOL
+        if edge:
+            cols = np.linalg.qr(eigvecs[:, cluster])[0]
+            sign = 1.0 if center <= ANGLE_TOL else -1.0
+        if edge and np.max(np.abs((mat1 - sign * mat0) @ cols)) <= EDGE_TOL:
             # Common invariant subspace: A1 = +/-A0 there. Diagonalizing the
             # restriction of A0 yields simultaneous eigenvectors.
-            cols = np.linalg.qr(eigvecs[:, cluster])[0]
             restricted = cols.conj().T @ mat0 @ cols
             _, w_vecs = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
             for k in range(w_vecs.shape[1]):
@@ -160,11 +172,19 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
             negative = [idx for idx in cluster if phases[idx] <= 0.0]
             if len(positive) != len(negative):
                 raise ValidationError("eigenphases of A0*A1 do not pair into conjugates")
+            built = np.zeros((d, 0), dtype=complex)
             for u in np.linalg.qr(eigvecs[:, positive])[0].T:
+                if edge:
+                    # Near an edge the +phase eigenvectors carry about eps/phase of
+                    # other blocks' -phase ones, so each block is built orthogonal
+                    # to the earlier ones, which A0 and A1 leave invariant.
+                    u = u - built @ (built.conj().T @ u)
+                    u = u / np.linalg.norm(u)
                 v2 = mat0 @ u
                 v2 = v2 - (u.conj() @ v2) * u
                 v2 = v2 / np.linalg.norm(v2)
                 basis = np.column_stack([u, v2])
+                built = np.column_stack([built, basis])
                 blocks.append(ObservableBlock(
                     basis=basis,
                     a0=basis.conj().T @ mat0 @ basis,
@@ -176,25 +196,9 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
         raise ValidationError("block dimensions do not sum to the parent dimension")
     r0, r1 = result.embed()
     err = max(float(np.max(np.abs(r0 - mat0))), float(np.max(np.abs(r1 - mat1))))
-    if err > 1e-8:
+    if not err <= 1e-8:  # NaN fails too
         raise ValidationError(f"block reconstruction error {err:.3g} exceeds 1e-8")
     return result
-
-
-def _chsh_products(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """CHSH operators A0 x (B0 + B1) + A1 x (B0 - B1) of every pair from a stack of A and of B settings.
-
-    ``a0`` and ``a1`` are ``(m, p, p)``, ``b0`` and ``b1`` are ``(n, q, q)``,
-    and the result is ``(m, n, pq, pq)``. Each Kronecker entry is the single
-    product that ``np.kron`` forms, so every operator has the bytes of the
-    ``np.kron`` sum of its pair.
-    """
-    (m, p), (n, q) = a0.shape[:2], b0.shape[:2]
-
-    def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a[:, None, :, None, :, None] * b[None, :, None, :, None, :]).reshape(m, n, p * q, p * q)
-
-    return kron(a0, b0 + b1) + kron(a1, b0 - b1)
 
 
 def chsh_operator(
@@ -206,48 +210,47 @@ def chsh_operator(
     """CHSH operator A0 x (B0 + B1) + A1 x (B0 - B1)."""
     if a0.dim != a1.dim or b0.dim != b1.dim:
         raise ValidationError("settings of one party must share a dimension")
-    return _chsh_products(*(obs.matrix[None] for obs in (a0, a1, b0, b1)))[0, 0]
+    return np.kron(a0.matrix, b0.matrix + b1.matrix) + np.kron(a1.matrix, b0.matrix - b1.matrix)
+
+
+def _phase_sines(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|sin phi| and |cos phi| of the eigenvalues w = e^{i phi} of a unitary or a stack, from one ``eigvals``.
+
+    Both are read relative to |w|; w off the unit circle by more than 1e-8 raises ``ValidationError``.
+    """
+    w = np.linalg.eigvals(unitary)
+    modulus = np.abs(w)
+    if np.max(np.abs(modulus - 1.0)) > 1e-8:
+        raise ValidationError("eigenvalues of A0*A1 lie off the unit circle by more than 1e-8")
+    return np.abs(w.imag) / modulus, np.abs(w.real) / modulus
+
+
+def _block_sines(decomposition: ObservableBlocks) -> np.ndarray:
+    """|sin| of each block's eigenphase: 0 on a 1x1 block, one stacked ``eigvals`` for the 2x2 blocks."""
+    sines = np.zeros(len(decomposition.blocks))
+    two = [k for k, block in enumerate(decomposition.blocks) if block.size == 2]
+    if two:
+        products = np.array([decomposition.blocks[k].a0 @ decomposition.blocks[k].a1 for k in two])
+        sines[two] = _phase_sines(products)[0].min(axis=1)
+    return sines
 
 
 def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBlockStructure:
     """Restrict the CHSH operator to every block pair and record top eigenvalues.
 
-    The pairs are handled by size class (1x1, 1x2, 2x1 and 2x2 blocks): the
-    operators of one class come from one broadcast product and their spectra
-    from one stacked ``eigvalsh``. Alpha is the spectral radius. Two-qubit
-    block pairs have a +/- symmetric spectrum, so it is their top eigenvalue.
-    Pairs with a scalar factor carry no CHSH structure and the radius pins
-    them to the classical value 2; two 1x1 blocks get 2 without a spectrum.
-    Eigensolver noise within 1e-9 of 2 or 2*sqrt(2) is snapped to the edge:
-    sqrt(8 - alpha^2) is infinitely steep at the ceiling, so femto-scale
-    noise there would otherwise blow up in the separable bound.
+    Each pair's operator is the ``np.kron`` sum of :func:`chsh_operator` on
+    the two blocks' restrictions. Its top eigenvalue comes from Landau's
+    identity, as in :func:`sep_bound`: alpha_ij = 2 sqrt(1 + s_i s_j), where
+    s is the |sin| of a block's eigenphase, 0 on a 1x1 block. So a pair with
+    a 1x1 block gets the classical value 2 and two blocks at phase pi/2 get
+    2*sqrt(2).
     """
-    def size_class(decomposition: ObservableBlocks, size: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-        idx = [k for k, block in enumerate(decomposition.blocks) if block.size == size]
-        chosen = [decomposition.blocks[k] for k in idx]
-        return idx, np.array([block.a0 for block in chosen]), np.array([block.a1 for block in chosen])
-
-    operators: dict[tuple[int, int], np.ndarray] = {}
-    alphas: dict[tuple[int, int], float] = {}
-    b_classes = [size_class(b_blocks, 1), size_class(b_blocks, 2)]
-    for size_a in (1, 2):
-        rows, a0, a1 = size_class(a_blocks, size_a)
-        for size_b, (cols, b0, b1) in zip((1, 2), b_classes):
-            if not rows or not cols:
-                continue
-            betas = _chsh_products(a0, a1, b0, b1)
-            if size_a == size_b == 1:
-                alpha = np.full((len(rows), len(cols)), 2.0)
-            else:
-                w = np.linalg.eigvalsh((betas + betas.conj().swapaxes(-1, -2)) / 2.0)
-                alpha = np.maximum(w[..., -1], -w[..., 0])
-                alpha[np.abs(alpha - 2.0) <= 1e-9] = 2.0
-                alpha[np.abs(alpha - TSIRELSON) <= 1e-9] = TSIRELSON
-            for r, i in enumerate(rows):
-                for c, j in enumerate(cols):
-                    operators[i, j], alphas[i, j] = betas[r, c], float(alpha[r, c])
-    pairs = tuple(BlockPair(i, j, operators[i, j], alphas[i, j])
-                  for i in range(len(a_blocks.blocks)) for j in range(len(b_blocks.blocks)))
+    s_a, s_b = _block_sines(a_blocks), _block_sines(b_blocks)
+    pairs = tuple(
+        BlockPair(i, j, np.kron(ab.a0, bb.a0 + bb.a1) + np.kron(ab.a1, bb.a0 - bb.a1),
+                  2.0 * math.sqrt(1.0 + s_a[i] * s_b[j]))
+        for i, ab in enumerate(a_blocks.blocks) for j, bb in enumerate(b_blocks.blocks)
+    )
     return ChshBlockStructure(pairs, min((pair.alpha for pair in pairs), default=math.inf))
 
 
@@ -375,6 +378,8 @@ def sep_bound_oracle(
     if np.ndim(dims) != 1 or len(dims) != 2:
         raise ValidationError(f"dims must be a pair of integers, got {dims!r}")
     d_a, d_b = (_checked_int(d, "dims entry") for d in dims)
+    if d_a < 1 or d_b < 1:
+        raise ValidationError(f"dims entries must be at least 1, got {dims}")
     beta = _as_matrix(beta, "operator")
     if beta.shape != (d_a * d_b, d_a * d_b):
         raise ValidationError(f"operator side {beta.shape[0]} does not match dims {dims}")
@@ -392,12 +397,7 @@ def _min_phase_sine(a0: DichotomicObservable, a1: DichotomicObservable) -> tuple
     """
     if a0.dim != a1.dim:
         raise ValidationError("observables must act on the same space")
-    w = np.linalg.eigvals(a0.matrix @ a1.matrix)
-    modulus = np.abs(w)
-    if np.max(np.abs(modulus - 1.0)) > 1e-8:
-        raise ValidationError("eigenvalues of A0*A1 lie off the unit circle by more than 1e-8")
-    sines = np.abs(w.imag) / modulus
-    cosines = np.abs(w.real) / modulus
+    sines, cosines = _phase_sines(a0.matrix @ a1.matrix)
     k = int(np.argmin(sines))
     return float(sines[k]), float(cosines[k] ** 2 / (1.0 + sines[k]))
 
@@ -425,9 +425,7 @@ def sep_bound(
     No blocks are built: two ``eigvals`` calls suffice. 1 - p is formed as
     (1 - s_A) + s_A (1 - s_B), so the ideal settings give sqrt(2) without
     snapping. Eigenvalues off the unit circle by more than 1e-8 raise
-    ``ValidationError``. Because no phases are grouped, the near-edge dead
-    zone of :func:`jordan_blocks` does not reach this bound: it affects only
-    the block output of the ``decompose`` and ``sep-bound`` commands.
+    ``ValidationError``.
 
     The returned structure lists no block pairs (only :func:`block_chsh`
     does) and carries lam for :func:`sep_bound_formula`; near
@@ -448,7 +446,7 @@ def sep_bound(
     d_a, d_b = a0.dim, b0.dim
     plus, minus = b0.matrix + b1.matrix, b0.matrix - b1.matrix
     # entry (i, k, j, l) is beta[(i, j), (k, l)], each product in the operand
-    # order and with the innermost axis on B as in _chsh_products
+    # order and with the innermost axis on B as in the np.kron of chsh_operator
     op_b = (a0.matrix[:, :, None, None] * plus + a1.matrix[:, :, None, None] * minus).reshape(d_a * d_a, -1)
     value, state = _see_saw(op_b.T.copy(), op_b, (d_a, d_b), restarts, iters, seed)
     return structure, SepBoundResult(formula, value, state)
@@ -459,39 +457,23 @@ def theorem_check(
     alice: Sequence[DichotomicObservable],
     bob: Sequence[DichotomicObservable],
     charlie3: FourOutcomeMeasurement,
-    alpha_tol: float = 1e-8,
-    bound_tol: float = 1e-8,
 ) -> TheoremCheckReport:
     """Check that all conditional CHSH values stay at or below sqrt(2).
 
-    The end-party settings must be such that every block pair of their CHSH
-    operator has top eigenvalue 2*sqrt(2) (the planted maximal-violation
-    structure); anything else is rejected as an invalid construction. All four
-    variants are evaluated on every steered state, so the reported maximum
-    covers any outcome relabeling.
+    The inputs are checked as :class:`protocol.Scenario` checks them, and each
+    end party's settings must anticommute to ``THEOREM_TOL``: by Landau's
+    identity, the planted structure with every block pair at 2*sqrt(2).
+    Anything else is rejected as an invalid construction. All four variants
+    are read for every outcome from the Born-rule contraction of
+    :func:`protocol.born_tables`, so the maximum covers any relabeling.
     """
-    structure = block_chsh(jordan_blocks(alice[0], alice[1]), jordan_blocks(bob[0], bob[1]))
-    alphas = []
-    for pair in structure.pairs:
-        if abs(pair.alpha - TSIRELSON) > alpha_tol:
-            raise ValidationError(
-                f"block pair ({pair.row}, {pair.col}) has top eigenvalue "
-                f"{pair.alpha:.12g}, expected 2*sqrt(2)"
-            )
-        alphas.append((pair.row, pair.col, pair.alpha))
-
-    operators = [certify.version_operator(alice, bob, v) for v in (1, 2, 3, 4)]
-    values = np.full((4, 4), math.nan)
-    for c, (_, steered) in enumerate(protocol.steer(state, charlie3)):
-        if steered is None:
-            continue
-        for v, op in enumerate(operators):
-            values[c, v] = float(np.trace(op @ steered.matrix).real)
+    protocol._check_parties(state, alice, bob, charlie3)
+    for name, (o0, o1) in (("alice", alice), ("bob", bob)):
+        anti = float(np.max(np.abs(o0.matrix @ o1.matrix + o1.matrix @ o0.matrix)))
+        if anti > THEOREM_TOL:
+            raise ValidationError(f"{name}'s settings do not anticommute: max|A0A1 + A1A0| = {anti:.3g}")
+    pa, pb = (np.array([obs.projector_stack for obs in side]) for side in (alice, bob))
+    table = protocol._born(pa, pb, charlie3.projector_stack[None], state)
+    values, _, _ = protocol._conditional(table[:, :, 0])
     max_value = float(np.nanmax(values))
-    return TheoremCheckReport(
-        alphas=tuple(alphas),
-        version_values=values,
-        max_value=max_value,
-        bound=SQRT2,
-        satisfied=max_value <= SQRT2 + bound_tol,
-    )
+    return TheoremCheckReport(values, max_value, SQRT2, max_value <= SQRT2 + THEOREM_TOL)

@@ -201,27 +201,27 @@ def _blocks_payload(decomposition: blocks.ObservableBlocks) -> list[dict]:
     ]
 
 
-def _structure_payload(a0, a1, b0, b1) -> tuple[dict, blocks.ChshBlockStructure]:
+def _structure_payload(settings: tuple, **sep_bound_args: Any) -> tuple[dict, blocks.SepBoundResult]:
+    """Blocks and alpha table of settings (a0, a1, b0, b1); lambda and the bound from one sep_bound call."""
+    a0, a1, b0, b1 = settings
     a_blocks = blocks.jordan_blocks(a0, a1)
     b_blocks = blocks.jordan_blocks(b0, b1)
-    structure = blocks.block_chsh(a_blocks, b_blocks)
-    n_a, n_b = len(a_blocks.blocks), len(b_blocks.blocks)
-    alpha = [[0.0] * n_b for _ in range(n_a)]
-    for pair in structure.pairs:
+    alpha = [[0.0] * len(b_blocks.blocks) for _ in a_blocks.blocks]
+    for pair in blocks.block_chsh(a_blocks, b_blocks).pairs:
         alpha[pair.row][pair.col] = pair.alpha
+    structure, result = blocks.sep_bound(a0, a1, b0, b1, **sep_bound_args)
     payload = {
         "a_blocks": _blocks_payload(a_blocks),
         "b_blocks": _blocks_payload(b_blocks),
         "alpha": alpha,
         "lambda": structure.lam,
-        "sep_bound": blocks.sep_bound_formula(structure),
+        "sep_bound": result.formula_value,
     }
-    return payload, structure
+    return payload, result
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    a0, a1, b0, b1 = _load_settings(args.settings)
-    payload, _ = _structure_payload(a0, a1, b0, b1)
+    payload, _ = _structure_payload(_load_settings(args.settings), with_oracle=False)
     _write_output(serialize.json_dumps(payload), args.out)
     return EXIT_OK
 
@@ -231,12 +231,11 @@ def cmd_sep_bound(args: argparse.Namespace) -> int:
         raise UsageError("--restarts must be at least 1")
     if args.iters < 1:
         raise UsageError("--iters must be at least 1")
-    a0, a1, b0, b1 = _load_settings(args.settings)
-    payload, _ = _structure_payload(a0, a1, b0, b1)
-    _, result = blocks.sep_bound(a0, a1, b0, b1, restarts=args.restarts, iters=args.iters, seed=args.seed)
+    payload, result = _structure_payload(_load_settings(args.settings),
+                                         restarts=args.restarts, iters=args.iters, seed=args.seed)
     payload["oracle_value"] = result.oracle_value
     payload["oracle_state"] = serialize.matrix_to_json(result.oracle_state.vector)
-    payload["difference"] = abs(payload["sep_bound"] - result.oracle_value)
+    payload["difference"] = abs(result.formula_value - result.oracle_value)
     _write_output(serialize.json_dumps(payload), args.out)
     return EXIT_OK
 

@@ -21,9 +21,7 @@ from .linalg import (
     DensityMatrix,
     ValidationError,
     _checked_int,
-    ptrace_array,
     seeded_generator,
-    tensor,
 )
 from .measurements import (
     CANONICAL_BIT_FOR_A,
@@ -58,6 +56,22 @@ _IDEAL_PAIR.setflags(write=False)
 _PAIR_NOISE.setflags(write=False)
 
 
+def _check_parties(state: DensityMatrix, alice: Sequence[DichotomicObservable],
+                   bob: Sequence[DichotomicObservable], charlie3: FourOutcomeMeasurement) -> None:
+    """Four factors, two settings per end party, dims that match: shared by Scenario and theorem_check."""
+    dims = state.dims
+    if len(dims) != 4:
+        raise ValidationError(f"state must have four factors, got dims {dims}")
+    if len(alice) != 2 or len(bob) != 2:
+        raise ValidationError("each party needs exactly two settings")
+    for name, settings, dim in (("alice", alice, dims[0]), ("bob", bob, dims[1])):
+        for k, obs in enumerate(settings):
+            if obs.dim != dim:
+                raise ValidationError(f"{name} setting {k + 1} acts on dim {obs.dim}, state has {dim}")
+    if charlie3.dims != dims[2:]:
+        raise ValidationError(f"charlie3 acts on dims {charlie3.dims}, state has {dims[2:]}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Full experiment description: state, settings and binnings of all parties."""
@@ -69,27 +83,13 @@ class Scenario:
     charlie3: FourOutcomeMeasurement
 
     def __post_init__(self) -> None:
-        dims = self.state.dims
-        if len(dims) != 4:
-            raise ValidationError(f"state must have four factors, got dims {dims}")
-        d_a, d_b, d_ca, d_cb = dims
-        if len(self.alice) != 2 or len(self.bob) != 2 or len(self.charlie12) != 2:
+        _check_parties(self.state, self.alice, self.bob, self.charlie3)
+        if len(self.charlie12) != 2:
             raise ValidationError("each party needs exactly two settings")
-        for k, obs in enumerate(self.alice):
-            if obs.dim != d_a:
-                raise ValidationError(f"alice setting {k + 1} acts on dim {obs.dim}, state has {d_a}")
-        for k, obs in enumerate(self.bob):
-            if obs.dim != d_b:
-                raise ValidationError(f"bob setting {k + 1} acts on dim {obs.dim}, state has {d_b}")
         for k, binned in enumerate(self.charlie12):
-            if binned.base.dims != (d_ca, d_cb):
-                raise ValidationError(
-                    f"charlie setting {k + 1} acts on dims {binned.base.dims}, state has {(d_ca, d_cb)}"
-                )
-        if self.charlie3.dims != (d_ca, d_cb):
-            raise ValidationError(
-                f"charlie3 acts on dims {self.charlie3.dims}, state has {(d_ca, d_cb)}"
-            )
+            if binned.base.dims != self.dims[2:]:
+                raise ValidationError(f"charlie setting {k + 1} acts on dims {binned.base.dims}, "
+                                      f"state has {self.dims[2:]}")
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -129,25 +129,36 @@ class ChshReport:
                 raise ValidationError(f"CHSH value {value} exceeds the quantum ceiling")
 
 
+def _steered(pc: np.ndarray, state: DensityMatrix) -> np.ndarray:
+    """Tr_C[rho (I x P)] for each projector ``pc[z, c]``, indexed ``[z, c, j, l, i, k]`` (row jl)."""
+    d_a, d_b, d_ca, d_cb = state.dims
+    rho = state.matrix.reshape(d_a, d_b, d_ca * d_cb, d_a, d_b, d_ca * d_cb)
+    return np.einsum("zcmn,jlnikm->zcjlik", pc, rho)
+
+
+def _born(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray, state: DensityMatrix) -> np.ndarray:
+    """Probabilities ``[x, y, z, a, b, c]`` from projector stacks ``pa[x, a]``, ``pb[y, b]``, ``pc[z, c]``.
+
+    It is ``einsum('xaij,ybkl,zcmn,jlnikm->xyzabc', PA, PB, PC, rho)`` with
+    the state reshaped to ``(dA, dB, dC, dA, dB, dC)``, contracted one party
+    at a time, the middle party first.
+    """
+    t = np.einsum("ybkl,zcjlik->ybzcji", pb, _steered(pc, state))
+    return np.einsum("xaij,ybzcji->xyzabc", pa, t).real.copy()
+
+
 def born_tables(sc: Scenario) -> np.ndarray:
     """Every outcome probability of the scenario, from one Born-rule contraction.
 
     The result is real and indexed ``[x-1, y-1, z-1, a, b, c]`` like
     :attr:`CountsTable.counts`: a (resp. b) is 0 for outcome +1 and 1 for
     outcome -1, and c is the 0-based raw outcome of the middle party. It is
-    ``einsum('xaij,ybkl,zcmn,jlnikm->xyzabc', PA, PB, PC, rho)`` over the
-    stacked projectors of the three parties and the state reshaped to
-    ``(dA, dB, dC, dA, dB, dC)``, contracted one party at a time.
+    :func:`_born` over the stacked projectors of the three parties.
     """
-    d_a, d_b, d_ca, d_cb = sc.dims
-    d_c = d_ca * d_cb
     pa = np.array([obs.projector_stack for obs in sc.alice])
     pb = np.array([obs.projector_stack for obs in sc.bob])
     pc = np.array([*(binned.base.projector_stack for binned in sc.charlie12), sc.charlie3.projector_stack])
-    rho = sc.state.matrix.reshape(d_a, d_b, d_c, d_a, d_b, d_c)
-    t = np.einsum("zcmn,jlnikm->zcjlik", pc, rho)
-    t = np.einsum("ybkl,zcjlik->ybzcji", pb, t)
-    return np.einsum("xaij,ybzcji->xyzabc", pa, t).real.copy()
+    return _born(pa, pb, pc, sc.state)
 
 
 def joint_distribution(sc: Scenario, x: int, y: int, z: int) -> np.ndarray:
@@ -184,15 +195,14 @@ def _chsh(e: np.ndarray) -> float:
     return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
-def _conditional(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Version matrix of the setting-3 tables, with the correlators and weights it is read from.
+def _conditional(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Version matrix of the setting-3 tables ``joint[x, y, a, b, c]``, with the correlators and weights.
 
     Returns ``(matrix, e, weights)``: ``matrix[c, v]`` is the variant-(v+1)
     value given raw outcome c+1, and ``e``/``weights`` are indexed
     ``[x, y, c]``. An outcome is undefined, and its row and correlators NaN,
     when any (x, y) block of it weighs less than ``PROB_FLOOR``.
     """
-    joint = table[:, :, 2]  # [x, y, a, b, c]
     weights = joint.sum(axis=(2, 3))
     defined = np.all(weights >= PROB_FLOOR, axis=(0, 1))
     e = np.einsum("xyabc,a,b->xyc", joint, _SIGNS, _SIGNS) / np.where(defined, weights, 1)
@@ -219,7 +229,7 @@ def conditional_version_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     value given outcome c+1 and ``probs[c]`` the outcome probability. Rows for
     outcomes below the probability floor are NaN.
     """
-    matrix, _, weights = _conditional(born_tables(sc))
+    matrix, _, weights = _conditional(born_tables(sc)[:, :, 2])
     return matrix, weights.sum(axis=(0, 1)) / weights.sum()
 
 
@@ -233,24 +243,21 @@ def steer(state: DensityMatrix, meas: FourOutcomeMeasurement) -> list[tuple[floa
     """Per-outcome probability and conditional end-party state.
 
     The state must have four factors; the measurement acts on the last two.
-    Outcomes below the probability floor yield ``(p, None)``.
+    The state left by projector P is Tr_C[rho (I x P)] / p, the middle-party
+    contraction of :func:`born_tables`; for a projector it equals
+    Tr_C[(I x P) rho (I x P)] / p. Outcomes below the probability floor
+    yield ``(p, None)``.
     """
     dims = state.dims
     if len(dims) != 4:
         raise ValidationError("steering expects a four-factor state")
     if meas.dims != dims[2:]:
         raise ValidationError(f"measurement dims {meas.dims} do not match state dims {dims[2:]}")
-    eye_ab = np.eye(dims[0] * dims[1])
+    d_ab = dims[0] * dims[1]
     out: list[tuple[float, DensityMatrix | None]] = []
-    for proj in meas.projectors:
-        op = tensor(eye_ab, proj)
-        projected = op @ state.matrix @ op
-        p = float(np.trace(projected).real)
-        if p < PROB_FLOOR:
-            out.append((p, None))
-            continue
-        reduced = ptrace_array(projected / p, dims, (0, 1))
-        out.append((p, DensityMatrix(reduced, dims[:2])))
+    for reduced in _steered(meas.projector_stack[None], state)[0].reshape(4, d_ab, d_ab):
+        p = float(np.trace(reduced).real)
+        out.append((p, None) if p < PROB_FLOOR else (p, DensityMatrix(reduced / p, dims[:2])))
     return out
 
 
@@ -328,7 +335,7 @@ def _report(table: np.ndarray, bits: np.ndarray) -> ChshReport:
     triple.
     """
     swap = [_swap_side(table, bits, party) for party in (0, 1)]
-    matrix, e, weights = _conditional(table)
+    matrix, e, weights = _conditional(table[:, :, 2])
     perm, values = certify.relabel(matrix)
     slots = sorted(range(4), key=perm.__getitem__)  # raw outcome landing in each slot
     probs = (weights.sum(axis=(0, 1)) / weights.sum())[slots]

@@ -31,7 +31,7 @@ from swapcert import (
     relabel,
 )
 from swapcert.certify import VERSION_SIGNS
-from swapcert.linalg import _as_matrix, hermitian_deviation
+from swapcert.linalg import _as_matrix, hermitian_deviation, ptrace_array
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
@@ -532,23 +532,35 @@ def reference_perturbed_bell_measurement(theta: float, pair: int) -> FourOutcome
 def reference_block_chsh(a_blocks, b_blocks) -> tuple[list[tuple[int, int, np.ndarray, float]], float]:
     """Block CHSH one pair at a time: ``(row, col, operator, alpha)`` per pair and lambda.
 
-    Two ``np.kron`` calls and one ``eigvalsh`` per pair; two 1x1 blocks get 2,
-    and alpha within 1e-9 of 2 or 2*sqrt(2) is snapped there.
+    Two ``np.kron`` calls and one ``eigvalsh`` per pair; alpha is the
+    spectral radius of the pair's operator.
     """
     pairs = []
     lam = math.inf
     for i, ab in enumerate(a_blocks.blocks):
         for j, bb in enumerate(b_blocks.blocks):
             beta = np.kron(ab.a0, bb.a0 + bb.a1) + np.kron(ab.a1, bb.a0 - bb.a1)
-            if ab.size == 1 and bb.size == 1:
-                alpha = 2.0
-            else:
-                w = np.linalg.eigvalsh((beta + beta.conj().T) / 2.0)
-                alpha = float(max(w[-1], -w[0]))
-                if abs(alpha - 2.0) <= 1e-9:
-                    alpha = 2.0
-                elif abs(alpha - TSIRELSON) <= 1e-9:
-                    alpha = TSIRELSON
+            w = np.linalg.eigvalsh((beta + beta.conj().T) / 2.0)
+            alpha = float(max(w[-1], -w[0]))
             pairs.append((i, j, beta, alpha))
             lam = min(lam, alpha)
     return pairs, lam
+
+
+def reference_steer(state: DensityMatrix, meas: FourOutcomeMeasurement) -> list[tuple[float, DensityMatrix | None]]:
+    """Steered end-party states from the sandwich (I x P) rho (I x P), traced over the middle party.
+
+    Outcomes with probability below 1e-12 yield ``(p, None)``.
+    """
+    dims = state.dims
+    eye_ab = np.eye(dims[0] * dims[1])
+    out = []
+    for proj in meas.projectors:
+        op = np.kron(eye_ab, proj)
+        projected = op @ state.matrix @ op
+        p = float(np.trace(projected).real)
+        if p < 1e-12:
+            out.append((p, None))
+            continue
+        out.append((p, DensityMatrix(ptrace_array(projected / p, dims, (0, 1)), dims[:2])))
+    return out

@@ -199,14 +199,26 @@ class TestJordanBlocksDegenerate:
             assert np.abs(recovered[label] - proj).max() <= 1e-8
 
     @pytest.mark.parametrize("edge", [0.0, math.pi])
-    @pytest.mark.parametrize("offset", [5e-8, 9e-8])
-    def test_near_edge_dead_zone_is_rejected(self, edge, offset):
-        # A 2x2 block this close to 0 or pi lies inside ANGLE_TOL, is split
-        # into two 1x1 blocks, and fails the 1e-8 reconstruction check.
+    @pytest.mark.parametrize("offset", [2e-8, 5e-8, 9e-8])
+    def test_near_edge_layout_is_accepted(self, edge, offset):
+        # A 2x2 block this close to 0 or pi lies inside ANGLE_TOL of the edge,
+        # but A1 -/+ A0 does not vanish on it, so its phases are paired.
         assert offset < ANGLE_TOL
-        a0, a1 = planted_layout((), (abs(edge - offset), 0.7, 1.9, 2.6), np.random.default_rng(5))
-        with pytest.raises(ValidationError, match="reconstruction"):
-            jordan_blocks(a0, a1)
+        for seed in range(50):
+            a0, a1 = planted_layout((), (abs(edge - offset), 0.7, 1.9, 2.6), np.random.default_rng(seed))
+            blocks = jordan_blocks(a0, a1)
+            assert [b.size for b in blocks.blocks] == [2] * 4
+            assert embed_error(blocks, a0, a1) <= 1e-8
+
+    @pytest.mark.parametrize("edge", [0.0, math.pi])
+    def test_close_near_edge_blocks_are_accepted(self, edge):
+        # Two blocks a few 1e-9 from the edge: each +phase eigenvector carries
+        # about 1e-7 of the other block's -phase eigenvector.
+        for seed in range(50):
+            a0, a1 = planted_layout((), (abs(edge - 3e-9), abs(edge - 5e-9), 0.7), np.random.default_rng(seed))
+            blocks = jordan_blocks(a0, a1)
+            assert [b.size for b in blocks.blocks] == [2] * 3
+            assert embed_error(blocks, a0, a1) <= 1e-8
 
 
 def setting_pair(kind: str, d: int, rng: np.random.Generator):
@@ -219,14 +231,24 @@ def setting_pair(kind: str, d: int, rng: np.random.Generator):
 
 @st.composite
 def bound_layouts(draw):
-    """Settings of one party: generic, planted degenerate (1x1-only included), or ideal.
+    """Settings of one party: generic, planted degenerate (1x1-only included), near-edge or ideal.
 
-    Returns the two observables and whether every block sits at phase pi/2.
+    Near-edge settings hold 2x2 blocks within ANGLE_TOL of 0 or pi beside
+    interior ones, at offsets from 1e-8, where A1 -/+ A0 is too large on
+    them for jordan_blocks to split them into 1x1 blocks. Returns the two
+    observables and whether every block sits at phase pi/2.
     """
-    kind = draw(st.sampled_from(("generic", "planted", "ideal")))
+    kind = draw(st.sampled_from(("generic", "planted", "near_edge", "ideal")))
     if kind == "planted":
         ones, angles, seed = draw(degenerate_layouts())
         return (*planted_layout(ones, angles, np.random.default_rng(seed)), False)
+    if kind == "near_edge":
+        near = draw(st.lists(st.tuples(st.sampled_from((0.0, math.pi)), st.floats(1e-8, 0.99 * ANGLE_TOL)),
+                             min_size=1, max_size=3))
+        interior = draw(st.lists(st.floats(0.05, math.pi - 0.05), max_size=3))
+        seed = draw(st.integers(0, 2**32 - 1))
+        angles = tuple(abs(edge - offset) for edge, offset in near) + tuple(interior)
+        return (*planted_layout((), angles, np.random.default_rng([seed, 3])), False)
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "generic":
         d = draw(st.integers(1, 16))
@@ -248,14 +270,9 @@ class TestClosedFormBound:
         structure, result = sep_bound(a0, a1, b0, b1, with_oracle=False)
         assert structure.pairs == () and result.oracle_value is None
         assert sep_bound_formula(structure) == sep_bound_value(structure.lam)
-        if blocks.lam in (2.0, TSIRELSON) and not (ideal_a and ideal_b):
-            # block_chsh snaps an alpha within 1e-9 of an edge onto it; the
-            # closed form keeps the unsnapped value
-            assert abs(structure.lam - blocks.lam) <= 1e-9
-        else:
-            assert abs(structure.lam - blocks.lam) <= 1e-12
-        if blocks.lam != TSIRELSON or (ideal_a and ideal_b):
-            # at lambda = 2 the bound is flat in lambda, so a snap there moves it by < 1e-12
+        assert abs(structure.lam - blocks.lam) <= 1e-12
+        if not (ideal_a and ideal_b):
+            # at lambda = 2*sqrt(2) the bound is infinitely steep in lambda
             assert abs(result.formula_value - sep_bound_formula(blocks)) <= 1e-12
         if ideal_a and ideal_b:
             assert abs(result.formula_value - SQRT2) <= 1e-15
@@ -268,7 +285,8 @@ class TestClosedFormBound:
     @pytest.mark.parametrize("edge", [0.0, math.pi])
     @pytest.mark.parametrize("offset", [5e-8, 9e-8])
     def test_near_edge_dead_zone_does_not_reach_bound(self, edge, offset):
-        # the layouts of test_near_edge_dead_zone_is_rejected, which jordan_blocks rejects
+        # layouts of test_near_edge_layout_is_accepted, which jordan_blocks rejected before
+        # it paired near-edge phases
         a0, a1 = planted_layout((), (abs(edge - offset), 0.7, 1.9, 2.6), np.random.default_rng(5))
         b0, b1 = planted_layout((), (1.2, 0.5, 2.0), np.random.default_rng(6))
         p = math.sin(offset) * math.sin(0.5)
@@ -404,8 +422,7 @@ class TestBlockChsh:
 
     @pytest.mark.parametrize("case", range(12))
     def test_matches_reference_loop(self, case):
-        # every size class: 1x1 blocks only, 2x2 only, mixed, odd dimensions,
-        # and planted pairs at pi/2, where alpha snaps to 2*sqrt(2)
+        # 1x1 blocks only, 2x2 only, mixed, odd dimensions, and planted pairs at pi/2
         rng = np.random.default_rng(900 + case)
         layouts = [
             (((1, 1), (1, -1)), ()), ((), (0.7, 1.1)), (((-1, 1),), (0.4,)), (((1, 1), (-1, -1)), (1.3, 1.3)),
@@ -423,9 +440,21 @@ class TestBlockChsh:
         pairs, lam = reference_block_chsh(a_blocks, b_blocks)
         assert len(structure.pairs) == len(pairs)
         for got, (row, col, operator, alpha) in zip(structure.pairs, pairs):
-            assert (got.row, got.col, repr(got.alpha)) == (row, col, repr(alpha))
+            assert (got.row, got.col) == (row, col) and abs(got.alpha - alpha) <= 1e-12
             assert got.operator.shape == operator.shape and got.operator.tobytes() == operator.tobytes()
-        assert repr(structure.lam) == repr(lam)
+        assert abs(structure.lam - lam) <= 1e-12
+
+    @given(bound_layouts(), bound_layouts())
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_alpha_matches_reference_eigvalsh(self, a_layout, b_layout):
+        a_blocks, b_blocks = jordan_blocks(*a_layout[:2]), jordan_blocks(*b_layout[:2])
+        structure = block_chsh(a_blocks, b_blocks)
+        pairs, lam = reference_block_chsh(a_blocks, b_blocks)
+        assert [(got.row, got.col) for got in structure.pairs] == [(row, col) for row, col, _, _ in pairs]
+        for got, (_, _, _, alpha) in zip(structure.pairs, pairs):
+            assert abs(got.alpha - alpha) <= 1e-12
+        assert abs(structure.lam - lam) <= 1e-12
 
     def test_scalar_blocks_pin_alpha_to_classical(self):
         structure = block_chsh(jordan_blocks(Z_OBS, Z_OBS), jordan_blocks(Z_OBS, Z_OBS))
@@ -602,6 +631,12 @@ class TestBatchedSeeSaw:
         with pytest.raises(ValidationError, match="dims"):
             sep_bound_oracle(beta, dims)
 
+    @pytest.mark.parametrize("dims", [(0, 0), (1, 0), (0, 4), (-1, -1), (-2, -2)])
+    def test_rejects_dims_below_one(self, dims):
+        beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)
+        with pytest.raises(ValidationError, match="dims entries must be at least 1"):
+            sep_bound_oracle(beta, dims)
+
     def test_accepts_numpy_integers(self):
         beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)
         value, _ = sep_bound_oracle(beta, (2, 2), restarts=np.int64(4), iters=np.int32(50),
@@ -654,10 +689,38 @@ class TestTheoremCheck:
         report = theorem_check(state, (a0, a1), (a0, a1), charlie3)
         assert report.satisfied
         assert report.max_value <= SQRT2 + 1e-8
-        for _, _, alpha in report.alphas:
-            assert alpha == pytest.approx(TSIRELSON, abs=1e-8)
 
     def test_rejects_non_maximal_settings(self):
         state, alice, _ = self.ideal_args()
         with pytest.raises(ValidationError):
             theorem_check(state, alice, (Z_OBS, Z_OBS), bell_measurement())
+
+    def test_rejects_slightly_rotated_settings(self):
+        # Bob's settings turned by delta towards Z: every alpha is within 1e-8 of
+        # 2*sqrt(2), but the separable Z x Z measurement reaches sqrt(2) + O(delta)
+        state, alice, _ = self.ideal_args()
+        delta = 1e-5
+        s, c = math.sin(math.pi / 4 - delta), math.cos(math.pi / 4 - delta)
+        bob = (qubit_observable((s, 0.0, c)), qubit_observable((-s, 0.0, c)))
+        z_projs = ((I2 + Z) / 2, (I2 - Z) / 2)
+        with pytest.raises(ValidationError, match="bob's settings do not anticommute"):
+            theorem_check(state, alice, bob, product_measurement(z_projs, z_projs))
+
+    @pytest.mark.parametrize("fault,match", [
+        ("one_setting", "exactly two settings"), ("three_settings", "exactly two settings"),
+        ("setting_dim", "alice setting 2 acts on dim 3"), ("measurement_dims", "charlie3 acts on dims"),
+    ])
+    def test_rejects_malformed_inputs(self, fault, match):
+        state, alice, bob = self.ideal_args()
+        charlie3 = bell_measurement()
+        if fault == "one_setting":
+            alice = alice[:1]
+        elif fault == "three_settings":
+            bob = (*bob, bob[0])
+        elif fault == "setting_dim":
+            alice = (alice[0], DichotomicObservable(np.diag([1.0, -1.0, 1.0])))
+        else:
+            qutrit = (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]))
+            charlie3 = product_measurement(((I2 + Z) / 2, (I2 - Z) / 2), qutrit)
+        with pytest.raises(ValidationError, match=match):
+            theorem_check(state, alice, bob, charlie3)

@@ -426,6 +426,23 @@ class TestDecompose:
         code, _, _ = run(capsys, "decompose", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize("edge", [0.0, math.pi])
+    def test_edge_block_beside_near_edge_block_is_rejected(self, capsys, tmp_path, edge):
+        # A 1x1 block at the edge and a 2x2 block 5e-8 from it form one group
+        # whose three phases neither split into 1x1 blocks nor pair.
+        from support import planted_layout
+
+        one = (1.0, 1.0) if edge == 0.0 else (1.0, -1.0)
+        a0, a1 = planted_layout((one,), (abs(edge - 5e-8), 0.7), np.random.default_rng(8))
+        sc = ideal_scenario()
+        path = tmp_path / "mixed_edge.json"
+        path.write_text(json.dumps({
+            "a0": matrix_to_json(a0.matrix), "a1": matrix_to_json(a1.matrix),
+            "b0": matrix_to_json(sc.bob[0].matrix), "b1": matrix_to_json(sc.bob[1].matrix),
+        }))
+        code, out, err = run(capsys, "decompose", str(path))
+        assert code == 3 and out == ""
+        assert "do not pair into conjugates" in err
 
     def test_huge_entry_is_one_validation_line(self, tmp_path):
         # numpy's overflow warnings would name the source path on stderr
@@ -483,8 +500,11 @@ class TestSepBound:
 
 @pytest.mark.parametrize("settings,name", [(None, "ideal"), ("planted_d4_settings.json", "planted_d4")])
 def test_blocks_output_is_pinned(capsys, tmp_path, settings, name):
-    # lambda, alpha, sep_bound and oracle_value equal the bytes of the per-restart
-    # see-saw loop; oracle_state is the lowest-index restart within 1e-9 of the best
+    # alpha comes from the block eigenphases, lambda and sep_bound from the eigenphases
+    # of the whole settings, with the 9-digit bytes of a per-pair eigvalsh; oracle_value
+    # equals the bytes of the per-restart see-saw loop, and oracle_state is the
+    # lowest-index restart within 1e-9 of the best. difference, |sep_bound -
+    # oracle_value| at rounding level, holds the closed form's value.
     path = settings_file(tmp_path) if settings is None else GOLDEN / settings
     code, out, _ = run(capsys, "decompose", str(path))
     assert code == 0

@@ -28,6 +28,7 @@ from swapcert import (
     qubit_observable,
     relabel,
     sample_counts,
+    steer,
     steered_states,
 )
 from swapcert.linalg import tensor
@@ -46,6 +47,7 @@ from support import (
     reference_estimate_report,
     reference_exact_report,
     reference_sample_counts,
+    reference_steer,
 )
 
 IDEAL = ideal_scenario()
@@ -183,6 +185,28 @@ class TestSteering:
                 total += p * dm.matrix
             marginal = partial_trace(sc.state, (0, 1)).matrix
             np.testing.assert_allclose(total, marginal, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["random0", "random1", "random2", "random3", "ideal", "zz", "zero"])
+    def test_matches_reference_sandwich(self, case):
+        z_projs = ((I2 + Z) / 2, (I2 - Z) / 2)
+        if case.startswith("random"):
+            sc = random_scenario(np.random.default_rng(2100 + int(case[-1])), 2 + int(case[-1]) % 2, 2)
+            state, meas = sc.state, sc.charlie3
+        elif case == "ideal":
+            state, meas = IDEAL.state, IDEAL.charlie3
+        else:
+            # "zero": the second pair is |00>, so outcomes with C_B = 1 never occur
+            pair_b = maximally_entangled_pair(2) if case == "zz" else np.diag([1.0, 0.0, 0.0, 0.0])
+            state = four_factor_state(maximally_entangled_pair(2), pair_b)
+            meas = product_measurement(z_projs, z_projs)
+        got, want = steer(state, meas), reference_steer(state, meas)
+        assert [dm is None for _, dm in got] == [dm is None for _, dm in want]
+        assert (case == "zero") == any(dm is None for _, dm in got)
+        for (p, dm), (ref_p, ref_dm) in zip(got, want):
+            assert abs(p - ref_p) <= 1e-12
+            if dm is not None:
+                assert dm.dims == ref_dm.dims
+                np.testing.assert_allclose(dm.matrix, ref_dm.matrix, rtol=0, atol=1e-12)
 
     def test_product_measurement_steers_to_products(self):
         z_projs = ((I2 + Z) / 2, (I2 - Z) / 2)
