@@ -37,6 +37,9 @@ ANGLE_TOL = 1e-7
 # vanishes on it to within this; otherwise its phases pair into 2x2 blocks.
 EDGE_TOL = 1e-9
 
+# chsh_spectrum: slack of the +/- pairing and of alpha1^2 + alpha2^2 = 8.
+SPECTRUM_TOL = 1e-8
+
 # theorem_check: largest |A0 A1 + A1 A0| entry on either side, and slack over sqrt(2).
 THEOREM_TOL = 1e-8
 
@@ -254,22 +257,22 @@ def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBl
     return ChshBlockStructure(pairs, min((pair.alpha for pair in pairs), default=math.inf))
 
 
-def chsh_spectrum(beta2q: np.ndarray, tol: float = 1e-8) -> tuple[float, float]:
+def chsh_spectrum(beta2q: np.ndarray) -> tuple[float, float]:
     """Spectral invariants (alpha1 >= alpha2 >= 0) of a two-qubit CHSH operator.
 
     The spectrum must consist of two +/- pairs with alpha1^2 + alpha2^2 = 8;
-    inputs violating either property beyond ``tol`` are rejected as not being
-    CHSH operators of qubit +/-1 observables.
+    inputs violating either property beyond ``SPECTRUM_TOL`` are rejected as
+    not being CHSH operators of qubit +/-1 observables.
     """
     beta = _as_matrix(beta2q, "CHSH operator")
     if beta.shape != (4, 4):
         raise ValidationError("expected a 4x4 operator")
     w = np.linalg.eigvalsh((beta + beta.conj().T) / 2.0)
-    if abs(w[0] + w[3]) > tol or abs(w[1] + w[2]) > tol:
+    if abs(w[0] + w[3]) > SPECTRUM_TOL or abs(w[1] + w[2]) > SPECTRUM_TOL:
         raise ValidationError("spectrum does not split into +/- pairs within tolerance")
     alpha1 = float((w[3] - w[0]) / 2.0)
     alpha2 = float((w[2] - w[1]) / 2.0)
-    if abs(alpha1 * alpha1 + alpha2 * alpha2 - 8.0) > tol:
+    if abs(alpha1 * alpha1 + alpha2 * alpha2 - 8.0) > SPECTRUM_TOL:
         raise ValidationError("squared spectral pair does not sum to 8 within tolerance")
     return alpha1, alpha2
 
@@ -296,7 +299,6 @@ def _check_see_saw_args(restarts: int, iters: int, seed: int) -> None:
 
 
 def _see_saw(
-    op_a: np.ndarray,
     op_b: np.ndarray,
     dims: tuple[int, int],
     restarts: int,
@@ -305,13 +307,14 @@ def _see_saw(
 ) -> tuple[float, PureState]:
     """Batched see-saw over the two contraction matrices of a CHSH operator beta.
 
-    ``op_a[(j, l), (i, k)]`` and ``op_b[(i, k), (j, l)]`` both hold
-    ``beta[(i, j), (k, l)]``, so ``vec(conj(b) b^T) @ op_a`` is the operator
-    on A with B contracted against b, and ``op_b`` likewise with A contracted.
-    So ``op_a`` is ``op_b`` transposed, but both must be C-ordered: a matrix
-    product against a transposed view can round differently.
+    ``op_b[(i, k), (j, l)]`` holds ``beta[(i, j), (k, l)]``, so
+    ``vec(conj(a) a^T) @ op_b`` is the operator on B with A contracted against
+    a. Its transpose ``op_a`` contracts B likewise; it is built here as a
+    C-ordered copy, since a matrix product against a transposed view can
+    round differently.
     """
     d_a, d_b = dims
+    op_a = op_b.T.copy()
     # beta[(k, l), (i, j)] sits at op_b[(k, i), (l, j)]; as in hermitian_deviation
     # the swapped copy is made contiguous first and the difference formed in place
     four = op_b.reshape(d_a, d_a, d_b, d_b)
@@ -383,10 +386,8 @@ def sep_bound_oracle(
     beta = _as_matrix(beta, "operator")
     if beta.shape != (d_a * d_b, d_a * d_b):
         raise ValidationError(f"operator side {beta.shape[0]} does not match dims {dims}")
-    reshaped = beta.reshape(d_a, d_b, d_a, d_b)
-    op_a = reshaped.transpose(1, 3, 0, 2).reshape(d_b * d_b, d_a * d_a)
-    op_b = reshaped.transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
-    return _see_saw(op_a, op_b, (d_a, d_b), restarts, iters, seed)
+    op_b = beta.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    return _see_saw(op_b, (d_a, d_b), restarts, iters, seed)
 
 
 def _min_phase_sine(a0: DichotomicObservable, a1: DichotomicObservable) -> tuple[float, float]:
@@ -448,7 +449,7 @@ def sep_bound(
     # entry (i, k, j, l) is beta[(i, j), (k, l)], each product in the operand
     # order and with the innermost axis on B as in the np.kron of chsh_operator
     op_b = (a0.matrix[:, :, None, None] * plus + a1.matrix[:, :, None, None] * minus).reshape(d_a * d_a, -1)
-    value, state = _see_saw(op_b.T.copy(), op_b, (d_a, d_b), restarts, iters, seed)
+    value, state = _see_saw(op_b, (d_a, d_b), restarts, iters, seed)
     return structure, SepBoundResult(formula, value, state)
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import ValidationError, tensor
+from .linalg import DEFAULT_TOL, ValidationError, tensor
 from .measurements import DichotomicObservable, FourOutcomeMeasurement, bell_basis
 
 SQRT2 = math.sqrt(2.0)
@@ -35,6 +35,9 @@ VERSION_SIGNS = (
 # lexicographic: row p maps outcome c to slot _PERMUTATIONS[p][c].
 _PERMUTATIONS = tuple(itertools.permutations(range(4)))
 _PERMUTATION_TABLE = np.array(_PERMUTATIONS)
+
+# Row v is reference state v + 1 of the entangled basis.
+_BELL_VECTORS = np.array([s.vector for s in bell_basis()])
 
 
 @dataclass(frozen=True)
@@ -160,17 +163,14 @@ def _reference_overlaps(meas: FourOutcomeMeasurement) -> np.ndarray:
 
     Working with the projector avoids extracting eigenvectors, which keeps the
     square-root-amplified quantities downstream as clean as double precision
-    allows.
+    allows. Two stacked matrix products, P_c ref_v and then its inner
+    product with ref_v, round as one form at a time does.
     """
     if meas.dims != (2, 2):
         raise ValidationError(f"measurement acts on {meas.dims}, expected (2, 2)")
     meas.require_rank_one()
-    reference = [s.vector for s in bell_basis()]
-    out = np.empty((4, 4))
-    for c, proj in enumerate(meas.projectors):
-        for v, ref in enumerate(reference):
-            out[c, v] = float(np.real(ref.conj() @ (proj @ ref)))
-    return out
+    images = meas.projector_stack[:, None] @ _BELL_VECTORS[None, :, :, None]  # [c, v] = P_c ref_v, a column
+    return (_BELL_VECTORS.conj()[None, :, None, :] @ images)[:, :, 0, 0].real
 
 
 def trace_distance(meas: FourOutcomeMeasurement, relabeling: Sequence[int]) -> float:
@@ -183,19 +183,16 @@ def trace_distance(meas: FourOutcomeMeasurement, relabeling: Sequence[int]) -> f
     relabeling = tuple(int(s) for s in relabeling)
     if sorted(relabeling) != [0, 1, 2, 3]:
         raise ValidationError(f"{relabeling!r} is not a permutation of outcomes")
-    overlaps = _reference_overlaps(meas)
-    worst = 0.0
-    for c, slot in enumerate(relabeling):
-        worst = max(worst, math.sqrt(max(0.0, 1.0 - overlaps[c, slot])))
-    return worst
+    matched = _reference_overlaps(meas)[range(4), relabeling]
+    return float(np.max(np.sqrt(np.maximum(0.0, 1.0 - matched))))
 
 
-def distance_bounds(s_ab_values: Sequence[float], tol: float = 1e-9) -> DistanceBounds:
+def distance_bounds(s_ab_values: Sequence[float]) -> DistanceBounds:
     """Two-sided bound on the trace distance from relabeled conditional values.
 
-    Values may exceed the quantum ceiling by at most ``tol`` (they are clamped);
-    a larger excess, or any non-finite value, is an error. Both bounds are
-    clipped into [0, 1], where the upper bound is vacuous anyway.
+    Values may exceed the quantum ceiling by at most ``DEFAULT_TOL`` (they are
+    clamped); a larger excess, or any non-finite value, is an error. Both
+    bounds are clipped into [0, 1], where the upper bound is vacuous anyway.
     """
     values = [float(v) for v in s_ab_values]
     if len(values) != 4:
@@ -203,7 +200,7 @@ def distance_bounds(s_ab_values: Sequence[float], tol: float = 1e-9) -> Distance
     for c, v in enumerate(values):
         if not math.isfinite(v):
             raise ValidationError(f"conditional value for outcome {c + 1} is undefined")
-        if v > TSIRELSON + tol:
+        if v > TSIRELSON + DEFAULT_TOL:
             raise ValidationError(f"conditional value {v:.12g} exceeds the quantum ceiling")
     clamped = [min(v, TSIRELSON) for v in values]
     lower = math.sqrt(max(0.0, 0.5 * (1.0 - max(clamped) / TSIRELSON)))
@@ -226,13 +223,9 @@ def overlap_version_matrix(meas: FourOutcomeMeasurement) -> np.ndarray:
     settings this equals the simulated conditional value exactly.
     """
     overlaps = _reference_overlaps(meas)
-    out = np.empty((4, 4))
-    for v in range(4):
-        out[:, v] = TSIRELSON * (overlaps[:, v] - overlaps[:, 3 - v])
-    return out
+    return TSIRELSON * (overlaps - overlaps[:, ::-1])
 
 
 def overlap_chsh(meas: FourOutcomeMeasurement) -> tuple[float, float, float, float]:
     """Predicted conditional CHSH per outcome, each in its own variant."""
-    matrix = overlap_version_matrix(meas)
-    return tuple(float(matrix[c, c]) for c in range(4))
+    return tuple(overlap_version_matrix(meas).diagonal().tolist())

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import blocks, certify, protocol, serialize
-from .linalg import ValidationError
+from .linalg import DEFAULT_TOL, ValidationError
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -40,7 +40,7 @@ class UsageError(Exception):
 def _default_tol() -> float:
     raw = os.environ.get(TOL_ENV_VAR)
     if raw is None:
-        return 1e-9
+        return DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError:
@@ -157,7 +157,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds_curve(args: argparse.Namespace) -> int:
-    if not (0.0 <= args.s_min <= args.s_max <= certify.TSIRELSON + 1e-9):
+    if not (0.0 <= args.s_min <= args.s_max <= certify.TSIRELSON + DEFAULT_TOL):
         raise UsageError(
             f"need 0 <= s-min <= s-max <= {certify.TSIRELSON:.9g}, "
             f"got [{args.s_min}, {args.s_max}]"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +28,28 @@ ID2 = np.eye(2, dtype=complex)
 CANONICAL_BIT_FOR_A = (1, 1, -1, -1)
 CANONICAL_BIT_FOR_B = (1, -1, 1, -1)
 
-# The six pairs (i, j), i < j, of the four outcomes, in lexicographic order.
-_PAIRS_I = [0, 0, 0, 1, 1, 2]
-_PAIRS_J = [1, 2, 3, 2, 3, 3]
+
+@cache
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, of k outcomes in lexicographic order, as index arrays built once."""
+    return np.triu_indices(k, 1)
+
+
+def _projector_failures(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Per outcome: not Hermitian, not idempotent; per pair i < j: P_i P_j not zero; and incompleteness.
+
+    All deviations come at once from the stack, with numpy's floating-point
+    warnings off; a check fails unless its deviation is at most ``tol``, so
+    an overflow to inf or NaN fails too.
+    """
+    pairs_i, pairs_j = _pairs(len(stack))
+    with np.errstate(all="ignore"):
+        herm = hermitian_deviation(stack)
+        idem = np.max(np.abs(stack @ stack - stack), axis=(1, 2))
+        overlap = np.max(np.abs(stack[pairs_i] @ stack[pairs_j]), axis=(1, 2))
+        total = reduce(np.add, stack)  # in outcome order; stack.sum(axis=0) may pair terms at d = 1
+        incomplete = not np.max(np.abs(total - np.eye(stack.shape[1]))) <= tol
+    return ~(herm <= tol), ~(idem <= tol), ~(overlap <= tol), incomplete
 
 
 @dataclass(frozen=True)
@@ -137,40 +156,35 @@ class FourOutcomeMeasurement:
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Enforce Hermiticity, idempotence, mutual orthogonality and completeness.
 
-        Every deviation is computed at once over the stacked projectors; the
-        error raised is the first failure in the order projector by projector
-        (Hermitian, then idempotent), then pairs (i, j) with i < j in
-        lexicographic order, then completeness.
+        The deviations come from :func:`_projector_failures`; the error raised
+        is the first failure in the order projector by projector (Hermitian,
+        then idempotent), then pairs (i, j) with i < j in lexicographic
+        order, then completeness.
         """
-        stack = self.projector_stack
-        with np.errstate(all="ignore"):  # an overflow shows up as an inf or NaN deviation
-            herm = hermitian_deviation(stack)
-            idem = np.max(np.abs(stack @ stack - stack), axis=(1, 2))
-            overlap = np.max(np.abs(stack[_PAIRS_I] @ stack[_PAIRS_J]), axis=(1, 2))
-            total = stack[0] + stack[1] + stack[2] + stack[3]
-            incomplete = not np.max(np.abs(total - np.eye(self.dim))) <= tol
-        for k in range(4):  # "not <=" so that NaN fails too
-            if not herm[k] <= tol:
+        not_herm, not_idem, not_orth, incomplete = _projector_failures(self.projector_stack, tol)
+        for k in range(4):
+            if not_herm[k]:
                 raise ValidationError(f"projector {k + 1} is not Hermitian within tolerance")
-            if not idem[k] <= tol:
+            if not_idem[k]:
                 raise ValidationError(f"projector {k + 1} is not idempotent within tolerance")
-        for i, j, value in zip(_PAIRS_I, _PAIRS_J, overlap):
-            if not value <= tol:
+        for i, j, failed in zip(*_pairs(4), not_orth):
+            if failed:
                 raise ValidationError(f"projectors {i + 1} and {j + 1} are not orthogonal")
         if incomplete:
             raise ValidationError("projectors do not sum to the identity within tolerance")
 
     def require_rank_one(self) -> None:
-        """Raise unless every projector has rank 1."""
-        for k, proj in enumerate(self.projectors):
-            # trace of a projector is its rank, so this is a robust rank test
-            if abs(float(np.trace(proj).real) - 1.0) > 1e-6:
-                raise ValidationError(f"projector {k + 1} has rank != 1")
+        """Raise unless every projector has rank 1, naming the first that does not."""
+        # the trace of a projector is its rank, so this is a robust rank test
+        wrong = np.abs(np.trace(self.projector_stack, axis1=1, axis2=2).real - 1.0) > 1e-6
+        if wrong.any():
+            raise ValidationError(f"projector {int(np.argmax(wrong)) + 1} has rank != 1")
 
     def eigenstates(self) -> tuple[np.ndarray, ...]:
         """Unit eigenvector of each projector; requires every projector rank 1."""
         self.require_rank_one()
-        return tuple(np.linalg.eigh((proj + proj.conj().T) / 2.0)[1][:, -1] for proj in self.projectors)
+        stack = self.projector_stack
+        return tuple(np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)[1][:, :, -1])
 
 
 def checked_bits(bits: Sequence[int], name: str) -> tuple[int, int, int, int]:
@@ -238,34 +252,33 @@ def perturbed_bell_measurement(theta: float, pair: int = 1) -> FourOutcomeMeasur
     return FourOutcomeMeasurement(tuple(projs), (2, 2))
 
 
-def _validate_two_outcome(projs: Sequence[np.ndarray], name: str, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _validate_two_outcome(projs: Sequence[np.ndarray], name: str) -> np.ndarray:
+    """A factor's projectors as a checked ``(2, d, d)`` stack; orthogonality is not reported on its own."""
     if len(projs) != 2:
         raise ValidationError(f"{name} must have exactly two outcomes")
     p0 = _as_matrix(projs[0], f"{name} outcome 1")
     p1 = _as_matrix(projs[1], f"{name} outcome 2")
     if p0.shape != p1.shape or p0.shape[0] != p0.shape[1]:
         raise ValidationError(f"{name} projectors must be square and equal-sized")
-    with np.errstate(all="ignore"):  # an overflow shows up as an inf or NaN deviation, which fails
-        for k, p in enumerate((p0, p1)):
-            if not hermitian_deviation(p) <= tol or not np.max(np.abs(p @ p - p)) <= tol:
-                raise ValidationError(f"{name} outcome {k + 1} is not a projector within tolerance")
-        if not np.max(np.abs(p0 + p1 - np.eye(p0.shape[0]))) <= tol:
-            raise ValidationError(f"{name} outcomes do not sum to the identity")
-    return p0, p1
+    stack = np.array((p0, p1))
+    not_herm, not_idem, _, incomplete = _projector_failures(stack, DEFAULT_TOL)
+    not_projector = not_herm | not_idem
+    if not_projector.any():
+        k = int(np.argmax(not_projector))
+        raise ValidationError(f"{name} outcome {k + 1} is not a projector within tolerance")
+    if incomplete:
+        raise ValidationError(f"{name} outcomes do not sum to the identity")
+    return stack
 
 
-def product_measurement(
-    ma: Sequence[np.ndarray],
-    mb: Sequence[np.ndarray],
-    tol: float = DEFAULT_TOL,
-) -> FourOutcomeMeasurement:
+def product_measurement(ma: Sequence[np.ndarray], mb: Sequence[np.ndarray]) -> FourOutcomeMeasurement:
     """Separable four-outcome measurement built from two 2-outcome projective factors.
 
     Outcome indices are fixed lexicographically: outcome c = 2*(a-1) + b for
-    factor outcomes a, b in {1, 2}.
+    factor outcomes a, b in {1, 2}. Both factors are checked to ``DEFAULT_TOL``.
     """
-    pa = _validate_two_outcome(ma, "first factor", tol)
-    pb = _validate_two_outcome(mb, "second factor", tol)
+    pa = _validate_two_outcome(ma, "first factor")
+    pb = _validate_two_outcome(mb, "second factor")
     projs = tuple(tensor(pa[a], pb[b]) for a in range(2) for b in range(2))
     return FourOutcomeMeasurement(projs, (pa[0].shape[0], pb[0].shape[0]))
 

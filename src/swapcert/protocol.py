@@ -18,6 +18,7 @@ import numpy as np
 from . import certify
 from .certify import SQRT2, TSIRELSON
 from .linalg import (
+    DEFAULT_TOL,
     DensityMatrix,
     ValidationError,
     _checked_int,
@@ -121,11 +122,11 @@ class ChshReport:
     relabeling: tuple[int, int, int, int]
     stderr: ReportStdErr | None = None
 
-    def validate(self, tol: float = 1e-9) -> None:
-        if abs(sum(self.outcome_probs) - 1.0) > tol:
+    def validate(self) -> None:
+        if abs(sum(self.outcome_probs) - 1.0) > DEFAULT_TOL:
             raise ValidationError("outcome probabilities do not sum to 1")
         for value in (self.s_ac, self.s_bc, *self.s_ab_given_c):
-            if math.isfinite(value) and abs(value) > TSIRELSON + tol:
+            if math.isfinite(value) and abs(value) > TSIRELSON + DEFAULT_TOL:
                 raise ValidationError(f"CHSH value {value} exceeds the quantum ceiling")
 
 

@@ -520,6 +520,56 @@ def reference_validate_projectors(projectors, dim: int, tol: float = 1e-9) -> No
         raise ValidationError("projectors do not sum to the identity within tolerance")
 
 
+def reference_validate_factor(projs, name: str, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """The factor check of ``product_measurement`` one matrix at a time, raising at the first failure.
+
+    Outcome count, then square and equal-sized outcomes, then per outcome
+    Hermiticity and idempotence, then completeness. Deviations are formed
+    with numpy's floating-point warnings off, and NaN fails every check.
+    """
+    if len(projs) != 2:
+        raise ValidationError(f"{name} must have exactly two outcomes")
+    p0 = _as_matrix(projs[0], f"{name} outcome 1")
+    p1 = _as_matrix(projs[1], f"{name} outcome 2")
+    if p0.shape != p1.shape or p0.shape[0] != p0.shape[1]:
+        raise ValidationError(f"{name} projectors must be square and equal-sized")
+    with np.errstate(all="ignore"):
+        for k, p in enumerate((p0, p1)):
+            if not np.max(np.abs(p - p.conj().T)) <= tol or not np.max(np.abs(p @ p - p)) <= tol:
+                raise ValidationError(f"{name} outcome {k + 1} is not a projector within tolerance")
+        if not np.max(np.abs(p0 + p1 - np.eye(p0.shape[0]))) <= tol:
+            raise ValidationError(f"{name} outcomes do not sum to the identity")
+    return p0, p1
+
+
+def reference_overlaps(meas: FourOutcomeMeasurement) -> np.ndarray:
+    """overlaps[c, v] = <ref_v|P_c|ref_v>, one matrix-vector and one inner product per entry."""
+    reference = [s.vector for s in bell_basis()]
+    out = np.empty((4, 4))
+    for c, proj in enumerate(meas.projectors):
+        for v, ref in enumerate(reference):
+            out[c, v] = float(np.real(ref.conj() @ (proj @ ref)))
+    return out
+
+
+def reference_overlap_version_matrix(meas: FourOutcomeMeasurement) -> np.ndarray:
+    """2*sqrt(2) times overlap v+1 minus overlap 4-v, one variant column at a time."""
+    overlaps = reference_overlaps(meas)
+    out = np.empty((4, 4))
+    for v in range(4):
+        out[:, v] = TSIRELSON * (overlaps[:, v] - overlaps[:, 3 - v])
+    return out
+
+
+def reference_trace_distance(meas: FourOutcomeMeasurement, relabeling) -> float:
+    """Largest sqrt(1 - overlap) of an outcome with its slot's reference state, one outcome at a time."""
+    overlaps = reference_overlaps(meas)
+    worst = 0.0
+    for c, slot in enumerate(relabeling):
+        worst = max(worst, math.sqrt(max(0.0, 1.0 - overlaps[c, slot])))
+    return worst
+
+
 def reference_perturbed_bell_measurement(theta: float, pair: int) -> FourOutcomeMeasurement:
     """The joint-basis rotation from copies of all four entangled vectors, one outer product each."""
     basis = [s.vector.copy() for s in bell_basis()]

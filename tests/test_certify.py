@@ -24,12 +24,16 @@ from swapcert import (
     trace_distance,
     version_operator,
 )
+from swapcert.certify import _reference_overlaps
 from support import (
     SQRT2,
     TSIRELSON,
     ideal_with_charlie3,
     kron_all,
+    reference_overlap_version_matrix,
+    reference_overlaps,
     reference_relabel,
+    reference_trace_distance,
     rotated_bell_measurement,
     scenario_settings_ideal,
 )
@@ -341,3 +345,30 @@ class TestVersionOperators:
             bounds = distance_bounds(values)
             t = trace_distance(meas, perm)
             assert bounds.lower <= t <= bounds.upper + 1e-9
+
+
+def _overlap_measurements():
+    """The 100 rotated measurements of criterion 04 and 150 rotations of each entangled pair."""
+    out = [rotated_bell_measurement(np.random.default_rng(140_000 + seed)) for seed in range(100)]
+    thetas = np.random.default_rng(23).uniform(-math.pi, math.pi, 150)
+    out += [perturbed_bell_measurement(float(theta), pair) for pair in (1, 2) for theta in thetas]
+    return out
+
+
+class TestOverlapReadsAgainstReference:
+    """The stacked overlap reads give the bytes of the loops in ``support``."""
+
+    def test_same_bytes(self):
+        permutations = list(itertools.permutations(range(4)))
+        for meas in _overlap_measurements():
+            assert _reference_overlaps(meas).tobytes() == reference_overlaps(meas).tobytes()
+            assert overlap_version_matrix(meas).tobytes() == reference_overlap_version_matrix(meas).tobytes()
+            got = np.array([trace_distance(meas, perm) for perm in permutations])
+            expected = np.array([reference_trace_distance(meas, perm) for perm in permutations])
+            assert got.tobytes() == expected.tobytes()
+
+    def test_eigenstates_same_bytes(self):
+        for meas in _overlap_measurements()[::10]:
+            for got, proj in zip(meas.eigenstates(), meas.projectors):
+                expected = np.linalg.eigh((proj + proj.conj().T) / 2.0)[1][:, -1]
+                assert got.tobytes() == expected.tobytes()

@@ -25,6 +25,7 @@ from support import (
     random_binned,
     random_observable,
     reference_perturbed_bell_measurement,
+    reference_validate_factor,
     reference_validate_projectors,
     rotated_bell_measurement,
 )
@@ -352,6 +353,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             meas.eigenstates()
 
+    @pytest.mark.parametrize("ranks,first", [((2, 2, 0, 0), 1), ((1, 1, 2, 0), 3), ((1, 1, 1, 1), None),
+                                             ((1, 0, 1, 2), 2), ((1, 1, 0, 2), 3)])
+    def test_rank_one_check_names_the_first_failure(self, ranks, first):
+        basis = np.eye(4)
+        starts = np.cumsum((0, *ranks[:-1]))
+        projs = tuple(basis[:, s:s + r] @ basis[:, s:s + r].T for s, r in zip(starts, ranks))
+        meas = FourOutcomeMeasurement(projs, (2, 2))
+        if first is None:
+            meas.require_rank_one()
+        else:
+            with pytest.raises(ValidationError, match=f"^projector {first} has rank != 1$"):
+                meas.require_rank_one()
+
 
 def _valid_projectors(rng, dims):
     """Four orthogonal projectors summing to the identity, from the columns of a Haar unitary."""
@@ -362,10 +376,13 @@ def _valid_projectors(rng, dims):
     return [u[:, g] @ u[:, g].conj().T for g in groups]
 
 
-def _break(projs, rng, kind, where):
-    """Perturb ``projs`` in place so that one property fails at projector or pair ``where``."""
+def _break(projs, rng, kind, where, size=None):
+    """Perturb ``projs`` in place so that one property fails at projector or pair ``where``.
+
+    The perturbation has the given ``size``, or one drawn from ``rng``.
+    """
     side = projs[0].shape[0]
-    size = float(rng.choice([1e-3, 1e-6, 3e-9, 2e-9]))
+    size = float(rng.choice([1e-3, 1e-6, 3e-9, 2e-9])) if size is None else size
     if kind == "hermitian":
         projs[where] = projs[where] + size * np.triu(np.ones((side, side)), 1)
     elif kind == "idempotent":
@@ -431,3 +448,82 @@ class TestValidateAgainstReference:
         for dims in ((2, 2), (2, 3), (1, 4)):
             for _ in range(20):
                 assert self._outcomes(_valid_projectors(rng, dims), dims) == (None, None)
+
+
+def _valid_factor(rng, d):
+    """A two-outcome projective factor on C^d from the columns of a Haar unitary, both outcomes nonzero."""
+    u = haar_unitary(d, rng)[:, : int(rng.integers(1, d))]
+    p0 = u @ u.conj().T
+    return [p0, np.eye(d) - p0]
+
+
+class TestValidateFactorAgainstReference:
+    KINDS = [(kind, where) for kind in ("hermitian", "idempotent", "complete") for where in range(2)]
+
+    @staticmethod
+    def _outcomes(ma, mb):
+        try:
+            pa = reference_validate_factor(ma, "first factor")
+            pb = reference_validate_factor(mb, "second factor")
+            dims = (pa[0].shape[0], pb[0].shape[0])
+            FourOutcomeMeasurement(tuple(np.kron(pa[a], pb[b]) for a in range(2) for b in range(2)), dims)
+            expected = None
+        except ValidationError as exc:
+            expected = str(exc)
+        try:
+            product_measurement(ma, mb)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        return got, expected
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_same_message_for_each_failure(self, d):
+        rng = np.random.default_rng([43, d])
+        for first in self.KINDS:
+            for second in [None, *self.KINDS]:  # a second failure may come earlier or later
+                for position in range(2):
+                    factors = [_valid_factor(rng, d), _valid_factor(rng, d)]
+                    _break(factors[position], rng, *first)
+                    if second is not None:
+                        _break(factors[position], rng, *second)
+                    got, expected = self._outcomes(*factors)
+                    assert got == expected
+
+    @pytest.mark.parametrize("kind,where", KINDS)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_each_failure_is_named(self, kind, where, position):
+        rng = np.random.default_rng(9)
+        factors = [_valid_factor(rng, 3), _valid_factor(rng, 2)]
+        _break(factors[position], rng, kind, where, size=1e-6)
+        name = ("first factor", "second factor")[position]
+        message = f"{name} outcomes do not sum to the identity" if kind == "complete" else (
+            f"{name} outcome {where + 1} is not a projector within tolerance")
+        assert self._outcomes(*factors) == (message, message)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("outcomes", [1, 3])
+    def test_wrong_outcome_count(self, position, outcomes):
+        rng = np.random.default_rng(10)
+        factors = [_valid_factor(rng, 2), _valid_factor(rng, 2)]
+        factors[position] = (factors[position] * 2)[:outcomes]
+        name = ("first factor", "second factor")[position]
+        message = f"{name} must have exactly two outcomes"
+        assert self._outcomes(*factors) == (message, message)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 3), (2, 3))])
+    def test_shape_mismatch(self, position, shapes):
+        rng = np.random.default_rng(11)
+        factors = [_valid_factor(rng, 2), _valid_factor(rng, 2)]
+        factors[position] = [np.zeros(shape) for shape in shapes]
+        name = ("first factor", "second factor")[position]
+        message = f"{name} projectors must be square and equal-sized"
+        assert self._outcomes(*factors) == (message, message)
+
+    def test_valid_factors_accepted(self):
+        rng = np.random.default_rng(12)
+        for d_a, d_b in ((2, 2), (2, 3), (4, 3), (1, 2)):
+            for _ in range(10):
+                factor_a = _valid_factor(rng, d_a) if d_a > 1 else [np.eye(1), np.zeros((1, 1))]
+                assert self._outcomes(factor_a, _valid_factor(rng, d_b)) == (None, None)
