@@ -7,7 +7,6 @@ from .blocks import (
     ObservableBlock,
     ObservableBlocks,
     SepBoundResult,
-    TheoremCheckReport,
     block_chsh,
     chsh_operator,
     chsh_spectrum,
@@ -16,7 +15,7 @@ from .blocks import (
     sep_bound_formula,
     sep_bound_oracle,
     sep_bound_value,
-    theorem_check,
+    version_operator,
 )
 from .certify import (
     CLASSICAL_BOUND,
@@ -33,7 +32,6 @@ from .certify import (
     relabel,
     threshold_for_distance,
     trace_distance,
-    version_operator,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -60,10 +58,10 @@ from .protocol import (
     CountsTable,
     ReportStdErr,
     Scenario,
+    TheoremCheckReport,
     born_tables,
     chsh_ac,
     chsh_bc,
-    conditional_chsh_ab,
     conditional_version_matrix,
     estimate_report,
     exact_report,
@@ -73,6 +71,7 @@ from .protocol import (
     sample_counts,
     steer,
     steered_states,
+    theorem_check,
 )
 
 __version__ = "0.1.0"

@@ -18,17 +18,17 @@ from typing import Sequence
 
 import numpy as np
 
-from . import protocol
-from .certify import SQRT2
+from .certify import VERSION_SIGNS
 from .linalg import (
-    DensityMatrix,
+    DEFAULT_TOL,
     PureState,
     ValidationError,
     _as_matrix,
     _checked_int,
+    hermitian_deviation,
     seeded_generator,
 )
-from .measurements import DichotomicObservable, FourOutcomeMeasurement
+from .measurements import DichotomicObservable
 
 # Eigenphases of the product A0*A1 closer than this are grouped together.
 ANGLE_TOL = 1e-7
@@ -39,9 +39,6 @@ EDGE_TOL = 1e-9
 
 # chsh_spectrum: slack of the +/- pairing and of alpha1^2 + alpha2^2 = 8.
 SPECTRUM_TOL = 1e-8
-
-# theorem_check: largest |A0 A1 + A1 A0| entry on either side, and slack over sqrt(2).
-THEOREM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -104,16 +101,6 @@ class SepBoundResult:
     formula_value: float
     oracle_value: float | None = None
     oracle_state: PureState | None = None
-
-
-@dataclass(frozen=True)
-class TheoremCheckReport:
-    """Outcome of the separable-steering check on a planted maximal instance."""
-
-    version_values: np.ndarray  # [c, v], NaN for outcomes without statistics
-    max_value: float
-    bound: float
-    satisfied: bool
 
 
 def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> ObservableBlocks:
@@ -204,6 +191,23 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     return result
 
 
+def _chsh_entries(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """A0 x (B0 + B1) + A1 x (B0 - B1) with beta[(i, j), (k, l)] at [i, k, j, l].
+
+    Each entry is a0[i, k] (b0 + b1)[j, l] + a1[i, k] (b0 - b1)[j, l], the
+    products in the operand order of ``np.kron``, so transposed to
+    [i, j, k, l] it holds the bytes of the ``np.kron`` sum.
+    """
+    return a0[:, :, None, None] * (b0 + b1) + a1[:, :, None, None] * (b0 - b1)
+
+
+def _chsh_matrix(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """:func:`_chsh_entries` as a square operator on the A x B space."""
+    entries = _chsh_entries(a0, a1, b0, b1)
+    side = entries.shape[0] * entries.shape[2]
+    return entries.transpose(0, 2, 1, 3).reshape(side, side)
+
+
 def chsh_operator(
     a0: DichotomicObservable,
     a1: DichotomicObservable,
@@ -213,7 +217,27 @@ def chsh_operator(
     """CHSH operator A0 x (B0 + B1) + A1 x (B0 - B1)."""
     if a0.dim != a1.dim or b0.dim != b1.dim:
         raise ValidationError("settings of one party must share a dimension")
-    return np.kron(a0.matrix, b0.matrix + b1.matrix) + np.kron(a1.matrix, b0.matrix - b1.matrix)
+    return _chsh_matrix(a0.matrix, a1.matrix, b0.matrix, b1.matrix)
+
+
+def version_operator(
+    alice: Sequence[DichotomicObservable],
+    bob: Sequence[DichotomicObservable],
+    version: int,
+) -> np.ndarray:
+    """CHSH operator of the given variant (1..4) for the two settings per side.
+
+    Variant v weighs (A1 B1, A1 B2, A2 B1, A2 B2) by ``VERSION_SIGNS[v - 1]`` =
+    (s, s, t, -t), so it is :func:`chsh_operator` of (s A1, t A2, B1, B2).
+    """
+    if version not in (1, 2, 3, 4):
+        raise ValidationError("version must be in 1..4")
+    a1, a2 = alice
+    b1, b2 = bob
+    if a1.dim != a2.dim or b1.dim != b2.dim:
+        raise ValidationError("settings of one party must share a dimension")
+    s, _, t, _ = VERSION_SIGNS[version - 1]
+    return _chsh_matrix(s * a1.matrix, t * a2.matrix, b1.matrix, b2.matrix)
 
 
 def _phase_sines(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +265,8 @@ def _block_sines(decomposition: ObservableBlocks) -> np.ndarray:
 def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBlockStructure:
     """Restrict the CHSH operator to every block pair and record top eigenvalues.
 
-    Each pair's operator is the ``np.kron`` sum of :func:`chsh_operator` on
-    the two blocks' restrictions. Its top eigenvalue comes from Landau's
+    Each pair's operator is :func:`chsh_operator` of the two blocks'
+    restrictions. Its top eigenvalue comes from Landau's
     identity, as in :func:`sep_bound`: alpha_ij = 2 sqrt(1 + s_i s_j), where
     s is the |sin| of a block's eigenphase, 0 on a 1x1 block. So a pair with
     a 1x1 block gets the classical value 2 and two blocks at phase pi/2 get
@@ -250,8 +274,7 @@ def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBl
     """
     s_a, s_b = _block_sines(a_blocks), _block_sines(b_blocks)
     pairs = tuple(
-        BlockPair(i, j, np.kron(ab.a0, bb.a0 + bb.a1) + np.kron(ab.a1, bb.a0 - bb.a1),
-                  2.0 * math.sqrt(1.0 + s_a[i] * s_b[j]))
+        BlockPair(i, j, _chsh_matrix(ab.a0, ab.a1, bb.a0, bb.a1), 2.0 * math.sqrt(1.0 + s_a[i] * s_b[j]))
         for i, ab in enumerate(a_blocks.blocks) for j, bb in enumerate(b_blocks.blocks)
     )
     return ChshBlockStructure(pairs, min((pair.alpha for pair in pairs), default=math.inf))
@@ -305,24 +328,16 @@ def _see_saw(
     iters: int,
     seed: int,
 ) -> tuple[float, PureState]:
-    """Batched see-saw over the two contraction matrices of a CHSH operator beta.
+    """Batched see-saw over the two contraction matrices of a Hermitian CHSH operator beta.
 
     ``op_b[(i, k), (j, l)]`` holds ``beta[(i, j), (k, l)]``, so
     ``vec(conj(a) a^T) @ op_b`` is the operator on B with A contracted against
     a. Its transpose ``op_a`` contracts B likewise; it is built here as a
     C-ordered copy, since a matrix product against a transposed view can
-    round differently.
+    round differently. Every contracted matrix is symmetrized before ``eigh``.
     """
     d_a, d_b = dims
     op_a = op_b.T.copy()
-    # beta[(k, l), (i, j)] sits at op_b[(k, i), (l, j)]; as in hermitian_deviation
-    # the swapped copy is made contiguous first and the difference formed in place
-    four = op_b.reshape(d_a, d_a, d_b, d_b)
-    diff = four.transpose(1, 0, 3, 2).copy()
-    np.conjugate(diff, out=diff)
-    np.subtract(four, diff, out=diff)
-    if np.max(np.abs(diff)) > 1e-9:
-        raise ValidationError("operator must be Hermitian")
 
     def top_eigvecs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, vecs = np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
@@ -386,6 +401,8 @@ def sep_bound_oracle(
     beta = _as_matrix(beta, "operator")
     if beta.shape != (d_a * d_b, d_a * d_b):
         raise ValidationError(f"operator side {beta.shape[0]} does not match dims {dims}")
+    if hermitian_deviation(beta) > DEFAULT_TOL:
+        raise ValidationError("operator must be Hermitian")
     op_b = beta.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
     return _see_saw(op_b, (d_a, d_b), restarts, iters, seed)
 
@@ -431,10 +448,11 @@ def sep_bound(
     The returned structure lists no block pairs (only :func:`block_chsh`
     does) and carries lam for :func:`sep_bound_formula`; near
     lam = 2 sqrt(2) that recomputes the bound from the rounded lam, so
-    ``formula_value`` is the accurate one. The see-saw runs on
-    contraction matrices built straight from the observables, each entry an
-    A entry times a (B0 +/- B1) entry as in :func:`chsh_operator`, so it
-    returns the bytes :func:`sep_bound_oracle` returns on that operator.
+    ``formula_value`` is the accurate one. The see-saw runs on the
+    :func:`_chsh_entries` of the observables, reshaped without a copy, so it
+    returns the bytes :func:`sep_bound_oracle` returns on
+    :func:`chsh_operator`. No Hermiticity check runs here: each observable
+    was checked when it was built.
     """
     s_a, gap_a = _min_phase_sine(a0, a1)
     s_b, gap_b = _min_phase_sine(b0, b1)
@@ -445,36 +463,6 @@ def sep_bound(
         return structure, SepBoundResult(formula)
     _check_see_saw_args(restarts, iters, seed)
     d_a, d_b = a0.dim, b0.dim
-    plus, minus = b0.matrix + b1.matrix, b0.matrix - b1.matrix
-    # entry (i, k, j, l) is beta[(i, j), (k, l)], each product in the operand
-    # order and with the innermost axis on B as in the np.kron of chsh_operator
-    op_b = (a0.matrix[:, :, None, None] * plus + a1.matrix[:, :, None, None] * minus).reshape(d_a * d_a, -1)
+    op_b = _chsh_entries(a0.matrix, a1.matrix, b0.matrix, b1.matrix).reshape(d_a * d_a, -1)
     value, state = _see_saw(op_b, (d_a, d_b), restarts, iters, seed)
     return structure, SepBoundResult(formula, value, state)
-
-
-def theorem_check(
-    state: DensityMatrix,
-    alice: Sequence[DichotomicObservable],
-    bob: Sequence[DichotomicObservable],
-    charlie3: FourOutcomeMeasurement,
-) -> TheoremCheckReport:
-    """Check that all conditional CHSH values stay at or below sqrt(2).
-
-    The inputs are checked as :class:`protocol.Scenario` checks them, and each
-    end party's settings must anticommute to ``THEOREM_TOL``: by Landau's
-    identity, the planted structure with every block pair at 2*sqrt(2).
-    Anything else is rejected as an invalid construction. All four variants
-    are read for every outcome from the Born-rule contraction of
-    :func:`protocol.born_tables`, so the maximum covers any relabeling.
-    """
-    protocol._check_parties(state, alice, bob, charlie3)
-    for name, (o0, o1) in (("alice", alice), ("bob", bob)):
-        anti = float(np.max(np.abs(o0.matrix @ o1.matrix + o1.matrix @ o0.matrix)))
-        if anti > THEOREM_TOL:
-            raise ValidationError(f"{name}'s settings do not anticommute: max|A0A1 + A1A0| = {anti:.3g}")
-    pa, pb = (np.array([obs.projector_stack for obs in side]) for side in (alice, bob))
-    table = protocol._born(pa, pb, charlie3.projector_stack[None], state)
-    values, _, _ = protocol._conditional(table[:, :, 0])
-    max_value = float(np.nanmax(values))
-    return TheoremCheckReport(values, max_value, SQRT2, max_value <= SQRT2 + THEOREM_TOL)

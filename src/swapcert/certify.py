@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ValidationError, tensor
-from .measurements import DichotomicObservable, FourOutcomeMeasurement, bell_basis
+from .linalg import DEFAULT_TOL, ValidationError
+from .measurements import FourOutcomeMeasurement, bell_basis
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
@@ -72,22 +72,6 @@ class DistanceBounds:
     def __post_init__(self) -> None:
         if not (0.0 <= self.lower <= self.upper <= 1.0):
             raise ValidationError(f"bounds ({self.lower}, {self.upper}) are not ordered in [0, 1]")
-
-
-def version_operator(
-    alice: Sequence[DichotomicObservable],
-    bob: Sequence[DichotomicObservable],
-    version: int,
-) -> np.ndarray:
-    """CHSH operator of the given variant (1..4) for the two settings per side."""
-    if version not in (1, 2, 3, 4):
-        raise ValidationError("version must be in 1..4")
-    a1, a2 = alice
-    b1, b2 = bob
-    signs = VERSION_SIGNS[version - 1]
-    terms = (tensor(a1.matrix, b1.matrix), tensor(a1.matrix, b2.matrix),
-             tensor(a2.matrix, b1.matrix), tensor(a2.matrix, b2.matrix))
-    return sum(s * t for s, t in zip(signs, terms))
 
 
 def relabel(version_matrix: np.ndarray) -> tuple[tuple[int, int, int, int], tuple[float, ...]]:

@@ -59,6 +59,11 @@ def _tolerance(value: float | None, flag: str = "--tol") -> float:
     return value
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"--seed must be a nonnegative integer, got {seed}")
+
+
 def _noisy_scenario(args: argparse.Namespace) -> protocol.Scenario:
     """The scenario named by the --v-ac, --v-bc and --theta flags."""
     for name, value in (("--v-ac", args.v_ac), ("--v-bc", args.v_bc)):
@@ -231,6 +236,7 @@ def cmd_sep_bound(args: argparse.Namespace) -> int:
         raise UsageError("--restarts must be at least 1")
     if args.iters < 1:
         raise UsageError("--iters must be at least 1")
+    _check_seed(args.seed)
     payload, result = _structure_payload(_load_settings(args.settings),
                                          restarts=args.restarts, iters=args.iters, seed=args.seed)
     payload["oracle_value"] = result.oracle_value
@@ -245,6 +251,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise UsageError("--n-per-setting must be at least 1")
     if args.n_per_setting > protocol.MAX_N_PER_SETTING:
         raise UsageError(f"--n-per-setting must be at most {protocol.MAX_N_PER_SETTING}")
+    _check_seed(args.seed)
     if args.scenario is not None:
         sc = serialize.scenario_from_json(_load_input(args.scenario))
     else:

@@ -122,9 +122,6 @@ class PureState:
     def dim(self) -> int:
         return self.vector.size
 
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.vector, self.vector.conj()), self.dims)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -180,12 +180,6 @@ class FourOutcomeMeasurement:
         if wrong.any():
             raise ValidationError(f"projector {int(np.argmax(wrong)) + 1} has rank != 1")
 
-    def eigenstates(self) -> tuple[np.ndarray, ...]:
-        """Unit eigenvector of each projector; requires every projector rank 1."""
-        self.require_rank_one()
-        stack = self.projector_stack
-        return tuple(np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)[1][:, :, -1])
-
 
 def checked_bits(bits: Sequence[int], name: str) -> tuple[int, int, int, int]:
     """A map of the four outcomes to bits, each of which must be -1 or +1."""
@@ -209,16 +203,6 @@ class BinnedMeasurement:
     def __post_init__(self) -> None:
         for name, bits in (("bit_for_a", self.bit_for_a), ("bit_for_b", self.bit_for_b)):
             object.__setattr__(self, name, checked_bits(bits, name))
-
-    def bit_observable(self, side: str) -> np.ndarray:
-        """Sum of bit(c) * P_c for the requested side ('a' or 'b')."""
-        if side not in ("a", "b"):
-            raise ValidationError("side must be 'a' or 'b'")
-        bits = self.bit_for_a if side == "a" else self.bit_for_b
-        out = np.zeros((self.base.dim, self.base.dim), dtype=complex)
-        for bit, proj in zip(bits, self.base.projectors):
-            out += bit * proj
-        return out
 
 
 @cache

@@ -44,6 +44,9 @@ PROB_FLOOR = 1e-12
 # still fits in int64, as a counts table read back from CSV must.
 MAX_N_PER_SETTING = (2**63 - 1) // 12
 
+# theorem_check: largest |A0 A1 + A1 A0| entry on either side, and slack over sqrt(2).
+THEOREM_TOL = 1e-8
+
 OUTCOME_SIGNS = (1.0, -1.0)  # index 0 is the +1 outcome, index 1 the -1 outcome
 _SIGNS = np.array(OUTCOME_SIGNS)
 _VERSION_SIGNS = np.array(certify.VERSION_SIGNS, dtype=float)  # [v, (x, y)]
@@ -234,10 +237,42 @@ def conditional_version_matrix(sc: Scenario) -> tuple[np.ndarray, np.ndarray]:
     return matrix, weights.sum(axis=(0, 1)) / weights.sum()
 
 
-def conditional_chsh_ab(sc: Scenario) -> tuple[tuple[float, float, float, float], np.ndarray]:
-    """Conditional CHSH per raw outcome, each in its own variant (no relabeling)."""
-    matrix, probs = conditional_version_matrix(sc)
-    return tuple(float(matrix[c, c]) for c in range(4)), probs
+@dataclass(frozen=True)
+class TheoremCheckReport:
+    """Outcome of the separable-steering check on a planted maximal instance."""
+
+    version_values: np.ndarray  # [c, v], NaN for outcomes without statistics
+    max_value: float
+    bound: float
+    satisfied: bool
+
+
+def theorem_check(
+    state: DensityMatrix,
+    alice: Sequence[DichotomicObservable],
+    bob: Sequence[DichotomicObservable],
+    charlie3: FourOutcomeMeasurement,
+) -> TheoremCheckReport:
+    """Check that all conditional CHSH values stay at or below sqrt(2).
+
+    The inputs are checked as :class:`Scenario` checks them, and each end
+    party's settings must anticommute to ``THEOREM_TOL``: by Landau's
+    identity, the planted structure with every block pair at 2*sqrt(2).
+    Anything else is rejected as an invalid construction. All four variants
+    are read for every outcome from the Born-rule contraction of
+    :func:`born_tables`, with ``charlie3`` as the only middle-party setting,
+    so the maximum covers any relabeling.
+    """
+    _check_parties(state, alice, bob, charlie3)
+    for name, (o0, o1) in (("alice", alice), ("bob", bob)):
+        anti = float(np.max(np.abs(o0.matrix @ o1.matrix + o1.matrix @ o0.matrix)))
+        if anti > THEOREM_TOL:
+            raise ValidationError(f"{name}'s settings do not anticommute: max|A0A1 + A1A0| = {anti:.3g}")
+    pa, pb = (np.array([obs.projector_stack for obs in side]) for side in (alice, bob))
+    table = _born(pa, pb, charlie3.projector_stack[None], state)
+    values, _, _ = _conditional(table[:, :, 0])
+    max_value = float(np.nanmax(values))
+    return TheoremCheckReport(values, max_value, SQRT2, max_value <= SQRT2 + THEOREM_TOL)
 
 
 def steer(state: DensityMatrix, meas: FourOutcomeMeasurement) -> list[tuple[float, DensityMatrix | None]]:

@@ -354,14 +354,13 @@ def bounds_to_json(bounds: DistanceBounds) -> dict:
 
 
 # The row prefix "x,y,z,a,b,c," of every cell of a counts table in the table's
-# C order (outcome +1 at index 0, -1 at index 1), and the flat cell index of
-# each prefix's six fields.
+# C order (outcome +1 at index 0, -1 at index 1).
 _COUNTS_ROW_PREFIXES = tuple(
     f"{x},{y},{z},{a},{b},{c},"
     for x in (1, 2) for y in (1, 2) for z in (1, 2, 3)
     for a in (1, -1) for b in (1, -1) for c in (1, 2, 3, 4)
 )
-_COUNTS_CELL_INDEX = {tuple(prefix.split(",")[:6]): k for k, prefix in enumerate(_COUNTS_ROW_PREFIXES)}
+_COUNTS_SHAPE = (2, 2, 3, 2, 2, 4)
 _CELLS_PER_TRIPLE = 16
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _COUNTS_HEADER_LINE = ",".join(COUNTS_HEADER)
@@ -399,15 +398,12 @@ def _writer_counts(text: str) -> np.ndarray | None:
 def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
     """The counts of a counts CSV and the flat cell index of each, row by row through :mod:`csv`.
 
-    Quoting, CRLF line ends and blank lines are handled by :mod:`csv`. A row's
-    first six fields are looked up, as a tuple of strings, among the 192
-    canonical spellings the writer uses (``1,1,1,-1,1,4``). Only a row that
-    misses goes through ``int()`` on each field and the range checks, so other
-    spellings such as ``+1``, ``01`` or a leading space are accepted. The count
-    always goes through ``int()``. Within a line the checks fire in this
-    order: 7 fields, every field an integer, setting in range, outcome in
-    range, count nonnegative, count within int64; the first bad line is
-    reported.
+    Quoting, CRLF line ends and blank lines are handled by :mod:`csv`. Every
+    field goes through ``int()``, so spellings such as ``+1``, ``01`` or a
+    leading space are accepted, and the cell index is read from the parsed
+    integers. Within a line the checks fire in this order: 7 fields, every
+    field an integer (the count first), setting in range, outcome in range,
+    count nonnegative, count within int64; the first bad line is reported.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -416,7 +412,7 @@ def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("counts CSV is empty") from None
     if [h.strip() for h in header] != COUNTS_HEADER:
         raise ValidationError(f"line 1: expected header {_COUNTS_HEADER_LINE}")
-    cells: list[int] = []
+    keys: list[tuple[int, ...]] = []
     values: list[int] = []
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -427,24 +423,22 @@ def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
             n = int(row[6])
         except ValueError:
             raise ValidationError(f"line {lineno}: non-integer field") from None
-        cell = _COUNTS_CELL_INDEX.get(tuple(row[:6]))
-        if cell is None:  # not spelled canonically, or malformed
-            try:
-                x, y, z, a, b, c = (int(v) for v in row[:6])
-            except ValueError:
-                raise ValidationError(f"line {lineno}: non-integer field") from None
-            if x not in (1, 2) or y not in (1, 2) or z not in (1, 2, 3):
-                raise ValidationError(f"line {lineno}: setting ({x},{y},{z}) out of range")
-            if a not in (1, -1) or b not in (1, -1) or c not in (1, 2, 3, 4):
-                raise ValidationError(f"line {lineno}: outcome ({a},{b},{c}) out of range")
-            cell = _COUNTS_CELL_INDEX[tuple(str(v) for v in (x, y, z, a, b, c))]
+        try:
+            x, y, z, a, b, c = (int(v) for v in row[:6])
+        except ValueError:
+            raise ValidationError(f"line {lineno}: non-integer field") from None
+        if x not in (1, 2) or y not in (1, 2) or z not in (1, 2, 3):
+            raise ValidationError(f"line {lineno}: setting ({x},{y},{z}) out of range")
+        if a not in (1, -1) or b not in (1, -1) or c not in (1, 2, 3, 4):
+            raise ValidationError(f"line {lineno}: outcome ({a},{b},{c}) out of range")
         if n < 0:
             raise ValidationError(f"line {lineno}: negative count")
         if n > _INT64_MAX:
             raise ValidationError(f"line {lineno}: count {n} does not fit in int64")
-        cells.append(cell)
+        keys.append((x - 1, y - 1, z - 1, (1 - a) // 2, (1 - b) // 2, c - 1))
         values.append(n)
-    return np.array(values, dtype=np.int64), np.array(cells, dtype=np.intp)
+    cells = np.ravel_multi_index(np.array(keys, dtype=np.intp).reshape(-1, 6).T, _COUNTS_SHAPE)
+    return np.array(values, dtype=np.int64), cells
 
 
 def counts_from_csv(text: str) -> CountsTable:
@@ -462,11 +456,11 @@ def counts_from_csv(text: str) -> CountsTable:
     if sum(values.tolist()) > _INT64_MAX:
         raise ValidationError("total count does not fit in int64")
     if cells is None:  # every cell once, in order
-        counts = values.reshape(2, 2, 3, 2, 2, 4)
+        counts = values.reshape(_COUNTS_SHAPE)
     else:  # rows that name the same cell add up
         counts = np.zeros(len(_COUNTS_ROW_PREFIXES), dtype=np.int64)
         np.add.at(counts, cells, values)
-        counts = counts.reshape(2, 2, 3, 2, 2, 4)
+        counts = counts.reshape(_COUNTS_SHAPE)
         seen = np.bincount(cells // _CELLS_PER_TRIPLE, minlength=12).reshape(2, 2, 3) > 0
         missing = np.argwhere(~seen)
         if missing.size:

@@ -28,6 +28,7 @@ from swapcert import (
     bell_basis,
     born_tables,
     charlie_settings_ideal,
+    conditional_version_matrix,
     relabel,
 )
 from swapcert.certify import VERSION_SIGNS
@@ -112,6 +113,41 @@ def eig_hermitian(h: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndar
     return np.linalg.eigh((h + h.conj().T) / 2.0)
 
 
+def to_density(state: PureState) -> DensityMatrix:
+    """The projector onto a pure state, as a density matrix on the same dims."""
+    return DensityMatrix(np.outer(state.vector, state.vector.conj()), state.dims)
+
+
+def eigenstates(meas: FourOutcomeMeasurement) -> tuple[np.ndarray, ...]:
+    """Unit eigenvector of each projector, from one stacked ``eigh``; every projector must have rank 1."""
+    meas.require_rank_one()
+    stack = meas.projector_stack
+    return tuple(np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)[1][:, :, -1])
+
+
+def bit_observable(binned: BinnedMeasurement, side: str) -> np.ndarray:
+    """Sum of bit(c) * P_c for side 'a' or 'b' of a binned measurement."""
+    bits = {"a": binned.bit_for_a, "b": binned.bit_for_b}[side]
+    return sum(bit * proj for bit, proj in zip(bits, binned.base.projectors))
+
+
+def conditional_chsh_ab(sc: Scenario) -> tuple[tuple[float, float, float, float], np.ndarray]:
+    """Conditional CHSH per raw outcome, each in its own variant (no relabeling), and the outcome probabilities."""
+    matrix, probs = conditional_version_matrix(sc)
+    return tuple(float(matrix[c, c]) for c in range(4)), probs
+
+
+def reference_chsh_operator(a0, a1, b0, b1) -> np.ndarray:
+    """A0 x (B0 + B1) + A1 x (B0 - B1) as the sum of two ``np.kron`` calls."""
+    return np.kron(a0.matrix, b0.matrix + b1.matrix) + np.kron(a1.matrix, b0.matrix - b1.matrix)
+
+
+def reference_version_operator(alice, bob, version: int) -> np.ndarray:
+    """CHSH variant ``version`` as the signed sum of the four products A_x x B_y, in (x, y) order."""
+    terms = [np.kron(a.matrix, b.matrix) for a in alice for b in bob]
+    return sum(s * t for s, t in zip(VERSION_SIGNS[version - 1], terms))
+
+
 def overlap_sq(psi: PureState, phi: PureState) -> float:
     """Squared inner product |<psi|phi>|^2."""
     if psi.dim != phi.dim:
@@ -135,6 +171,19 @@ def random_observable(dim: int, rng: np.random.Generator) -> DichotomicObservabl
     if dim % 2:
         signs[-1] = rng.choice([-1.0, 1.0])
     return DichotomicObservable(u @ np.diag(signs) @ u.conj().T)
+
+
+def skewed_observable(dim: int, rng: np.random.Generator) -> DichotomicObservable:
+    """Random balanced +/-1 observable plus an anti-Hermitian part of Hermitian deviation 4e-10.
+
+    The observable checks accept it (their tolerance is 1e-9), while a CHSH
+    operator built from four of them may deviate from Hermiticity by more.
+    """
+    u = haar_unitary(dim, rng)
+    h = u @ np.diag([1.0] * (dim // 2) + [-1.0] * (dim // 2)) @ u.conj().T
+    g = rng.normal(size=(dim, dim))
+    g = g + g.T
+    return DichotomicObservable(h + 2e-10j * g / np.max(np.abs(g)))
 
 
 def random_bloch_observable(rng: np.random.Generator) -> DichotomicObservable:

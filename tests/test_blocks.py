@@ -21,6 +21,7 @@ from swapcert import (
     sep_bound_oracle,
     sep_bound_value,
     theorem_check,
+    version_operator,
 )
 from swapcert.blocks import ANGLE_TOL
 from support import (
@@ -40,7 +41,10 @@ from support import (
     random_bloch_observable,
     random_observable,
     reference_block_chsh,
+    reference_chsh_operator,
     reference_sep_bound_oracle,
+    reference_version_operator,
+    skewed_observable,
 )
 
 Z_OBS = qubit_observable((0, 0, 1))
@@ -364,14 +368,41 @@ class TestChshOperator:
         with pytest.raises(ValidationError):
             chsh_operator(Z_OBS, DichotomicObservable(np.eye(4)), Z_OBS, X_OBS)
 
-    @pytest.mark.parametrize("d_a,d_b", [(1, 1), (2, 2), (2, 3), (4, 2), (5, 8)])
+    @pytest.mark.parametrize("d_a,d_b", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 2), (4, 4), (5, 8), (8, 8)])
     def test_matches_kron_bytes(self, d_a, d_b):
         rng = np.random.default_rng(10 * d_a + d_b)
-        a0, a1 = random_observable(d_a, rng), random_observable(d_a, rng)
-        b0, b1 = random_observable(d_b, rng), random_observable(d_b, rng)
-        expected = np.kron(a0.matrix, b0.matrix + b1.matrix) + np.kron(a1.matrix, b0.matrix - b1.matrix)
-        got = chsh_operator(a0, a1, b0, b1)
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        for _ in range(5):
+            a0, a1 = random_observable(d_a, rng), random_observable(d_a, rng)
+            b0, b1 = random_observable(d_b, rng), random_observable(d_b, rng)
+            expected = reference_chsh_operator(a0, a1, b0, b1)
+            got = chsh_operator(a0, a1, b0, b1)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert got.flags.c_contiguous
+
+
+class TestVersionOperator:
+    @pytest.mark.parametrize("d_a,d_b", [(1, 1), (2, 2), (2, 3), (4, 4), (8, 2)])
+    def test_matches_four_term_sum(self, d_a, d_b):
+        rng = np.random.default_rng([d_a, d_b])
+        for _ in range(5):
+            alice = (random_observable(d_a, rng), random_observable(d_a, rng))
+            bob = (random_observable(d_b, rng), random_observable(d_b, rng))
+            for version in (1, 2, 3, 4):
+                got = version_operator(alice, bob, version)
+                expected = reference_version_operator(alice, bob, version)
+                assert got.shape == expected.shape
+                assert np.max(np.abs(got - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("alice,bob", [((Z_OBS, DichotomicObservable(np.eye(4))), (Z_OBS, X_OBS)),
+                                           ((Z_OBS, X_OBS), (DichotomicObservable(np.eye(3)), X_OBS))])
+    def test_rejects_settings_of_one_party_on_different_spaces(self, alice, bob):
+        with pytest.raises(ValidationError, match="share a dimension"):
+            version_operator(alice, bob, 2)
+
+    @pytest.mark.parametrize("version", [0, 5])
+    def test_rejects_unknown_version(self, version):
+        with pytest.raises(ValidationError, match="version must be in 1..4"):
+            version_operator((Z_OBS, X_OBS), (Z_OBS, X_OBS), version)
 
 
 class TestBlockChsh:
@@ -559,6 +590,33 @@ class TestSepBoundOracle:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             sep_bound_oracle(np.arange(16.0).reshape(4, 4), (2, 2))
+
+    @pytest.mark.parametrize("beta,dims,kwargs,match", [
+        (np.arange(16.0).reshape(4, 4), (2, 2), {"restarts": 0}, "at least one restart"),
+        (np.arange(16.0).reshape(4, 4), (2, 0), {}, "at least 1"),
+        (np.full((4, 4), np.nan), (2, 2), {}, "non-finite"),
+        (np.arange(9.0).reshape(3, 3), (2, 2), {}, "does not match dims"),
+        (np.arange(16.0).reshape(4, 4), (2, 2), {}, "^operator must be Hermitian$"),
+    ])
+    def test_checks_fire_in_order(self, beta, dims, kwargs, match):
+        # arguments, dims, matrix, shape, and Hermiticity last: every operator
+        # here is non-Hermitian, so each earlier failure must win
+        with pytest.raises(ValidationError, match=match):
+            sep_bound_oracle(beta, dims, **kwargs)
+
+    @pytest.mark.parametrize("seed", [0, 17, 29, 48])
+    def test_accepts_settings_whose_operator_is_off_hermitian(self, seed):
+        # four observables each within 4e-10 of Hermitian build a CHSH operator
+        # more than 1e-9 off: sep_bound runs on the checked observables, while
+        # the raw operator is still rejected where it enters
+        rng = np.random.default_rng(seed)
+        obs = [skewed_observable(4, rng) for _ in range(4)]
+        beta = chsh_operator(*obs)
+        assert np.max(np.abs(beta - beta.conj().T)) > 1e-9
+        _, result = sep_bound(*obs, seed=7)
+        assert abs(result.formula_value - result.oracle_value) <= 1e-9
+        with pytest.raises(ValidationError, match="operator must be Hermitian"):
+            sep_bound_oracle(beta, (4, 4), seed=7)
 
     def test_rejects_zero_iterations(self):
         beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)

@@ -13,7 +13,6 @@ from swapcert import (
     bell_measurement,
     certify_crit1,
     certify_crit2,
-    conditional_chsh_ab,
     conditional_version_matrix,
     distance_bounds,
     overlap_chsh,
@@ -28,6 +27,8 @@ from swapcert.certify import _reference_overlaps
 from support import (
     SQRT2,
     TSIRELSON,
+    conditional_chsh_ab,
+    eigenstates,
     ideal_with_charlie3,
     kron_all,
     reference_overlap_version_matrix,
@@ -369,6 +370,6 @@ class TestOverlapReadsAgainstReference:
 
     def test_eigenstates_same_bytes(self):
         for meas in _overlap_measurements()[::10]:
-            for got, proj in zip(meas.eigenstates(), meas.projectors):
+            for got, proj in zip(eigenstates(meas), meas.projectors):
                 expected = np.linalg.eigh((proj + proj.conj().T) / 2.0)[1][:, -1]
                 assert got.tobytes() == expected.tobytes()

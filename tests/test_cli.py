@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapcert import ideal_scenario
+from swapcert import chsh_operator, ideal_scenario
 from swapcert.cli import main
+from swapcert.linalg import hermitian_deviation
 from swapcert.protocol import MAX_N_PER_SETTING, estimate_report, sample_counts
 from swapcert.serialize import counts_to_csv, json_dumps, matrix_to_json, report_to_json, scenario_to_json
+from support import skewed_observable
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
@@ -237,6 +239,11 @@ class TestSampleAndCertify:
         code, out, _ = run(capsys, "certify", str(counts_path), "--tol-sigma", "3")
         assert code == 0
         assert out.encode() == (GOLDEN / "certify_n50_seed7_tol_sigma3.json").read_bytes()
+
+    def test_sample_negative_seed_is_usage_error_before_the_file_is_read(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sample", "--n-per-setting", "10", "--seed", "-1",
+                             "--scenario", str(tmp_path / "missing.json"))
+        assert code == 2 and out == "" and "--seed" in err
 
     @pytest.mark.parametrize("n", [str(10**19), str(MAX_N_PER_SETTING + 1)])
     def test_sample_n_above_int64_total_is_usage_error(self, capsys, n):
@@ -496,6 +503,23 @@ class TestSepBound:
         path = settings_file(tmp_path)
         code, out, err = run(capsys, "sep-bound", str(path), "--seed", "1", "--iters", "0")
         assert code == 2 and out == "" and "--iters" in err
+
+    def test_negative_seed_is_usage_error_before_the_file_is_read(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sep-bound", str(tmp_path / "missing.json"), "--seed", "-1")
+        assert code == 2 and out == "" and "--seed" in err
+
+    def test_settings_with_an_off_hermitian_operator(self, capsys, tmp_path):
+        # each observable is within 4e-10 of Hermitian, their CHSH operator is not within 1e-9
+        rng = np.random.default_rng(0)
+        settings = [skewed_observable(4, rng) for _ in range(4)]
+        assert hermitian_deviation(chsh_operator(*settings)) > 1e-9
+        path = tmp_path / "skewed.json"
+        path.write_text(json.dumps({k: matrix_to_json(o.matrix) for k, o in zip(("a0", "a1", "b0", "b1"), settings)}))
+        code, _, _ = run(capsys, "decompose", str(path))
+        assert code == 0
+        code, out, err = run(capsys, "sep-bound", str(path), "--seed", "7")
+        assert code == 0 and err == ""
+        assert json.loads(out)["difference"] <= 1e-9
 
 
 @pytest.mark.parametrize("settings,name", [(None, "ideal"), ("planted_d4_settings.json", "planted_d4")])

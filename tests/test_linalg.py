@@ -13,7 +13,7 @@ from swapcert import (
     tensor,
 )
 from swapcert.linalg import hermitian_deviation, seeded_generator
-from support import I2, X, Z, eig_hermitian, kron_all, overlap_sq, permute_subsystems, ptrace_loops
+from support import I2, X, Z, eig_hermitian, kron_all, overlap_sq, permute_subsystems, ptrace_loops, to_density
 
 
 class TestTensor:
@@ -68,7 +68,7 @@ class TestTensor:
 
 class TestPartialTrace:
     def test_bell_marginal(self):
-        rho = bell_basis()[0].to_density()
+        rho = to_density(bell_basis()[0])
         reduced = partial_trace(rho, (0,))
         np.testing.assert_allclose(reduced.matrix, I2 / 2, atol=1e-12)
 
@@ -124,7 +124,7 @@ class TestPartialTrace:
         assert abs(np.trace(partial_trace(dm, (1,)).matrix) - 1.0) < 1e-12
 
     def test_bad_index(self):
-        rho = bell_basis()[0].to_density()
+        rho = to_density(bell_basis()[0])
         with pytest.raises(ValidationError):
             partial_trace(rho, (2,))
 
@@ -234,12 +234,12 @@ class TestStateTypes:
             PureState(np.array([1.0, 1.0]), (2,))
 
     def test_pure_to_density(self):
-        dm = bell_basis()[2].to_density()
+        dm = to_density(bell_basis()[2])
         assert dm.dims == (2, 2)
         assert abs(np.trace(dm.matrix) - 1.0) < 1e-12
 
     def test_immutable(self):
-        dm = bell_basis()[0].to_density()
+        dm = to_density(bell_basis()[0])
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 2.0
 

@@ -15,7 +15,6 @@ from swapcert import (
     born_tables,
     chsh_ac,
     chsh_bc,
-    conditional_chsh_ab,
     conditional_version_matrix,
     estimate_report,
     exact_report,
@@ -39,6 +38,7 @@ from support import (
     SQRT2,
     TSIRELSON,
     Z,
+    conditional_chsh_ab,
     four_factor_state,
     kron_all,
     maximally_entangled_pair,
@@ -48,6 +48,7 @@ from support import (
     reference_exact_report,
     reference_sample_counts,
     reference_steer,
+    to_density,
 )
 
 IDEAL = ideal_scenario()
@@ -174,7 +175,7 @@ class TestSteering:
         assert len(entries) == 4
         for (p, dm), reference in zip(entries, bell_basis()):
             assert p == pytest.approx(0.25, abs=1e-10)
-            np.testing.assert_allclose(dm.matrix, reference.to_density().matrix, atol=1e-10)
+            np.testing.assert_allclose(dm.matrix, to_density(reference).matrix, atol=1e-10)
 
     def test_average_recovers_marginal(self):
         for seed in range(5):

@@ -28,7 +28,14 @@ from swapcert.serialize import (
     scenario_from_json,
     scenario_to_json,
 )
-from support import random_binned, random_observable, reference_counts_from_csv, rotated_bell_measurement
+from support import (
+    conditional_chsh_ab,
+    eigenstates,
+    random_binned,
+    random_observable,
+    reference_counts_from_csv,
+    rotated_bell_measurement,
+)
 
 
 class TestMatrixFormat:
@@ -128,7 +135,7 @@ class TestMeasurementFormat:
         elif kind == "scaled":
             projs[0] *= 1.0 + 1e-5
         elif kind == "overlap":
-            first, second = meas.eigenstates()[:2]
+            first, second = eigenstates(meas)[:2]
             tilted = (second + 1e-5 * first) / np.linalg.norm(second + 1e-5 * first)
             projs[1] = np.outer(tilted, tilted.conj())  # still a projector, no longer orthogonal to the first
         elif kind == "both":
@@ -196,7 +203,7 @@ class TestObservableFormat:
 
 class TestScenarioFormat:
     def test_round_trip_preserves_statistics(self):
-        from swapcert import chsh_ac, conditional_chsh_ab
+        from swapcert import chsh_ac
 
         sc = noisy_scenario(0.9, 0.85, 0.2)
         recovered = scenario_from_json(json.loads(json_dumps(scenario_to_json(sc))))
