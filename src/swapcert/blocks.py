@@ -103,6 +103,26 @@ class SepBoundResult:
     oracle_state: PureState | None = None
 
 
+def _common_blocks(cols: np.ndarray, mat0: np.ndarray, mat1: np.ndarray) -> list[ObservableBlock]:
+    """1x1 blocks spanning orthonormal ``cols``, on which A1 = +/-A0.
+
+    Diagonalizing the restriction of A0 yields simultaneous eigenvectors.
+    """
+    restricted = cols.conj().T @ mat0 @ cols
+    _, w_vecs = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
+    blocks = []
+    for k in range(w_vecs.shape[1]):
+        v = cols @ w_vecs[:, k]
+        e0 = complex(v.conj() @ (mat0 @ v)).real
+        e1 = complex(v.conj() @ (mat1 @ v)).real
+        blocks.append(ObservableBlock(
+            basis=v.reshape(cols.shape[0], 1),
+            a0=np.array([[e0]], dtype=complex),
+            a1=np.array([[e1]], dtype=complex),
+        ))
+    return blocks
+
+
 def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> ObservableBlocks:
     """Split a pair of +/-1 observables into jointly invariant blocks of size <= 2.
 
@@ -114,17 +134,22 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     by one QR: eigenspaces of a unitary at distinct eigenvalues are
     orthogonal, so Gram-Schmidt inside a group keeps every vector in its
     eigenspace. A group within ``ANGLE_TOL`` of 0 (pi) gives size-1 blocks
-    only if A1 - A0 (A1 + A0) vanishes on its columns to ``EDGE_TOL``;
-    otherwise it holds 2x2 blocks at phases too close to the edge to tell
-    apart, and its +/- phases are paired like any other group's. The
-    reconstruction from the returned blocks is verified to 1e-8.
+    where A1 - A0 (A1 + A0) vanishes on it to ``EDGE_TOL``: on all its
+    columns, or, within each eigenspace of A0 on the group, on the span of
+    the right singular vectors of that difference with singular value at
+    most ``EDGE_TOL``. The rest of an edge group holds
+    2x2 blocks at phases too close to the edge to tell apart; its +/- phases,
+    from A0 A1 restricted to that rest when some of the group split off, are
+    paired like any other group's. The reconstruction from the returned
+    blocks is verified to 1e-8.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
         raise ValidationError("observables must act on the same space")
     d = mat0.shape[0]
 
-    eigvals, eigvecs = np.linalg.eig(mat0 @ mat1)
+    unitary = mat0 @ mat1
+    eigvals, eigvecs = np.linalg.eig(unitary)
     phases = np.angle(eigvals)
     folded = np.abs(phases)
 
@@ -140,46 +165,52 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     for cluster in clusters:
         center = float(np.mean(folded[cluster]))
         edge = center <= ANGLE_TOL or center >= math.pi - ANGLE_TOL
+        vectors, signs = eigvecs[:, cluster], phases[cluster]
         if edge:
-            cols = np.linalg.qr(eigvecs[:, cluster])[0]
+            cols = np.linalg.qr(vectors)[0]
             sign = 1.0 if center <= ANGLE_TOL else -1.0
-        if edge and np.max(np.abs((mat1 - sign * mat0) @ cols)) <= EDGE_TOL:
-            # Common invariant subspace: A1 = +/-A0 there. Diagonalizing the
-            # restriction of A0 yields simultaneous eigenvectors.
+            gap = (mat1 - sign * mat0) @ cols
+            if np.max(np.abs(gap)) <= EDGE_TOL:
+                blocks.extend(_common_blocks(cols, mat0, mat1))
+                continue
+            # Exact-edge 1x1 blocks beside near-edge 2x2 ones are split off
+            # first, since their phases sit at the edge with either sign. On
+            # a near-edge block, A1 -/+ A0 is about its phase in size, so
+            # rounding can mix its vectors into the 1x1 ones; within one
+            # eigenspace of A0 such a mixture still leaves A0 reconstructed.
             restricted = cols.conj().T @ mat0 @ cols
-            _, w_vecs = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
-            for k in range(w_vecs.shape[1]):
-                v = cols @ w_vecs[:, k]
-                e0 = complex(v.conj() @ (mat0 @ v)).real
-                e1 = complex(v.conj() @ (mat1 @ v)).real
-                blocks.append(ObservableBlock(
-                    basis=v.reshape(d, 1),
-                    a0=np.array([[e0]], dtype=complex),
-                    a1=np.array([[e1]], dtype=complex),
-                ))
-        else:
-            positive = [idx for idx in cluster if phases[idx] > 0.0]
-            negative = [idx for idx in cluster if phases[idx] <= 0.0]
-            if len(positive) != len(negative):
-                raise ValidationError("eigenphases of A0*A1 do not pair into conjugates")
-            built = np.zeros((d, 0), dtype=complex)
-            for u in np.linalg.qr(eigvecs[:, positive])[0].T:
-                if edge:
-                    # Near an edge the +phase eigenvectors carry about eps/phase of
-                    # other blocks' -phase ones, so each block is built orthogonal
-                    # to the earlier ones, which A0 and A1 leave invariant.
-                    u = u - built @ (built.conj().T @ u)
-                    u = u / np.linalg.norm(u)
-                v2 = mat0 @ u
-                v2 = v2 - (u.conj() @ v2) * u
-                v2 = v2 / np.linalg.norm(v2)
-                basis = np.column_stack([u, v2])
-                built = np.column_stack([built, basis])
-                blocks.append(ObservableBlock(
-                    basis=basis,
-                    a0=basis.conj().T @ mat0 @ basis,
-                    a1=basis.conj().T @ mat1 @ basis,
-                ))
+            values, within = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
+            common, rest = [], []
+            for side in (values < 0.0, values >= 0.0):
+                _, singular, right = np.linalg.svd(gap @ within[:, side])
+                part = cols @ within[:, side]
+                common.append(part @ right[singular <= EDGE_TOL].conj().T)
+                rest.append(part @ right[singular > EDGE_TOL].conj().T)
+            common, rest = np.hstack(common), np.hstack(rest)
+            if common.shape[1]:
+                blocks.extend(_common_blocks(common, mat0, mat1))
+                rest_vals, rest_vecs = np.linalg.eig(rest.conj().T @ unitary @ rest)
+                vectors, signs = rest @ rest_vecs, np.angle(rest_vals)
+        if np.count_nonzero(signs > 0.0) != np.count_nonzero(signs <= 0.0):
+            raise ValidationError("eigenphases of A0*A1 do not pair into conjugates")
+        built = np.zeros((d, 0), dtype=complex)
+        for u in np.linalg.qr(vectors[:, signs > 0.0])[0].T:
+            if edge:
+                # Near an edge the +phase eigenvectors carry about eps/phase of
+                # other blocks' -phase ones, so each block is built orthogonal
+                # to the earlier ones, which A0 and A1 leave invariant.
+                u = u - built @ (built.conj().T @ u)
+                u = u / np.linalg.norm(u)
+            v2 = mat0 @ u
+            v2 = v2 - (u.conj() @ v2) * u
+            v2 = v2 / np.linalg.norm(v2)
+            basis = np.column_stack([u, v2])
+            built = np.column_stack([built, basis])
+            blocks.append(ObservableBlock(
+                basis=basis,
+                a0=basis.conj().T @ mat0 @ basis,
+                a1=basis.conj().T @ mat1 @ basis,
+            ))
 
     result = ObservableBlocks(d, tuple(blocks))
     if sum(b.size for b in blocks) != d:

@@ -92,13 +92,9 @@ def _report_payload(report: protocol.ChshReport, tol: float) -> tuple[dict, list
         certify.certify_crit1(report.s_ac, report.s_bc, report.s_ab_given_c, tol),
         certify.certify_crit2(report.s_ac, report.s_bc, report.s_ab_given_c, tol),
     ]
-    payload = {
-        "report": serialize.report_to_json(report),
-        "verdicts": [serialize.verdict_to_json(v) for v in verdicts],
-    }
+    payload = {"report": serialize.report_to_json(report), "verdicts": verdicts}
     try:
-        bounds = certify.distance_bounds(report.s_ab_given_c)
-        payload["distance_bounds"] = serialize.bounds_to_json(bounds)
+        payload["distance_bounds"] = certify.distance_bounds(report.s_ab_given_c)
     except ValidationError:
         payload["distance_bounds"] = None
     return payload, verdicts
@@ -140,19 +136,21 @@ def _load_input(path_str: str, counts_ok: bool = False) -> Any:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    if args.tol is not None and args.tol_sigma is not None:
+        raise UsageError("--tol and --tol-sigma are mutually exclusive")
+    if args.tol_sigma is None:
+        tol = _tolerance(args.tol)
+    else:
+        sigmas = _tolerance(args.tol_sigma, "--tol-sigma")
     data = _load_input(args.input, counts_ok=True)
     if isinstance(data, protocol.CountsTable):
         report = protocol.estimate_report(data)
     else:
         report = serialize.report_from_json(data)
-    if args.tol is not None and args.tol_sigma is not None:
-        raise UsageError("--tol and --tol-sigma are mutually exclusive")
     if args.tol_sigma is not None:
         if report.stderr is None:
             raise UsageError("--tol-sigma needs a report with standard errors (counts input)")
-        tol = _tolerance(args.tol_sigma, "--tol-sigma") * max(report.stderr.s_ac, report.stderr.s_bc)
-    else:
-        tol = _tolerance(args.tol)
+        tol = sigmas * max(report.stderr.s_ac, report.stderr.s_bc)
     for c, value in enumerate(report.s_ab_given_c):
         if not math.isfinite(value):
             raise ValidationError(f"report is missing the conditional value for outcome {c + 1}")
@@ -195,17 +193,6 @@ def _load_settings(path_str: str) -> tuple:
     return tuple(out)
 
 
-def _blocks_payload(decomposition: blocks.ObservableBlocks) -> list[dict]:
-    return [
-        {
-            "basis": serialize.matrix_to_json(b.basis),
-            "a0": serialize.matrix_to_json(b.a0),
-            "a1": serialize.matrix_to_json(b.a1),
-        }
-        for b in decomposition.blocks
-    ]
-
-
 def _structure_payload(settings: tuple, **sep_bound_args: Any) -> tuple[dict, blocks.SepBoundResult]:
     """Blocks and alpha table of settings (a0, a1, b0, b1); lambda and the bound from one sep_bound call."""
     a0, a1, b0, b1 = settings
@@ -216,8 +203,8 @@ def _structure_payload(settings: tuple, **sep_bound_args: Any) -> tuple[dict, bl
         alpha[pair.row][pair.col] = pair.alpha
     structure, result = blocks.sep_bound(a0, a1, b0, b1, **sep_bound_args)
     payload = {
-        "a_blocks": _blocks_payload(a_blocks),
-        "b_blocks": _blocks_payload(b_blocks),
+        "a_blocks": a_blocks.blocks,
+        "b_blocks": b_blocks.blocks,
         "alpha": alpha,
         "lambda": structure.lam,
         "sep_bound": result.formula_value,
@@ -240,7 +227,7 @@ def cmd_sep_bound(args: argparse.Namespace) -> int:
     payload, result = _structure_payload(_load_settings(args.settings),
                                          restarts=args.restarts, iters=args.iters, seed=args.seed)
     payload["oracle_value"] = result.oracle_value
-    payload["oracle_state"] = serialize.matrix_to_json(result.oracle_state.vector)
+    payload["oracle_state"] = result.oracle_state.vector
     payload["difference"] = abs(result.formula_value - result.oracle_value)
     _write_output(serialize.json_dumps(payload), args.out)
     return EXIT_OK

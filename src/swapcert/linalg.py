@@ -38,16 +38,8 @@ def _as_matrix(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def hermitian_deviation(mat: np.ndarray) -> np.ndarray:
-    """Largest ``|m[i, j] - conj(m[j, i])|`` of a square matrix, or of each matrix of a stack.
-
-    The conjugate transpose is taken as one contiguous copy and the difference
-    is formed in place: at side 256 that is about three times as fast as
-    subtracting the strided transpose view, with the same values.
-    """
-    diff = mat.swapaxes(-1, -2).copy()
-    np.conjugate(diff, out=diff)
-    np.subtract(mat, diff, out=diff)
-    return np.max(np.abs(diff), axis=(-2, -1))
+    """Largest ``|m[i, j] - conj(m[j, i])|`` of a square matrix, or of each matrix of a stack."""
+    return np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)), axis=(-2, -1))
 
 
 def seeded_generator(*key: int) -> np.random.Generator:

@@ -267,6 +267,16 @@ def product_measurement(ma: Sequence[np.ndarray], mb: Sequence[np.ndarray]) -> F
     return FourOutcomeMeasurement(projs, (pa[0].shape[0], pb[0].shape[0]))
 
 
+@cache
+def ideal_qubit_observables() -> tuple[DichotomicObservable, ...]:
+    """Z, X, (Z+X)/sqrt2 and (Z-X)/sqrt2, the qubit settings of the ideal protocol.
+
+    Built once and shared: they are frozen dataclasses over read-only arrays.
+    """
+    s = 1.0 / math.sqrt(2.0)
+    return tuple(qubit_observable(n) for n in ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (s, 0.0, s), (-s, 0.0, s)))
+
+
 def charlie_settings_ideal() -> tuple[BinnedMeasurement, BinnedMeasurement]:
     """The two binned settings of the middle party in the ideal qubit protocol.
 
@@ -275,11 +285,7 @@ def charlie_settings_ideal() -> tuple[BinnedMeasurement, BinnedMeasurement]:
     binned by first-factor sign for the bit sent towards the first party and
     second-factor sign for the other.
     """
-    s = 1.0 / math.sqrt(2.0)
-    diag = qubit_observable((s, 0.0, s))
-    anti = qubit_observable((-s, 0.0, s))
-    z = qubit_observable((0.0, 0.0, 1.0))
-    x = qubit_observable((1.0, 0.0, 0.0))
+    z, x, diag, anti = ideal_qubit_observables()
     c1 = BinnedMeasurement(
         product_measurement(diag.projectors(), z.projectors()),
         CANONICAL_BIT_FOR_A,

@@ -30,10 +30,11 @@ from .measurements import (
     BinnedMeasurement,
     DichotomicObservable,
     FourOutcomeMeasurement,
+    bell_measurement,
     charlie_settings_ideal,
     checked_bits,
+    ideal_qubit_observables,
     perturbed_bell_measurement,
-    qubit_observable,
 )
 
 # Conditional outcomes with probability below this are flagged as undefined
@@ -52,11 +53,8 @@ _SIGNS = np.array(OUTCOME_SIGNS)
 _VERSION_SIGNS = np.array(certify.VERSION_SIGNS, dtype=float)  # [v, (x, y)]
 _SWAP_SUBSCRIPTS = ("xyzabc,a,zc->xz", "xyzabc,b,zc->yz")  # E[s, z] of the first, second party
 
-# The two terms of each noisy pair state v * ideal + (1 - v) * I/4, shared read-only.
-_PAIR_VECTOR = np.identity(2).reshape(-1) / math.sqrt(2)
-_IDEAL_PAIR = np.outer(_PAIR_VECTOR, _PAIR_VECTOR)
+# The noise term of each noisy pair state v * ideal + (1 - v) * I/4, shared read-only.
 _PAIR_NOISE = np.eye(4) / 4.0
-_IDEAL_PAIR.setflags(write=False)
 _PAIR_NOISE.setflags(write=False)
 
 
@@ -325,10 +323,8 @@ def _ideal_settings() -> tuple[
     They are frozen dataclasses over read-only arrays, so every scenario can
     share them.
     """
-    s = 1.0 / SQRT2
-    alice = (qubit_observable((0.0, 0.0, 1.0)), qubit_observable((1.0, 0.0, 0.0)))
-    bob = (qubit_observable((s, 0.0, s)), qubit_observable((-s, 0.0, s)))
-    return alice, bob, charlie_settings_ideal()
+    z, x, diag, anti = ideal_qubit_observables()
+    return (z, x), (diag, anti), charlie_settings_ideal()
 
 
 def ideal_scenario() -> Scenario:
@@ -349,8 +345,9 @@ def noisy_scenario(v_ac: float, v_bc: float, theta: float) -> Scenario:
     for name, v in (("v_ac", v_ac), ("v_bc", v_bc)):
         if not 0.0 <= v <= 1.0:
             raise ValidationError(f"{name} must lie in [0, 1]")
-    rho_a = v_ac * _IDEAL_PAIR + (1.0 - v_ac) * _PAIR_NOISE
-    rho_b = v_bc * _IDEAL_PAIR + (1.0 - v_bc) * _PAIR_NOISE
+    ideal = bell_measurement().projectors[0]
+    rho_a = v_ac * ideal + (1.0 - v_ac) * _PAIR_NOISE
+    rho_b = v_bc * ideal + (1.0 - v_bc) * _PAIR_NOISE
     alice, bob, charlie12 = _ideal_settings()
     return Scenario(
         state=_two_pair_state(rho_a, rho_b),

@@ -9,6 +9,7 @@ Counts tables use CSV with header ``x,y,z,a,b,c,count``.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .certify import DistanceBounds, Verdict
 from .linalg import DEFAULT_TOL, DensityMatrix, ValidationError
 from .measurements import BinnedMeasurement, DichotomicObservable, FourOutcomeMeasurement
 from .protocol import ChshReport, CountsTable, ReportStdErr, Scenario
@@ -27,23 +27,30 @@ COUNTS_HEADER = ["x", "y", "z", "a", "b", "c", "count"]
 
 def round9(x: float) -> float:
     """Round to 9 significant digits, the fixed output precision."""
-    if not math.isfinite(x):
-        return x
     return float(f"{x:.9g}")
 
 
 def _round_tree(obj: Any) -> Any:
+    """A payload as plain JSON values: floats at 9 digits, a non-finite float as None.
+
+    A dataclass instance becomes a dict of its fields keyed by field name, and
+    an array the matrix object of :func:`matrix_to_json` (a vector as a column).
+    """
     if isinstance(obj, float):
-        return round9(obj)
+        return round9(obj) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_tree(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _round_tree(matrix_to_json(obj))
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _round_tree(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
 def json_dumps(obj: Any) -> str:
-    """Deterministic JSON with 9-significant-digit floats."""
+    """Deterministic JSON with 9-significant-digit floats; see :func:`_round_tree` for objects."""
     return json.dumps(_round_tree(obj), indent=2, sort_keys=True)
 
 
@@ -121,10 +128,7 @@ def matrix_from_json(obj: Any, name: str = "matrix") -> np.ndarray:
 
 
 def measurement_to_json(meas: FourOutcomeMeasurement) -> dict:
-    return {
-        "dims": list(meas.dims),
-        "projectors": [matrix_to_json(p) for p in meas.projectors],
-    }
+    return {"dims": list(meas.dims), "projectors": [matrix_to_json(p) for p in meas.projectors]}
 
 
 # A matrix written at 9 significant digits reads back a few 1e-9 off the
@@ -238,26 +242,9 @@ def scenario_from_json(obj: Any) -> Scenario:
     return Scenario(state, alice, bob, charlie12, charlie3)
 
 
-def _float_or_null(value: float) -> float | None:
-    return None if not math.isfinite(value) else float(value)
-
-
 def report_to_json(report: ChshReport) -> dict:
-    out = {
-        "s_ac": float(report.s_ac),
-        "s_bc": float(report.s_bc),
-        "s_ab_given_c": [_float_or_null(v) for v in report.s_ab_given_c],
-        "outcome_probs": [float(p) for p in report.outcome_probs],
-        "relabeling": [slot + 1 for slot in report.relabeling],
-        "stderr": None,
-    }
-    if report.stderr is not None:
-        out["stderr"] = {
-            "s_ac": float(report.stderr.s_ac),
-            "s_bc": float(report.stderr.s_bc),
-            "s_ab_given_c": [_float_or_null(v) for v in report.stderr.s_ab_given_c],
-        }
-    return out
+    """The report as :func:`json_dumps` writes it: undefined values null, the relabeling 1-based."""
+    return {**_round_tree(report), "relabeling": [slot + 1 for slot in report.relabeling]}
 
 
 # A parsed report may sit above 2*sqrt(2) by sampling noise, but no CHSH
@@ -328,29 +315,6 @@ def report_from_json(obj: Any) -> ChshReport:
         relabeling=tuple(s - 1 for s in slots),
         stderr=stderr,
     )
-
-
-def verdict_to_json(verdict: Verdict) -> dict:
-    w = verdict.witness
-    return {
-        "criterion": verdict.criterion,
-        "passed": bool(verdict.passed),
-        "tolerance": float(verdict.tolerance),
-        "witness": {
-            "s_ac_hit": w.s_ac_hit,
-            "s_bc_hit": w.s_bc_hit,
-            "s_ac_dev": float(w.s_ac_dev),
-            "s_bc_dev": float(w.s_bc_dev),
-            "best_outcome": w.best_outcome,
-            "best_value": None if w.best_value is None else float(w.best_value),
-            "threshold": float(w.threshold),
-            "margin": None if w.margin is None else float(w.margin),
-        },
-    }
-
-
-def bounds_to_json(bounds: DistanceBounds) -> dict:
-    return {"lower": float(bounds.lower), "upper": float(bounds.upper)}
 
 
 # The row prefix "x,y,z,a,b,c," of every cell of a counts table in the table's

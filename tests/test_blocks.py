@@ -214,6 +214,23 @@ class TestJordanBlocksDegenerate:
             assert [b.size for b in blocks.blocks] == [2] * 4
             assert embed_error(blocks, a0, a1) <= 1e-8
 
+    @pytest.mark.parametrize("edge, ones", [
+        (0.0, ((1.0, 1.0), (-1.0, -1.0))),
+        (0.0, ((1.0, 1.0), (1.0, 1.0))),
+        (math.pi, ((1.0, -1.0), (-1.0, 1.0))),
+        (math.pi, ((-1.0, 1.0), (-1.0, 1.0))),
+    ])
+    def test_exact_edge_blocks_beside_a_near_edge_block(self, edge, ones):
+        # The 1x1 blocks' phases sit exactly at the edge with either rounding
+        # sign; they split off before the near-edge 2x2 block is paired.
+        for seed in range(100):
+            a0, a1 = planted_layout(ones, (abs(edge - 5e-8), 0.7), np.random.default_rng(seed))
+            blocks = jordan_blocks(a0, a1)
+            assert sorted(b.size for b in blocks.blocks) == [1, 1, 2, 2]
+            labels = [(round(b.a0[0, 0].real), round(b.a1[0, 0].real)) for b in blocks.blocks if b.size == 1]
+            assert sorted(labels) == sorted(ones)
+            assert embed_error(blocks, a0, a1) <= 1e-8
+
     @pytest.mark.parametrize("edge", [0.0, math.pi])
     def test_close_near_edge_blocks_are_accepted(self, edge):
         # Two blocks a few 1e-9 from the edge: each +phase eigenvector carries

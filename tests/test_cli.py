@@ -370,6 +370,18 @@ class TestSampleAndCertify:
         code, out, err = run(capsys, "certify", str(counts_path), flag, "-1")
         assert code == 2 and out == "" and "nonnegative" in err
 
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--tol", "-1"], None, "--tol must be finite and nonnegative"),
+        (["--tol", "1", "--tol-sigma", "1"], None, "--tol and --tol-sigma are mutually exclusive"),
+        (["--tol-sigma", "nan"], None, "--tol-sigma must be finite and nonnegative"),
+        ([], "-1", "SWAPCERT_TOL='-1' is not finite and nonnegative"),
+    ])
+    def test_certify_checks_flags_before_reading_input(self, capsys, monkeypatch, tmp_path, flags, env, message):
+        if env is not None:
+            monkeypatch.setenv("SWAPCERT_TOL", env)
+        code, out, err = run(capsys, "certify", str(tmp_path / "missing.csv"), *flags)
+        assert code == 2 and out == "" and message in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tol_env_var_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("SWAPCERT_TOL", value)
@@ -434,9 +446,9 @@ class TestDecompose:
         assert code == 3
 
     @pytest.mark.parametrize("edge", [0.0, math.pi])
-    def test_edge_block_beside_near_edge_block_is_rejected(self, capsys, tmp_path, edge):
+    def test_edge_block_beside_near_edge_block_decomposes(self, capsys, tmp_path, edge):
         # A 1x1 block at the edge and a 2x2 block 5e-8 from it form one group
-        # whose three phases neither split into 1x1 blocks nor pair.
+        # of three phases: the 1x1 block splits off, and the other two pair.
         from support import planted_layout
 
         one = (1.0, 1.0) if edge == 0.0 else (1.0, -1.0)
@@ -448,8 +460,11 @@ class TestDecompose:
             "b0": matrix_to_json(sc.bob[0].matrix), "b1": matrix_to_json(sc.bob[1].matrix),
         }))
         code, out, err = run(capsys, "decompose", str(path))
-        assert code == 3 and out == ""
-        assert "do not pair into conjugates" in err
+        assert code == 0 and err == ""
+        a_blocks = json.loads(out)["a_blocks"]
+        assert sorted(b["basis"]["cols"] for b in a_blocks) == [1, 2, 2]
+        (single,) = [b for b in a_blocks if b["basis"]["cols"] == 1]
+        assert [single["a0"]["data"][0][0], single["a1"]["data"][0][0]] == list(one)
 
     def test_huge_entry_is_one_validation_line(self, tmp_path):
         # numpy's overflow warnings would name the source path on stderr

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapcert import CountsTable, ValidationError, bell_measurement, ideal_scenario, noisy_scenario
+from swapcert.blocks import ObservableBlock
+from swapcert.certify import DistanceBounds, certify_crit1, certify_crit2
 from swapcert.protocol import exact_report, sample_counts
 from swapcert.serialize import (
     SNAP_TOL,
@@ -16,6 +18,7 @@ from swapcert.serialize import (
     counts_from_csv,
     counts_to_csv,
     json_dumps,
+    key_value_csv,
     matrix_from_json,
     matrix_to_json,
     measurement_from_json,
@@ -78,6 +81,47 @@ class TestRounding:
     def test_json_is_deterministic(self):
         payload = {"b": [1.234567891234, 2.0], "a": {"x": 1e-17}}
         assert json_dumps(payload) == json_dumps(json.loads(json_dumps(payload)))
+
+
+class TestPayloadWalk:
+    """Dataclasses, arrays and undefined floats are written by the walk under json_dumps and key_value_csv."""
+
+    def test_verdict_without_best_value(self):
+        verdict = certify_crit2(2.8284271247461903, 2.5, [math.nan] * 4, 1e-9)
+        assert verdict.witness.best_value is None
+        expected = {
+            "criterion": "crit2", "passed": False, "tolerance": 1e-9,
+            "witness": {"s_ac_hit": True, "s_bc_hit": False, "s_ac_dev": 0.0, "s_bc_dev": 0.328427125,
+                        "best_outcome": None, "best_value": None, "threshold": 1.41421356, "margin": None},
+        }
+        assert json_dumps(verdict) == json_dumps(expected)
+        assert key_value_csv(verdict) == key_value_csv(expected)
+        assert "witness.best_value,None" in key_value_csv(verdict).splitlines()
+
+    def test_distance_bounds(self):
+        bounds = DistanceBounds(0.125, 0.5)
+        assert json_dumps(bounds) == '{\n  "lower": 0.125,\n  "upper": 0.5\n}'
+        assert key_value_csv({"distance_bounds": bounds}) == "key,value\ndistance_bounds.lower,0.125\ndistance_bounds.upper,0.5"
+
+    def test_observable_block(self):
+        basis = np.array([[1.0], [1j]]) / math.sqrt(2.0)
+        block = ObservableBlock(basis, np.array([[1.0]]), np.array([[-1.0]]))
+        expected = {"basis": matrix_to_json(basis), "a0": matrix_to_json(np.eye(1)), "a1": matrix_to_json(-np.eye(1))}
+        assert json_dumps(block) == json_dumps(expected)
+        assert key_value_csv([block]) == key_value_csv([expected])
+
+    def test_vector_is_a_column(self):
+        vec = np.array([0.6, 0.8j])
+        assert json_dumps(vec) == json_dumps(matrix_to_json(vec.reshape(-1, 1)))
+        assert json.loads(json_dumps(vec))["cols"] == 1
+
+    def test_non_finite_floats_are_null_outside_reports(self):
+        verdict = certify_crit1(math.nan, 2.8284271247461903, [2.0] * 4, 1e-9)
+        assert json.loads(json_dumps(verdict))["witness"]["s_ac_dev"] is None
+        payload = {"a": [math.nan, math.inf, -math.inf, 1.0], "b": np.array([[math.nan]])}
+        assert json.loads(json_dumps(payload)) == {
+            "a": [None, None, None, 1.0], "b": {"rows": 1, "cols": 1, "data": [[None, 0.0]]}}
+        assert key_value_csv(payload).splitlines()[1:4] == ["a.0,None", "a.1,None", "a.2,None"]
 
 
 class TestMeasurementFormat:
