@@ -33,8 +33,11 @@ from .measurements import DichotomicObservable
 # Eigenphases of the product A0*A1 closer than this are grouped together.
 ANGLE_TOL = 1e-7
 
-# A group at phase 0 (pi) splits into 1x1 blocks only where A1 - A0 (A1 + A0)
-# vanishes on it to within this; otherwise its phases pair into 2x2 blocks.
+# Floor of the edge split: in a group at phase 0 (pi), a vector on which
+# A1 - A0 (A1 + A0) is below this, or below 8 times the larger residual
+# max|A^2 - I| of the two observables, is a 1x1 block. On settings rounded
+# to 9 digits, a 1x1 vector measured at most 3.1 times that residual and a
+# block 5e-8 from the edge at least 49 times it.
 EDGE_TOL = 1e-9
 
 # chsh_spectrum: slack of the +/- pairing and of alpha1^2 + alpha2^2 = 8.
@@ -103,26 +106,6 @@ class SepBoundResult:
     oracle_state: PureState | None = None
 
 
-def _common_blocks(cols: np.ndarray, mat0: np.ndarray, mat1: np.ndarray) -> list[ObservableBlock]:
-    """1x1 blocks spanning orthonormal ``cols``, on which A1 = +/-A0.
-
-    Diagonalizing the restriction of A0 yields simultaneous eigenvectors.
-    """
-    restricted = cols.conj().T @ mat0 @ cols
-    _, w_vecs = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
-    blocks = []
-    for k in range(w_vecs.shape[1]):
-        v = cols @ w_vecs[:, k]
-        e0 = complex(v.conj() @ (mat0 @ v)).real
-        e1 = complex(v.conj() @ (mat1 @ v)).real
-        blocks.append(ObservableBlock(
-            basis=v.reshape(cols.shape[0], 1),
-            a0=np.array([[e0]], dtype=complex),
-            a1=np.array([[e1]], dtype=complex),
-        ))
-    return blocks
-
-
 def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> ObservableBlocks:
     """Split a pair of +/-1 observables into jointly invariant blocks of size <= 2.
 
@@ -133,20 +116,23 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     eigenvectors ``np.linalg.eig`` returns for a group are re-orthonormalized
     by one QR: eigenspaces of a unitary at distinct eigenvalues are
     orthogonal, so Gram-Schmidt inside a group keeps every vector in its
-    eigenspace. A group within ``ANGLE_TOL`` of 0 (pi) gives size-1 blocks
-    where A1 - A0 (A1 + A0) vanishes on it to ``EDGE_TOL``: on all its
-    columns, or, within each eigenspace of A0 on the group, on the span of
-    the right singular vectors of that difference with singular value at
-    most ``EDGE_TOL``. The rest of an edge group holds
-    2x2 blocks at phases too close to the edge to tell apart; its +/- phases,
-    from A0 A1 restricted to that rest when some of the group split off, are
-    paired like any other group's. The reconstruction from the returned
-    blocks is verified to 1e-8.
+    eigenspace. A group within ``ANGLE_TOL`` of 0 (pi) is split by the
+    principal angles of the +/-1 eigenspaces (Halmos 1969; Bjorck and Golub
+    1973): within each eigenspace of A0 on the group, the right singular
+    vectors of A1 - A0 (A1 + A0) with singular value at most the split
+    threshold are common eigenvectors and give size-1 blocks. The threshold
+    is the larger of ``EDGE_TOL`` and 8 max|Ai^2 - I| over the two
+    observables, so settings rounded to 9 digits split at their own rounding
+    level. The rest of an edge group holds 2x2 blocks at phases too close to
+    the edge to tell apart; its +/- phases, from A0 A1 restricted to that
+    rest, are paired like any other group's. The reconstruction from the
+    returned blocks is verified to 1e-8.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
         raise ValidationError("observables must act on the same space")
     d = mat0.shape[0]
+    split = max(EDGE_TOL, 8.0 * max(float(np.max(np.abs(mat @ mat - np.eye(d)))) for mat in (mat0, mat1)))
 
     unitary = mat0 @ mat1
     eigvals, eigvecs = np.linalg.eig(unitary)
@@ -167,30 +153,25 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
         edge = center <= ANGLE_TOL or center >= math.pi - ANGLE_TOL
         vectors, signs = eigvecs[:, cluster], phases[cluster]
         if edge:
+            # On a near-edge block, A1 -/+ A0 is about its phase in size, so
+            # rounding can mix its vectors into the 1x1 ones; within one
+            # eigenspace of A0 such a mixture still leaves A0 reconstructed.
             cols = np.linalg.qr(vectors)[0]
             sign = 1.0 if center <= ANGLE_TOL else -1.0
             gap = (mat1 - sign * mat0) @ cols
-            if np.max(np.abs(gap)) <= EDGE_TOL:
-                blocks.extend(_common_blocks(cols, mat0, mat1))
-                continue
-            # Exact-edge 1x1 blocks beside near-edge 2x2 ones are split off
-            # first, since their phases sit at the edge with either sign. On
-            # a near-edge block, A1 -/+ A0 is about its phase in size, so
-            # rounding can mix its vectors into the 1x1 ones; within one
-            # eigenspace of A0 such a mixture still leaves A0 reconstructed.
             restricted = cols.conj().T @ mat0 @ cols
             values, within = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
-            common, rest = [], []
+            rest = []
             for side in (values < 0.0, values >= 0.0):
                 _, singular, right = np.linalg.svd(gap @ within[:, side])
                 part = cols @ within[:, side]
-                common.append(part @ right[singular <= EDGE_TOL].conj().T)
-                rest.append(part @ right[singular > EDGE_TOL].conj().T)
-            common, rest = np.hstack(common), np.hstack(rest)
-            if common.shape[1]:
-                blocks.extend(_common_blocks(common, mat0, mat1))
-                rest_vals, rest_vecs = np.linalg.eig(rest.conj().T @ unitary @ rest)
-                vectors, signs = rest @ rest_vecs, np.angle(rest_vals)
+                for v in (part @ right[singular <= split].conj().T).T:
+                    blocks.append(ObservableBlock(v.reshape(d, 1), *(
+                        np.array([[complex(v.conj() @ (mat @ v)).real]], dtype=complex) for mat in (mat0, mat1))))
+                rest.append(part @ right[singular > split].conj().T)
+            rest = np.hstack(rest)
+            rest_vals, rest_vecs = np.linalg.eig(rest.conj().T @ unitary @ rest)
+            vectors, signs = rest @ rest_vecs, np.angle(rest_vals)
         if np.count_nonzero(signs > 0.0) != np.count_nonzero(signs <= 0.0):
             raise ValidationError("eigenphases of A0*A1 do not pair into conjugates")
         built = np.zeros((d, 0), dtype=complex)

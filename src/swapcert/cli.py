@@ -75,12 +75,27 @@ def _noisy_scenario(args: argparse.Namespace) -> protocol.Scenario:
 
 
 def _write_output(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+    """Write ``text``, ending in a newline, to the ``--out`` path or to stdout.
+
+    An ``--out`` that cannot be written is a usage error. A reader that closes
+    stdout early ends the output, not the run: stdout is pointed at
+    ``os.devnull``, as the ``signal`` module's docs advise for SIGPIPE, and
+    the command goes on to return its own code.
+    """
+    text = text if text.endswith("\n") else text + "\n"
+    if out is not None and out != "-":
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+        return
+    try:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _render(payload: dict, fmt: str) -> str:

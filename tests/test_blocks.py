@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from swapcert import (
     version_operator,
 )
 from swapcert.blocks import ANGLE_TOL
+from swapcert.serialize import json_dumps, observable_from_json, observable_to_json
 from support import (
     I2,
     SQRT2,
@@ -214,17 +216,25 @@ class TestJordanBlocksDegenerate:
             assert [b.size for b in blocks.blocks] == [2] * 4
             assert embed_error(blocks, a0, a1) <= 1e-8
 
-    @pytest.mark.parametrize("edge, ones", [
-        (0.0, ((1.0, 1.0), (-1.0, -1.0))),
-        (0.0, ((1.0, 1.0), (1.0, 1.0))),
-        (math.pi, ((1.0, -1.0), (-1.0, 1.0))),
-        (math.pi, ((-1.0, 1.0), (-1.0, 1.0))),
+    @pytest.mark.parametrize("edge, ones, nine_digits", [
+        pytest.param(edge, ones, nine_digits, id=f"{edge}-ones{k}" + "-nine_digits" * nine_digits)
+        for nine_digits in (False, True)
+        for k, (edge, ones) in enumerate([
+            (0.0, ((1.0, 1.0), (-1.0, -1.0))),
+            (0.0, ((1.0, 1.0), (1.0, 1.0))),
+            (math.pi, ((1.0, -1.0), (-1.0, 1.0))),
+            (math.pi, ((-1.0, 1.0), (-1.0, 1.0))),
+        ])
     ])
-    def test_exact_edge_blocks_beside_a_near_edge_block(self, edge, ones):
+    def test_exact_edge_blocks_beside_a_near_edge_block(self, edge, ones, nine_digits):
         # The 1x1 blocks' phases sit exactly at the edge with either rounding
-        # sign; they split off before the near-edge 2x2 block is paired.
+        # sign; they split off before the near-edge 2x2 block is paired. Read
+        # back from json_dumps, A1 -/+ A0 is about 1e-9 on them, yet the split
+        # follows the files' own rounding.
         for seed in range(100):
             a0, a1 = planted_layout(ones, (abs(edge - 5e-8), 0.7), np.random.default_rng(seed))
+            if nine_digits:
+                a0, a1 = (observable_from_json(json.loads(json_dumps(observable_to_json(o)))) for o in (a0, a1))
             blocks = jordan_blocks(a0, a1)
             assert sorted(b.size for b in blocks.blocks) == [1, 1, 2, 2]
             labels = [(round(b.a0[0, 0].real), round(b.a1[0, 0].real)) for b in blocks.blocks if b.size == 1]

@@ -44,6 +44,13 @@ def settings_file(tmp_path, name="settings.json"):
     return path
 
 
+def cli_child(*argv: str, **popen_args) -> subprocess.Popen:
+    """``python -m swapcert.cli`` in a child process, with this checkout's ``src`` on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "swapcert.cli", *argv], env=env, text=True, **popen_args)
+
+
 class TestIdeal:
     def test_values_and_exit(self, capsys):
         code, out, _ = run(capsys, "ideal")
@@ -466,6 +473,24 @@ class TestDecompose:
         (single,) = [b for b in a_blocks if b["basis"]["cols"] == 1]
         assert [single["a0"]["data"][0][0], single["a1"]["data"][0][0]] == list(one)
 
+    def test_nine_digit_settings_with_edge_blocks_decompose(self, capsys, tmp_path):
+        # 1x1 blocks at 0 and pi beside repeated-phase 2x2 blocks, d = 8, written
+        # at 9 digits: A1 -/+ A0 is about 1e-9 on the 1x1 blocks, the rounding
+        # level of the file, so the edge split must follow the file's rounding.
+        from support import planted_layout
+
+        a0, a1 = planted_layout(((1.0, 1.0), (1.0, -1.0)), (0.9, 2.1, 0.9), np.random.default_rng(28))
+        sc = ideal_scenario()
+        path = tmp_path / "nine_digits.json"
+        path.write_text(json_dumps({k: o.matrix for k, o in zip(("a0", "a1", "b0", "b1"), (a0, a1, *sc.bob))}))
+        code, out, err = run(capsys, "decompose", str(path))
+        assert code == 0 and err == ""
+        a_blocks = json.loads(out)["a_blocks"]
+        assert sorted(b["basis"]["cols"] for b in a_blocks) == [1, 1, 2, 2, 2]
+        labels = [(round(b["a0"]["data"][0][0]), round(b["a1"]["data"][0][0]))
+                  for b in a_blocks if b["basis"]["cols"] == 1]
+        assert sorted(labels) == [(1.0, -1.0), (1.0, 1.0)]
+
     def test_huge_entry_is_one_validation_line(self, tmp_path):
         # numpy's overflow warnings would name the source path on stderr
         payload = json.loads(settings_file(tmp_path).read_text())
@@ -537,7 +562,13 @@ class TestSepBound:
         assert json.loads(out)["difference"] <= 1e-9
 
 
-@pytest.mark.parametrize("settings,name", [(None, "ideal"), ("planted_d4_settings.json", "planted_d4")])
+@pytest.mark.parametrize("settings,name", [
+    (None, "ideal"),
+    ("planted_d4_settings.json", "planted_d4"),
+    # A: 1x1 blocks at 0 and pi beside a 2x2 block 5e-8 from 0 and one at 0.7;
+    # B: a 1x1 block at pi beside a 2x2 block at 1.2 (support.planted_layout).
+    ("mixed_edge_settings.json", "mixed_edge"),
+])
 def test_blocks_output_is_pinned(capsys, tmp_path, settings, name):
     # alpha comes from the block eigenphases, lambda and sep_bound from the eigenphases
     # of the whole settings, with the 9-digit bytes of a per-pair eigvalsh; oracle_value
@@ -775,6 +806,41 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+class TestOutputFaults:
+    """A fault in writing the output is never read as a crash (exit 4)."""
+
+    @pytest.mark.parametrize("argv", [
+        ("ideal",),
+        ("ideal", "--format", "csv"),
+        ("bounds-curve", "--steps", "3"),
+        ("bounds-curve", "--steps", "3", "--format", "json"),
+        ("sample", "--n-per-setting", "5", "--seed", "1"),
+    ])
+    @pytest.mark.parametrize("target", ["missing/x.out", "."])
+    def test_unwritable_out_is_usage_error(self, tmp_path, argv, target):
+        proc = cli_child(*argv, "--out", str(tmp_path / target), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2 and out == ""
+        assert err.startswith("error: cannot write --out ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command,code", [("ideal", 0), ("certify", 1)])
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, fmt, command, code):
+        # The reader is gone before the child writes its payload; the command
+        # still returns its own code: 0 for ideal, 1 for certify on an all-zero report.
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({
+            "s_ac": 0.0, "s_bc": 0.0, "s_ab_given_c": [0.0] * 4,
+            "outcome_probs": [0.25] * 4, "relabeling": [1, 2, 3, 4], "stderr": None,
+        }))
+        argv = [command] if command == "ideal" else [command, str(zero)]
+        with cli_child(*argv, "--format", fmt, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == code
+        assert err == ""
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
