@@ -194,8 +194,6 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
             ))
 
     result = ObservableBlocks(d, tuple(blocks))
-    if sum(b.size for b in blocks) != d:
-        raise ValidationError("block dimensions do not sum to the parent dimension")
     r0, r1 = result.embed()
     err = max(float(np.max(np.abs(r0 - mat0))), float(np.max(np.abs(r1 - mat1))))
     if not err <= 1e-8:  # NaN fails too

@@ -142,6 +142,8 @@ def _load_input(path_str: str, counts_ok: bool = False) -> Any:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path.name}: {exc}") from None
     if counts_ok and path.suffix.lower() != ".json" and not text.lstrip().startswith("{"):
         return serialize.counts_from_csv(text)
     try:

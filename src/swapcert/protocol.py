@@ -9,7 +9,7 @@ the end parties, z in {1, 2, 3} for the middle party, raw outcomes c in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
 
@@ -41,9 +41,9 @@ from .measurements import (
 # rather than producing NaN ratios from degenerate states.
 PROB_FLOOR = 1e-12
 
-# The largest sample size per setting triple whose total over all 12 triples
-# still fits in int64, as a counts table read back from CSV must.
-MAX_N_PER_SETTING = (2**63 - 1) // 12
+# A counts table's grand total must fit in int64, which caps the sample size per setting triple.
+_INT64_MAX = 2**63 - 1
+MAX_N_PER_SETTING = _INT64_MAX // 12
 
 # theorem_check: largest |A0 A1 + A1 A0| entry on either side, and slack over sqrt(2).
 THEOREM_TOL = 1e-8
@@ -391,10 +391,15 @@ def exact_report(sc: Scenario) -> ChshReport:
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Outcome counts per setting triple, indexed [x-1, y-1, z-1, a, b, c]."""
+    """Outcome counts per setting triple, indexed [x-1, y-1, z-1, a, b, c].
+
+    Counts are nonnegative whole numbers whose grand total fits in int64, and
+    every setting triple has a positive total. ``n_per_setting`` is the
+    largest triple total.
+    """
 
     counts: np.ndarray
-    n_per_setting: int
+    n_per_setting: int = field(init=False)
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.counts)
@@ -408,9 +413,15 @@ class CountsTable:
             raise ValidationError("counts must be whole numbers that fit in int64")
         if np.any(arr < 0):
             raise ValidationError("counts must be nonnegative")
+        if sum(arr.ravel().tolist()) > _INT64_MAX:  # Python ints: an int64 sum would wrap
+            raise ValidationError("total count does not fit in int64")
+        totals = arr.sum(axis=(3, 4, 5))
+        if not totals.all():
+            x, y, z = np.argwhere(totals == 0)[0] + 1
+            raise ValidationError(f"empty cells: zero total count for setting triple ({x},{y},{z})")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
-        object.__setattr__(self, "n_per_setting", _checked_int(self.n_per_setting, "n_per_setting"))
+        object.__setattr__(self, "n_per_setting", int(totals.max()))
 
 
 def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
@@ -436,7 +447,7 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
             for z in (1, 2, 3):
                 rng = seeded_generator(seed, x, y, z)
                 counts[x - 1, y - 1, z - 1] = rng.multinomial(n_per_setting, tables[x - 1, y - 1, z - 1])
-    return CountsTable(counts.reshape(2, 2, 3, 2, 2, 4), n_per_setting)
+    return CountsTable(counts.reshape(2, 2, 3, 2, 2, 4))
 
 
 def _stacked_bits(bit_maps: tuple[tuple[Sequence[int], Sequence[int]], ...]) -> np.ndarray:
@@ -470,8 +481,4 @@ def estimate_report(
     +1, as for :class:`BinnedMeasurement`.
     """
     bits = _CANONICAL_BITS if bit_maps is None else _stacked_bits(bit_maps)
-    totals = counts.counts.sum(axis=(3, 4, 5))
-    if np.any(totals <= 0):
-        x, y, z = np.argwhere(totals <= 0)[0] + 1
-        raise ValidationError(f"empty cells: no counts for setting triple ({x},{y},{z})")
     return _report(counts.counts, bits)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, DensityMatrix, ValidationError
 from .measurements import BinnedMeasurement, DichotomicObservable, FourOutcomeMeasurement
-from .protocol import ChshReport, CountsTable, ReportStdErr, Scenario
+from .protocol import _INT64_MAX, ChshReport, CountsTable, ReportStdErr, Scenario
 
 COUNTS_HEADER = ["x", "y", "z", "a", "b", "c", "count"]
 
@@ -326,7 +326,6 @@ _COUNTS_ROW_PREFIXES = tuple(
 )
 _COUNTS_SHAPE = (2, 2, 3, 2, 2, 4)
 _CELLS_PER_TRIPLE = 16
-_INT64_MAX = int(np.iinfo(np.int64).max)
 _COUNTS_HEADER_LINE = ",".join(COUNTS_HEADER)
 # The 192 counts of a file in the writer's layout, joined by commas: each one
 # ASCII digits without a leading zero, at most 18 of them, so below 10**18 and
@@ -366,7 +365,7 @@ def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
     field goes through ``int()``, so spellings such as ``+1``, ``01`` or a
     leading space are accepted, and the cell index is read from the parsed
     integers. Within a line the checks fire in this order: 7 fields, every
-    field an integer (the count first), setting in range, outcome in range,
+    field an integer, setting in range, outcome in range,
     count nonnegative, count within int64; the first bad line is reported.
     """
     reader = csv.reader(io.StringIO(text))
@@ -384,11 +383,7 @@ def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
         if len(row) != 7:
             raise ValidationError(f"line {lineno}: expected 7 fields, got {len(row)}")
         try:
-            n = int(row[6])
-        except ValueError:
-            raise ValidationError(f"line {lineno}: non-integer field") from None
-        try:
-            x, y, z, a, b, c = (int(v) for v in row[:6])
+            x, y, z, a, b, c, n = map(int, row)
         except ValueError:
             raise ValidationError(f"line {lineno}: non-integer field") from None
         if x not in (1, 2) or y not in (1, 2) or z not in (1, 2, 3):
@@ -410,31 +405,25 @@ def counts_from_csv(text: str) -> CountsTable:
 
     Text laid out exactly as :func:`counts_to_csv` writes it is read in one
     match (:func:`_writer_counts`); any other text row by row
-    (:func:`_read_rows`), which names the first bad line. Both end in the same
-    checks: the grand total must fit in int64, every setting triple must have
-    a row and every triple a positive total.
+    (:func:`_read_rows`), which names the first bad line. The grand total
+    must fit in int64, checked before rows that name the same cell are added
+    up, as ``np.add.at`` wraps; every setting triple must have a row.
+    :class:`CountsTable` checks the rest.
     """
     values, cells = _writer_counts(text), None
     if values is None:
         values, cells = _read_rows(text)
     if sum(values.tolist()) > _INT64_MAX:
         raise ValidationError("total count does not fit in int64")
-    if cells is None:  # every cell once, in order
-        counts = values.reshape(_COUNTS_SHAPE)
-    else:  # rows that name the same cell add up
-        counts = np.zeros(len(_COUNTS_ROW_PREFIXES), dtype=np.int64)
-        np.add.at(counts, cells, values)
-        counts = counts.reshape(_COUNTS_SHAPE)
-        seen = np.bincount(cells // _CELLS_PER_TRIPLE, minlength=12).reshape(2, 2, 3) > 0
-        missing = np.argwhere(~seen)
+    if cells is not None:  # rows that name the same cell add up
+        missing = np.argwhere(np.bincount(cells // _CELLS_PER_TRIPLE, minlength=12).reshape(2, 2, 3) == 0)
         if missing.size:
             x, y, z = missing[0] + 1
             raise ValidationError(f"empty cells: no rows for setting triple ({x},{y},{z})")
-    totals = counts.sum(axis=(3, 4, 5))
-    if np.any(totals <= 0):
-        x, y, z = np.argwhere(totals <= 0)[0] + 1
-        raise ValidationError(f"empty cells: zero total count for setting triple ({x},{y},{z})")
-    return CountsTable(counts, int(totals.max()))
+        counts = np.zeros(len(_COUNTS_ROW_PREFIXES), dtype=np.int64)
+        np.add.at(counts, cells, values)
+        values = counts
+    return CountsTable(values.reshape(_COUNTS_SHAPE))
 
 
 def bounds_curve_csv(rows: Sequence[tuple[float, float, float]]) -> str:

@@ -504,7 +504,7 @@ def reference_counts_from_csv(text: str) -> CountsTable:
     if np.any(totals <= 0):
         x, y, z = np.argwhere(totals <= 0)[0] + 1
         raise ValidationError(f"empty cells: zero total count for setting triple ({x},{y},{z})")
-    return CountsTable(counts, int(totals.max()))
+    return CountsTable(counts)
 
 
 def reference_sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
@@ -517,7 +517,7 @@ def reference_sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> Coun
                 table = tables[x - 1, y - 1, z - 1].reshape(-1)
                 rng = np.random.default_rng([seed, x, y, z])
                 counts[x - 1, y - 1, z - 1] = rng.multinomial(n_per_setting, table / table.sum()).reshape(2, 2, 4)
-    return CountsTable(counts, n_per_setting)
+    return CountsTable(counts)
 
 
 def reference_relabel(version_matrix: np.ndarray) -> tuple[tuple[int, int, int, int], tuple[float, ...]]:

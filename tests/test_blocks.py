@@ -523,6 +523,10 @@ class TestBlockChsh:
 
 
 class TestChshSpectrum:
+    def test_rejects_a_two_by_two_operator(self):
+        with pytest.raises(ValidationError, match="^expected a 4x4 operator$"):
+            chsh_spectrum(np.eye(2))
+
     def test_ideal(self):
         beta = chsh_operator(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS)
         a1, a2 = chsh_spectrum(beta)

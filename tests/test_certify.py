@@ -238,6 +238,13 @@ class TestTraceDistance:
         with pytest.raises(ValidationError):
             trace_distance(bell_measurement(), (0, 0, 1, 2))
 
+    def test_measurement_not_on_two_qubits_rejected(self):
+        from swapcert import FourOutcomeMeasurement
+
+        meas = FourOutcomeMeasurement(tuple(np.diag(np.eye(4)[k]) for k in range(4)), (4, 1))
+        with pytest.raises(ValidationError, match=r"^measurement acts on \(4, 1\), expected \(2, 2\)$"):
+            trace_distance(meas, (0, 1, 2, 3))
+
 
 class TestDistanceBounds:
     def test_ideal_values(self):
@@ -270,6 +277,10 @@ class TestDistanceBounds:
     def test_flagged_value_rejected(self):
         with pytest.raises(ValidationError):
             distance_bounds([TSIRELSON, math.nan, TSIRELSON, TSIRELSON])
+
+    def test_three_values_rejected(self):
+        with pytest.raises(ValidationError, match="^expected four conditional values$"):
+            distance_bounds([TSIRELSON] * 3)
 
     def test_bounds_ordered(self):
         with pytest.raises(ValidationError):

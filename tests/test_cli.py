@@ -843,6 +843,49 @@ class TestOutputFaults:
         assert err == ""
 
 
+class TestInputFaults:
+    """Every input that cannot be used ends in one usage (2) or validation (3) line."""
+
+    @pytest.mark.parametrize("argv,name", [
+        (("decompose", "{}"), "bin.json"),
+        (("sep-bound", "{}", "--seed", "1"), "bin.json"),
+        (("certify", "{}"), "bin.json"),
+        (("certify", "{}"), "bin.csv"),
+        (("sample", "--n-per-setting", "5", "--seed", "1", "--scenario", "{}"), "bin.json"),
+    ], ids=["decompose", "sep-bound", "certify json", "certify csv", "sample scenario"])
+    def test_non_utf8_input_is_validation_error(self, capsys, tmp_path, argv, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, *(arg.format(path) for arg in argv))
+        assert code == 3 and out == ""
+        assert err == (f"validation error: {name}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte\n")
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (("bounds-curve", "--steps", "0"), 2, "error: --steps must be at least 1"),
+        (("sep-bound", "{settings}", "--seed", "1", "--restarts", "0"), 2, "error: --restarts must be at least 1"),
+        (("sample", "--n-per-setting", "0", "--seed", "1"), 2, "error: --n-per-setting must be at least 1"),
+        (("certify", "{tmp}"), 3, "validation error: [Errno 21] Is a directory: '{tmp}'"),
+        (("decompose", "{text}"), 3, "validation error: text.json: Expecting value: line 1 column 1 (char 0)"),
+        (("decompose", "{array}"), 3, "validation error: array.json: expected a JSON object"),
+    ], ids=["steps 0", "restarts 0", "n-per-setting 0", "input is a directory", "input not JSON",
+            "settings a JSON array"])
+    def test_unusable_input_is_one_error_line(self, capsys, tmp_path, argv, code, message):
+        paths = {"settings": settings_file(tmp_path), "tmp": tmp_path,
+                 "text": tmp_path / "text.json", "array": tmp_path / "array.json"}
+        paths["text"].write_text("not json\n")
+        paths["array"].write_text("[1, 2]\n")
+        got, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert got == code and out == ""
+        assert err == message.format(**paths) + "\n"
+
+    def test_non_numeric_tol_env_var_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SWAPCERT_TOL", "abc")
+        code, out, err = run(capsys, "ideal")
+        assert code == 2 and out == ""
+        assert err == "error: SWAPCERT_TOL='abc' is not a number\n"
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     # exit 1 is a certification verdict, so a crash must not produce it
     from swapcert import cli

@@ -243,6 +243,19 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 2.0
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ptrace_array(np.ones(4), (2, 2), [0]), r"^matrix must be 2-dimensional, got shape \(4,\)$"),
+        (lambda: ptrace_array(np.eye(4), (2, 3), [0]), r"^operator side 4 does not match dims \(2, 3\)$"),
+        (lambda: PureState(np.ones(3) / math.sqrt(3), (2,)), r"^dims \(2,\) do not match vector length 3$"),
+        (lambda: PureState(np.array([np.nan, 0.0]), (2,)), "^state vector has non-finite entries$"),
+        (lambda: DensityMatrix(np.ones((2, 4)) / 8, (2,)), "^density matrix must be square$"),
+        (lambda: DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]]), (2,)), "^density matrix has non-finite entries$"),
+    ], ids=["matrix not 2-D", "ptrace side", "pure length", "pure non-finite", "density not square",
+            "density non-finite"])
+    def test_rejections_name_their_cause(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
 
 class TestPermuteSubsystems:
     def test_swap_matches_kron(self):

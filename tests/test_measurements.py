@@ -16,6 +16,7 @@ from swapcert import (
     product_measurement,
     qubit_observable,
 )
+from swapcert.measurements import checked_bits
 from support import (
     I2,
     X,
@@ -59,6 +60,15 @@ class TestQubitObservable:
     def test_rejects_non_involution(self):
         with pytest.raises(ValidationError):
             DichotomicObservable(np.diag([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: qubit_observable([1.0, 0.0]), "^Bloch vector must have three components$"),
+    (lambda: checked_bits(5, "bits"), r"^bits must map all four outcomes to -1 or \+1$"),
+], ids=["two-component Bloch vector", "bits not a sequence"])
+def test_rejections_name_their_cause(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
 
 
 class TestBellBasis:

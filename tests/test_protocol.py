@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from swapcert import (
+    BinnedMeasurement,
+    ChshReport,
     CountsTable,
     DensityMatrix,
+    FourOutcomeMeasurement,
     Scenario,
     ValidationError,
     bell_basis,
@@ -52,6 +55,8 @@ from support import (
 )
 
 IDEAL = ideal_scenario()
+# A valid four-outcome measurement on a (4, 1) factor, which no qubit-pair scenario accepts.
+ON_4_1 = FourOutcomeMeasurement(tuple(np.diag(np.eye(4)[k]) for k in range(4)), (4, 1))
 TRIPLES = list(itertools.product((1, 2), (1, 2), (1, 2, 3)))
 
 
@@ -219,6 +224,14 @@ class TestSteering:
             assert w[-1] == pytest.approx(1.0, abs=1e-10)  # pure
             assert svals[1] < 1e-9  # product
 
+    @pytest.mark.parametrize("state,meas,message", [
+        (DensityMatrix(np.eye(8) / 8, (2, 2, 2)), IDEAL.charlie3, "^steering expects a four-factor state$"),
+        (IDEAL.state, ON_4_1, r"^measurement dims \(4, 1\) do not match state dims \(2, 2\)$"),
+    ], ids=["three-factor state", "mismatched dims"])
+    def test_malformed_input_rejected(self, state, meas, message):
+        with pytest.raises(ValidationError, match=message):
+            steer(state, meas)
+
 
 class TestScenarios:
     def test_ideal_marginal_is_uncorrelated(self):
@@ -275,6 +288,16 @@ class TestScenarios:
             replace(IDEAL, alice=(qubit_observable((0, 0, 1)),
                                   qubit_observable((0, 0, 1)).__class__(np.eye(4))))
 
+    @pytest.mark.parametrize("changes,message", [
+        ({"state": DensityMatrix(np.eye(8) / 8, (2, 2, 2))}, r"^state must have four factors, got dims \(2, 2, 2\)$"),
+        ({"charlie12": IDEAL.charlie12 + IDEAL.charlie12[:1]}, "^each party needs exactly two settings$"),
+        ({"charlie12": (IDEAL.charlie12[0], BinnedMeasurement(ON_4_1, (1, 1, -1, -1), (1, -1, 1, -1)))},
+         r"^charlie setting 2 acts on dims \(4, 1\), state has \(2, 2\)$"),
+    ], ids=["three-factor state", "three charlie12 settings", "charlie12 on wrong dims"])
+    def test_malformed_scenario_rejected(self, changes, message):
+        with pytest.raises(ValidationError, match=message):
+            replace(IDEAL, **changes)
+
 
 class TestInvariants:
     def test_tsirelson_ceiling(self):
@@ -329,6 +352,15 @@ class TestInvariants:
             assert averaged == pytest.approx(unconditioned, abs=1e-10)
             if seed == 0:
                 assert unconditioned == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("s_ac,probs,message", [
+        (2.0, (0.3, 0.3, 0.3, 0.3), "^outcome probabilities do not sum to 1$"),
+        (3.0, (0.25, 0.25, 0.25, 0.25), "^CHSH value 3.0 exceeds the quantum ceiling$"),
+    ], ids=["probabilities off 1", "value above the ceiling"])
+    def test_report_validate_rejects(self, s_ac, probs, message):
+        report = ChshReport(s_ac, 2.0, (2.0,) * 4, probs, (0, 1, 2, 3))
+        with pytest.raises(ValidationError, match=message):
+            report.validate()
 
 
 class TestExactReport:
@@ -386,7 +418,7 @@ class TestSampling:
         sc = noisy_scenario(0.95, 0.97, 0.26)
         n, seeds = 20_000, range(5)
         pooled = sum(sample_counts(sc, n, seed).counts for seed in seeds)
-        est = estimate_report(CountsTable(pooled, n * len(seeds)))
+        est = estimate_report(CountsTable(pooled))
         exact = exact_report(sc)
         assert est.relabeling == exact.relabeling
         pairs = [(est.s_ac, exact.s_ac, est.stderr.s_ac), (est.s_bc, exact.s_bc, est.stderr.s_bc)]
@@ -424,6 +456,10 @@ class TestSampling:
     def test_invalid_n(self):
         with pytest.raises(ValidationError):
             sample_counts(IDEAL, 0, seed=1)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match="^seed must be a nonnegative integer$"):
+            sample_counts(IDEAL, 10, seed=-1)
 
     @pytest.mark.parametrize("arg,value", [
         ("n_per_setting", 2.5), ("n_per_setting", 10.0), ("n_per_setting", True), ("n_per_setting", "10"),
@@ -465,20 +501,52 @@ class TestCountsTable:
     ])
     def test_rejects_counts_that_are_not_int64_integers(self, counts):
         with pytest.raises(ValidationError, match="whole numbers"):
-            CountsTable(counts, 3)
-
-    @pytest.mark.parametrize("n_per_setting", [3.9, 3.0, True, "3", None])
-    def test_rejects_non_integer_n_per_setting(self, n_per_setting):
-        with pytest.raises(ValidationError, match="n_per_setting must be an integer"):
-            CountsTable(np.ones(self.SHAPE, dtype=np.int64), n_per_setting)
+            CountsTable(counts)
 
     def test_accepts_whole_numbers_of_any_numeric_dtype(self):
-        for counts in (np.full(self.SHAPE, 3.0), np.full(self.SHAPE, 3, dtype=np.uint16),
-                       np.full(self.SHAPE, 2**63 - 1, dtype=np.uint64)):
-            table = CountsTable(counts, np.int64(3))
+        big = (2**63 - 1) // 192
+        for counts, n in ((np.full(self.SHAPE, 3.0), 48), (np.full(self.SHAPE, 3, dtype=np.uint16), 48),
+                          (np.full(self.SHAPE, big, dtype=np.uint64), 16 * big)):
+            table = CountsTable(counts)
             assert table.counts.dtype == np.int64
             np.testing.assert_array_equal(table.counts, counts)
-            assert table.n_per_setting == 3 and type(table.n_per_setting) is int
+            assert table.n_per_setting == n and type(table.n_per_setting) is int
+
+    def test_n_per_setting_is_the_largest_triple_total(self):
+        counts = sample_counts(IDEAL, 1000, seed=1).counts.copy()
+        counts[1, 0, 2, 0, 0, 0] += 7
+        counts[0, 1, 1, 1, 1, 3] += 3
+        assert CountsTable(counts).n_per_setting == 1007
+
+    @pytest.mark.parametrize("counts,message", [
+        (np.ones((2, 2, 3, 16), dtype=np.int64), r"counts must have shape \(2,2,3,2,2,4\), got \(2, 2, 3, 16\)"),
+        (np.full(SHAPE, -1), "^counts must be nonnegative$"),
+        (np.full(SHAPE, 2**63 - 1, dtype=np.uint64), "^total count does not fit in int64$"),
+        (np.full(SHAPE, 2**62), "^total count does not fit in int64$"),
+    ], ids=["wrong shape", "negative", "all 2**63-1", "all 2**62"])
+    def test_rejects_malformed_counts(self, counts, message):
+        with pytest.raises(ValidationError, match=message):
+            CountsTable(counts)
+
+    def test_rejects_a_total_that_wraps_int64(self):
+        counts = sample_counts(IDEAL, 1000, seed=1).counts.copy()
+        counts[0, 0, 0].flat[:5] = 2**62
+        with pytest.raises(ValidationError, match="^total count does not fit in int64$"):
+            CountsTable(counts)
+
+    def test_largest_int64_total_is_accepted(self):
+        counts = np.zeros(self.SHAPE, dtype=np.int64)
+        counts[..., 0, 0, 0] = 1
+        counts[1, 1, 2, 0, 0, 0] = 2**63 - 12
+        assert CountsTable(counts).n_per_setting == 2**63 - 12
+
+    @pytest.mark.parametrize("triple", [(0, 0, 0), (1, 0, 2), (1, 1, 2)])
+    def test_rejects_a_triple_with_zero_total(self, triple):
+        counts = sample_counts(IDEAL, 100, seed=3).counts.copy()
+        counts[triple] = 0
+        x, y, z = (i + 1 for i in triple)
+        with pytest.raises(ValidationError, match=rf"^empty cells: zero total count for setting triple \({x},{y},{z}\)$"):
+            CountsTable(counts)
 
 
 class TestEstimateReport:
@@ -490,7 +558,7 @@ class TestEstimateReport:
                 for z in (1, 2, 3):
                     table = joint_distribution(IDEAL, x, y, z)
                     counts[x - 1, y - 1, z - 1] = np.round(table * n)
-        report = estimate_report(CountsTable(counts, n))
+        report = estimate_report(CountsTable(counts))
         exact = exact_report(IDEAL)
         # per-cell rounding is at most 0.5/n and a CHSH value sums 4 pooled
         # correlators over 32 cells each, so 5e-5 is "within rounding" at n=1e6
@@ -508,7 +576,7 @@ class TestEstimateReport:
 
     def test_doubling_counts_shrinks_errors(self):
         table = sample_counts(IDEAL, 50_000, seed=11)
-        doubled = CountsTable(table.counts * 2, table.n_per_setting * 2)
+        doubled = CountsTable(table.counts * 2)
         r1 = estimate_report(table)
         r2 = estimate_report(doubled)
         assert r2.s_ac == pytest.approx(r1.s_ac, abs=1e-12)
@@ -521,7 +589,7 @@ class TestEstimateReport:
         counts = sample_counts(IDEAL, 100, seed=3).counts.copy()
         counts[0, 0, 0] = 0
         with pytest.raises(ValidationError):
-            estimate_report(CountsTable(counts, 100))
+            estimate_report(CountsTable(counts))
 
     def test_default_bit_maps_are_built_once(self):
         assert not _CANONICAL_BITS.flags.writeable

@@ -65,6 +65,12 @@ class TestMatrixFormat:
         with pytest.raises(ValidationError):
             matrix_from_json([1, 2, 3])
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "1e400"])
+    def test_rejects_non_finite_entry(self, entry):
+        obj = json.loads(f'{{"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, {entry}]]}}')
+        with pytest.raises(ValidationError, match="^matrix: non-finite entries$"):
+            matrix_from_json(obj)
+
     @pytest.mark.parametrize("rows,cols", [
         (1.9, "1"), (1.0, 1), (1, "1"), (True, 1), (1, None), (1, [1]),
     ])
@@ -125,6 +131,14 @@ class TestPayloadWalk:
 
 
 class TestMeasurementFormat:
+    @pytest.mark.parametrize("obj,message", [
+        ({"dims": [2, 2]}, "^measurement: expected object with 'projectors'$"),
+        ({"projectors": [matrix_to_json(np.eye(3))] * 4}, r"^measurement: cannot infer dims for side 3; provide 'dims'$"),
+    ], ids=["no projectors", "3x3 without dims"])
+    def test_malformed_measurement_rejected(self, obj, message):
+        with pytest.raises(ValidationError, match=message):
+            measurement_from_json(obj)
+
     def test_round_trip(self):
         meas = bell_measurement()
         recovered = measurement_from_json(measurement_to_json(meas))
@@ -261,6 +275,12 @@ class TestScenarioFormat:
         del obj["charlie3"]
         with pytest.raises(ValidationError):
             scenario_from_json(obj)
+
+    @pytest.mark.parametrize("parse,name", [(scenario_from_json, "scenario"), (report_from_json, "report")])
+    @pytest.mark.parametrize("obj", [[], "text", None])
+    def test_non_object_rejected(self, parse, name, obj):
+        with pytest.raises(ValidationError, match=f"^{name}: expected a JSON object$"):
+            parse(obj)
 
 
 class TestReportFormat:
@@ -581,7 +601,7 @@ class TestCountsCsvAgainstReference:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_random_tables(self, triples):
         counts = np.array(triples, dtype=np.int64).reshape(COUNTS_SHAPE)
-        table = CountsTable(counts, int(counts.sum(axis=(3, 4, 5)).max()))
+        table = CountsTable(counts)
         text = counts_to_csv(table)
         recovered = counts_from_csv(text)
         assert np.array_equal(recovered.counts, counts)
