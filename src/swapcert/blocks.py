@@ -201,21 +201,16 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     return result
 
 
-def _chsh_entries(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """A0 x (B0 + B1) + A1 x (B0 - B1) with beta[(i, j), (k, l)] at [i, k, j, l].
-
-    Each entry is a0[i, k] (b0 + b1)[j, l] + a1[i, k] (b0 - b1)[j, l], the
-    products in the operand order of ``np.kron``, so transposed to
-    [i, j, k, l] it holds the bytes of the ``np.kron`` sum.
-    """
-    return a0[:, :, None, None] * (b0 + b1) + a1[:, :, None, None] * (b0 - b1)
-
-
 def _chsh_matrix(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """:func:`_chsh_entries` as a square operator on the A x B space."""
-    entries = _chsh_entries(a0, a1, b0, b1)
-    side = entries.shape[0] * entries.shape[2]
-    return entries.transpose(0, 2, 1, 3).reshape(side, side)
+    """A0 x (B0 + B1) + A1 x (B0 - B1) as a square operator on the A x B space.
+
+    Entry beta[(i, j), (k, l)] is a0[i, k] (b0 + b1)[j, l] + a1[i, k] (b0 - b1)[j, l],
+    the products in the operand order of ``np.kron``, so it holds the bytes
+    of the ``np.kron`` sum.
+    """
+    side = a0.shape[0] * b0.shape[0]
+    plus, minus = (b0 + b1)[None, :, None, :], (b0 - b1)[None, :, None, :]
+    return (a0[:, None, :, None] * plus + a1[:, None, :, None] * minus).reshape(side, side)
 
 
 def chsh_operator(
@@ -332,30 +327,37 @@ def _check_see_saw_args(restarts: int, iters: int, seed: int) -> None:
 
 
 def _see_saw(
-    op_b: np.ndarray,
-    dims: tuple[int, int],
+    terms_a: np.ndarray,
+    terms_b: np.ndarray,
     restarts: int,
     iters: int,
     seed: int,
 ) -> tuple[float, PureState]:
-    """Batched see-saw over the two contraction matrices of a Hermitian CHSH operator beta.
+    """Batched see-saw on a Hermitian operator beta = sum_k terms_a[k] x terms_b[k].
 
-    ``op_b[(i, k), (j, l)]`` holds ``beta[(i, j), (k, l)]``, so
-    ``vec(conj(a) a^T) @ op_b`` is the operator on B with A contracted against
-    a. Its transpose ``op_a`` contracts B likewise; it is built here as a
-    C-ordered copy, since a matrix product against a transposed view can
-    round differently. Every contracted matrix is symmetrized before ``eigh``.
+    ``terms_a`` is (r, d_a, d_a) and ``terms_b`` (r, d_b, d_b). With one
+    side's vectors v fixed, the other side's operator is
+    sum_k <v|term_k|v> times its own term_k: one matrix product of the
+    flattened outer products conj(v) v^T against the fixed side's flattened
+    terms gives the n x r weights, and a second, of the weights against the
+    free side's flattened terms, gives the n matrices. So a sweep over n
+    restarts costs O(n r (d_a^2 + d_b^2)) in products, besides its two
+    stacked ``eigh``. The fixed side's flattened terms enter transposed, as
+    C-ordered copies, since a matrix product against a transposed view can
+    round differently. Every contracted matrix is symmetrized before
+    ``eigh``.
     """
-    d_a, d_b = dims
-    op_a = op_b.T.copy()
+    d_a, d_b = terms_a.shape[1], terms_b.shape[1]
+    flat_a, flat_b = terms_a.reshape(len(terms_a), -1), terms_b.reshape(len(terms_b), -1)
+    fixed_a, fixed_b = flat_a.T.copy(), flat_b.T.copy()
 
     def top_eigvecs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, vecs = np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
         return w[:, -1], vecs[:, :, -1]
 
-    def contract(op: np.ndarray, vecs: np.ndarray, side: int) -> np.ndarray:
+    def contract(vecs: np.ndarray, fixed: np.ndarray, free: np.ndarray, side: int) -> np.ndarray:
         outer = vecs.conj()[:, :, None] * vecs[:, None, :]
-        return (outer.reshape(len(vecs), -1) @ op).reshape(-1, side, side)
+        return ((outer.reshape(len(vecs), -1) @ fixed) @ free).reshape(-1, side, side)
 
     starts = np.array([seeded_generator(seed, restart).normal(size=(2, d_b)) for restart in range(restarts)])
     b_vecs = starts[:, 0] + 1j * starts[:, 1]
@@ -364,8 +366,8 @@ def _see_saw(
     values = np.full(restarts, -math.inf)
     active = np.arange(restarts)
     for _ in range(iters):
-        _, a_new = top_eigvecs(contract(op_a, b_vecs[active], d_a))
-        new_values, b_new = top_eigvecs(contract(op_b, a_new, d_b))
+        _, a_new = top_eigvecs(contract(b_vecs[active], fixed_b, flat_a, d_a))
+        new_values, b_new = top_eigvecs(contract(a_new, fixed_a, flat_b, d_b))
         converged = new_values - values[active] < 1e-12
         a_vecs[active], b_vecs[active], values[active] = a_new, b_new, new_values
         active = active[~converged]
@@ -375,7 +377,7 @@ def _see_saw(
     best = int(np.flatnonzero(values >= values.max() - 1e-9)[0])
     value = float(values[best])
     a_vec, b_vec = a_vecs[best], b_vecs[best]
-    achieved = float(np.real(a_vec.conj() @ contract(op_a, b_vec[None], d_a)[0] @ a_vec))
+    achieved = float(np.real(a_vec.conj() @ contract(b_vec[None], fixed_b, flat_a, d_a)[0] @ a_vec))
     if abs(achieved - value) > 1e-9:
         raise ValidationError(f"see-saw state reaches {achieved:.12g}, not its value {value:.12g}")
     return value, PureState(np.kron(a_vec, b_vec), (d_a, d_b))
@@ -393,10 +395,14 @@ def sep_bound_oracle(
     From a random product start, one side is fixed while the other is set to
     the top eigenvector of the contracted operator, back and forth until the
     value improves by less than 1e-12 or ``iters`` sweeps elapse. All restarts
-    ascend together: each sweep contracts every active restart in one matrix
-    product against beta reshaped to a (d^2, d^2) matrix per side, takes all
-    top eigenvectors from one stacked ``eigh``, and drops the restarts that
-    have converged. Each restart derives its start from ``(seed, restart)``,
+    ascend together: each sweep contracts every active restart against the
+    terms of beta in two matrix products per side, takes all top eigenvectors
+    from one stacked ``eigh``, and drops the restarts that have converged.
+    The dense beta enters as its d_a^2 product terms E_ik x beta[(i, .), (k, .)],
+    with E_ik the unit matrices on A, so a sweep over n restarts costs
+    O(n d_a^2 (d_a^2 + d_b^2)) in products, and the contracted matrices hold
+    the bytes of one product against beta reshaped to a (d_a^2, d_b^2)
+    matrix per side. Each restart derives its start from ``(seed, restart)``,
     so runs are reproducible and restarts are independent. Many restarts tie
     at the optimum up to rounding, so the lowest-index restart within 1e-9 of
     the best is returned. Its value is a certified lower bound on the
@@ -413,8 +419,9 @@ def sep_bound_oracle(
         raise ValidationError(f"operator side {beta.shape[0]} does not match dims {dims}")
     if hermitian_deviation(beta) > DEFAULT_TOL:
         raise ValidationError("operator must be Hermitian")
-    op_b = beta.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
-    return _see_saw(op_b, (d_a, d_b), restarts, iters, seed)
+    units = np.eye(d_a * d_a, dtype=complex).reshape(-1, d_a, d_a)
+    pieces = beta.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(-1, d_b, d_b)
+    return _see_saw(units, pieces, restarts, iters, seed)
 
 
 def _min_phase_sine(a0: DichotomicObservable, a1: DichotomicObservable) -> tuple[float, float]:
@@ -458,11 +465,13 @@ def sep_bound(
     The returned structure lists no block pairs (only :func:`block_chsh`
     does) and carries lam for :func:`sep_bound_formula`; near
     lam = 2 sqrt(2) that recomputes the bound from the rounded lam, so
-    ``formula_value`` is the accurate one. The see-saw runs on the
-    :func:`_chsh_entries` of the observables, reshaped without a copy, so it
-    returns the bytes :func:`sep_bound_oracle` returns on
-    :func:`chsh_operator`. No Hermiticity check runs here: each observable
-    was checked when it was built.
+    ``formula_value`` is the accurate one. The see-saw runs on the two
+    product terms A0 x (B0 + B1) and A1 x (B0 - B1), so no d^4 array is
+    built and a sweep over n restarts costs O(n d^2) in products, against
+    O(n d^4) for the dense operator :func:`sep_bound_oracle` contracts. Its
+    value agrees with :func:`sep_bound_oracle` on :func:`chsh_operator` to
+    rounding, not byte for byte. No Hermiticity check runs here: each
+    observable was checked when it was built.
     """
     s_a, gap_a = _min_phase_sine(a0, a1)
     s_b, gap_b = _min_phase_sine(b0, b1)
@@ -472,7 +481,7 @@ def sep_bound(
     if not with_oracle:
         return structure, SepBoundResult(formula)
     _check_see_saw_args(restarts, iters, seed)
-    d_a, d_b = a0.dim, b0.dim
-    op_b = _chsh_entries(a0.matrix, a1.matrix, b0.matrix, b1.matrix).reshape(d_a * d_a, -1)
-    value, state = _see_saw(op_b, (d_a, d_b), restarts, iters, seed)
+    terms_a = np.array([a0.matrix, a1.matrix])
+    terms_b = np.array([b0.matrix + b1.matrix, b0.matrix - b1.matrix])
+    value, state = _see_saw(terms_a, terms_b, restarts, iters, seed)
     return structure, SepBoundResult(formula, value, state)

@@ -11,6 +11,8 @@ import csv
 import io
 import itertools
 import math
+import re
+import sys
 
 import numpy as np
 
@@ -456,6 +458,31 @@ def reference_sep_bound_oracle(
     return best_value, np.kron(*best_pair)
 
 
+def _lifted_int_digits(fn, *args):
+    """``fn(*args)`` with Python's limit on int-string conversions lifted."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _count_at_any_length(field: str) -> int:
+    """``int(field)``; a field of decimal digits alone is read at any length."""
+    if re.fullmatch(r"\s*\+?\d+\s*", field):
+        return _lifted_int_digits(int, field)
+    return int(field)
+
+
+def _shown_count(n: int) -> str:
+    """A count in full when it has at most 21 digits, none nonzero past the 20th; else its first 20 digits and its length."""
+    text = _lifted_int_digits(str, n)
+    if len(text) > 21 or (len(text) == 21 and text[-1] != "0"):
+        return f"{text[:20]}... ({len(text)} digits)"
+    return text
+
+
 def reference_counts_from_csv(text: str) -> CountsTable:
     """Counts CSV parsed row by row: every field through ``int()``, every cell added in place.
 
@@ -478,7 +505,8 @@ def reference_counts_from_csv(text: str) -> CountsTable:
         if len(row) != 7:
             raise ValidationError(f"line {lineno}: expected 7 fields, got {len(row)}")
         try:
-            x, y, z, a, b, c, n = (int(v) for v in row)
+            x, y, z, a, b, c = (int(v) for v in row[:6])
+            n = _count_at_any_length(row[6])
         except ValueError:
             raise ValidationError(f"line {lineno}: non-integer field") from None
         if x not in (1, 2) or y not in (1, 2) or z not in (1, 2, 3):
@@ -488,7 +516,7 @@ def reference_counts_from_csv(text: str) -> CountsTable:
         if n < 0:
             raise ValidationError(f"line {lineno}: negative count")
         if n > 2**63 - 1:
-            raise ValidationError(f"line {lineno}: count {n} does not fit in int64")
+            raise ValidationError(f"line {lineno}: count {_shown_count(n)} does not fit in int64")
         total += n
         ia, ib = (0 if a == 1 else 1), (0 if b == 1 else 1)
         if total <= 2**63 - 1:

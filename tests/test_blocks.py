@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,9 +369,24 @@ class TestClosedFormBound:
         beta = chsh_operator(*obs)
         for iters, seed in ((500, 3), (1, 3), (500, 2**32 + 5), (1, 2**40)):
             _, result = sep_bound(*obs, restarts=8, iters=iters, seed=seed)
-            value, state = sep_bound_oracle(beta, (d_a, d_b), restarts=8, iters=iters, seed=seed)
-            assert result.oracle_value == value
-            assert result.oracle_state.vector.tobytes() == state.vector.tobytes()
+            ref_value, _ = reference_sep_bound_oracle(beta, (d_a, d_b), restarts=8, iters=iters, seed=seed)
+            assert abs(result.oracle_value - ref_value) <= 1e-12
+            assert f"{result.oracle_value:.9g}" == f"{ref_value:.9g}"
+            _, again = sep_bound(*obs, restarts=8, iters=iters, seed=seed)
+            assert again.oracle_value == result.oracle_value
+            assert again.oracle_state.vector.tobytes() == result.oracle_state.vector.tobytes()
+
+    def test_see_saw_stays_below_one_dense_operator(self):
+        # the CHSH operator at d = 32 holds 32**4 complex entries, 16 MiB
+        rng = np.random.default_rng(32)
+        obs = [random_observable(32, rng) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            sep_bound(*obs, restarts=4, iters=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32**4 * np.dtype(complex).itemsize
 
 
 class TestChshOperator:

@@ -614,13 +614,28 @@ class TestCountsOverflow:
     def rows(self):
         return canonical_rows(random_counts(np.random.default_rng(9)))
 
-    @pytest.mark.parametrize("count", [str(2**63), "100000000000000000000", "9" * 400],
-                             ids=["2**63", "10**20", "400 digits"])
-    def test_count_above_int64_names_its_line(self, count):
+    @pytest.mark.parametrize("count,shown", [
+        (str(2**63), str(2**63)),
+        ("100000000000000000000", "100000000000000000000"),
+        ("9" * 400, "99999999999999999999... (400 digits)"),
+        ("9" * 21, "99999999999999999999... (21 digits)"),
+        ("1" + "0" * 5000, "10000000000000000000... (5001 digits)"),
+        (" +" + "0" * 5000 + "9" * 5000, "99999999999999999999... (5000 digits)"),
+        ("٣" * 30, "33333333333333333333... (30 digits)"),
+    ], ids=["2**63", "10**20", "400 digits", "21 digits", "5001 digits", "zero-led 5000 digits", "arabic-indic"])
+    def test_count_above_int64_names_its_line(self, count, shown):
+        # past 20 digits a count is echoed as its first 20 and its length, also past int()'s 4300
         rows = self.rows()
         rows[40][6] = count
-        with pytest.raises(ValidationError, match=r"^line 42: count \d+ does not fit in int64$"):
-            counts_from_csv(render(rows, None, False, False))
+        assert assert_same_parse(render(rows, None, False, False)) == f"line 42: count {shown} does not fit in int64"
+
+    @pytest.mark.parametrize("count", ["0" * 5000 + "7", "٠" * 30 + "7"], ids=["5000 zeros", "arabic-indic zeros"])
+    def test_zero_led_count_is_read(self, count):
+        rows = self.rows()
+        rows[40][6] = count
+        text = render(rows, None, False, False)
+        assert assert_same_parse(text) == ""
+        assert counts_from_csv(text).counts.reshape(-1)[40] == 7
 
     def test_largest_int64_count_is_read(self):
         rows = [row[:6] + ["0"] for row in self.rows()]
@@ -678,7 +693,7 @@ class TestCountsWriterLayout:
         ("9" * 18, True, ""),
         (str(2**63 - 1), False, "total count does not fit in int64"),
         (str(2**63), False, f"line 18: count {2**63} does not fit in int64"),
-        ("9" * 5000, False, "line 18: non-integer field"),
+        ("9" * 5000, False, "line 18: count 99999999999999999999... (5000 digits) does not fit in int64"),
     ], ids=["zero_total_triple", "18_digits", "int64_max", "above_int64", "5000_digits"])
     def test_edge_counts_match_reference(self, count, fast, message):
         rows = [row[:6] + ["0"] if row[:3] == ["1", "1", "2"] else row
