@@ -30,14 +30,11 @@ from .linalg import (
 )
 from .measurements import DichotomicObservable
 
-# Eigenphases of the product A0*A1 closer than this are grouped together.
-ANGLE_TOL = 1e-7
-
-# Floor of the edge split: in a group at phase 0 (pi), a vector on which
-# A1 - A0 (A1 + A0) is below this, or below 8 times the larger residual
-# max|A^2 - I| of the two observables, is a 1x1 block. On settings rounded
-# to 9 digits, a 1x1 vector measured at most 3.1 times that residual and a
-# block 5e-8 from the edge at least 49 times it.
+# Floor of the principal-angle split: within an eigenspace of A0, a vector
+# on which A1 - A0 (A1 + A0) is below this, or below 8 times the larger
+# residual max|A^2 - I| of the two observables, is a 1x1 block at phase 0
+# (pi). On settings rounded to 9 digits, a 1x1 vector measured at most 3.1
+# times that residual and a 2x2 block 5e-8 from the edge at least 49 times it.
 EDGE_TOL = 1e-9
 
 # chsh_spectrum: slack of the +/- pairing and of alpha1^2 + alpha2^2 = 8.
@@ -109,24 +106,21 @@ class SepBoundResult:
 def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> ObservableBlocks:
     """Split a pair of +/-1 observables into jointly invariant blocks of size <= 2.
 
-    The unitary U = A0 A1 is diagonalized; eigenvectors at phase 0 (pi) are
-    common eigenvectors of both observables (of A0 and -A1) and give size-1
-    blocks, while each eigenvector u at phase phi in (0, pi) pairs with A0 u
-    to span a size-2 block. Phases within ``ANGLE_TOL`` are grouped, and the
-    eigenvectors ``np.linalg.eig`` returns for a group are re-orthonormalized
-    by one QR: eigenspaces of a unitary at distinct eigenvalues are
-    orthogonal, so Gram-Schmidt inside a group keeps every vector in its
-    eigenspace. A group within ``ANGLE_TOL`` of 0 (pi) is split by the
-    principal angles of the +/-1 eigenspaces (Halmos 1969; Bjorck and Golub
-    1973): within each eigenspace of A0 on the group, the right singular
-    vectors of A1 - A0 (A1 + A0) with singular value at most the split
-    threshold are common eigenvectors and give size-1 blocks. The threshold
-    is the larger of ``EDGE_TOL`` and 8 max|Ai^2 - I| over the two
+    The 1x1 blocks are the common eigenvectors, found by principal angles
+    (Halmos 1969; Bjorck and Golub 1973): within each eigenspace of A0, from
+    one ``eigh``, the right singular vectors of A1 - A0 with singular value
+    at most the split threshold are 1x1 blocks at phase 0 of U = A0 A1, and
+    then, on what is left, those of A1 + A0 are 1x1 blocks at phase pi. The
+    threshold is the larger of ``EDGE_TOL`` and 8 max|Ai^2 - I| over the two
     observables, so settings rounded to 9 digits split at their own rounding
-    level. The rest of an edge group holds 2x2 blocks at phases too close to
-    the edge to tell apart; its +/- phases, from A0 A1 restricted to that
-    rest, are paired like any other group's. The reconstruction from the
-    returned blocks is verified to 1e-8.
+    level. On the remainder, U restricted by one ``eig`` has its eigenphases
+    in conjugate pairs, and each eigenvector u at a positive phase pairs
+    with A0 u to span a 2x2 block. Blocks are listed by ascending phase,
+    the 1x1 blocks at 0 first and those at pi last, and each block's basis
+    is orthogonalized against all earlier blocks, which A0 and A1 leave
+    invariant: eigenvectors at equal or close phases are not orthogonal as
+    ``eig`` returns them. The reconstruction from the returned blocks is
+    verified to 1e-8.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
@@ -134,64 +128,38 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     d = mat0.shape[0]
     split = max(EDGE_TOL, 8.0 * max(float(np.max(np.abs(mat @ mat - np.eye(d)))) for mat in (mat0, mat1)))
 
-    unitary = mat0 @ mat1
-    eigvals, eigvecs = np.linalg.eig(unitary)
-    phases = np.angle(eigvals)
-    folded = np.abs(phases)
+    values, eigvecs = np.linalg.eigh(mat0)
+    at_zero: list[np.ndarray] = []
+    at_pi: list[np.ndarray] = []
+    rest = []
+    for space in (eigvecs[:, values < 0.0], eigvecs[:, values >= 0.0]):
+        for ones, sign in ((at_zero, -1.0), (at_pi, 1.0)):
+            _, singular, right = np.linalg.svd((mat1 + sign * mat0) @ space)
+            ones.extend((space @ right[singular <= split].conj().T).T)
+            space = space @ right[singular > split].conj().T
+        rest.append(space)
+    rest = np.hstack(rest)
+    rest_vals, rest_vecs = np.linalg.eig(rest.conj().T @ mat0 @ mat1 @ rest)
+    phases = np.angle(rest_vals)
+    if np.count_nonzero(phases > 0.0) != np.count_nonzero(phases <= 0.0):
+        raise ValidationError("eigenphases of A0*A1 do not pair into conjugates")
+    positive = np.flatnonzero(phases > 0.0)
+    twos = (rest @ rest_vecs[:, positive[np.argsort(phases[positive], kind="stable")]]).T
 
-    order = np.argsort(folded, kind="stable")
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and folded[idx] - folded[clusters[-1][-1]] <= ANGLE_TOL:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
+    def fresh(v: np.ndarray, built: np.ndarray) -> np.ndarray:
+        v = v - built @ (built.conj().T @ v)
+        return v / np.linalg.norm(v)
 
     blocks: list[ObservableBlock] = []
-    for cluster in clusters:
-        center = float(np.mean(folded[cluster]))
-        edge = center <= ANGLE_TOL or center >= math.pi - ANGLE_TOL
-        vectors, signs = eigvecs[:, cluster], phases[cluster]
-        if edge:
-            # On a near-edge block, A1 -/+ A0 is about its phase in size, so
-            # rounding can mix its vectors into the 1x1 ones; within one
-            # eigenspace of A0 such a mixture still leaves A0 reconstructed.
-            cols = np.linalg.qr(vectors)[0]
-            sign = 1.0 if center <= ANGLE_TOL else -1.0
-            gap = (mat1 - sign * mat0) @ cols
-            restricted = cols.conj().T @ mat0 @ cols
-            values, within = np.linalg.eigh((restricted + restricted.conj().T) / 2.0)
-            rest = []
-            for side in (values < 0.0, values >= 0.0):
-                _, singular, right = np.linalg.svd(gap @ within[:, side])
-                part = cols @ within[:, side]
-                for v in (part @ right[singular <= split].conj().T).T:
-                    blocks.append(ObservableBlock(v.reshape(d, 1), *(
-                        np.array([[complex(v.conj() @ (mat @ v)).real]], dtype=complex) for mat in (mat0, mat1))))
-                rest.append(part @ right[singular > split].conj().T)
-            rest = np.hstack(rest)
-            rest_vals, rest_vecs = np.linalg.eig(rest.conj().T @ unitary @ rest)
-            vectors, signs = rest @ rest_vecs, np.angle(rest_vals)
-        if np.count_nonzero(signs > 0.0) != np.count_nonzero(signs <= 0.0):
-            raise ValidationError("eigenphases of A0*A1 do not pair into conjugates")
-        built = np.zeros((d, 0), dtype=complex)
-        for u in np.linalg.qr(vectors[:, signs > 0.0])[0].T:
-            if edge:
-                # Near an edge the +phase eigenvectors carry about eps/phase of
-                # other blocks' -phase ones, so each block is built orthogonal
-                # to the earlier ones, which A0 and A1 leave invariant.
-                u = u - built @ (built.conj().T @ u)
-                u = u / np.linalg.norm(u)
-            v2 = mat0 @ u
-            v2 = v2 - (u.conj() @ v2) * u
-            v2 = v2 / np.linalg.norm(v2)
-            basis = np.column_stack([u, v2])
-            built = np.column_stack([built, basis])
-            blocks.append(ObservableBlock(
-                basis=basis,
-                a0=basis.conj().T @ mat0 @ basis,
-                a1=basis.conj().T @ mat1 @ basis,
-            ))
+    built = np.zeros((d, 0), dtype=complex)
+    for u, size in [(v, 1) for v in at_zero] + [(u, 2) for u in twos] + [(v, 1) for v in at_pi]:
+        u = fresh(u, built)
+        basis = u[:, None] if size == 1 else np.column_stack([u, fresh(mat0 @ u, np.column_stack([built, u]))])
+        built = np.column_stack([built, basis])
+        r0, r1 = (basis.conj().T @ mat @ basis for mat in (mat0, mat1))
+        if size == 1:  # a common eigenvector: both restrictions are real eigenvalues
+            r0, r1 = r0.real.astype(complex), r1.real.astype(complex)
+        blocks.append(ObservableBlock(basis, r0, r1))
 
     result = ObservableBlocks(d, tuple(blocks))
     r0, r1 = result.embed()

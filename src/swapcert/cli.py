@@ -303,13 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-min", type=float, default=2.0)
     p.add_argument("--s-max", type=float, default=certify.TSIRELSON)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    add_common(p, ("csv", "json"))
     p.set_defaults(func=cmd_bounds_curve)
 
     p = sub.add_parser("decompose", help="block decomposition and separable bound of CHSH settings")
     p.add_argument("settings", help="JSON file with observables a0, a1, b0, b1")
-    p.add_argument("--out", default=None)
+    add_common(p, ())
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("sep-bound", help="separable bound with a see-saw cross-check")
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--iters", type=int, default=500)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
+    add_common(p, ())
     p.set_defaults(func=cmd_sep_bound)
 
     p = sub.add_parser("sample", help="draw outcome counts from a scenario")
@@ -327,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-ac", type=float, default=1.0)
     p.add_argument("--v-bc", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--out", default=None)
+    add_common(p, ())
     p.set_defaults(func=cmd_sample)
 
     return parser

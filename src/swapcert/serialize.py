@@ -358,41 +358,49 @@ def _writer_counts(text: str) -> np.ndarray | None:
     return np.fromstring(fields, dtype=np.int64, sep=",")
 
 
-def _count_digits(field: str) -> str | None:
-    """The digits of a count field of decimal digits alone, in ASCII without leading zeros; None for any other field.
-
-    Whitespace around the digits and one leading ``+`` are allowed, as ``int()`` allows them.
-    """
-    digits = field.strip().removeprefix("+")
-    if not digits.isdecimal():
-        return None
-    if not digits.isascii():
-        digits = "".join(str(int(ch)) for ch in digits)
-    return digits.lstrip("0") or "0"
-
-
 def _shown_count(digits: str) -> str:
-    """A count's digits for an error message: all of them, or the first 20 and their number.
+    """A number's digits for an error message: all of them, or the first 20 and their number.
 
     They are shown in full when there are at most 21, with at most 20 significant, so
-    10**20 reads in full and no count grows its message past one line.
+    10**20 reads in full and no field grows its message past one line.
     """
     if len(digits) <= 21 and len(digits.rstrip("0")) <= 20:
         return digits
     return f"{digits[:20]}... ({len(digits)} digits)"
 
 
+def _integer_field(field: str) -> tuple[int, str] | None:
+    """A field of decimal digits with one optional sign, read at any length: its value and its text for messages.
+
+    Whitespace around the field is allowed and digits other than ASCII are
+    read, as ``int()`` allows them; any other field gives None. The text is
+    the sign and the digits as :func:`_shown_count` shows them. A value of
+    20 digits or more is past int64 and is returned as +/-2**63, so
+    ``int()``'s limit of 4300 digits never turns it into a non-integer field.
+    """
+    text = field.strip()
+    sign = text[0] if text[:1] in ("+", "-") else ""
+    digits = text[len(sign):]
+    if not digits.isdecimal():
+        return None
+    if not digits.isascii():
+        digits = "".join(str(int(ch)) for ch in digits)
+    digits = digits.lstrip("0") or "0"
+    value = int(digits) if len(digits) < 20 else _INT64_MAX + 1
+    if sign == "-" and value:
+        return -value, "-" + _shown_count(digits)
+    return value, _shown_count(digits)
+
+
 def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
     """The counts of a counts CSV and the flat cell index of each, row by row through :mod:`csv`.
 
     Quoting, CRLF line ends and blank lines are handled by :mod:`csv`. Every
-    field goes through ``int()``, so spellings such as ``+1``, ``01`` or a
-    leading space are accepted, and the cell index is read from the parsed
-    integers. A count of more than 19 significant decimal digits is past
-    int64 and is not parsed, so ``int()``'s limit of 4300 digits never
-    turns it into a non-integer field. Within a line the checks fire in
-    this order: 7 fields, every field an integer, setting in range, outcome
-    in range, count nonnegative, count within int64; the first bad line is
+    field is read by :func:`_integer_field`, at any length, so spellings such
+    as ``+1``, ``01`` or a leading space are accepted, and the cell index is
+    read from the parsed integers. Within a line the checks fire in this
+    order: 7 fields, every field an integer, setting in range, outcome in
+    range, count nonnegative, count within int64; the first bad line is
     reported.
     """
     reader = csv.reader(io.StringIO(text))
@@ -409,21 +417,18 @@ def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
             continue
         if len(row) != 7:
             raise ValidationError(f"line {lineno}: expected 7 fields, got {len(row)}")
-        digits = _count_digits(row[6])
-        try:
-            x, y, z, a, b, c = map(int, row[:6])
-            # 20 digits are at least 10**19, past int64; int() refuses more than 4300
-            n = int(row[6]) if digits is None else int(digits) if len(digits) < 20 else _INT64_MAX + 1
-        except ValueError:
-            raise ValidationError(f"line {lineno}: non-integer field") from None
+        fields = [_integer_field(field) for field in row]
+        if None in fields:
+            raise ValidationError(f"line {lineno}: non-integer field")
+        (x, y, z, a, b, c, n), shown = zip(*fields)
         if x not in (1, 2) or y not in (1, 2) or z not in (1, 2, 3):
-            raise ValidationError(f"line {lineno}: setting ({x},{y},{z}) out of range")
+            raise ValidationError(f"line {lineno}: setting ({','.join(shown[:3])}) out of range")
         if a not in (1, -1) or b not in (1, -1) or c not in (1, 2, 3, 4):
-            raise ValidationError(f"line {lineno}: outcome ({a},{b},{c}) out of range")
+            raise ValidationError(f"line {lineno}: outcome ({','.join(shown[3:6])}) out of range")
         if n < 0:
             raise ValidationError(f"line {lineno}: negative count")
         if n > _INT64_MAX:
-            raise ValidationError(f"line {lineno}: count {_shown_count(digits or str(n))} does not fit in int64")
+            raise ValidationError(f"line {lineno}: count {shown[6]} does not fit in int64")
         keys.append((x - 1, y - 1, z - 1, (1 - a) // 2, (1 - b) // 2, c - 1))
         values.append(n)
     cells = np.ravel_multi_index(np.array(keys, dtype=np.intp).reshape(-1, 6).T, _COUNTS_SHAPE)

@@ -468,23 +468,23 @@ def _lifted_int_digits(fn, *args):
         sys.set_int_max_str_digits(limit)
 
 
-def _count_at_any_length(field: str) -> int:
-    """``int(field)``; a field of decimal digits alone is read at any length."""
-    if re.fullmatch(r"\s*\+?\d+\s*", field):
-        return _lifted_int_digits(int, field)
-    return int(field)
+def _int_at_any_length(field: str) -> int:
+    """``int(field)`` at any length, for a field of decimal digits with one optional sign; ValueError for any other."""
+    if not re.fullmatch(r"\s*[+-]?\d+\s*", field):
+        raise ValueError(f"not an integer field: {field!r}")
+    return _lifted_int_digits(int, field)
 
 
-def _shown_count(n: int) -> str:
-    """A count in full when it has at most 21 digits, none nonzero past the 20th; else its first 20 digits and its length."""
-    text = _lifted_int_digits(str, n)
+def _shown_number(n: int) -> str:
+    """A number in full when it has at most 21 digits, none nonzero past the 20th; else its first 20 digits and its length."""
+    text = _lifted_int_digits(str, abs(n))
     if len(text) > 21 or (len(text) == 21 and text[-1] != "0"):
-        return f"{text[:20]}... ({len(text)} digits)"
-    return text
+        text = f"{text[:20]}... ({len(text)} digits)"
+    return "-" + text if n < 0 else text
 
 
 def reference_counts_from_csv(text: str) -> CountsTable:
-    """Counts CSV parsed row by row: every field through ``int()``, every cell added in place.
+    """Counts CSV parsed row by row: every field through ``int()`` at any length, every cell added in place.
 
     Each count, and the total of all counts summed as Python integers, must
     fit in int64.
@@ -505,18 +505,17 @@ def reference_counts_from_csv(text: str) -> CountsTable:
         if len(row) != 7:
             raise ValidationError(f"line {lineno}: expected 7 fields, got {len(row)}")
         try:
-            x, y, z, a, b, c = (int(v) for v in row[:6])
-            n = _count_at_any_length(row[6])
+            x, y, z, a, b, c, n = (_int_at_any_length(v) for v in row)
         except ValueError:
             raise ValidationError(f"line {lineno}: non-integer field") from None
         if x not in (1, 2) or y not in (1, 2) or z not in (1, 2, 3):
-            raise ValidationError(f"line {lineno}: setting ({x},{y},{z}) out of range")
+            raise ValidationError(f"line {lineno}: setting ({','.join(map(_shown_number, (x, y, z)))}) out of range")
         if a not in (1, -1) or b not in (1, -1) or c not in (1, 2, 3, 4):
-            raise ValidationError(f"line {lineno}: outcome ({a},{b},{c}) out of range")
+            raise ValidationError(f"line {lineno}: outcome ({','.join(map(_shown_number, (a, b, c)))}) out of range")
         if n < 0:
             raise ValidationError(f"line {lineno}: negative count")
         if n > 2**63 - 1:
-            raise ValidationError(f"line {lineno}: count {_shown_count(n)} does not fit in int64")
+            raise ValidationError(f"line {lineno}: count {_shown_number(n)} does not fit in int64")
         total += n
         ia, ib = (0 if a == 1 else 1), (0 if b == 1 else 1)
         if total <= 2**63 - 1:

@@ -25,7 +25,6 @@ from swapcert import (
     theorem_check,
     version_operator,
 )
-from swapcert.blocks import ANGLE_TOL
 from swapcert.serialize import json_dumps, observable_from_json, observable_to_json
 from support import (
     I2,
@@ -139,6 +138,10 @@ class TestJordanBlocks:
 
 SIGN_PAIRS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 
+# Scale of the near-edge layouts: 2x2 blocks within this of 0 or pi, where
+# A1 -/+ A0 is still far above jordan_blocks' split threshold.
+ANGLE_TOL = 1e-7
+
 
 @st.composite
 def degenerate_layouts(draw):
@@ -250,6 +253,27 @@ class TestJordanBlocksDegenerate:
             a0, a1 = planted_layout((), (abs(edge - 3e-9), abs(edge - 5e-9), 0.7), np.random.default_rng(seed))
             blocks = jordan_blocks(a0, a1)
             assert [b.size for b in blocks.blocks] == [2] * 3
+            assert embed_error(blocks, a0, a1) <= 1e-8
+
+    def test_close_interior_phases_read_back_from_nine_digits(self):
+        # Read back from json_dumps, eigenvectors at 1.10 and 1.11 carry about
+        # 1e-9 / 0.01 of each other; each block is built orthogonal to the
+        # earlier ones, so the reconstruction stays within 1e-8.
+        for seed in range(200):
+            a0, a1 = planted_layout((), (1.10, 1.11, 0.4, 2.3), np.random.default_rng(seed))
+            a0, a1 = (observable_from_json(json.loads(json_dumps(observable_to_json(o)))) for o in (a0, a1))
+            blocks = jordan_blocks(a0, a1)
+            assert [b.size for b in blocks.blocks] == [2] * 4
+            assert embed_error(blocks, a0, a1) <= 1e-8
+
+    def test_blocks_are_listed_by_ascending_phase(self):
+        # 1x1 blocks at pi come after every 2x2 block, even one 5e-8 from pi.
+        for seed in range(20):
+            a0, a1 = planted_layout(((1.0, -1.0),), (0.7, math.pi - 5e-8), np.random.default_rng(seed))
+            blocks = jordan_blocks(a0, a1)
+            assert [b.size for b in blocks.blocks] == [2, 2, 1]
+            phases = [abs(np.angle(np.linalg.eigvals(b.a0 @ b.a1))).max() for b in blocks.blocks]
+            np.testing.assert_allclose(phases, [0.7, math.pi - 5e-8, math.pi], atol=1e-9)
             assert embed_error(blocks, a0, a1) <= 1e-8
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapcert import chsh_operator, ideal_scenario
-from swapcert.cli import main
+from swapcert.cli import build_parser, main
 from swapcert.linalg import hermitian_deviation
 from swapcert.protocol import MAX_N_PER_SETTING, estimate_report, sample_counts
 from swapcert.serialize import counts_to_csv, json_dumps, matrix_to_json, report_to_json, scenario_to_json
@@ -898,3 +898,23 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == "internal error: RuntimeError: boom second line\n"
+
+
+@pytest.mark.parametrize("command,formats", [
+    ("ideal", ["json", "csv"]),
+    ("noisy", ["json", "csv"]),
+    ("certify", ["json", "csv"]),
+    ("bounds-curve", ["csv", "json"]),
+    ("decompose", None),
+    ("sep-bound", None),
+    ("sample", None),
+])
+def test_every_command_shares_the_out_flag(command, formats):
+    # --out is described alike everywhere; --format, where offered, defaults to its first choice
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    flags = {a.dest: a for a in sub._actions}
+    assert flags["out"].default is None and flags["out"].help == "output path (default: stdout)"
+    if formats is None:
+        assert "format" not in flags
+    else:
+        assert flags["format"].choices == formats and flags["format"].default == formats[0]

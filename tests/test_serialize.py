@@ -629,6 +629,18 @@ class TestCountsOverflow:
         rows[40][6] = count
         assert assert_same_parse(render(rows, None, False, False)) == f"line 42: count {shown} does not fit in int64"
 
+    @pytest.mark.parametrize("field,value,message", [
+        (6, "-" + "9" * 5000, "negative count"),
+        (0, "9" * 5000, "setting (99999999999999999999... (5000 digits),{1},{2}) out of range"),
+        (4, " -" + "0" * 10 + "8" * 5000, "outcome ({3},-88888888888888888888... (5000 digits),{5}) out of range"),
+    ], ids=["negative count", "setting", "negative outcome"])
+    def test_long_field_is_read_as_a_number(self, field, value, message):
+        # every field is read past int()'s 4300 digits, and echoed as a long count is
+        rows = self.rows()
+        rows[40][field] = value
+        want = f"line 42: {message.format(*rows[40])}"
+        assert assert_same_parse(render(rows, None, False, False)) == want
+
     @pytest.mark.parametrize("count", ["0" * 5000 + "7", "٠" * 30 + "7"], ids=["5000 zeros", "arabic-indic zeros"])
     def test_zero_led_count_is_read(self, count):
         rows = self.rows()
