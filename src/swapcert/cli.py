@@ -277,6 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=list(formats), default=formats[0])
 
+    def add_noise(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--v-ac", type=float, default=1.0, help="visibility of the first pair")
+        p.add_argument("--v-bc", type=float, default=1.0, help="visibility of the second pair")
+        p.add_argument("--theta", type=float, default=0.0, help="joint-basis rotation angle (radians)")
+
     p = sub.add_parser("ideal", help="report and verdicts for the ideal four-qubit scenario")
     p.add_argument("--tol", type=float, default=None,
                    help=f"tolerance for the maximal-violation tests (default {TOL_ENV_VAR} or 1e-9)")
@@ -284,9 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("noisy", help="report and verdicts for a noisy scenario")
-    p.add_argument("--v-ac", type=float, default=1.0, help="visibility of the first pair")
-    p.add_argument("--v-bc", type=float, default=1.0, help="visibility of the second pair")
-    p.add_argument("--theta", type=float, default=0.0, help="joint-basis rotation angle (radians)")
+    add_noise(p)
     p.add_argument("--tol", type=float, default=None)
     add_common(p)
     p.set_defaults(func=cmd_noisy)
@@ -323,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-per-setting", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--scenario", default=None, help="scenario JSON file (default: built from noise flags)")
-    p.add_argument("--v-ac", type=float, default=1.0)
-    p.add_argument("--v-bc", type=float, default=1.0)
-    p.add_argument("--theta", type=float, default=0.0)
+    add_noise(p)
     add_common(p, ())
     p.set_defaults(func=cmd_sample)
 

@@ -9,7 +9,7 @@ the composite index of ``dims = (d0, d1, ...)`` unrolls as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -121,8 +121,9 @@ class DensityMatrix:
 
     matrix: np.ndarray
     dims: tuple[int, ...]
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, tol: float) -> None:
         mat = np.array(self.matrix, dtype=complex)
         dims = tuple(int(d) for d in self.dims)
         side = int(np.prod(dims))
@@ -132,14 +133,14 @@ class DensityMatrix:
             raise ValidationError(f"dims {dims} imply side {side}, got {mat.shape[0]}")
         if not np.all(np.isfinite(mat)):
             raise ValidationError("density matrix has non-finite entries")
-        if hermitian_deviation(mat) > DEFAULT_TOL:
+        if hermitian_deviation(mat) > tol:
             raise ValidationError("density matrix is not Hermitian within tolerance")
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > DEFAULT_TOL:
-            raise ValidationError(f"trace {trace.real:.12g} != 1 within {DEFAULT_TOL:g}")
+        if abs(trace - 1.0) > tol:
+            raise ValidationError(f"trace {trace.real:.12g} != 1 within {tol:g}")
         lowest = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
-        if lowest < -DEFAULT_TOL:
-            raise ValidationError(f"negative eigenvalue {lowest:.3g} below -{DEFAULT_TOL:g}")
+        if lowest < -tol:
+            raise ValidationError(f"negative eigenvalue {lowest:.3g} below -{tol:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)

@@ -20,7 +20,6 @@ from .linalg import DEFAULT_TOL, PureState, ValidationError, _as_matrix, hermiti
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
 
 # Binning convention for the binned settings built by charlie_settings_ideal:
 # the sign of the first tensor factor becomes the bit correlated with the

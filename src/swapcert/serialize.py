@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import re
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -132,20 +133,57 @@ def measurement_to_json(meas: FourOutcomeMeasurement) -> dict:
 
 
 # A matrix written at 9 significant digits reads back a few 1e-9 off the
-# checks of an observable or a measurement; up to this far off, it is snapped
-# back on load.
+# checks of a state, an observable or a measurement; up to this far off, it
+# is snapped back on load.
 SNAP_TOL = 1e-6
+
+
+def _snapped(cls: Callable[..., Any], snap: Callable[[Any], Any], value: Any, *rest: Any) -> Any:
+    """``cls(value, *rest)``, or ``cls(snap(value), *rest)`` if only ``SNAP_TOL`` lets ``value`` pass.
+
+    A value that passes the checks of ``cls`` at their default tolerance
+    loads unchanged. One that fails them but passes them at ``SNAP_TOL`` is
+    replaced by ``snap(value)`` and checked again. Anything further off
+    raises the error of the default-tolerance checks.
+    """
+    try:
+        return cls(value, *rest)
+    except ValidationError as exc:
+        try:
+            cls(value, *rest, SNAP_TOL)
+        except ValidationError:
+            raise exc from None
+    return cls(snap(value), *rest)
+
+
+def _projective(projs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The eigenprojectors of the Hermitian part of sum_k k * P_k.
+
+    Each eigenvector goes to the outcome k nearest its eigenvalue.
+    """
+    labeled = sum(k * p for k, p in enumerate(projs, start=1))
+    w, v = np.linalg.eigh((labeled + labeled.conj().T) / 2.0)
+    outcome = np.clip(np.rint(w), 1, 4)
+    return tuple((v * (outcome == k)) @ v.conj().T for k in (1, 2, 3, 4))
+
+
+def _involution(mat: np.ndarray) -> np.ndarray:
+    """sign(H) of the Hermitian part H of ``mat``, from ``eigh``: the nearest Hermitian involution."""
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    return (v * np.sign(w)) @ v.conj().T
+
+
+def _density(mat: np.ndarray) -> np.ndarray:
+    """The Hermitian part of ``mat`` with its negative eigenvalues set to 0 and its trace scaled to 1."""
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    w = np.clip(w, 0.0, None)
+    return (v * (w / w.sum())) @ v.conj().T
 
 
 def measurement_from_json(obj: Any, name: str = "measurement") -> FourOutcomeMeasurement:
     """Parse a measurement, snapping one that :func:`json_dumps` rounded back onto a projective one.
 
-    Projectors that pass the checks of :class:`FourOutcomeMeasurement` at
-    their default tolerance load unchanged. Ones that fail them but pass them
-    at ``SNAP_TOL`` are replaced by the eigenprojectors of the Hermitian part
-    of sum_k k * P_k, each eigenvector going to the outcome k nearest its
-    eigenvalue; the result is checked again. Anything further off raises the
-    error of the default-tolerance checks.
+    The snap (:func:`_snapped`) replaces the projectors by :func:`_projective`.
     """
     if not isinstance(obj, dict) or "projectors" not in obj:
         raise ValidationError(f"{name}: expected object with 'projectors'")
@@ -159,17 +197,7 @@ def measurement_from_json(obj: Any, name: str = "measurement") -> FourOutcomeMea
         if root * root != side:
             raise ValidationError(f"{name}: cannot infer dims for side {side}; provide 'dims'")
         dims = (root, root)
-    try:
-        return FourOutcomeMeasurement(projs, dims)
-    except ValidationError as exc:
-        try:
-            FourOutcomeMeasurement(projs, dims, SNAP_TOL)
-        except ValidationError:
-            raise exc from None
-    labeled = sum(k * p for k, p in enumerate(projs, start=1))
-    w, v = np.linalg.eigh((labeled + labeled.conj().T) / 2.0)
-    outcome = np.clip(np.rint(w), 1, 4)
-    return FourOutcomeMeasurement(tuple((v * (outcome == k)) @ v.conj().T for k in (1, 2, 3, 4)), dims)
+    return _snapped(FourOutcomeMeasurement, _projective, projs, dims)
 
 
 def binned_to_json(binned: BinnedMeasurement) -> dict:
@@ -195,22 +223,9 @@ def observable_to_json(obs: DichotomicObservable) -> dict:
 def observable_from_json(obj: Any, name: str = "observable") -> DichotomicObservable:
     """Parse an observable, snapping one that :func:`json_dumps` rounded back onto a +/-1 observable.
 
-    A matrix that passes the checks of :class:`DichotomicObservable` at their
-    default tolerance loads unchanged. One that fails them but passes them at
-    ``SNAP_TOL`` is replaced by sign(H) of its Hermitian part H, from
-    ``eigh``: the nearest Hermitian involution. Anything further off raises
-    the error of the default-tolerance checks.
+    The snap (:func:`_snapped`) replaces the matrix by :func:`_involution`.
     """
-    mat = matrix_from_json(obj, name)
-    try:
-        return DichotomicObservable(mat)
-    except ValidationError as exc:
-        try:
-            DichotomicObservable(mat, SNAP_TOL)
-        except ValidationError:
-            raise exc from None
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    return DichotomicObservable((v * np.sign(w)) @ v.conj().T)
+    return _snapped(DichotomicObservable, _involution, matrix_from_json(obj, name))
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -225,13 +240,14 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 
 def scenario_from_json(obj: Any) -> Scenario:
+    """Parse a scenario; its state, observables and measurements snap on load as :func:`_snapped` does."""
     if not isinstance(obj, dict):
         raise ValidationError("scenario: expected a JSON object")
     for key in ("dims", "state", "alice", "bob", "charlie12", "charlie3"):
         if key not in obj:
             raise ValidationError(f"scenario: missing '{key}'")
     dims = _dims(obj["dims"], "scenario dims", 4)
-    state = DensityMatrix(matrix_from_json(obj["state"], "state"), dims)
+    state = _snapped(DensityMatrix, _density, matrix_from_json(obj["state"], "state"), dims)
     alice = tuple(observable_from_json(o, f"alice setting {k + 1}")
                   for k, o in enumerate(_json_list(obj["alice"], "alice")))
     bob = tuple(observable_from_json(o, f"bob setting {k + 1}")
@@ -317,15 +333,11 @@ def report_from_json(obj: Any) -> ChshReport:
     )
 
 
-# The row prefix "x,y,z,a,b,c," of every cell of a counts table in the table's
-# C order (outcome +1 at index 0, -1 at index 1).
-_COUNTS_ROW_PREFIXES = tuple(
-    f"{x},{y},{z},{a},{b},{c},"
-    for x in (1, 2) for y in (1, 2) for z in (1, 2, 3)
-    for a in (1, -1) for b in (1, -1) for c in (1, 2, 3, 4)
-)
-_COUNTS_SHAPE = (2, 2, 3, 2, 2, 4)
-_CELLS_PER_TRIPLE = 16
+# Every cell (x, y, z, a, b, c) of a counts table in the table's C order
+# (outcome +1 at index 0, -1 at index 1), its index there, and its CSV row prefix.
+_CELLS = tuple(itertools.product((1, 2), (1, 2), (1, 2, 3), (1, -1), (1, -1), (1, 2, 3, 4)))
+_CELL_INDEX = {cell: k for k, cell in enumerate(_CELLS)}
+_COUNTS_ROW_PREFIXES = tuple("".join(f"{v}," for v in cell) for cell in _CELLS)
 _COUNTS_HEADER_LINE = ",".join(COUNTS_HEADER)
 # The 192 counts of a file in the writer's layout, joined by commas: each one
 # ASCII digits without a leading zero, at most 18 of them, so below 10**18 and
@@ -392,16 +404,17 @@ def _integer_field(field: str) -> tuple[int, str] | None:
     return value, _shown_count(digits)
 
 
-def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """The counts of a counts CSV and the flat cell index of each, row by row through :mod:`csv`.
+def _read_rows(text: str) -> list[int]:
+    """The 192 counts of a counts CSV, flat in cell order, read row by row through :mod:`csv`.
 
     Quoting, CRLF line ends and blank lines are handled by :mod:`csv`. Every
     field is read by :func:`_integer_field`, at any length, so spellings such
-    as ``+1``, ``01`` or a leading space are accepted, and the cell index is
-    read from the parsed integers. Within a line the checks fire in this
-    order: 7 fields, every field an integer, setting in range, outcome in
-    range, count nonnegative, count within int64; the first bad line is
-    reported.
+    as ``+1``, ``01`` or a leading space are accepted. Within a line the
+    checks fire in this order: 7 fields, every field an integer, setting in
+    range, outcome in range, count nonnegative, count within int64; the first
+    bad line is reported. Rows that name the same cell add up as Python ints.
+    After the last row, the grand total must fit in int64, and then every
+    setting triple must have a row.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -410,8 +423,8 @@ def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("counts CSV is empty") from None
     if [h.strip() for h in header] != COUNTS_HEADER:
         raise ValidationError(f"line 1: expected header {_COUNTS_HEADER_LINE}")
-    keys: list[tuple[int, ...]] = []
-    values: list[int] = []
+    counts = [0] * len(_CELLS)
+    triples: set[tuple[int, int, int]] = set()
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -429,10 +442,14 @@ def _read_rows(text: str) -> tuple[np.ndarray, np.ndarray]:
             raise ValidationError(f"line {lineno}: negative count")
         if n > _INT64_MAX:
             raise ValidationError(f"line {lineno}: count {shown[6]} does not fit in int64")
-        keys.append((x - 1, y - 1, z - 1, (1 - a) // 2, (1 - b) // 2, c - 1))
-        values.append(n)
-    cells = np.ravel_multi_index(np.array(keys, dtype=np.intp).reshape(-1, 6).T, _COUNTS_SHAPE)
-    return np.array(values, dtype=np.int64), cells
+        counts[_CELL_INDEX[x, y, z, a, b, c]] += n
+        triples.add((x, y, z))
+    if sum(counts) > _INT64_MAX:  # before one cell's sum can fail to fit the int64 table
+        raise ValidationError("total count does not fit in int64")
+    for x, y, z, *_ in _CELLS:
+        if (x, y, z) not in triples:
+            raise ValidationError(f"empty cells: no rows for setting triple ({x},{y},{z})")
+    return counts
 
 
 def counts_from_csv(text: str) -> CountsTable:
@@ -440,25 +457,14 @@ def counts_from_csv(text: str) -> CountsTable:
 
     Text laid out exactly as :func:`counts_to_csv` writes it is read in one
     match (:func:`_writer_counts`); any other text row by row
-    (:func:`_read_rows`), which names the first bad line. The grand total
-    must fit in int64, checked before rows that name the same cell are added
-    up, as ``np.add.at`` wraps; every setting triple must have a row.
-    :class:`CountsTable` checks the rest.
+    (:func:`_read_rows`), which names the first bad line, a grand total past
+    int64 and a setting triple without rows. Either way the 192 counts go to
+    :class:`CountsTable`, which checks the table.
     """
-    values, cells = _writer_counts(text), None
-    if values is None:
-        values, cells = _read_rows(text)
-    if sum(values.tolist()) > _INT64_MAX:
-        raise ValidationError("total count does not fit in int64")
-    if cells is not None:  # rows that name the same cell add up
-        missing = np.argwhere(np.bincount(cells // _CELLS_PER_TRIPLE, minlength=12).reshape(2, 2, 3) == 0)
-        if missing.size:
-            x, y, z = missing[0] + 1
-            raise ValidationError(f"empty cells: no rows for setting triple ({x},{y},{z})")
-        counts = np.zeros(len(_COUNTS_ROW_PREFIXES), dtype=np.int64)
-        np.add.at(counts, cells, values)
-        values = counts
-    return CountsTable(values.reshape(_COUNTS_SHAPE))
+    counts = _writer_counts(text)
+    if counts is None:
+        counts = _read_rows(text)
+    return CountsTable(np.reshape(counts, (2, 2, 3, 2, 2, 4)))
 
 
 def bounds_curve_csv(rows: Sequence[tuple[float, float, float]]) -> str:

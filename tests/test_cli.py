@@ -211,6 +211,16 @@ class TestSampleAndCertify:
             assert (code, err) == (0, "")
             assert out.startswith("x,y,z,a,b,c,count\n")
 
+    def test_sample_from_nine_digit_noisy_scenario(self, capsys, tmp_path):
+        # written at 9 digits, this state's trace reads back 2e-9 off 1; it is snapped back on load
+        from swapcert import noisy_scenario
+
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text(json_dumps(scenario_to_json(noisy_scenario(0.803, 0.865, 0.427))))
+        code, out, err = run(capsys, "sample", "--scenario", str(sc_path), "--n-per-setting", "10", "--seed", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith("x,y,z,a,b,c,count\n")
+
     @pytest.mark.parametrize("field,value", [
         (("dims",), "abcd"),
         (("alice",), 5),
@@ -918,3 +928,15 @@ def test_every_command_shares_the_out_flag(command, formats):
         assert "format" not in flags
     else:
         assert flags["format"].choices == formats and flags["format"].default == formats[0]
+
+
+@pytest.mark.parametrize("command", ["noisy", "sample"])
+def test_noise_flags_are_shared(command):
+    # both commands build a noisy scenario from the same three flags, described alike
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    flags = {a.dest: a for a in sub._actions}
+    assert [(flags[d].type, flags[d].default, flags[d].help) for d in ("v_ac", "v_bc", "theta")] == [
+        (float, 1.0, "visibility of the first pair"),
+        (float, 1.0, "visibility of the second pair"),
+        (float, 0.0, "joint-basis rotation angle (radians)"),
+    ]

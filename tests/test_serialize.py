@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ from swapcert.serialize import (
 from support import (
     conditional_chsh_ab,
     eigenstates,
+    four_factor_state,
+    haar_unitary,
+    maximally_entangled_pair,
     random_binned,
     random_observable,
     reference_counts_from_csv,
@@ -212,8 +216,13 @@ class TestMeasurementFormat:
         projs[0][0, 3] += offset
         obs = random_observable(4, np.random.default_rng(3)).matrix.copy()
         obs[0, 3] += offset
+        scenario = scenario_to_json(ideal_scenario())
+        state = ideal_scenario().state.matrix.copy()
+        state[0, 3] += offset
+        scenario["state"] = matrix_to_json(state)
         for parse, obj in ((measurement_from_json, {"projectors": [matrix_to_json(p) for p in projs]}),
-                           (observable_from_json, matrix_to_json(obs))):
+                           (observable_from_json, matrix_to_json(obs)),
+                           (scenario_from_json, scenario)):
             if loads:
                 parse(obj)
             else:
@@ -269,6 +278,44 @@ class TestScenarioFormat:
         got, _ = conditional_chsh_ab(recovered)
         want, _ = conditional_chsh_ab(sc)
         np.testing.assert_allclose(got, want, atol=1e-7)
+
+    def test_nine_digit_states_read_back(self):
+        # a state written at 9 digits can miss trace 1 or positivity by a few
+        # 1e-9 (19 of these 50 do); it is snapped back on load
+        rng = np.random.default_rng(1)
+        scenarios = [noisy_scenario(*rng.uniform(0.5, 1.0, 2), rng.uniform(0.0, math.pi / 4)) for _ in range(30)]
+        for _ in range(20):
+            pairs = []
+            for _ in range(2):
+                local = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+                pairs.append(local @ maximally_entangled_pair(2) @ local.conj().T)
+            scenarios.append(replace(ideal_scenario(), state=four_factor_state(*pairs)))
+        for sc in scenarios:
+            recovered = scenario_from_json(json.loads(json_dumps(scenario_to_json(sc))))
+            assert np.max(np.abs(recovered.state.matrix - sc.state.matrix)) <= 1e-8
+            assert exact_report(recovered).s_ac == pytest.approx(exact_report(sc).s_ac, abs=1e-7)
+
+    def test_passing_state_loads_unchanged(self):
+        for sc in (ideal_scenario(), noisy_scenario(0.9, 0.85, 0.2)):
+            obj = scenario_to_json(sc)
+            assert scenario_from_json(obj).state.matrix.tobytes() == matrix_from_json(obj["state"]).tobytes()
+
+    @pytest.mark.parametrize("kind,message", [
+        ("trace", "trace 1.00001 != 1 within 1e-09"),
+        ("negative", "negative eigenvalue -1e-05 below -1e-09"),
+    ])
+    def test_state_beyond_snap_tolerance_keeps_message(self, kind, message):
+        obj = scenario_to_json(ideal_scenario())
+        state = np.eye(16) / 16
+        if kind == "trace":
+            state[0, 0] += 1e-5
+        else:
+            state[0, 0] -= 1e-5 + 1 / 16
+            state[1, 1] += 1e-5 + 1 / 16
+        obj["state"] = matrix_to_json(state)
+        with pytest.raises(ValidationError) as excinfo:
+            scenario_from_json(obj)
+        assert str(excinfo.value) == message
 
     def test_missing_key_rejected(self):
         obj = scenario_to_json(ideal_scenario())
