@@ -294,6 +294,24 @@ def _check_see_saw_args(restarts: int, iters: int, seed: int) -> None:
         raise ValidationError("seed must be a nonnegative integer")
 
 
+def _top_eigvecs(mats: np.ndarray, probes: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and a unit top eigenvector of each symmetrized matrix of an (n, d, d) stack.
+
+    The eigenvalue lam comes from ``eigvalsh``; the vector from one shifted
+    inverse-iteration step (Ipsen 1997), a batched ``solve`` of
+    (M - sigma I) x = probe with sigma = lam + 1e-12 (1 + |lam|) just above
+    the spectrum, then normalized. ``probes`` is (n, d), one random vector per
+    matrix: a structured right-hand side can be orthogonal to the top
+    eigenspace, a Gaussian one almost surely is not. ``eye`` is the d x d
+    identity.
+    """
+    sym = (mats + mats.conj().swapaxes(1, 2)) / 2.0
+    top = np.linalg.eigvalsh(sym)[:, -1]
+    shift = top + 1e-12 * (1.0 + np.abs(top))
+    vecs = np.linalg.solve(sym - shift[:, None, None] * eye, probes[:, :, None])[:, :, 0]
+    return top, vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
 def _see_saw(
     terms_a: np.ndarray,
     terms_b: np.ndarray,
@@ -309,33 +327,41 @@ def _see_saw(
     flattened outer products conj(v) v^T against the fixed side's flattened
     terms gives the n x r weights, and a second, of the weights against the
     free side's flattened terms, gives the n matrices. So a sweep over n
-    restarts costs O(n r (d_a^2 + d_b^2)) in products, besides its two
-    stacked ``eigh``. The fixed side's flattened terms enter transposed, as
-    C-ordered copies, since a matrix product against a transposed view can
-    round differently. Every contracted matrix is symmetrized before
-    ``eigh``.
+    restarts costs O(n r (d_a^2 + d_b^2)) in products, besides two stacked
+    :func:`_top_eigvecs` calls. The fixed side's flattened terms enter
+    transposed, as C-ordered copies, since a matrix product against a
+    transposed view can round differently.
+
+    Restart k draws, in one ``normal`` call of the generator keyed by
+    ``(seed, k)``, its start on B (d_b real parts, then d_b imaginary parts)
+    and after it the probes of :func:`_top_eigvecs` on A and on B, which it
+    keeps for every sweep. A draw's prefix does not depend on its length, so
+    the start is the one a draw of 2 d_b normals gives, and restart k does
+    not depend on ``restarts``.
     """
     d_a, d_b = terms_a.shape[1], terms_b.shape[1]
     flat_a, flat_b = terms_a.reshape(len(terms_a), -1), terms_b.reshape(len(terms_b), -1)
     fixed_a, fixed_b = flat_a.T.copy(), flat_b.T.copy()
-
-    def top_eigvecs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w, vecs = np.linalg.eigh((mats + mats.conj().swapaxes(1, 2)) / 2.0)
-        return w[:, -1], vecs[:, :, -1]
+    eye_a, eye_b = np.eye(d_a), np.eye(d_b)
 
     def contract(vecs: np.ndarray, fixed: np.ndarray, free: np.ndarray, side: int) -> np.ndarray:
         outer = vecs.conj()[:, :, None] * vecs[:, None, :]
         return ((outer.reshape(len(vecs), -1) @ fixed) @ free).reshape(-1, side, side)
 
-    starts = np.array([seeded_generator(seed, restart).normal(size=(2, d_b)) for restart in range(restarts)])
-    b_vecs = starts[:, 0] + 1j * starts[:, 1]
+    def complex_rows(part: np.ndarray) -> np.ndarray:  # real parts, then imaginary parts
+        real, imag = np.split(part, 2, axis=1)
+        return real + 1j * imag
+
+    draws = np.array([seeded_generator(seed, restart).normal(size=2 * (d_a + 2 * d_b))
+                      for restart in range(restarts)])
+    b_vecs, probes_a, probes_b = map(complex_rows, np.split(draws, [2 * d_b, 2 * (d_a + d_b)], axis=1))
     b_vecs /= np.linalg.norm(b_vecs, axis=1, keepdims=True)
     a_vecs = np.empty((restarts, d_a), dtype=complex)
     values = np.full(restarts, -math.inf)
     active = np.arange(restarts)
     for _ in range(iters):
-        _, a_new = top_eigvecs(contract(b_vecs[active], fixed_b, flat_a, d_a))
-        new_values, b_new = top_eigvecs(contract(a_new, fixed_a, flat_b, d_b))
+        _, a_new = _top_eigvecs(contract(b_vecs[active], fixed_b, flat_a, d_a), probes_a[active], eye_a)
+        new_values, b_new = _top_eigvecs(contract(a_new, fixed_a, flat_b, d_b), probes_b[active], eye_b)
         converged = new_values - values[active] < 1e-12
         a_vecs[active], b_vecs[active], values[active] = a_new, b_new, new_values
         active = active[~converged]
@@ -364,14 +390,17 @@ def sep_bound_oracle(
     the top eigenvector of the contracted operator, back and forth until the
     value improves by less than 1e-12 or ``iters`` sweeps elapse. All restarts
     ascend together: each sweep contracts every active restart against the
-    terms of beta in two matrix products per side, takes all top eigenvectors
-    from one stacked ``eigh``, and drops the restarts that have converged.
+    terms of beta in two matrix products per side, takes the top eigenvalues
+    from one stacked ``eigvalsh`` and the top eigenvectors from one shifted
+    batched ``solve`` per side (see :func:`_top_eigvecs`), and drops the
+    restarts that have converged.
     The dense beta enters as its d_a^2 product terms E_ik x beta[(i, .), (k, .)],
     with E_ik the unit matrices on A, so a sweep over n restarts costs
     O(n d_a^2 (d_a^2 + d_b^2)) in products, and the contracted matrices hold
     the bytes of one product against beta reshaped to a (d_a^2, d_b^2)
-    matrix per side. Each restart derives its start from ``(seed, restart)``,
-    so runs are reproducible and restarts are independent. Many restarts tie
+    matrix per side. Each restart draws its start and its two probes in one
+    ``normal`` call of the generator keyed by ``(seed, restart)``, so runs
+    are reproducible and restarts are independent. Many restarts tie
     at the optimum up to rounding, so the lowest-index restart within 1e-9 of
     the best is returned. Its value is a certified lower bound on the
     separable maximum, achieved by the returned product state.
@@ -436,8 +465,11 @@ def sep_bound(
     ``formula_value`` is the accurate one. The see-saw runs on the two
     product terms A0 x (B0 + B1) and A1 x (B0 - B1), so no d^4 array is
     built and a sweep over n restarts costs O(n d^2) in products, against
-    O(n d^4) for the dense operator :func:`sep_bound_oracle` contracts. Its
-    value agrees with :func:`sep_bound_oracle` on :func:`chsh_operator` to
+    O(n d^4) for the dense operator :func:`sep_bound_oracle` contracts. The
+    eigenpairs, starts and probes are those of :func:`sep_bound_oracle`:
+    ``eigvalsh`` plus one shifted ``solve`` per side and sweep, and one
+    ``normal`` draw per restart keyed by ``(seed, restart)``. Its value
+    agrees with :func:`sep_bound_oracle` on :func:`chsh_operator` to
     rounding, not byte for byte. No Hermiticity check runs here: each
     observable was checked when it was built.
     """

@@ -148,7 +148,8 @@ def _load_input(path_str: str, counts_ok: bool = False) -> Any:
         return serialize.counts_from_csv(text)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a decode error, an integer past Python's 4300-digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path.name}: {exc}") from None
 
 
@@ -275,7 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, formats: Sequence[str] = ("json", "csv")) -> None:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if formats:
-            p.add_argument("--format", choices=list(formats), default=formats[0])
+            p.add_argument("--format", choices=list(formats), default=formats[0],
+                           help=f"output format (default: {formats[0]})")
+
+    def add_tol(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--tol", type=float, default=None,
+                       help=f"tolerance for the maximal-violation tests (default {TOL_ENV_VAR} or 1e-9)")
 
     def add_noise(p: argparse.ArgumentParser) -> None:
         p.add_argument("--v-ac", type=float, default=1.0, help="visibility of the first pair")
@@ -283,14 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float, default=0.0, help="joint-basis rotation angle (radians)")
 
     p = sub.add_parser("ideal", help="report and verdicts for the ideal four-qubit scenario")
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"tolerance for the maximal-violation tests (default {TOL_ENV_VAR} or 1e-9)")
+    add_tol(p)
     add_common(p)
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("noisy", help="report and verdicts for a noisy scenario")
     add_noise(p)
-    p.add_argument("--tol", type=float, default=None)
+    add_tol(p)
     add_common(p)
     p.set_defaults(func=cmd_noisy)
 
@@ -303,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("bounds-curve", help="distance bounds as a function of the common CHSH value")
-    p.add_argument("--s-min", type=float, default=2.0)
-    p.add_argument("--s-max", type=float, default=certify.TSIRELSON)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--s-min", type=float, default=2.0, help="first CHSH value of the grid (default 2)")
+    p.add_argument("--s-max", type=float, default=certify.TSIRELSON,
+                   help="last CHSH value of the grid (default 2*sqrt(2))")
+    p.add_argument("--steps", type=int, default=100, help="number of grid points (default 100)")
     add_common(p, ("csv", "json"))
     p.set_defaults(func=cmd_bounds_curve)
 
@@ -316,15 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sep-bound", help="separable bound with a see-saw cross-check")
     p.add_argument("settings", help="JSON file with observables a0, a1, b0, b1")
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--restarts", type=int, default=32, help="see-saw random restarts (default 32)")
+    p.add_argument("--iters", type=int, default=500, help="see-saw sweeps per restart, at most (default 500)")
+    p.add_argument("--seed", type=int, required=True, help="nonnegative seed of the see-saw restarts")
     add_common(p, ())
     p.set_defaults(func=cmd_sep_bound)
 
     p = sub.add_parser("sample", help="draw outcome counts from a scenario")
-    p.add_argument("--n-per-setting", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n-per-setting", type=int, required=True, help="samples per setting triple")
+    p.add_argument("--seed", type=int, required=True, help="nonnegative seed of the sampler")
     p.add_argument("--scenario", default=None, help="scenario JSON file (default: built from noise flags)")
     add_noise(p)
     add_common(p, ())

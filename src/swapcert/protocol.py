@@ -126,9 +126,13 @@ class ChshReport:
     def validate(self) -> None:
         if abs(sum(self.outcome_probs) - 1.0) > DEFAULT_TOL:
             raise ValidationError("outcome probabilities do not sum to 1")
+        self.check_quantum_ceiling()
+
+    def check_quantum_ceiling(self, prefix: str = "") -> None:
+        """Every defined CHSH value at most 2*sqrt(2) + ``DEFAULT_TOL`` in magnitude, the rule for exact values."""
         for value in (self.s_ac, self.s_bc, *self.s_ab_given_c):
             if math.isfinite(value) and abs(value) > TSIRELSON + DEFAULT_TOL:
-                raise ValidationError(f"CHSH value {value} exceeds the quantum ceiling")
+                raise ValidationError(f"{prefix}CHSH value {value} exceeds the quantum ceiling")
 
 
 def _steered(pc: np.ndarray, state: DensityMatrix) -> np.ndarray:

@@ -68,6 +68,33 @@ def _int_list(value: Any, name: str) -> tuple[int, ...]:
     return tuple(items)
 
 
+def _is_json_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _json_number(value: Any, error: str) -> float:
+    """A JSON number as a finite float; any other value raises ``ValidationError(error)``.
+
+    ``NaN``, ``Infinity`` and an integer beyond the float range, on which
+    ``float`` raises ``OverflowError``, are not finite.
+    """
+    if _is_json_number(value):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(error)
+
+
+def _shown_json(value: Any) -> str:
+    """``repr`` of a parsed JSON value, with a long integer cut as :func:`_shown_count` cuts it."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return "-" * (value < 0) + _shown_count(str(abs(value)))
+    return repr(value)
+
+
 def _dims(value: Any, name: str, count: int) -> tuple[int, ...]:
     dims = _int_list(value, name)
     if len(dims) != count or min(dims) < 1:
@@ -118,13 +145,11 @@ def matrix_from_json(obj: Any, name: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{name}: data length {len(data) if isinstance(data, list) else '?'} "
                               f"does not equal rows*cols = {rows * cols}")
     out = np.empty(rows * cols, dtype=complex)
+    non_finite = f"{name}: non-finite entries"
     for k, cell in enumerate(data):
-        if not (isinstance(cell, list) and len(cell) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)):
+        if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_json_number, cell))):
             raise ValidationError(f"{name}: entry {k} is not an [re, im] pair of numbers")
-        out[k] = complex(float(cell[0]), float(cell[1]))
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name}: non-finite entries")
+        out[k] = complex(_json_number(cell[0], non_finite), _json_number(cell[1], non_finite))
     return out.reshape(rows, cols)
 
 
@@ -263,7 +288,7 @@ def report_to_json(report: ChshReport) -> dict:
     return {**_round_tree(report), "relabeling": [slot + 1 for slot in report.relabeling]}
 
 
-# A parsed report may sit above 2*sqrt(2) by sampling noise, but no CHSH
+# A sampled report may sit above 2*sqrt(2) by sampling noise, but no CHSH
 # value of +/-1 correlators exceeds 4 in magnitude.
 CHSH_ALGEBRAIC_MAX = 4.0
 # Probabilities written at 9 significant digits sum to 1 within about 2e-9.
@@ -274,9 +299,7 @@ def _report_number(value: Any, name: str, nullable: bool = False) -> float:
     """A finite JSON number, or NaN for ``null`` where a value may be undefined."""
     if value is None and nullable:
         return math.nan
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValidationError(f"report: {name} must be a finite number, got {value!r}")
-    return float(value)
+    return _json_number(value, f"report: {name} must be a finite number, got {_shown_json(value)}")
 
 
 def _report_list(values: Any, name: str, nullable: bool = False) -> tuple[float, ...]:
@@ -290,8 +313,11 @@ def report_from_json(obj: Any) -> ChshReport:
 
     The relabeling must be a permutation of 1..4, the outcome probabilities a
     distribution (to ``PROB_SUM_TOL``), every CHSH value at most 4 in
-    magnitude, and ``stderr`` either null or complete. The quantum ceiling
-    2*sqrt(2) is not applied: sampled values can exceed it.
+    magnitude, and ``stderr`` either null or complete. A report with
+    ``stderr`` null is exact, so its values must also keep to the quantum
+    ceiling as :meth:`ChshReport.validate` applies it (2*sqrt(2) plus
+    ``DEFAULT_TOL``); a sampled report, with ``stderr``, may exceed the
+    ceiling by sampling noise.
     """
     if not isinstance(obj, dict):
         raise ValidationError("report: expected a JSON object")
@@ -323,7 +349,7 @@ def report_from_json(obj: Any) -> ChshReport:
         )
         if any(v < 0 for v in (stderr.s_ac, stderr.s_bc, *stderr.s_ab_given_c)):
             raise ValidationError("report: standard errors must be nonnegative")
-    return ChshReport(
+    report = ChshReport(
         s_ac=s_ac,
         s_bc=s_bc,
         s_ab_given_c=values,
@@ -331,6 +357,9 @@ def report_from_json(obj: Any) -> ChshReport:
         relabeling=tuple(s - 1 for s in slots),
         stderr=stderr,
     )
+    if stderr is None:
+        report.check_quantum_ceiling("report: ")
+    return report
 
 
 # Every cell (x, y, z, a, b, c) of a counts table in the table's C order

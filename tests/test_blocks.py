@@ -25,6 +25,7 @@ from swapcert import (
     theorem_check,
     version_operator,
 )
+from swapcert.blocks import _top_eigvecs
 from swapcert.serialize import json_dumps, observable_from_json, observable_to_json
 from support import (
     I2,
@@ -771,6 +772,66 @@ class TestBatchedSeeSaw:
         value, _ = sep_bound_oracle(beta, (2, 2), restarts=np.int64(4), iters=np.int32(50),
                                     seed=np.uint8(3))
         assert value == pytest.approx(SQRT2, abs=1e-9)
+
+
+def pencil_settings(kind: str, d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """A0 and A1 of generic, planted or mixed-edge settings, or of planted ones with equal phases unrotated.
+
+    Mixed-edge settings hold 1x1 blocks at 0 (and at pi at even d) beside a
+    2x2 block 5e-8 from phase 0 and interior ones. ``degenerate`` repeats one
+    planted 2x2 block (a 1x1 block first at odd d) without a Haar rotation,
+    so every pencil w0 A0 + w1 A1 has an exactly degenerate top eigenvalue
+    from d = 4 on.
+    """
+    if kind in ("generic", "planted"):
+        pair = setting_pair(kind, d, rng)
+    else:
+        ones = ((1.0, 1.0), (1.0, -1.0))[: 2 - d % 2]
+        if kind == "mixed_edge":
+            angles = (5e-8, 0.7, 1.9, 2.6, 1.2, 0.4, 2.2)[: (d - len(ones)) // 2]
+            pair = planted_layout(ones, angles, rng)
+        else:
+            pair = planted_layout(ones[: d % 2], (1.1,) * (d // 2))
+    return pair[0].matrix, pair[1].matrix
+
+
+class TestTopEigvecs:
+    """The see-saw's eigenpair kernel: eigvalsh's top eigenvalue and one shifted solve for its vector."""
+
+    @staticmethod
+    def check(mats: np.ndarray, rng: np.random.Generator) -> None:
+        n, d, _ = mats.shape
+        probes = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+        top, vecs = _top_eigvecs(mats, probes, np.eye(d))
+        want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
+        assert top.tobytes() == want.tobytes()
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-14)
+        rayleigh = np.einsum("ni,nij,nj->n", vecs.conj(), mats, vecs).real
+        assert np.all(np.abs(rayleigh - want) <= 1e-12 * (1.0 + np.abs(want)))
+        residual = np.linalg.norm(np.einsum("nij,nj->ni", mats, vecs) - want[:, None] * vecs, axis=1)
+        assert np.all(residual <= 1e-9)
+
+    @pytest.mark.parametrize("kind", ["generic", "planted", "mixed_edge", "degenerate"])
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_pencils_of_settings(self, kind, d):
+        rng = np.random.default_rng([d, len(kind)])
+        a0, a1 = pencil_settings(kind, d, rng)
+        weights = rng.normal(size=(16, 2))
+        weights[:2] = [[1.0, 0.0], [0.0, -1.0]]  # A0 and -A1 themselves: degenerate tops from d = 4 on
+        mats = weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1
+        if kind == "degenerate" and d >= 4:
+            w = np.linalg.eigvalsh(mats)
+            assert np.all(w[:, -1] == w[:, -2])
+        self.check(mats, rng)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_pauli_pencil(self, sign):
+        # the top eigenvector of -X is (1, -1) / sqrt(2), orthogonal to an all-ones probe
+        rng = np.random.default_rng(7)
+        self.check(np.array([sign * X] * 8), rng)
+        top, vecs = _top_eigvecs(np.array([sign * X]), rng.normal(size=(1, 2)) + 0j, np.eye(2))
+        assert top[0] == 1.0
+        assert abs(abs(np.vdot(vecs[0], [1.0, sign])) - SQRT2) <= 1e-12
 
 
 class TestTheoremCheck:

@@ -322,6 +322,20 @@ class TestSampleAndCertify:
         code, out, err = run(capsys, "certify", str(report_path), "--tol", "1")
         assert code == 3 and out == "" and "validation error" in err
 
+    def test_certify_exact_report_above_quantum_ceiling_is_validation_error(self, capsys, tmp_path):
+        # without stderr a report is exact, and no exact CHSH value exceeds 2*sqrt(2)
+        report_path = tmp_path / "above.json"
+        report_path.write_text(json.dumps({
+            "s_ac": 2.82842712, "s_bc": 2.82842712,
+            "s_ab_given_c": [3.9, 3.9, 3.9, 3.9],
+            "outcome_probs": [0.25, 0.25, 0.25, 0.25],
+            "relabeling": [1, 2, 3, 4],
+            "stderr": None,
+        }))
+        code, out, err = run(capsys, "certify", str(report_path), "--tol", "1e-6")
+        assert code == 3 and out == ""
+        assert err == "validation error: report: CHSH value 3.9 exceeds the quantum ceiling\n"
+
     def test_certify_partial_stderr_is_validation_error(self, capsys, tmp_path):
         from swapcert.protocol import exact_report
         from swapcert.serialize import report_to_json
@@ -889,6 +903,40 @@ class TestInputFaults:
         assert got == code and out == ""
         assert err == message.format(**paths) + "\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (("certify", "{report}"), "report: s_ac must be a finite number, got 10000000000000000000... (401 digits)"),
+        (("decompose", "{settings}"), "b1: non-finite entries"),
+        (("sep-bound", "{settings}", "--seed", "1"), "b1: non-finite entries"),
+        (("sample", "--n-per-setting", "5", "--seed", "1", "--scenario", "{scenario}"), "state: non-finite entries"),
+    ], ids=["certify", "decompose", "sep-bound", "sample scenario"])
+    def test_integer_past_float_range_is_validation_error(self, capsys, tmp_path, argv, message):
+        # json.loads keeps 1 followed by 400 zeros as an int, on which float() raises OverflowError
+        big = 10**400
+        report = report_to_json(estimate_report(sample_counts(ideal_scenario(), 100, seed=2)))
+        report["s_ac"] = big
+        settings = json.loads(settings_file(tmp_path).read_text())
+        settings["b1"]["data"][2][1] = big
+        scenario = json.loads(json_dumps(scenario_to_json(ideal_scenario())))
+        scenario["state"]["data"][5][0] = -big
+        paths = {"report": tmp_path / "report.json", "settings": tmp_path / "big.json",
+                 "scenario": tmp_path / "scenario.json"}
+        for key, obj in (("report", report), ("settings", settings), ("scenario", scenario)):
+            paths[key].write_text(json.dumps(obj))
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 3 and out == ""
+        assert err == f"validation error: {message}\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"s_ac": 1' + "0" * 5000 + "}", "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["integer past 4300 digits", "nested past the recursion limit"])
+    def test_json_past_a_parser_limit_is_validation_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "limit.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "certify", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith(f"validation error: limit.json: {message}") and err.count("\n") == 1
+
     def test_non_numeric_tol_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SWAPCERT_TOL", "abc")
         code, out, err = run(capsys, "ideal")
@@ -928,6 +976,14 @@ def test_every_command_shares_the_out_flag(command, formats):
         assert "format" not in flags
     else:
         assert flags["format"].choices == formats and flags["format"].default == formats[0]
+
+
+def test_every_option_has_help():
+    # every flag of every command is described in --help, not shown as a bare metavar
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    bare = [f"{name} {action.option_strings[-1]}" for name, sub in commands.items() for action in sub._actions
+            if action.option_strings and action.dest != "help" and not action.help]
+    assert bare == []
 
 
 @pytest.mark.parametrize("command", ["noisy", "sample"])

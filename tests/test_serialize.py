@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapcert import CountsTable, ValidationError, bell_measurement, ideal_scenario, noisy_scenario
+from swapcert import CountsTable, ValidationError, bell_measurement, estimate_report, ideal_scenario, noisy_scenario
 from swapcert.blocks import ObservableBlock
 from swapcert.certify import DistanceBounds, certify_crit1, certify_crit2
 from swapcert.protocol import exact_report, sample_counts
@@ -33,6 +33,7 @@ from swapcert.serialize import (
     scenario_to_json,
 )
 from support import (
+    TSIRELSON,
     conditional_chsh_ab,
     eigenstates,
     four_factor_state,
@@ -69,7 +70,9 @@ class TestMatrixFormat:
         with pytest.raises(ValidationError):
             matrix_from_json([1, 2, 3])
 
-    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "1e400"])
+    # json.loads keeps an integer entry as an int, on which float() raises OverflowError past the float range
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "1e400", "1" + "0" * 400, "-1" + "0" * 309],
+                             ids=["NaN", "Infinity", "1e400", "int 1e400", "int -1e309"])
     def test_rejects_non_finite_entry(self, entry):
         obj = json.loads(f'{{"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0.0, {entry}]]}}')
         with pytest.raises(ValidationError, match="^matrix: non-finite entries$"):
@@ -399,11 +402,42 @@ class TestReportFormat:
     def test_values_above_quantum_ceiling_accepted(self):
         # sampled reports can exceed 2*sqrt(2); only the algebraic 4 is a hard limit
         obj = report_to_json(exact_report(ideal_scenario()))
+        obj["stderr"] = {"s_ac": 0.01, "s_bc": 0.01, "s_ab_given_c": [0.01, 0.01, None, 0.01]}
         obj["s_ac"] = 2.9
         obj["s_ab_given_c"] = [2.9, 2.83, None, -4.0]
         obj["outcome_probs"] = [0.25, 0.25, 0.25, 0.250000002]
         report = report_from_json(obj)
         assert report.s_ac == 2.9 and report.s_ab_given_c[3] == -4.0
+
+    @pytest.mark.parametrize("key,value", [
+        ("s_ac", 2.82842713), ("s_bc", -2.9), ("s_ab_given_c", [2.82842712, 2.82842712, 3.9, None]),
+    ])
+    def test_exact_values_above_quantum_ceiling_rejected(self, key, value):
+        # a report without stderr is exact: ChshReport.validate's ceiling applies
+        obj = report_to_json(exact_report(ideal_scenario()))
+        obj[key] = value
+        with pytest.raises(ValidationError, match="^report: CHSH value -?[0-9.]+ exceeds the quantum ceiling$"):
+            report_from_json(obj)
+
+    def test_exact_values_at_quantum_ceiling_read_back(self):
+        # 2*sqrt(2) at 9 digits, 2.82842712, is below the ceiling; 1e-9 above it is within DEFAULT_TOL
+        obj = report_to_json(exact_report(ideal_scenario()))
+        obj["s_ac"], obj["s_bc"] = -2.82842712, TSIRELSON + 0.9e-9
+        report = report_from_json(obj)
+        assert report.s_ac == -2.82842712 and report.stderr is None
+
+    @pytest.mark.parametrize("path", [("s_ac",), ("s_ab_given_c", 1), ("outcome_probs", 0), ("stderr", "s_bc")],
+                             ids=["s_ac", "s_ab_given_c", "outcome_probs", "stderr"])
+    def test_integer_past_float_range_rejected(self, path):
+        # json.loads keeps 1 followed by 400 zeros as an int, which float() cannot convert
+        obj = report_to_json(estimate_report(sample_counts(ideal_scenario(), 200, seed=3)))
+        *parents, key = path
+        target = obj
+        for step in parents:
+            target = target[step]
+        target[key] = 10**400
+        with pytest.raises(ValidationError, match=r"must be a finite number, got 10{19}\.\.\. \(401 digits\)$"):
+            report_from_json(obj)
 
 
 class TestCountsCsv:
