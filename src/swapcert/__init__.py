@@ -13,7 +13,6 @@ from .blocks import (
     jordan_blocks,
     sep_bound,
     sep_bound_formula,
-    sep_bound_oracle,
     sep_bound_value,
     version_operator,
 )

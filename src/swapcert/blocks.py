@@ -7,7 +7,7 @@ identity the top eigenvalue of a block pair depends only on the two blocks'
 eigenphases, and the smallest of them pins down the largest CHSH value
 reachable by separable states; so both the block table and the bound are
 read from eigenphases of A0 A1 and B0 B1. A see-saw ascent over pure
-product states provides an independent check.
+product states, run by :func:`sep_bound` on request, checks the bound.
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .certify import VERSION_SIGNS
-from .linalg import (
-    DEFAULT_TOL,
-    PureState,
-    ValidationError,
-    _as_matrix,
-    _checked_int,
-    hermitian_deviation,
-    seeded_generator,
-)
+from .linalg import PureState, ValidationError, _as_matrix, _checked_int, seeded_generator
 from .measurements import DichotomicObservable
 
 # Floor of the principal-angle split: within an eigenspace of A0, a vector
@@ -283,17 +275,6 @@ def sep_bound_formula(structure: ChshBlockStructure) -> float:
     return sep_bound_value(structure.lam)
 
 
-def _check_see_saw_args(restarts: int, iters: int, seed: int) -> None:
-    for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
-        _checked_int(value, name)
-    if restarts < 1:
-        raise ValidationError("need at least one restart")
-    if iters < 1:
-        raise ValidationError("need at least one iteration")
-    if seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
-
-
 def _top_eigvecs(mats: np.ndarray, probes: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalue and a unit top eigenvector of each symmetrized matrix of an (n, d, d) stack.
 
@@ -319,15 +300,20 @@ def _see_saw(
     iters: int,
     seed: int,
 ) -> tuple[float, PureState]:
-    """Batched see-saw on a Hermitian operator beta = sum_k terms_a[k] x terms_b[k].
+    """Best value of beta = sum_k terms_a[k] x terms_b[k] over pure product states, by alternating ascent.
 
-    ``terms_a`` is (r, d_a, d_a) and ``terms_b`` (r, d_b, d_b). With one
-    side's vectors v fixed, the other side's operator is
-    sum_k <v|term_k|v> times its own term_k: one matrix product of the
-    flattened outer products conj(v) v^T against the fixed side's flattened
-    terms gives the n x r weights, and a second, of the weights against the
-    free side's flattened terms, gives the n matrices. So a sweep over n
-    restarts costs O(n r (d_a^2 + d_b^2)) in products, besides two stacked
+    ``terms_a`` is (r, d_a, d_a) and ``terms_b`` (r, d_b, d_b); :func:`sep_bound`
+    passes the r = 2 terms A0 x (B0 + B1) and A1 x (B0 - B1). From a random
+    product start, one side is fixed while the other is set to the top
+    eigenvector of the contracted operator, back and forth until the value
+    improves by less than 1e-12 or ``iters`` sweeps elapse. All restarts
+    ascend together, and those that have converged drop out. With one side's
+    vectors v fixed, the other side's operator is sum_k <v|term_k|v> times
+    its own term_k: one matrix product of the flattened outer products
+    conj(v) v^T against the fixed side's flattened terms gives the n x r
+    weights, and a second, of the weights against the free side's flattened
+    terms, gives the n matrices. So a sweep over n restarts costs
+    O(n r (d_a^2 + d_b^2)) in products, besides two stacked
     :func:`_top_eigvecs` calls. The fixed side's flattened terms enter
     transposed, as C-ordered copies, since a matrix product against a
     transposed view can round differently.
@@ -337,7 +323,10 @@ def _see_saw(
     and after it the probes of :func:`_top_eigvecs` on A and on B, which it
     keeps for every sweep. A draw's prefix does not depend on its length, so
     the start is the one a draw of 2 d_b normals gives, and restart k does
-    not depend on ``restarts``.
+    not depend on ``restarts``. Many restarts tie at the optimum up to
+    rounding, so the lowest-index restart within 1e-9 of the best is
+    returned: a lower bound on the separable maximum, reached by the
+    returned product state.
     """
     d_a, d_b = terms_a.shape[1], terms_b.shape[1]
     flat_a, flat_b = terms_a.reshape(len(terms_a), -1), terms_b.reshape(len(terms_b), -1)
@@ -375,50 +364,6 @@ def _see_saw(
     if abs(achieved - value) > 1e-9:
         raise ValidationError(f"see-saw state reaches {achieved:.12g}, not its value {value:.12g}")
     return value, PureState(np.kron(a_vec, b_vec), (d_a, d_b))
-
-
-def sep_bound_oracle(
-    beta: np.ndarray,
-    dims: tuple[int, int],
-    restarts: int = 32,
-    iters: int = 500,
-    seed: int = 0,
-) -> tuple[float, PureState]:
-    """Best CHSH value over pure product states found by alternating ascent.
-
-    From a random product start, one side is fixed while the other is set to
-    the top eigenvector of the contracted operator, back and forth until the
-    value improves by less than 1e-12 or ``iters`` sweeps elapse. All restarts
-    ascend together: each sweep contracts every active restart against the
-    terms of beta in two matrix products per side, takes the top eigenvalues
-    from one stacked ``eigvalsh`` and the top eigenvectors from one shifted
-    batched ``solve`` per side (see :func:`_top_eigvecs`), and drops the
-    restarts that have converged.
-    The dense beta enters as its d_a^2 product terms E_ik x beta[(i, .), (k, .)],
-    with E_ik the unit matrices on A, so a sweep over n restarts costs
-    O(n d_a^2 (d_a^2 + d_b^2)) in products, and the contracted matrices hold
-    the bytes of one product against beta reshaped to a (d_a^2, d_b^2)
-    matrix per side. Each restart draws its start and its two probes in one
-    ``normal`` call of the generator keyed by ``(seed, restart)``, so runs
-    are reproducible and restarts are independent. Many restarts tie
-    at the optimum up to rounding, so the lowest-index restart within 1e-9 of
-    the best is returned. Its value is a certified lower bound on the
-    separable maximum, achieved by the returned product state.
-    """
-    _check_see_saw_args(restarts, iters, seed)
-    if np.ndim(dims) != 1 or len(dims) != 2:
-        raise ValidationError(f"dims must be a pair of integers, got {dims!r}")
-    d_a, d_b = (_checked_int(d, "dims entry") for d in dims)
-    if d_a < 1 or d_b < 1:
-        raise ValidationError(f"dims entries must be at least 1, got {dims}")
-    beta = _as_matrix(beta, "operator")
-    if beta.shape != (d_a * d_b, d_a * d_b):
-        raise ValidationError(f"operator side {beta.shape[0]} does not match dims {dims}")
-    if hermitian_deviation(beta) > DEFAULT_TOL:
-        raise ValidationError("operator must be Hermitian")
-    units = np.eye(d_a * d_a, dtype=complex).reshape(-1, d_a, d_a)
-    pieces = beta.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(-1, d_b, d_b)
-    return _see_saw(units, pieces, restarts, iters, seed)
 
 
 def _min_phase_sine(a0: DichotomicObservable, a1: DichotomicObservable) -> tuple[float, float]:
@@ -462,16 +407,11 @@ def sep_bound(
     The returned structure lists no block pairs (only :func:`block_chsh`
     does) and carries lam for :func:`sep_bound_formula`; near
     lam = 2 sqrt(2) that recomputes the bound from the rounded lam, so
-    ``formula_value`` is the accurate one. The see-saw runs on the two
-    product terms A0 x (B0 + B1) and A1 x (B0 - B1), so no d^4 array is
-    built and a sweep over n restarts costs O(n d^2) in products, against
-    O(n d^4) for the dense operator :func:`sep_bound_oracle` contracts. The
-    eigenpairs, starts and probes are those of :func:`sep_bound_oracle`:
-    ``eigvalsh`` plus one shifted ``solve`` per side and sweep, and one
-    ``normal`` draw per restart keyed by ``(seed, restart)``. Its value
-    agrees with :func:`sep_bound_oracle` on :func:`chsh_operator` to
-    rounding, not byte for byte. No Hermiticity check runs here: each
-    observable was checked when it was built.
+    ``formula_value`` is the accurate one. The see-saw (:func:`_see_saw`)
+    runs on the two product terms A0 x (B0 + B1) and A1 x (B0 - B1), so no
+    d^4 array is built and a sweep over n restarts costs O(n d^2) in
+    products. No Hermiticity check runs here: each observable was checked
+    when it was built.
     """
     s_a, gap_a = _min_phase_sine(a0, a1)
     s_b, gap_b = _min_phase_sine(b0, b1)
@@ -480,7 +420,14 @@ def sep_bound(
     formula = math.sqrt(1.0 + p) + math.sqrt(gap_a + s_a * gap_b)
     if not with_oracle:
         return structure, SepBoundResult(formula)
-    _check_see_saw_args(restarts, iters, seed)
+    for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
+        _checked_int(value, name)
+    if restarts < 1:
+        raise ValidationError("need at least one restart")
+    if iters < 1:
+        raise ValidationError("need at least one iteration")
+    if seed < 0:
+        raise ValidationError("seed must be a nonnegative integer")
     terms_a = np.array([a0.matrix, a1.matrix])
     terms_b = np.array([b0.matrix + b1.matrix, b0.matrix - b1.matrix])
     value, state = _see_saw(terms_a, terms_b, restarts, iters, seed)

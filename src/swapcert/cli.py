@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="verdicts and distance bounds from counts CSV or report JSON")
     p.add_argument("input", help="counts CSV or report JSON file")
-    p.add_argument("--tol", type=float, default=None, help="absolute tolerance")
+    add_tol(p)
     p.add_argument("--tol-sigma", type=float, default=None,
                    help="tolerance as a multiple of the estimated standard error")
     add_common(p)

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapcert import chsh_operator, ideal_scenario
+from swapcert import chsh_operator, ideal_scenario, noisy_scenario
 from swapcert.cli import build_parser, main
 from swapcert.linalg import hermitian_deviation
 from swapcert.protocol import MAX_N_PER_SETTING, estimate_report, sample_counts
@@ -809,6 +811,87 @@ def test_mutated_settings_file_never_crashes(tmp_path_factory, mutations):
     _run_fuzzed("sep-bound", path, "--restarts", "2", "--iters", "5", "--seed", "1")
 
 
+NUMBER_TOKEN = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
+ODD_TOKENS = (b"1e400", b"NaN", b"-0", b"9" * 400, b"[]", b'""')
+
+
+def _mutate_bytes(text: bytes, rng: random.Random) -> bytes:
+    """One to three edits: a number token swapped for an odd value, a span deleted, a line doubled, a byte replaced."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0 and (tokens := list(NUMBER_TOKEN.finditer(text))):
+            token = rng.choice(tokens)
+            text = text[:token.start()] + rng.choice(ODD_TOKENS) + text[token.end():]
+        elif kind == 1:
+            start = rng.randrange(len(text) + 1)
+            text = text[:start] + text[start + rng.randint(1, 40):]
+        elif kind == 2 and text:
+            lines = text.splitlines(keepends=True)
+            k = rng.randrange(len(lines))
+            text = b"".join(lines[:k + 1] + lines[k:])
+        elif text:
+            k = rng.randrange(len(text))
+            text = text[:k] + bytes([rng.randrange(256)]) + text[k + 1:]
+    return text
+
+
+def _fuzz_flags(command: str, rng: random.Random) -> list[str]:
+    """Flags of one command, each value valid four times in five, else a boundary or malformed one."""
+    def value(valid, odd):
+        return rng.choice(valid if rng.random() < 0.8 else odd)
+
+    if command == "sep-bound":
+        return ["--restarts", value(["1", "3"], ["0", "-2", "x"]), "--iters", value(["1", "20"], ["0", "nan"]),
+                "--seed", value(["0", "7", str(2**70)], ["-1", "2.5"])]
+    if command == "certify":
+        tol = rng.choice([[], ["--tol", value(["0", "1e-9", "0.1"], ["nan", "-1", "inf", "1e400", "x"])],
+                          ["--tol-sigma", value(["3", "0"], ["nan", "-3"])], ["--tol", "0.01", "--tol-sigma", "3"]])
+        return tol + rng.choice([[], ["--format", value(["json", "csv"], ["xml"])]])
+    if command == "sample":
+        return ["--n-per-setting", value(["1", "5"], ["0", "-1", str(MAX_N_PER_SETTING + 1)]),
+                "--seed", value(["0", "3"], ["-1", "x"])]
+    return []
+
+
+FUZZ_INPUTS = [
+    ("decompose", "settings.json", (GOLDEN / "planted_d4_settings.json").read_bytes()),
+    ("sep-bound", "settings.json", (GOLDEN / "planted_d4_settings.json").read_bytes()),
+    ("decompose", "settings.json", (GOLDEN / "mixed_edge_settings.json").read_bytes()),
+    ("sep-bound", "settings.json", (GOLDEN / "mixed_edge_settings.json").read_bytes()),
+    ("certify", "report.json", json_dumps(json.loads((GOLDEN / "ideal.json").read_text())["report"]).encode()),
+    ("certify", "counts.csv", (GOLDEN / "sample_n50_seed7.csv").read_bytes()),
+    ("sample", "scenario.json", json_dumps(scenario_to_json(noisy_scenario(0.95, 0.97, 0.26))).encode()),
+]
+
+
+def test_seeded_mutations_keep_the_exit_contract(tmp_path):
+    # every run ends in 0-3, only a verdict exits 1, and stderr is empty or one
+    # error line, apart from argparse's own usage text on a rejected flag value
+    rng = random.Random(15)
+    broken = []
+    for _ in range(215):
+        for command, name, text in FUZZ_INPUTS:
+            path = tmp_path / name
+            path.write_bytes(_mutate_bytes(text, rng))
+            argv = [command, *(["--scenario"] if command == "sample" else []), str(path),
+                    *_fuzz_flags(command, rng)]
+            out, err = io.StringIO(), io.StringIO()
+            parsed = True
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    parsed, code = False, exc.code
+            err = err.getvalue()
+            if parsed:
+                clean = err == "" or (err.count("\n") == 1 and err.startswith(("error: ", "validation error: ")))
+            else:
+                clean = code == 2 and err.startswith("usage: ") and ": error: " in err.splitlines()[-1]
+            if code not in (0, 1, 2, 3) or (code == 1 and command != "certify") or not clean:
+                broken.append((argv, code, err[:200], path.read_bytes()[:200]))
+    assert broken == []
+
+
 @pytest.mark.parametrize("field,value", [("rows", 2.0), ("rows", 1.9), ("cols", "2"), ("cols", True)])
 def test_non_integer_matrix_shape_is_validation_error(capsys, tmp_path, field, value):
     payload = json.loads(settings_file(tmp_path).read_text())
@@ -996,3 +1079,12 @@ def test_noise_flags_are_shared(command):
         (float, 1.0, "visibility of the second pair"),
         (float, 0.0, "joint-basis rotation angle (radians)"),
     ]
+
+
+@pytest.mark.parametrize("command", ["ideal", "noisy", "certify"])
+def test_tol_flag_is_shared(command):
+    # every command that applies a verdict tolerance declares --tol alike
+    sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
+    tol = next(a for a in sub._actions if a.dest == "tol")
+    assert (tol.type, tol.default, tol.help) == (
+        float, None, "tolerance for the maximal-violation tests (default SWAPCERT_TOL or 1e-9)")
