@@ -66,11 +66,10 @@ class ObservableBlocks:
 
 @dataclass(frozen=True)
 class BlockPair:
-    """CHSH operator restricted to one block pair, with its top eigenvalue."""
+    """One block pair and the top eigenvalue of the CHSH operator restricted to it."""
 
     row: int
     col: int
-    operator: np.ndarray
     alpha: float
 
 
@@ -228,20 +227,17 @@ def _block_sines(decomposition: ObservableBlocks) -> np.ndarray:
 
 
 def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBlockStructure:
-    """Restrict the CHSH operator to every block pair and record top eigenvalues.
+    """Every block pair as (row, col, alpha), in row-major order, and the smallest alpha.
 
-    Each pair's operator is :func:`chsh_operator` of the two blocks'
-    restrictions. Its top eigenvalue comes from Landau's
-    identity, as in :func:`sep_bound`: alpha_ij = 2 sqrt(1 + s_i s_j), where
-    s is the |sin| of a block's eigenphase, 0 on a 1x1 block. So a pair with
-    a 1x1 block gets the classical value 2 and two blocks at phase pi/2 get
-    2*sqrt(2).
+    alpha is the top eigenvalue of the CHSH operator restricted to the pair.
+    Landau's identity gives it, as in :func:`sep_bound`, without building the
+    operator: alpha_ij = 2 sqrt(1 + s_i s_j), where s is the |sin| of a
+    block's eigenphase, 0 on a 1x1 block, so the whole table is one
+    broadcast. A pair with a 1x1 block gets the classical value 2 and two
+    blocks at phase pi/2 get 2*sqrt(2).
     """
-    s_a, s_b = _block_sines(a_blocks), _block_sines(b_blocks)
-    pairs = tuple(
-        BlockPair(i, j, _chsh_matrix(ab.a0, ab.a1, bb.a0, bb.a1), 2.0 * math.sqrt(1.0 + s_a[i] * s_b[j]))
-        for i, ab in enumerate(a_blocks.blocks) for j, bb in enumerate(b_blocks.blocks)
-    )
+    alpha = 2.0 * np.sqrt(1.0 + np.outer(_block_sines(a_blocks), _block_sines(b_blocks)))
+    pairs = tuple(BlockPair(i, j, value) for i, row in enumerate(alpha.tolist()) for j, value in enumerate(row))
     return ChshBlockStructure(pairs, min((pair.alpha for pair in pairs), default=math.inf))
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import blocks, certify, protocol, serialize
 from .linalg import DEFAULT_TOL, ValidationError
+from .measurements import CANONICAL_BIT_FOR_A, CANONICAL_BIT_FOR_B
 
 EXIT_OK = 0
 EXIT_CERT_FAIL = 1
@@ -259,6 +260,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     if args.scenario is not None:
         sc = serialize.scenario_from_json(_load_input(args.scenario))
+        for k, binned in enumerate(sc.charlie12):
+            if (binned.bit_for_a, binned.bit_for_b) != (CANONICAL_BIT_FOR_A, CANONICAL_BIT_FOR_B):
+                raise ValidationError(
+                    f"charlie setting {k + 1}: sample writes raw outcomes, which certify bins with "
+                    f"bit_for_A {list(CANONICAL_BIT_FOR_A)} and bit_for_B {list(CANONICAL_BIT_FOR_B)}, "
+                    "not this scenario's bit maps"
+                )
     else:
         sc = _noisy_scenario(args)
     table = protocol.sample_counts(sc, args.n_per_setting, args.seed)

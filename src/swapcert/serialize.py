@@ -497,10 +497,5 @@ def counts_from_csv(text: str) -> CountsTable:
 
 
 def bounds_curve_csv(rows: Sequence[tuple[float, float, float]]) -> str:
-    """CSV with columns S, lower, upper at 9 significant digits."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["S", "lower", "upper"])
-    for s, lower, upper in rows:
-        writer.writerow([f"{s:.9g}", f"{lower:.9g}", f"{upper:.9g}"])
-    return buf.getvalue()
+    """CSV with columns S, lower, upper at 9 significant digits; no field ever needs quoting."""
+    return "S,lower,upper\n" + "".join(f"{s:.9g},{lower:.9g},{upper:.9g}\n" for s, lower, upper in rows)

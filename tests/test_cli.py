@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -157,6 +158,20 @@ class TestBoundsCurve:
         code, _, err = run(capsys, "bounds-curve", "--s-min", "3", "--s-max", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("flags,steps", [((), 100), (("--steps", "200"), 200)])
+    def test_csv_bytes_match_csv_writer(self, capsys, flags, steps):
+        from swapcert import distance_bounds
+
+        code, out, _ = run(capsys, "bounds-curve", *flags)
+        assert code == 0
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["S", "lower", "upper"])
+        for s in np.linspace(2.0, TSIRELSON, steps):
+            bounds = distance_bounds([float(s)] * 4)
+            writer.writerow([f"{float(s):.9g}", f"{bounds.lower:.9g}", f"{bounds.upper:.9g}"])
+        assert out == buf.getvalue()
+
 
 class TestSampleAndCertify:
     def test_sample_then_certify(self, capsys, tmp_path):
@@ -227,6 +242,9 @@ class TestSampleAndCertify:
         (("dims",), "abcd"),
         (("alice",), 5),
         (("charlie12", 0, "bit_for_A"), 3),
+        # counts hold raw outcomes, which certify bins with the canonical maps only
+        (("charlie12", 0, "bit_for_A"), [-1, -1, 1, 1]),
+        (("charlie12", 1, "bit_for_B"), [-1, 1, -1, 1]),
         (("charlie3", "dims"), ["x", 2]),
         (("state", "data", 0), ["x", 0]),
         (("state", "rows"), math.inf),
