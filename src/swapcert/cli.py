@@ -65,14 +65,20 @@ def _check_seed(seed: int) -> None:
         raise UsageError(f"--seed must be a nonnegative integer, got {seed}")
 
 
+# The noise flags and the value each takes when it is not given.
+_NOISE_DEFAULTS = {"v_ac": 1.0, "v_bc": 1.0, "theta": 0.0}
+
+
 def _noisy_scenario(args: argparse.Namespace) -> protocol.Scenario:
-    """The scenario named by the --v-ac, --v-bc and --theta flags."""
-    for name, value in (("--v-ac", args.v_ac), ("--v-bc", args.v_bc)):
+    """The scenario named by the --v-ac, --v-bc and --theta flags, each absent one at its default."""
+    v_ac, v_bc, theta = (default if getattr(args, dest) is None else getattr(args, dest)
+                         for dest, default in _NOISE_DEFAULTS.items())
+    for name, value in (("--v-ac", v_ac), ("--v-bc", v_bc)):
         if not 0.0 <= value <= 1.0:
             raise UsageError(f"{name} must lie in [0, 1], got {value}")
-    if not math.isfinite(args.theta):
-        raise UsageError(f"--theta must be finite, got {args.theta}")
-    return protocol.noisy_scenario(args.v_ac, args.v_bc, args.theta)
+    if not math.isfinite(theta):
+        raise UsageError(f"--theta must be finite, got {theta}")
+    return protocol.noisy_scenario(v_ac, v_bc, theta)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -259,6 +265,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise UsageError(f"--n-per-setting must be at most {protocol.MAX_N_PER_SETTING}")
     _check_seed(args.seed)
     if args.scenario is not None:
+        given = [f"--{dest.replace('_', '-')}" for dest in _NOISE_DEFAULTS if getattr(args, dest) is not None]
+        if given:
+            raise UsageError(f"{', '.join(given)} cannot be combined with --scenario")
         sc = serialize.scenario_from_json(_load_input(args.scenario))
         for k, binned in enumerate(sc.charlie12):
             if (binned.bit_for_a, binned.bit_for_b) != (CANONICAL_BIT_FOR_A, CANONICAL_BIT_FOR_B):
@@ -292,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"tolerance for the maximal-violation tests (default {TOL_ENV_VAR} or 1e-9)")
 
     def add_noise(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--v-ac", type=float, default=1.0, help="visibility of the first pair")
-        p.add_argument("--v-bc", type=float, default=1.0, help="visibility of the second pair")
-        p.add_argument("--theta", type=float, default=0.0, help="joint-basis rotation angle (radians)")
+        p.add_argument("--v-ac", type=float, default=None, help="visibility of the first pair (default 1)")
+        p.add_argument("--v-bc", type=float, default=None, help="visibility of the second pair (default 1)")
+        p.add_argument("--theta", type=float, default=None,
+                       help="joint-basis rotation angle in radians (default 0)")
 
     p = sub.add_parser("ideal", help="report and verdicts for the ideal four-qubit scenario")
     add_tol(p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +97,17 @@ class Scenario:
     def dims(self) -> tuple[int, int, int, int]:
         return self.state.dims
 
+    @cached_property
+    def born_tables(self) -> np.ndarray:
+        """:func:`born_tables` as one read-only array, computed on first use and shared."""
+        pa = np.array([obs.projector_stack for obs in self.alice])
+        pb = np.array([obs.projector_stack for obs in self.bob])
+        pc = np.array([*(binned.base.projector_stack for binned in self.charlie12),
+                       self.charlie3.projector_stack])
+        tables = _born(pa, pb, pc, self.state)
+        tables.setflags(write=False)
+        return tables
+
 
 @dataclass(frozen=True)
 class ReportStdErr:
@@ -159,16 +170,16 @@ def born_tables(sc: Scenario) -> np.ndarray:
     The result is real and indexed ``[x-1, y-1, z-1, a, b, c]`` like
     :attr:`CountsTable.counts`: a (resp. b) is 0 for outcome +1 and 1 for
     outcome -1, and c is the 0-based raw outcome of the middle party. It is
-    :func:`_born` over the stacked projectors of the three parties.
+    :func:`_born` over the stacked projectors of the three parties, computed
+    on first use and kept read-only on the scenario, as a measurement keeps
+    its projector stack: every later call returns the same array. Copy it
+    before writing to it.
     """
-    pa = np.array([obs.projector_stack for obs in sc.alice])
-    pb = np.array([obs.projector_stack for obs in sc.bob])
-    pc = np.array([*(binned.base.projector_stack for binned in sc.charlie12), sc.charlie3.projector_stack])
-    return _born(pa, pb, pc, sc.state)
+    return sc.born_tables
 
 
 def joint_distribution(sc: Scenario, x: int, y: int, z: int) -> np.ndarray:
-    """Exact outcome table p[a, b, c] for one setting triple: a slice of :func:`born_tables`.
+    """Exact outcome table p[a, b, c] for one setting triple: a read-only view into :func:`born_tables`.
 
     Index a (resp. b) is 0 for outcome +1 and 1 for outcome -1; c is the
     0-based raw outcome of the middle party.
@@ -434,8 +445,9 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
     Each triple gets its own generator derived from ``(seed, x, y, z)``, so the
     result is byte-identical for a fixed seed no matter how the work is split.
     Each triple's 16 cell counts are one multinomial draw of ``n_per_setting``
-    trials over its outcome table from :func:`born_tables`. ``n_per_setting``
-    lies in 1..``MAX_N_PER_SETTING``.
+    trials over its outcome table from :func:`born_tables`, which a scenario
+    computes once, so sampling it again draws without a new contraction.
+    ``n_per_setting`` lies in 1..``MAX_N_PER_SETTING``.
     """
     if _checked_int(n_per_setting, "n_per_setting") < 1:
         raise ValidationError("n_per_setting must be at least 1")

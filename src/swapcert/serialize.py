@@ -368,6 +368,8 @@ _CELLS = tuple(itertools.product((1, 2), (1, 2), (1, 2, 3), (1, -1), (1, -1), (1
 _CELL_INDEX = {cell: k for k, cell in enumerate(_CELLS)}
 _COUNTS_ROW_PREFIXES = tuple("".join(f"{v}," for v in cell) for cell in _CELLS)
 _COUNTS_HEADER_LINE = ",".join(COUNTS_HEADER)
+# The whole file the writer emits, with one ``{}`` per count; the prefixes hold no braces.
+_COUNTS_TEMPLATE = _COUNTS_HEADER_LINE + "\n" + "".join(f"{p}{{}}\n" for p in _COUNTS_ROW_PREFIXES)
 # The 192 counts of a file in the writer's layout, joined by commas: each one
 # ASCII digits without a leading zero, at most 18 of them, so below 10**18 and
 # within int64. Handed to ``re``, whose cache compiles it on first use.
@@ -375,9 +377,12 @@ _WRITER_COUNTS = r"(?:0|[1-9][0-9]{0,17})(?:,(?:0|[1-9][0-9]{0,17})){191}"
 
 
 def counts_to_csv(table: CountsTable) -> str:
-    """All cells of a counts table, zeros included, in fixed row order."""
-    counts = table.counts.reshape(-1).tolist()
-    return _COUNTS_HEADER_LINE + "\n" + "".join(f"{p}{n}\n" for p, n in zip(_COUNTS_ROW_PREFIXES, counts))
+    """All cells of a counts table, zeros included, in fixed row order.
+
+    The 192 counts fill one precomputed template of the header and the row
+    prefixes in a single ``str.format`` call.
+    """
+    return _COUNTS_TEMPLATE.format(*table.counts.reshape(-1).tolist())
 
 
 def _writer_counts(text: str) -> np.ndarray | None:

@@ -534,6 +534,15 @@ def reference_counts_from_csv(text: str) -> CountsTable:
     return CountsTable(counts)
 
 
+def reference_counts_to_csv(table: CountsTable) -> str:
+    """Counts CSV written one row at a time, each cell's settings, outcomes and count formatted on their own."""
+    rows = ["x,y,z,a,b,c,count\n"]
+    for x, y, z, ia, ib, ic in np.ndindex(2, 2, 3, 2, 2, 4):
+        a, b = (1, -1)[ia], (1, -1)[ib]
+        rows.append(f"{x + 1},{y + 1},{z + 1},{a},{b},{ic + 1},{int(table.counts[x, y, z, ia, ib, ic])}\n")
+    return "".join(rows)
+
+
 def reference_sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
     """One multinomial per setting triple, each from ``default_rng([seed, x, y, z])`` over its own table."""
     tables = np.clip(born_tables(sc), 0.0, None)

@@ -212,6 +212,23 @@ class TestSampleAndCertify:
         assert code == 0
         assert out_path.exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (("--theta", "0.7", "--v-ac", "0.5"), "--v-ac, --theta"),
+        (("--v-bc", "1"), "--v-bc"),  # the default value, given explicitly, is refused too
+        (("--theta", "0"), "--theta"),
+        (("--v-ac", "0.9", "--v-bc", "0.8", "--theta", "0.3"), "--v-ac, --v-bc, --theta"),
+    ])
+    def test_sample_scenario_file_refuses_noise_flags(self, capsys, tmp_path, flags, named):
+        # the file fixes the state and the joint measurement, so a noise flag beside it would be dropped
+        from swapcert.serialize import json_dumps, scenario_to_json
+
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text(json_dumps(scenario_to_json(ideal_scenario())))
+        code, out, err = run(capsys, "sample", "--scenario", str(sc_path),
+                             "--n-per-setting", "100", "--seed", "1", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {named} cannot be combined with --scenario\n"
+
     def test_sample_from_nine_digit_scenario_with_rotated_joint_measurement(self, capsys, tmp_path):
         # a Haar-rotated joint measurement written at 9 digits no longer sums to
         # the identity within 1e-9; it is snapped back on load
@@ -1092,10 +1109,11 @@ def test_noise_flags_are_shared(command):
     # both commands build a noisy scenario from the same three flags, described alike
     sub = next(a for a in build_parser()._actions if a.dest == "command").choices[command]
     flags = {a.dest: a for a in sub._actions}
+    # the defaults are filled in when the scenario is built, so that sample can tell a given flag apart
     assert [(flags[d].type, flags[d].default, flags[d].help) for d in ("v_ac", "v_bc", "theta")] == [
-        (float, 1.0, "visibility of the first pair"),
-        (float, 1.0, "visibility of the second pair"),
-        (float, 0.0, "joint-basis rotation angle (radians)"),
+        (float, None, "visibility of the first pair (default 1)"),
+        (float, None, "visibility of the second pair (default 1)"),
+        (float, None, "joint-basis rotation angle in radians (default 0)"),
     ]
 
 

@@ -34,7 +34,7 @@ from swapcert import (
     steered_states,
 )
 from swapcert.linalg import tensor
-from swapcert.protocol import _CANONICAL_BITS, MAX_N_PER_SETTING, _two_pair_state
+from swapcert.protocol import _CANONICAL_BITS, MAX_N_PER_SETTING, _born, _two_pair_state
 from swapcert.serialize import counts_from_csv, counts_to_csv
 from support import (
     I2,
@@ -51,6 +51,7 @@ from support import (
     reference_exact_report,
     reference_sample_counts,
     reference_steer,
+    rotated_bell_measurement,
     to_density,
 )
 
@@ -92,6 +93,49 @@ class TestBornTables:
         tables = born_tables(sc)
         for x, y, z in TRIPLES:
             np.testing.assert_array_equal(joint_distribution(sc, x, y, z), tables[x - 1, y - 1, z - 1])
+
+
+class TestBornTablesCache:
+    """A scenario computes its Born tables once and shares them read-only."""
+
+    def test_computed_once_and_shared(self):
+        sc = random_scenario(np.random.default_rng(6002), 2, 3)
+        assert born_tables(sc) is born_tables(sc)
+        assert born_tables(sc) is sc.born_tables
+
+    def test_read_only(self):
+        tables = born_tables(random_scenario(np.random.default_rng(6003)))
+        assert not tables.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tables[0, 0, 0, 0, 0, 0] = 1.0
+
+    def test_bytes_equal_a_fresh_contraction(self):
+        rng = np.random.default_rng(6004)
+        for sc in (IDEAL, noisy_scenario(0.9, 0.8, 0.4), random_scenario(rng, 3, 3)):
+            pa = np.array([np.array(obs.projectors()) for obs in sc.alice])
+            pb = np.array([np.array(obs.projectors()) for obs in sc.bob])
+            pc = np.array([np.array(m.projectors) for m in (*(b.base for b in sc.charlie12), sc.charlie3)])
+            assert born_tables(sc).tobytes() == _born(pa, pb, pc, sc.state).tobytes()
+
+    def test_replaced_scenario_gets_its_own_tables(self):
+        rng = np.random.default_rng(6005)
+        sc = random_scenario(rng)
+        before = born_tables(sc).copy()
+        other = replace(sc, charlie3=rotated_bell_measurement(rng))
+        assert born_tables(other) is not born_tables(sc)
+        np.testing.assert_array_equal(born_tables(other)[:, :, :2], before[:, :, :2])
+        assert not np.allclose(born_tables(other)[:, :, 2], before[:, :, 2])
+        np.testing.assert_array_equal(born_tables(sc), before)
+        np.testing.assert_allclose(born_tables(other), kron_born_tables(other), rtol=0, atol=1e-12)
+
+    def test_joint_distribution_is_a_read_only_view(self):
+        sc = noisy_scenario(0.9, 0.8, 0.4)
+        for x, y, z in TRIPLES:
+            table = joint_distribution(sc, x, y, z)
+            assert table.base is born_tables(sc)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 1.0
 
 
 class TestJointDistribution:

@@ -42,6 +42,7 @@ from support import (
     random_binned,
     random_observable,
     reference_counts_from_csv,
+    reference_counts_to_csv,
     rotated_bell_measurement,
 )
 
@@ -448,6 +449,23 @@ class TestCountsCsv:
         recovered = counts_from_csv(text)
         np.testing.assert_array_equal(recovered.counts, table.counts)
         assert recovered.n_per_setting == 750
+
+    def test_writer_matches_row_by_row_reference(self):
+        # seeded tables with zero cells, and one with a count of 18 digits, the writer's longest
+        rng = np.random.default_rng(2500)
+        tables = [sample_counts(noisy_scenario(0.9, 0.8, 0.4), 7, seed=3)]
+        for _ in range(20):
+            counts = rng.integers(0, 10 ** rng.integers(1, 12), size=(2, 2, 3, 2, 2, 4))
+            counts[rng.random(counts.shape) < 0.3] = 0
+            counts[..., 0] += 1  # every setting triple keeps a positive total
+            tables.append(CountsTable(counts))
+        long_count = tables[-1].counts.copy()
+        long_count[1, 0, 2, 1, 0, 3] = 987_654_321_012_345_678
+        tables.append(CountsTable(long_count))
+        assert any(not t.counts.all() for t in tables)
+        for table in tables:
+            assert counts_to_csv(table) == reference_counts_to_csv(table)
+        assert "2,1,3,-1,1,4,987654321012345678\n" in counts_to_csv(tables[-1])
 
     def test_malformed_row_reports_line(self):
         table = sample_counts(ideal_scenario(), 10, seed=1)
