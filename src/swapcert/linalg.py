@@ -45,10 +45,12 @@ def hermitian_deviation(mat: np.ndarray) -> np.ndarray:
 def seeded_generator(*key: int) -> np.random.Generator:
     """The generator ``np.random.default_rng(list(key))`` returns, with the same stream.
 
-    ``SeedSequence`` splits each Python integer of a list into 32-bit words one
-    at a time. When every entry fits in one word, the same words are handed
-    over as one ``uint32`` array instead, which builds the seed sequence about
-    three times as fast. Any other key goes through the list as before.
+    Its only caller is the see-saw, which keys one generator per restart by
+    ``(seed, restart)``. ``SeedSequence`` splits each Python integer of a
+    list into 32-bit words one at a time. When every entry fits in one word,
+    the same words are handed over as one ``uint32`` array instead, which
+    builds the seed sequence about three times as fast. Any other key goes
+    through the list as before.
     """
     if all(isinstance(k, (int, np.integer)) and 0 <= k < 2**32 for k in key):
         return np.random.default_rng(np.array(key, dtype=np.uint32))

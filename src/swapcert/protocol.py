@@ -22,7 +22,6 @@ from .linalg import (
     DensityMatrix,
     ValidationError,
     _checked_int,
-    seeded_generator,
 )
 from .measurements import (
     CANONICAL_BIT_FOR_A,
@@ -442,12 +441,12 @@ class CountsTable:
 def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
     """Draw i.i.d. samples from every setting triple.
 
-    Each triple gets its own generator derived from ``(seed, x, y, z)``, so the
-    result is byte-identical for a fixed seed no matter how the work is split.
-    Each triple's 16 cell counts are one multinomial draw of ``n_per_setting``
-    trials over its outcome table from :func:`born_tables`, which a scenario
-    computes once, so sampling it again draws without a new contraction.
-    ``n_per_setting`` lies in 1..``MAX_N_PER_SETTING``.
+    One generator, ``np.random.default_rng(seed)``, draws the 12 triples in
+    (x, y, z) order, so the result is byte-identical for a fixed seed and
+    numpy version. Each triple's 16 cell counts are one multinomial draw of
+    ``n_per_setting`` trials over its outcome table from :func:`born_tables`,
+    which a scenario computes once, so sampling it again draws without a new
+    contraction. ``n_per_setting`` lies in 1..``MAX_N_PER_SETTING``.
     """
     if _checked_int(n_per_setting, "n_per_setting") < 1:
         raise ValidationError("n_per_setting must be at least 1")
@@ -455,14 +454,9 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
         raise ValidationError(f"n_per_setting must be at most {MAX_N_PER_SETTING}")
     if _checked_int(seed, "seed") < 0:
         raise ValidationError("seed must be a nonnegative integer")
-    tables = np.clip(born_tables(sc), 0.0, None).reshape(2, 2, 3, 16)
+    tables = np.clip(born_tables(sc), 0.0, None).reshape(12, 16)
     tables = tables / tables.sum(axis=-1, keepdims=True)
-    counts = np.empty((2, 2, 3, 16), dtype=np.int64)
-    for x in (1, 2):
-        for y in (1, 2):
-            for z in (1, 2, 3):
-                rng = seeded_generator(seed, x, y, z)
-                counts[x - 1, y - 1, z - 1] = rng.multinomial(n_per_setting, tables[x - 1, y - 1, z - 1])
+    counts = np.random.default_rng(seed).multinomial(n_per_setting, tables)
     return CountsTable(counts.reshape(2, 2, 3, 2, 2, 4))
 
 

@@ -544,14 +544,14 @@ def reference_counts_to_csv(table: CountsTable) -> str:
 
 
 def reference_sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
-    """One multinomial per setting triple, each from ``default_rng([seed, x, y, z])`` over its own table."""
+    """One multinomial per setting triple, drawn row by row from one ``default_rng(seed)`` in (x, y, z) order."""
     tables = np.clip(born_tables(sc), 0.0, None)
+    rng = np.random.default_rng(seed)
     counts = np.zeros((2, 2, 3, 2, 2, 4), dtype=np.int64)
     for x in (1, 2):
         for y in (1, 2):
             for z in (1, 2, 3):
                 table = tables[x - 1, y - 1, z - 1].reshape(-1)
-                rng = np.random.default_rng([seed, x, y, z])
                 counts[x - 1, y - 1, z - 1] = rng.multinomial(n_per_setting, table / table.sum()).reshape(2, 2, 4)
     return CountsTable(counts)
 

@@ -283,7 +283,7 @@ class TestSampleAndCertify:
         assert err.startswith("validation error: ") and err.count("\n") == 1
 
     def test_counts_path_output_is_pinned(self, capsys, tmp_path):
-        # bytes written by the loop estimator this path replaced
+        # sampled bytes of one default_rng(7) over the 12 triples, and their certify output
         code, out, _ = run(capsys, "sample", "--n-per-setting", "50", "--seed", "7",
                            "--v-ac", "0.9", "--v-bc", "0.8", "--theta", "0.3")
         assert code == 0
