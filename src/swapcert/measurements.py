@@ -141,13 +141,54 @@ class FourOutcomeMeasurement:
         object.__setattr__(self, "dims", dims)
         self.validate(tol)
 
+    @classmethod
+    def from_vectors(cls, vectors: np.ndarray, dims: tuple[int, int],
+                     tol: float = DEFAULT_TOL) -> FourOutcomeMeasurement:
+        """The rank-1 measurement whose outcome k projects onto row k of ``vectors``.
+
+        The rows must be orthonormal, max|G - I| <= ``tol`` with the Gram
+        matrix G = V* V^T, and span the space, max|V^T V* - I| <= ``tol``;
+        a non-finite entry fails both. The projector checks of
+        :meth:`validate` are not run again, because they follow up to
+        rounding: P_j P_k - delta_jk P_k = G_jk v_j v_k^dagger, whose
+        entries are at most |G_jk| |v_j| |v_k| <= ``tol * (1 + tol)``, and
+        the projectors sum to V^T V*. ``projector_stack`` is the read-only
+        ``(4, d, d)`` stack of outer products, each entry one product as in
+        ``np.outer`` (so real vectors give exactly Hermitian projectors),
+        and ``projectors`` are views of its rows.
+        """
+        vecs = np.asarray(vectors, dtype=complex)
+        dims = (int(dims[0]), int(dims[1]))
+        side = dims[0] * dims[1]
+        if vecs.shape != (4, side):
+            raise ValidationError(f"expected 4 vectors of length {side}, got shape {vecs.shape}")
+        with np.errstate(all="ignore"):  # an overflow shows up as an inf or NaN deviation
+            orthonormal = np.abs(vecs.conj() @ vecs.T - np.eye(4)).max() <= tol  # NaN fails too
+            spanning = orthonormal and np.abs(vecs.T @ vecs.conj() - np.eye(side)).max() <= tol
+        if not spanning:
+            if not np.isfinite(vecs).all():
+                raise ValidationError("vectors have non-finite entries")
+            if not orthonormal:
+                raise ValidationError("vectors are not orthonormal within tolerance")
+            raise ValidationError("vectors do not span the space within tolerance")
+        stack = vecs[:, :, None] * vecs.conj()[:, None, :]
+        stack.setflags(write=False)
+        meas = object.__new__(cls)
+        object.__setattr__(meas, "projectors", tuple(stack))
+        object.__setattr__(meas, "dims", dims)
+        meas.__dict__["projector_stack"] = stack  # what the cached property would build
+        return meas
+
     @property
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
 
     @cached_property
     def projector_stack(self) -> np.ndarray:
-        """The projectors as one read-only ``(4, d, d)`` array, built on first use and shared."""
+        """The projectors as one read-only ``(4, d, d)`` array, built on first use and shared.
+
+        :meth:`from_vectors` sets it at construction, and its projectors are views of it.
+        """
         stack = np.array(self.projectors)
         stack.setflags(write=False)
         return stack
@@ -208,31 +249,32 @@ class BinnedMeasurement:
 def bell_measurement() -> FourOutcomeMeasurement:
     """Projective measurement onto the maximally entangled basis, in outcome order.
 
-    Built once and shared, like :func:`bell_basis`: its projectors are read-only.
+    Built once from the :func:`bell_basis` vectors by
+    :meth:`FourOutcomeMeasurement.from_vectors`, and shared: its projectors
+    are read-only.
     """
-    projs = tuple(np.outer(s.vector, s.vector.conj()) for s in bell_basis())
-    return FourOutcomeMeasurement(projs, (2, 2))
+    return FourOutcomeMeasurement.from_vectors(np.array([s.vector for s in bell_basis()]), (2, 2))
 
 
 def perturbed_bell_measurement(theta: float, pair: int = 1) -> FourOutcomeMeasurement:
     """Rotate one two-dimensional plane of the entangled basis by ``theta``.
 
     ``pair`` selects the rotated plane: pair 1 mixes outcomes 1 and 4, pair 2
-    mixes outcomes 2 and 3. The other two projectors are those of
-    :func:`bell_measurement`, reused as they are, so the result is always a
-    valid projective four-outcome measurement.
+    mixes outcomes 2 and 3. Rows lo and hi of the :func:`bell_basis` vectors
+    become cos(theta) v_lo + sin(theta) v_hi and -sin(theta) v_lo +
+    cos(theta) v_hi, and :meth:`FourOutcomeMeasurement.from_vectors` checks
+    the rotated basis and builds all four projectors, the two unrotated ones
+    with the bytes of :func:`bell_measurement`.
     """
     if pair not in (1, 2):
         raise ValidationError("pair must be 1 or 2")
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
     lo, hi = pair - 1, 4 - pair
-    v_lo, v_hi = bell_basis()[lo].vector, bell_basis()[hi].vector
+    vecs = np.array([s.vector for s in bell_basis()])
     c, s = math.cos(theta), math.sin(theta)
-    projs = list(bell_measurement().projectors)
-    for k, v in ((lo, c * v_lo + s * v_hi), (hi, -s * v_lo + c * v_hi)):
-        projs[k] = np.outer(v, v.conj())
-    return FourOutcomeMeasurement(tuple(projs), (2, 2))
+    vecs[lo], vecs[hi] = c * vecs[lo] + s * vecs[hi], -s * vecs[lo] + c * vecs[hi]
+    return FourOutcomeMeasurement.from_vectors(vecs, (2, 2))
 
 
 def _validate_two_outcome(projs: Sequence[np.ndarray], name: str) -> np.ndarray:

@@ -317,12 +317,13 @@ def steered_states(sc: Scenario) -> list[tuple[float, DensityMatrix]]:
 def _two_pair_state(rho_pair_a: np.ndarray, rho_pair_b: np.ndarray) -> DensityMatrix:
     """Assemble a (A,CA) x (B,CB) product into the global (A,B,CA,CB) ordering.
 
-    Each entry is one product of an entry of each pair state, written straight
-    into the reordered layout.
+    Each entry is one product of an entry of each pair state: the outer
+    product ``[a, ca, a', ca', b, cb, b', cb']`` is transposed to
+    ``[a, b, ca, cb, a', b', ca', cb']`` and copied once by the reshape.
     """
     pair_a = np.asarray(rho_pair_a).reshape(2, 2, 2, 2)  # [a, ca, a', ca']
     pair_b = np.asarray(rho_pair_b).reshape(2, 2, 2, 2)  # [b, cb, b', cb']
-    joint = np.einsum("ikjl,mnop->imknjolp", pair_a, pair_b)
+    joint = np.multiply.outer(pair_a, pair_b).transpose(0, 4, 1, 5, 2, 6, 3, 7)
     return DensityMatrix(joint.reshape(16, 16), (2, 2, 2, 2))
 
 

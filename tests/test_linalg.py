@@ -225,6 +225,12 @@ class TestStateTypes:
         with pytest.raises(ValidationError):
             DensityMatrix(mat, (2,))
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    @pytest.mark.parametrize("mat", [np.diag([2.0, -1.0]), np.eye(2) / 2], ids=["not positive", "valid"])
+    def test_density_tolerance_nan_or_negative_fails_every_check(self, mat, tol):
+        with pytest.raises(ValidationError, match="^density matrix is not Hermitian within tolerance$"):
+            DensityMatrix(mat, (2,), tol=tol)
+
     def test_density_rejects_wrong_dims(self):
         with pytest.raises(ValidationError):
             DensityMatrix(np.eye(4) / 4, (2, 3))

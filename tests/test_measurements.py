@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swapcert import (
     BinnedMeasurement,
@@ -16,6 +18,7 @@ from swapcert import (
     product_measurement,
     qubit_observable,
 )
+from swapcert import measurements
 from swapcert.measurements import checked_bits
 from support import (
     I2,
@@ -35,6 +38,9 @@ from support import (
 )
 
 SQRT2 = math.sqrt(2.0)
+# a seeded sweep over two full turns each way, and the extremes of the finite doubles
+THETA_SWEEP = [float(t) for t in np.random.default_rng(27).uniform(-2 * math.pi, 2 * math.pi, 200)]
+THETA_SWEEP += [1e-300, 1e300]
 
 
 class TestQubitObservable:
@@ -164,7 +170,7 @@ class TestPerturbedBellMeasurement:
             assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("pair", [1, 2])
-    @pytest.mark.parametrize("theta", [0.0, math.pi / 4, -math.pi / 4, math.pi, 1e-12])
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 4, -math.pi / 4, math.pi, 1e-12, *THETA_SWEEP])
     def test_matches_reference_bytes(self, theta, pair):
         meas = perturbed_bell_measurement(theta, pair=pair)
         expected = reference_perturbed_bell_measurement(theta, pair)
@@ -185,6 +191,76 @@ class TestPerturbedBellMeasurement:
     def test_non_finite_theta(self, theta):
         with pytest.raises(ValidationError, match="theta"):
             perturbed_bell_measurement(theta)
+
+
+class TestFromVectors:
+    @pytest.mark.parametrize("vectors,dims,message", [
+        (np.eye(4)[:3], (2, 2), r"^expected 4 vectors of length 4, got shape \(3, 4\)$"),
+        (np.eye(4), (2, 3), r"^expected 4 vectors of length 6, got shape \(4, 4\)$"),
+        (np.eye(4).reshape(4, 2, 2), (2, 2), r"^expected 4 vectors of length 4, got shape \(4, 2, 2\)$"),
+        (np.where(np.eye(4) == 1, np.nan, 0.0), (2, 2), "^vectors have non-finite entries$"),
+        (np.diag([1.0, 1.0, 1.0, np.inf]), (2, 2), "^vectors have non-finite entries$"),
+        (np.eye(4)[[0, 0, 1, 2]], (2, 2), "^vectors are not orthonormal within tolerance$"),
+        (np.eye(4) * (1.0 + 1e-8), (2, 2), "^vectors are not orthonormal within tolerance$"),
+        (np.eye(6)[:4], (2, 3), "^vectors do not span the space within tolerance$"),
+    ], ids=["three vectors", "short vectors", "not 2-D", "NaN", "inf", "repeated", "not unit", "incomplete"])
+    def test_rejections_name_their_cause(self, vectors, dims, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                FourOutcomeMeasurement.from_vectors(vectors, dims)
+
+    def test_projectors_are_views_of_one_read_only_stack(self):
+        meas = FourOutcomeMeasurement.from_vectors(haar_unitary(4, np.random.default_rng(3)), (2, 2))
+        assert meas.projector_stack.shape == (4, 4, 4) and not meas.projector_stack.flags.writeable
+        for k, proj in enumerate(meas.projectors):
+            assert proj.base is meas.projector_stack
+            assert np.shares_memory(proj, meas.projector_stack[k])
+            with pytest.raises(ValueError):
+                proj[0, 0] = 0.0
+
+    def test_entries_are_the_bytes_of_np_outer(self):
+        rng = np.random.default_rng(4)
+        for dims in ((2, 2), (1, 4), (4, 1)):
+            vecs = haar_unitary(4, rng)
+            meas = FourOutcomeMeasurement.from_vectors(vecs, dims)
+            assert meas.dims == dims
+            for v, proj in zip(vecs, meas.projectors):
+                assert proj.tobytes() == np.outer(v, v.conj()).tobytes()
+
+    @pytest.mark.parametrize("theta", [0.0, 0.26, -1.3, 2.9, 1e300])
+    def test_bell_stacks_are_exactly_hermitian(self, theta):
+        for meas in (bell_measurement(), perturbed_bell_measurement(theta, 1), perturbed_bell_measurement(theta, 2)):
+            stack = meas.projector_stack
+            assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+
+    def test_bell_measurements_skip_the_projector_checks(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("projector checks run")
+        monkeypatch.setattr(measurements, "_projector_failures", fail)
+        bell_measurement.__wrapped__()
+        perturbed_bell_measurement(0.26, 1)
+        perturbed_bell_measurement(-1.3, 2)
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.0, 1e-12, 3e-10, 1e-9, 3e-9, 1e-6]))
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_accepted_vectors_give_valid_projectors(self, seed, scale):
+        """Soundness: if the rows V pass at ``tol``, their outer products pass the projector checks at tol (1 + tol).
+
+        With G = V* V^T, P_j P_k - delta_jk P_k = G_jk v_j v_k^dagger, and
+        every entry of v is at most |v| <= sqrt(1 + tol); the sum of the
+        P_k is V^T V*, which is checked directly.
+        """
+        tol = 1e-9
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        vecs = haar_unitary(4, rng) + scale * noise / np.max(np.abs(noise))
+        try:
+            FourOutcomeMeasurement.from_vectors(vecs, (2, 2), tol)
+        except ValidationError:
+            assert scale > 0.0
+            return
+        reference_validate_projectors([np.outer(v, v.conj()) for v in vecs], 4, tol * (1.0 + tol))
 
 
 def _observables():
