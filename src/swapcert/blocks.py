@@ -32,6 +32,13 @@ EDGE_TOL = 1e-9
 # chsh_spectrum: slack of the +/- pairing and of alpha1^2 + alpha2^2 = 8.
 SPECTRUM_TOL = 1e-8
 
+# Half-width of the clusters of H = (X0 X1 + X1 X0) / 2 at +/-1 that the
+# see-saw's closed-form top eigenvalue reads as 1x1 blocks. An observable
+# passes its checks squaring to I within 1e-9, which moves the eigenvalue of
+# H on a 1x1 block by about as much; a 2x2 block falls inside only within
+# phase 1.4e-4 of the edge, and then keeps the cluster among the roots.
+PENCIL_EDGE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ObservableBlock:
@@ -271,48 +278,116 @@ def sep_bound_formula(structure: ChshBlockStructure) -> float:
     return sep_bound_value(structure.lam)
 
 
-def _top_eigvecs(mats: np.ndarray, probes: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalue and a unit top eigenvector of each symmetrized matrix of an (n, d, d) stack.
+def _pencil_candidates(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates for the top eigenvalue of every pencil x X0 + y X1 of two +/-1 observables, from one ``eigh``.
 
-    The eigenvalue lam comes from ``eigvalsh``; the vector from one shifted
-    inverse-iteration step (Ipsen 1997), a batched ``solve`` of
-    (M - sigma I) x = probe with sigma = lam + 1e-12 (1 + |lam|) just above
-    the spectrum, then normalized. ``probes`` is (n, d), one random vector per
-    matrix: a structured right-hand side can be orthogonal to the top
-    eigenspace, a Gaussian one almost surely is not. ``eye`` is the d x d
-    identity.
+    Since X0^2 = X1^2 = I, M = x X0 + y X1 squares to (x^2 + y^2) I + 2xy H
+    with H = (X0 X1 + X1 X0) / 2, and H commutes with X0 and X1. On a 2x2
+    block at phase phi, H = cos(phi) and M has the eigenvalues
+    +/- sqrt(x^2 + y^2 + 2xy cos(phi)), which are monotone in cos(phi); so
+    over the 2x2 blocks the top is that root at the smallest or the largest
+    eigenvalue c of H. A 1x1 block is an eigenvector of H at e = +/-1 on
+    which X0 = s and X1 = e s, and M there is s (x + e y) alone, not both
+    signs of it: the root |x + e y| would overshoot it wherever s (x + e y)
+    is negative, and a shift set from it could lie far above the spectrum.
+    So each cluster of eigenvalues of H within ``PENCIL_EDGE_TOL`` of e on
+    which X0 has one sign s only, as its trace there shows, leaves the
+    roots and gives the line (s, s e), the candidate s x + s e y. A cluster
+    that holds both signs of X0 (1x1 blocks of both signs, or a 2x2 block
+    near the edge) stays among the roots, where |x + e y| up to the
+    cluster's width is reached or bounds the cluster's eigenvalues from
+    above, so the top stays an upper bound.
+
+    Returns the roots, the smallest and largest c left (none if every
+    eigenvalue of H fell in a one-signed cluster), and the lines as the
+    (2, k) columns (s, s e).
+    """
+    c, vecs = np.linalg.eigh((x0 @ x1 + x1 @ x0) / 2.0)
+    keep = np.ones(len(c), dtype=bool)
+    lines = []
+    for edge in (-1.0, 1.0):
+        cluster = np.abs(c - edge) <= PENCIL_EDGE_TOL
+        if cluster.any():
+            trace = float(np.vdot(vecs[:, cluster], x0 @ vecs[:, cluster]).real)
+            if abs(trace) > np.count_nonzero(cluster) - 0.5:
+                sign = math.copysign(1.0, trace)
+                lines.append((sign, sign * edge))
+                keep &= ~cluster
+    rest = c[keep]
+    return rest[[0, -1]] if rest.size else rest, np.array(lines).reshape(-1, 2).T.copy()
+
+
+def _pencil_top(candidates: tuple[np.ndarray, np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of x X0 + y X1 for each row (x, y) of an (n, 2) real stack, from :func:`_pencil_candidates`.
+
+    It is the largest of s x + s e y over the lines and of
+    sqrt(x^2 + y^2 + 2xy c) over the roots c, the argument clipped at 0
+    against rounding. Where the top is small against |x| + |y| the root
+    loses accuracy: an error of 1e-16 in c moves sqrt(2|xy| (1 - c)) near
+    1 - c = 1.25e-15 by about 1e-8.
+    """
+    roots, lines = candidates
+    top = (weights @ lines).max(axis=1) if lines.size else -np.inf
+    if roots.size:
+        xy2 = 2.0 * weights[:, 0] * weights[:, 1]
+        squares = np.einsum("ij,ij->i", weights, weights) + np.maximum(xy2 * roots[0], xy2 * roots[1])
+        top = np.maximum(top, np.sqrt(np.maximum(squares, 0.0)))
+    return top
+
+
+def _top_eigvecs(mats: np.ndarray, top: np.ndarray, probes: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """A unit top eigenvector of each symmetrized matrix of an (n, d, d) stack whose top eigenvalues are ``top``.
+
+    One shifted inverse-iteration step (Ipsen 1997): a batched ``solve`` of
+    (M - sigma I) x = probe with sigma = top + 1e-12 (1 + |top|), just above
+    the spectrum, then normalized. ``top`` comes from :func:`_pencil_top`,
+    so no eigenvalue is computed here. ``probes`` is (n, d), one random
+    vector per matrix: a structured right-hand side can be orthogonal to
+    the top eigenspace, a Gaussian one almost surely is not. ``eye`` is the
+    d x d identity.
     """
     sym = (mats + mats.conj().swapaxes(1, 2)) / 2.0
-    top = np.linalg.eigvalsh(sym)[:, -1]
     shift = top + 1e-12 * (1.0 + np.abs(top))
     vecs = np.linalg.solve(sym - shift[:, None, None] * eye, probes[:, :, None])[:, :, 0]
-    return top, vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
 def _see_saw(
-    terms_a: np.ndarray,
-    terms_b: np.ndarray,
+    alice: tuple[np.ndarray, np.ndarray],
+    bob: tuple[np.ndarray, np.ndarray],
     restarts: int,
     iters: int,
     seed: int,
 ) -> tuple[float, PureState]:
-    """Best value of beta = sum_k terms_a[k] x terms_b[k] over pure product states, by alternating ascent.
+    """Best CHSH value A0 x (B0 + B1) + A1 x (B0 - B1) over pure product states, by alternating ascent.
 
-    ``terms_a`` is (r, d_a, d_a) and ``terms_b`` (r, d_b, d_b); :func:`sep_bound`
-    passes the r = 2 terms A0 x (B0 + B1) and A1 x (B0 - B1). From a random
-    product start, one side is fixed while the other is set to the top
-    eigenvector of the contracted operator, back and forth until the value
-    improves by less than 1e-12 or ``iters`` sweeps elapse. All restarts
-    ascend together, and those that have converged drop out. With one side's
-    vectors v fixed, the other side's operator is sum_k <v|term_k|v> times
-    its own term_k: one matrix product of the flattened outer products
-    conj(v) v^T against the fixed side's flattened terms gives the n x r
-    weights, and a second, of the weights against the free side's flattened
-    terms, gives the n matrices. So a sweep over n restarts costs
-    O(n r (d_a^2 + d_b^2)) in products, besides two stacked
-    :func:`_top_eigvecs` calls. The fixed side's flattened terms enter
-    transposed, as C-ordered copies, since a matrix product against a
-    transposed view can round differently.
+    ``alice`` is (A0, A1) and ``bob`` (B0, B1), as matrices. The operator is
+    the sum of the two product terms T_k x U_k with T = (A0, A1) and
+    U = (B0 + B1, B0 - B1). From a random product start, one side is fixed
+    while the other is set to the top eigenvector of the contracted
+    operator, back and forth until the value improves by less than 1e-12 or
+    ``iters`` sweeps elapse. All restarts ascend together, and those that
+    have converged drop out. With one side's vectors v fixed, the other
+    side's operator is sum_k <v|term_k|v> times its own term_k: one matrix
+    product of the flattened outer products conj(v) v^T against the fixed
+    side's flattened terms gives the n x 2 weights, and a second, of the
+    weights against the free side's flattened terms, gives the n matrices.
+    The fixed side's flattened terms enter transposed, as C-ordered copies,
+    since a matrix product against a transposed view can round differently.
+
+    The weights <v|term_k|v> of Hermitian terms are real, and their
+    rounding-level imaginary parts are dropped.
+
+    Each contracted matrix is a pencil x X0 + y X1 of one party's two
+    observables: (x, y) are the weights on A's side and
+    (u0 + u1, u0 - u1) for the weights (u0, u1) on B's. Its top eigenvalue,
+    which sets the shift of :func:`_top_eigvecs`, is read in closed form by
+    :func:`_pencil_top` from one :func:`_pencil_candidates` per side, so a
+    sweep over n restarts costs O(n d^2) in products besides two stacked
+    solves. A restart's value is the Rayleigh quotient of its product state
+    a x b, sum_k <a|T_k|a> <b|U_k|b>, read from the weights of a and of b;
+    so the state reaches its value whatever the shift was, and the weights
+    of b also give the next sweep's A matrices.
 
     Restart k draws, in one ``normal`` call of the generator keyed by
     ``(seed, k)``, its start on B (d_b real parts, then d_b imaginary parts)
@@ -324,14 +399,20 @@ def _see_saw(
     returned: a lower bound on the separable maximum, reached by the
     returned product state.
     """
-    d_a, d_b = terms_a.shape[1], terms_b.shape[1]
-    flat_a, flat_b = terms_a.reshape(len(terms_a), -1), terms_b.reshape(len(terms_b), -1)
+    d_a, d_b = alice[0].shape[0], bob[0].shape[0]
+    flat_a = np.array(alice).reshape(2, -1)
+    flat_b = np.array([bob[0] + bob[1], bob[0] - bob[1]]).reshape(2, -1)
     fixed_a, fixed_b = flat_a.T.copy(), flat_b.T.copy()
     eye_a, eye_b = np.eye(d_a), np.eye(d_b)
+    pencil_a, pencil_b = _pencil_candidates(*alice), _pencil_candidates(*bob)
+    b_pencil = np.array([[1.0, 1.0], [1.0, -1.0]])  # B's weights on (B0 + B1, B0 - B1) -> on (B0, B1)
 
-    def contract(vecs: np.ndarray, fixed: np.ndarray, free: np.ndarray, side: int) -> np.ndarray:
+    def weigh(vecs: np.ndarray, fixed: np.ndarray) -> np.ndarray:  # <v|term_k|v>, (n, 2) real
         outer = vecs.conj()[:, :, None] * vecs[:, None, :]
-        return ((outer.reshape(len(vecs), -1) @ fixed) @ free).reshape(-1, side, side)
+        return (outer.reshape(len(vecs), -1) @ fixed).real
+
+    def pencils(weights: np.ndarray, free: np.ndarray, side: int) -> np.ndarray:
+        return (weights @ free).reshape(-1, side, side)
 
     def complex_rows(part: np.ndarray) -> np.ndarray:  # real parts, then imaginary parts
         real, imag = np.split(part, 2, axis=1)
@@ -344,11 +425,16 @@ def _see_saw(
     a_vecs = np.empty((restarts, d_a), dtype=complex)
     values = np.full(restarts, -math.inf)
     active = np.arange(restarts)
+    b_weights = weigh(b_vecs, fixed_b)
     for _ in range(iters):
-        _, a_new = _top_eigvecs(contract(b_vecs[active], fixed_b, flat_a, d_a), probes_a[active], eye_a)
-        new_values, b_new = _top_eigvecs(contract(a_new, fixed_a, flat_b, d_b), probes_b[active], eye_b)
+        w_b = b_weights[active]
+        a_new = _top_eigvecs(pencils(w_b, flat_a, d_a), _pencil_top(pencil_a, w_b), probes_a[active], eye_a)
+        w_a = weigh(a_new, fixed_a)
+        b_new = _top_eigvecs(pencils(w_a, flat_b, d_b), _pencil_top(pencil_b, w_a @ b_pencil), probes_b[active], eye_b)
+        w_b = weigh(b_new, fixed_b)
+        new_values = np.einsum("nk,nk->n", w_a, w_b)  # <a x b| sum_k T_k x U_k |a x b>
         converged = new_values - values[active] < 1e-12
-        a_vecs[active], b_vecs[active], values[active] = a_new, b_new, new_values
+        a_vecs[active], b_vecs[active], b_weights[active], values[active] = a_new, b_new, w_b, new_values
         active = active[~converged]
         if not active.size:
             break
@@ -356,7 +442,7 @@ def _see_saw(
     best = int(np.flatnonzero(values >= values.max() - 1e-9)[0])
     value = float(values[best])
     a_vec, b_vec = a_vecs[best], b_vecs[best]
-    achieved = float(np.real(a_vec.conj() @ contract(b_vec[None], fixed_b, flat_a, d_a)[0] @ a_vec))
+    achieved = float(np.real(a_vec.conj() @ pencils(b_weights[best, None], flat_a, d_a)[0] @ a_vec))
     if abs(achieved - value) > 1e-9:
         raise ValidationError(f"see-saw state reaches {achieved:.12g}, not its value {value:.12g}")
     return value, PureState(np.kron(a_vec, b_vec), (d_a, d_b))
@@ -406,8 +492,15 @@ def sep_bound(
     ``formula_value`` is the accurate one. The see-saw (:func:`_see_saw`)
     runs on the two product terms A0 x (B0 + B1) and A1 x (B0 - B1), so no
     d^4 array is built and a sweep over n restarts costs O(n d^2) in
-    products. No Hermiticity check runs here: each observable was checked
-    when it was built.
+    products. Each matrix it diagonalizes is a pencil x X0 + y X1 of one
+    party's observables, which squares to (x^2 + y^2) I + 2xy H with
+    H = (X0 X1 + X1 X0) / 2, so one ``eigh`` of H per party gives every
+    top eigenvalue in closed form (:func:`_pencil_candidates`); a 1x1
+    block at an edge of H takes the signed value s (x +/- y), since the
+    root |x +/- y| would overshoot it. Its ``oracle_value`` is the
+    Rayleigh quotient of the returned product state, so it is reached
+    whatever the shift. No Hermiticity check runs here: each observable
+    was checked when it was built.
     """
     s_a, gap_a = _min_phase_sine(a0, a1)
     s_b, gap_b = _min_phase_sine(b0, b1)
@@ -424,7 +517,5 @@ def sep_bound(
         raise ValidationError("need at least one iteration")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
-    terms_a = np.array([a0.matrix, a1.matrix])
-    terms_b = np.array([b0.matrix + b1.matrix, b0.matrix - b1.matrix])
-    value, state = _see_saw(terms_a, terms_b, restarts, iters, seed)
+    value, state = _see_saw((a0.matrix, a1.matrix), (b0.matrix, b1.matrix), restarts, iters, seed)
     return structure, SepBoundResult(formula, value, state)

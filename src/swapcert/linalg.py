@@ -29,6 +29,18 @@ def _checked_int(value: object, name: str) -> int:
     return int(value)
 
 
+def _checked_dims(dims: Iterable[object]) -> tuple[int, ...]:
+    """``dims`` as a tuple of ``int``; a dimension below 1 raises ``ValidationError``.
+
+    Two negative dimensions can multiply to a valid side, and a reshape to
+    them then fails inside numpy instead of at the boundary.
+    """
+    out = tuple(int(d) for d in dims)
+    if any(d < 1 for d in out):
+        raise ValidationError(f"dims {out} must all be at least 1")
+    return out
+
+
 def _as_matrix(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     out = np.asarray(mat, dtype=complex)
     if out.ndim != 2:
@@ -101,7 +113,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         vec = np.array(self.vector, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
+        dims = _checked_dims(self.dims)
         if int(np.prod(dims)) != vec.size:
             raise ValidationError(f"dims {dims} do not match vector length {vec.size}")
         if not np.all(np.isfinite(vec)):
@@ -128,7 +140,7 @@ class DensityMatrix:
 
     def __post_init__(self, tol: float) -> None:
         mat = np.array(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
+        dims = _checked_dims(self.dims)
         side = math.prod(dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError("density matrix must be square")

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, PureState, ValidationError, _as_matrix, hermitian_deviation, tensor
+from .linalg import DEFAULT_TOL, PureState, ValidationError, _as_matrix, _checked_dims, hermitian_deviation, tensor
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -128,7 +128,7 @@ class FourOutcomeMeasurement:
     def __post_init__(self, tol: float) -> None:
         if len(self.projectors) != 4:
             raise ValidationError(f"expected 4 projectors, got {len(self.projectors)}")
-        dims = (int(self.dims[0]), int(self.dims[1]))
+        dims = _checked_dims((self.dims[0], self.dims[1]))
         side = dims[0] * dims[1]
         projs = []
         for k, proj in enumerate(self.projectors):
@@ -158,7 +158,7 @@ class FourOutcomeMeasurement:
         and ``projectors`` are views of its rows.
         """
         vecs = np.asarray(vectors, dtype=complex)
-        dims = (int(dims[0]), int(dims[1]))
+        dims = _checked_dims((dims[0], dims[1]))
         side = dims[0] * dims[1]
         if vecs.shape != (4, side):
             raise ValidationError(f"expected 4 vectors of length {side}, got shape {vecs.shape}")

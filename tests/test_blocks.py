@@ -24,7 +24,7 @@ from swapcert import (
     theorem_check,
     version_operator,
 )
-from swapcert.blocks import _top_eigvecs
+from swapcert.blocks import _pencil_candidates, _pencil_top, _top_eigvecs
 from swapcert.serialize import json_dumps, observable_from_json, observable_to_json
 from support import (
     I2,
@@ -386,7 +386,7 @@ class TestClosedFormBound:
             sep_bound(Z_OBS, X_OBS, Z_OBS, DichotomicObservable(np.eye(3)), with_oracle=False)
 
     @pytest.mark.parametrize("kind", ["generic", "planted"])
-    @pytest.mark.parametrize("d_a,d_b", [(2, 2), (3, 3), (4, 4), (8, 8), (3, 2), (4, 8)])
+    @pytest.mark.parametrize("d_a,d_b", [(2, 2), (3, 3), (4, 4), (8, 8), (3, 2), (4, 8), (16, 16)])
     def test_see_saw_matches_operator_builder(self, kind, d_a, d_b):
         # the seeds past 32 bits take the generator's list path, the others its uint32 path
         rng = np.random.default_rng([d_a, d_b, kind == "planted"])
@@ -766,15 +766,17 @@ def pencil_settings(kind: str, d: int, rng: np.random.Generator) -> tuple[np.nda
 
 
 class TestTopEigvecs:
-    """The see-saw's eigenpair kernel: eigvalsh's top eigenvalue and one shifted solve for its vector."""
+    """The see-saw's eigenpair kernel: a pencil's top eigenvalue in closed form and one shifted solve for its vector."""
 
     @staticmethod
-    def check(mats: np.ndarray, rng: np.random.Generator) -> None:
-        n, d, _ = mats.shape
+    def check(a0: np.ndarray, a1: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> None:
+        n, d = len(weights), a0.shape[0]
+        mats = weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1
         probes = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-        top, vecs = _top_eigvecs(mats, probes, np.eye(d))
+        top = _pencil_top(_pencil_candidates(a0, a1), weights)
+        vecs = _top_eigvecs(mats, top, probes, np.eye(d))
         want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
-        assert top.tobytes() == want.tobytes()
+        assert np.all(np.abs(top - want) <= 1e-12 * (1.0 + np.abs(want)))
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-14)
         rayleigh = np.einsum("ni,nij,nj->n", vecs.conj(), mats, vecs).real
         assert np.all(np.abs(rayleigh - want) <= 1e-12 * (1.0 + np.abs(want)))
@@ -788,19 +790,58 @@ class TestTopEigvecs:
         a0, a1 = pencil_settings(kind, d, rng)
         weights = rng.normal(size=(16, 2))
         weights[:2] = [[1.0, 0.0], [0.0, -1.0]]  # A0 and -A1 themselves: degenerate tops from d = 4 on
-        mats = weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1
         if kind == "degenerate" and d >= 4:
-            w = np.linalg.eigvalsh(mats)
+            w = np.linalg.eigvalsh(weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1)
             assert np.all(w[:, -1] == w[:, -2])
-        self.check(mats, rng)
+        self.check(a0, a1, weights, rng)
+
+    @pytest.mark.parametrize("d", [3, 8, 16])
+    def test_mixed_edge_unit_weights(self, d):
+        # At odd d, A0 - A1 has the spectrum {0, +/-5e-8}: the 1x1 block at phase 0 and the 2x2
+        # block 5e-8 from it. Its root sqrt(2 (1 - c)) reads 1 - c = 1.25e-15 from c rounded to
+        # about 1e-16, so the closed-form top is good only to a few 1e-8, and the shift may fall
+        # below the top. The vector's Rayleigh quotient, which the see-saw takes as its value,
+        # then lies below the top by as much; it never exceeds the top.
+        rng = np.random.default_rng([d, 5])
+        a0, a1 = pencil_settings("mixed_edge", d, rng)
+        weights = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        mats = weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1
+        top = _pencil_top(_pencil_candidates(a0, a1), weights)
+        vecs = _top_eigvecs(mats, top, rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d)), np.eye(d))
+        want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
+        tiny = want < 1e-6
+        assert tiny.tolist() == [False, d % 2 == 1, d % 2 == 1, False]
+        tol = np.where(tiny, 1e-7, 1e-12 * (1.0 + np.abs(want)))
+        assert np.all(np.abs(top - want) <= tol)
+        rayleigh = np.einsum("ni,nij,nj->n", vecs.conj(), mats, vecs).real
+        assert np.all(rayleigh - want <= 1e-12 * (1.0 + np.abs(want)))
+        assert np.all(want - rayleigh <= tol)
+
+    @given(bound_layouts(), st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), min_size=1, max_size=6))
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_closed_form_top_matches_eigvalsh(self, layout, weights):
+        # The rounding of the square x^2 + y^2 + 2xy c, c within 1e-15 of exact, is at most
+        # e = 1e-15 (|x| + |y|)^2, so its root is off by at most min(sqrt(e), e / |lambda|).
+        a0, a1, _ = layout
+        weights = np.array(weights)
+        mats = weights[:, 0, None, None] * a0.matrix + weights[:, 1, None, None] * a1.matrix
+        want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
+        top = _pencil_top(_pencil_candidates(a0.matrix, a1.matrix), weights)
+        slack = 1e-15 * np.abs(weights).sum(axis=1) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):  # fmin drops the NaN of 0 / 0
+            rounding = np.fmin(np.sqrt(slack), slack / np.abs(want))
+        assert np.all(np.abs(top - want) <= 1e-12 * (1.0 + np.abs(want)) + rounding)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_pauli_pencil(self, sign):
         # the top eigenvector of -X is (1, -1) / sqrt(2), orthogonal to an all-ones probe
         rng = np.random.default_rng(7)
-        self.check(np.array([sign * X] * 8), rng)
-        top, vecs = _top_eigvecs(np.array([sign * X]), rng.normal(size=(1, 2)) + 0j, np.eye(2))
+        weights = np.array([[1.0, 0.0]] * 8)
+        self.check(sign * X, Z, weights, rng)
+        top = _pencil_top(_pencil_candidates(sign * X, Z), weights[:1])
         assert top[0] == 1.0
+        vecs = _top_eigvecs(np.array([sign * X]), top, rng.normal(size=(1, 2)) + 0j, np.eye(2))
         assert abs(abs(np.vdot(vecs[0], [1.0, sign])) - SQRT2) <= 1e-12
 
 

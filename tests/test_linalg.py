@@ -235,6 +235,16 @@ class TestStateTypes:
         with pytest.raises(ValidationError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
 
+    def test_density_rejects_negative_dims(self):
+        # (-2, -2) multiplies to the side 4; partial_trace would then fail inside numpy's reshape
+        with pytest.raises(ValidationError, match=r"^dims \(-2, -2\) must all be at least 1$"):
+            DensityMatrix(np.eye(4) / 4, (-2, -2))
+
+    @pytest.mark.parametrize("dims", [(-2, -2), (0, 4), (4, -1, -1)])
+    def test_pure_rejects_dims_below_one(self, dims):
+        with pytest.raises(ValidationError, match="must all be at least 1"):
+            PureState(np.eye(4)[0], dims)
+
     def test_pure_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             PureState(np.array([1.0, 1.0]), (2,))

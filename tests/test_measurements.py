@@ -210,6 +210,11 @@ class TestFromVectors:
             with pytest.raises(ValidationError, match=message):
                 FourOutcomeMeasurement.from_vectors(vectors, dims)
 
+    @pytest.mark.parametrize("dims", [(-2, -2), (0, 4)])
+    def test_rejects_dims_below_one(self, dims):
+        with pytest.raises(ValidationError, match="must all be at least 1"):
+            FourOutcomeMeasurement.from_vectors(np.eye(4), dims)
+
     def test_projectors_are_views_of_one_read_only_stack(self):
         meas = FourOutcomeMeasurement.from_vectors(haar_unitary(4, np.random.default_rng(3)), (2, 2))
         assert meas.projector_stack.shape == (4, 4, 4) and not meas.projector_stack.flags.writeable
@@ -399,6 +404,11 @@ class TestValidation:
         projs.append(np.zeros((4, 4)))
         with pytest.raises(ValidationError):
             FourOutcomeMeasurement(tuple(projs), (2, 2))
+
+    def test_negative_dims_rejected(self):
+        # (-2, -2) multiplies to the side 4 of the Bell projectors
+        with pytest.raises(ValidationError, match=r"^dims \(-2, -2\) must all be at least 1$"):
+            FourOutcomeMeasurement(bell_measurement().projectors, (-2, -2))
 
     def test_non_orthogonal_rejected(self):
         basis = bell_basis()
