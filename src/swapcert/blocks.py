@@ -32,11 +32,11 @@ EDGE_TOL = 1e-9
 # chsh_spectrum: slack of the +/- pairing and of alpha1^2 + alpha2^2 = 8.
 SPECTRUM_TOL = 1e-8
 
-# Half-width of the clusters of H = (X0 X1 + X1 X0) / 2 at +/-1 that the
-# see-saw's closed-form top eigenvalue reads as 1x1 blocks. An observable
-# passes its checks squaring to I within 1e-9, which moves the eigenvalue of
-# H on a 1x1 block by about as much; a 2x2 block falls inside only within
-# phase 1.4e-4 of the edge, and then keeps the cluster among the roots.
+# Half-width of the clusters of cos(phi) at +/-1, over the eigenphases phi of
+# X0 X1, that the see-saw's closed-form top eigenvalue reads as 1x1 blocks.
+# An observable passes its checks squaring to I within 1e-9, which moves
+# cos(phi) on a 1x1 block by about as much; a 2x2 block falls inside only
+# within phase 1.4e-4 of the edge, and then keeps the cluster among the roots.
 PENCIL_EDGE_TOL = 1e-8
 
 
@@ -55,10 +55,11 @@ class ObservableBlock:
 
 @dataclass(frozen=True)
 class ObservableBlocks:
-    """Complete block decomposition of a pair of +/-1 observables."""
+    """Complete block decomposition of a pair of +/-1 observables, with |sin phi| of each block's eigenphase."""
 
     parent_dim: int
     blocks: tuple[ObservableBlock, ...]
+    sines: tuple[float, ...]  # 0 on a 1x1 block; on a 2x2 block from the eig of A0 A1 that built it
 
     def embed(self) -> tuple[np.ndarray, np.ndarray]:
         """Reassemble the full observables from the blocks."""
@@ -101,6 +102,17 @@ class SepBoundResult:
     oracle_state: PureState | None = None
 
 
+def _unit_phases(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos phi and |sin phi| of eigenvalues w = e^{i phi} of A0 A1, both read relative to |w|.
+
+    w off the unit circle by more than 1e-8 raises ``ValidationError``.
+    """
+    modulus = np.abs(w)
+    if np.any(np.abs(modulus - 1.0) > 1e-8):  # an empty w, from a commuting pair, passes
+        raise ValidationError("eigenvalues of A0*A1 lie off the unit circle by more than 1e-8")
+    return w.real / modulus, np.abs(w.imag) / modulus
+
+
 def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> ObservableBlocks:
     """Split a pair of +/-1 observables into jointly invariant blocks of size <= 2.
 
@@ -112,13 +124,14 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     threshold is the larger of ``EDGE_TOL`` and 8 max|Ai^2 - I| over the two
     observables, so settings rounded to 9 digits split at their own rounding
     level. On the remainder, U restricted by one ``eig`` has its eigenphases
-    in conjugate pairs, and each eigenvector u at a positive phase pairs
-    with A0 u to span a 2x2 block. Blocks are listed by ascending phase,
-    the 1x1 blocks at 0 first and those at pi last, and each block's basis
-    is orthogonalized against all earlier blocks, which A0 and A1 leave
-    invariant: eigenvectors at equal or close phases are not orthogonal as
-    ``eig`` returns them. The reconstruction from the returned blocks is
-    verified to 1e-8.
+    in conjugate pairs (off the unit circle by more than 1e-8, they raise
+    ``ValidationError``), and each eigenvector u at a positive phase pairs
+    with A0 u to span a 2x2 block, whose |sin phi| is recorded. Blocks are
+    listed by ascending phase, the 1x1 blocks at 0 first and those at pi
+    last, and each block's basis is orthogonalized against all earlier
+    blocks, which A0 and A1 leave invariant: eigenvectors at equal or close
+    phases are not orthogonal as ``eig`` returns them. The reconstruction
+    from the returned blocks is verified to 1e-8.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
@@ -142,7 +155,9 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     if np.count_nonzero(phases > 0.0) != np.count_nonzero(phases <= 0.0):
         raise ValidationError("eigenphases of A0*A1 do not pair into conjugates")
     positive = np.flatnonzero(phases > 0.0)
-    twos = (rest @ rest_vecs[:, positive[np.argsort(phases[positive], kind="stable")]]).T
+    positive = positive[np.argsort(phases[positive], kind="stable")]
+    twos = (rest @ rest_vecs[:, positive]).T
+    sines = (0.0,) * len(at_zero) + tuple(_unit_phases(rest_vals)[1][positive].tolist()) + (0.0,) * len(at_pi)
 
     def fresh(v: np.ndarray, built: np.ndarray) -> np.ndarray:
         v = v - built @ (built.conj().T @ v)
@@ -159,7 +174,7 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
             r0, r1 = r0.real.astype(complex), r1.real.astype(complex)
         blocks.append(ObservableBlock(basis, r0, r1))
 
-    result = ObservableBlocks(d, tuple(blocks))
+    result = ObservableBlocks(d, tuple(blocks), sines)
     r0, r1 = result.embed()
     err = max(float(np.max(np.abs(r0 - mat0))), float(np.max(np.abs(r1 - mat1))))
     if not err <= 1e-8:  # NaN fails too
@@ -211,39 +226,18 @@ def version_operator(
     return _chsh_matrix(s * a1.matrix, t * a2.matrix, b1.matrix, b2.matrix)
 
 
-def _phase_sines(unitary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|sin phi| and |cos phi| of the eigenvalues w = e^{i phi} of a unitary or a stack, from one ``eigvals``.
-
-    Both are read relative to |w|; w off the unit circle by more than 1e-8 raises ``ValidationError``.
-    """
-    w = np.linalg.eigvals(unitary)
-    modulus = np.abs(w)
-    if np.max(np.abs(modulus - 1.0)) > 1e-8:
-        raise ValidationError("eigenvalues of A0*A1 lie off the unit circle by more than 1e-8")
-    return np.abs(w.imag) / modulus, np.abs(w.real) / modulus
-
-
-def _block_sines(decomposition: ObservableBlocks) -> np.ndarray:
-    """|sin| of each block's eigenphase: 0 on a 1x1 block, one stacked ``eigvals`` for the 2x2 blocks."""
-    sines = np.zeros(len(decomposition.blocks))
-    two = [k for k, block in enumerate(decomposition.blocks) if block.size == 2]
-    if two:
-        products = np.array([decomposition.blocks[k].a0 @ decomposition.blocks[k].a1 for k in two])
-        sines[two] = _phase_sines(products)[0].min(axis=1)
-    return sines
-
-
 def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBlockStructure:
     """Every block pair as (row, col, alpha), in row-major order, and the smallest alpha.
 
     alpha is the top eigenvalue of the CHSH operator restricted to the pair.
     Landau's identity gives it, as in :func:`sep_bound`, without building the
     operator: alpha_ij = 2 sqrt(1 + s_i s_j), where s is the |sin| of a
-    block's eigenphase, 0 on a 1x1 block, so the whole table is one
-    broadcast. A pair with a 1x1 block gets the classical value 2 and two
-    blocks at phase pi/2 get 2*sqrt(2).
+    block's eigenphase that :func:`jordan_blocks` recorded in ``sines``, so
+    the whole table is one broadcast and no eigensolver runs. A pair with a
+    1x1 block gets the classical value 2 and two blocks at phase pi/2 get
+    2*sqrt(2).
     """
-    alpha = 2.0 * np.sqrt(1.0 + np.outer(_block_sines(a_blocks), _block_sines(b_blocks)))
+    alpha = 2.0 * np.sqrt(1.0 + np.outer(a_blocks.sines, b_blocks.sines))
     pairs = tuple(BlockPair(i, j, value) for i, row in enumerate(alpha.tolist()) for j, value in enumerate(row))
     return ChshBlockStructure(pairs, min((pair.alpha for pair in pairs), default=math.inf))
 
@@ -278,43 +272,43 @@ def sep_bound_formula(structure: ChshBlockStructure) -> float:
     return sep_bound_value(structure.lam)
 
 
-def _pencil_candidates(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates for the top eigenvalue of every pencil x X0 + y X1 of two +/-1 observables, from one ``eigh``.
+def _pencil_candidates(c: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates for the top eigenvalue of every pencil x X0 + y X1 of two +/-1 observables, with no eigensolve.
 
+    ``c`` is cos(phi) over the eigenvalues e^{i phi} of X0 X1 (:func:`_unit_phases`).
     Since X0^2 = X1^2 = I, M = x X0 + y X1 squares to (x^2 + y^2) I + 2xy H
-    with H = (X0 X1 + X1 X0) / 2, and H commutes with X0 and X1. On a 2x2
+    with H = (X0 X1 + X1 X0) / 2, whose eigenvalues are these c. On a 2x2
     block at phase phi, H = cos(phi) and M has the eigenvalues
     +/- sqrt(x^2 + y^2 + 2xy cos(phi)), which are monotone in cos(phi); so
     over the 2x2 blocks the top is that root at the smallest or the largest
-    eigenvalue c of H. A 1x1 block is an eigenvector of H at e = +/-1 on
-    which X0 = s and X1 = e s, and M there is s (x + e y) alone, not both
-    signs of it: the root |x + e y| would overshoot it wherever s (x + e y)
-    is negative, and a shift set from it could lie far above the spectrum.
-    So each cluster of eigenvalues of H within ``PENCIL_EDGE_TOL`` of e on
-    which X0 has one sign s only, as its trace there shows, leaves the
-    roots and gives the line (s, s e), the candidate s x + s e y. A cluster
-    that holds both signs of X0 (1x1 blocks of both signs, or a 2x2 block
-    near the edge) stays among the roots, where |x + e y| up to the
-    cluster's width is reached or bounds the cluster's eigenvalues from
-    above, so the top stays an upper bound.
+    c. A 1x1 block sits at c = e = +/-1 with X0 = s and X1 = e s, and M
+    there is s (x + e y) alone, not both signs of it: the root |x + e y|
+    would overshoot it wherever s (x + e y) is negative, and a shift set
+    from it could lie far above the spectrum. Every 2x2 restriction is
+    traceless, so (tr X0 + e tr X1) / 2 is the sum of s over the 1x1 blocks
+    at e. Each cluster of c within ``PENCIL_EDGE_TOL`` of e whose size that
+    sum reaches, so that X0 has one sign s there, leaves the roots and gives
+    the line (s, s e), the candidate s x + s e y. A cluster that holds both
+    signs of X0 (1x1 blocks of both signs, or a 2x2 block near the edge)
+    stays among the roots, where |x + e y| up to the cluster's width is
+    reached or bounds the cluster's eigenvalues from above, so the top stays
+    an upper bound.
 
-    Returns the roots, the smallest and largest c left (none if every
-    eigenvalue of H fell in a one-signed cluster), and the lines as the
-    (2, k) columns (s, s e).
+    Returns the roots, the smallest and largest c left (none if every c fell
+    in a one-signed cluster), and the lines as the (2, k) columns (s, s e).
     """
-    c, vecs = np.linalg.eigh((x0 @ x1 + x1 @ x0) / 2.0)
     keep = np.ones(len(c), dtype=bool)
     lines = []
     for edge in (-1.0, 1.0):
         cluster = np.abs(c - edge) <= PENCIL_EDGE_TOL
         if cluster.any():
-            trace = float(np.vdot(vecs[:, cluster], x0 @ vecs[:, cluster]).real)
-            if abs(trace) > np.count_nonzero(cluster) - 0.5:
-                sign = math.copysign(1.0, trace)
+            ones = float(np.trace(x0 + edge * x1).real) / 2.0
+            if abs(ones) > np.count_nonzero(cluster) - 0.5:
+                sign = math.copysign(1.0, ones)
                 lines.append((sign, sign * edge))
                 keep &= ~cluster
     rest = c[keep]
-    return rest[[0, -1]] if rest.size else rest, np.array(lines).reshape(-1, 2).T.copy()
+    return np.array([rest.min(), rest.max()]) if rest.size else rest, np.array(lines).reshape(-1, 2).T.copy()
 
 
 def _pencil_top(candidates: tuple[np.ndarray, np.ndarray], weights: np.ndarray) -> np.ndarray:
@@ -353,16 +347,17 @@ def _top_eigvecs(mats: np.ndarray, top: np.ndarray, probes: np.ndarray, eye: np.
 
 
 def _see_saw(
-    alice: tuple[np.ndarray, np.ndarray],
-    bob: tuple[np.ndarray, np.ndarray],
+    alice: tuple[np.ndarray, np.ndarray, np.ndarray],
+    bob: tuple[np.ndarray, np.ndarray, np.ndarray],
     restarts: int,
     iters: int,
     seed: int,
 ) -> tuple[float, PureState]:
     """Best CHSH value A0 x (B0 + B1) + A1 x (B0 - B1) over pure product states, by alternating ascent.
 
-    ``alice`` is (A0, A1) and ``bob`` (B0, B1), as matrices. The operator is
-    the sum of the two product terms T_k x U_k with T = (A0, A1) and
+    ``alice`` is (c, A0, A1) and ``bob`` (c, B0, B1), as arrays, with c the
+    cosines of the eigenphases of A0 A1 (:func:`_unit_phases`). The operator
+    is the sum of the two product terms T_k x U_k with T = (A0, A1) and
     U = (B0 + B1, B0 - B1). From a random product start, one side is fixed
     while the other is set to the top eigenvector of the contracted
     operator, back and forth until the value improves by less than 1e-12 or
@@ -382,10 +377,10 @@ def _see_saw(
     observables: (x, y) are the weights on A's side and
     (u0 + u1, u0 - u1) for the weights (u0, u1) on B's. Its top eigenvalue,
     which sets the shift of :func:`_top_eigvecs`, is read in closed form by
-    :func:`_pencil_top` from one :func:`_pencil_candidates` per side, so a
-    sweep over n restarts costs O(n d^2) in products besides two stacked
-    solves. A restart's value is the Rayleigh quotient of its product state
-    a x b, sum_k <a|T_k|a> <b|U_k|b>, read from the weights of a and of b;
+    :func:`_pencil_top` from one :func:`_pencil_candidates` per side, from
+    its cosines, so a sweep over n restarts costs O(n d^2) in products
+    besides two stacked solves and runs no eigensolver. A restart's value is
+    the Rayleigh quotient of its product state a x b, sum_k <a|T_k|a> <b|U_k|b>, read from the weights of a and of b;
     so the state reaches its value whatever the shift was, and the weights
     of b also give the next sweep's A matrices.
 
@@ -399,9 +394,10 @@ def _see_saw(
     returned: a lower bound on the separable maximum, reached by the
     returned product state.
     """
-    d_a, d_b = alice[0].shape[0], bob[0].shape[0]
-    flat_a = np.array(alice).reshape(2, -1)
-    flat_b = np.array([bob[0] + bob[1], bob[0] - bob[1]]).reshape(2, -1)
+    (_, a0, a1), (_, b0, b1) = alice, bob
+    d_a, d_b = a0.shape[0], b0.shape[0]
+    flat_a = np.array([a0, a1]).reshape(2, -1)
+    flat_b = np.array([b0 + b1, b0 - b1]).reshape(2, -1)
     fixed_a, fixed_b = flat_a.T.copy(), flat_b.T.copy()
     eye_a, eye_b = np.eye(d_a), np.eye(d_b)
     pencil_a, pencil_b = _pencil_candidates(*alice), _pencil_candidates(*bob)
@@ -448,19 +444,6 @@ def _see_saw(
     return value, PureState(np.kron(a_vec, b_vec), (d_a, d_b))
 
 
-def _min_phase_sine(a0: DichotomicObservable, a1: DichotomicObservable) -> tuple[float, float]:
-    """Smallest |sin phi| over the eigenvalues w = e^{i phi} of A0 A1, and 1 minus it.
-
-    With c = |Re w| / |w|, 1 - |sin phi| is formed as c^2 / (1 + |sin phi|),
-    which keeps its relative accuracy where |sin phi| is close to 1.
-    """
-    if a0.dim != a1.dim:
-        raise ValidationError("observables must act on the same space")
-    sines, cosines = _phase_sines(a0.matrix @ a1.matrix)
-    k = int(np.argmin(sines))
-    return float(sines[k]), float(cosines[k] ** 2 / (1.0 + sines[k]))
-
-
 def sep_bound(
     a0: DichotomicObservable,
     a1: DichotomicObservable,
@@ -481,7 +464,10 @@ def sep_bound(
     lam = min alpha_ij = 2 sqrt(1 + p) with p = s_A s_B, where s_A is the
     smallest |sin| over the eigenphases of A0 A1 and s_B that of B0 B1, and
     the bound (lam + sqrt(8 - lam^2)) / 2 equals sqrt(1 + p) + sqrt(1 - p).
-    No blocks are built: two ``eigvals`` calls suffice. 1 - p is formed as
+    No blocks are built: one ``eigvals`` of X0 X1 per party gives its
+    eigenvalues w, read by :func:`_unit_phases` as c = Re w / |w| and
+    s = |Im w| / |w|. 1 - s is formed as c^2 / (1 + s), which keeps its
+    relative accuracy where s is close to 1, and 1 - p as
     (1 - s_A) + s_A (1 - s_B), so the ideal settings give sqrt(2) without
     snapping. Eigenvalues off the unit circle by more than 1e-8 raise
     ``ValidationError``.
@@ -494,16 +480,23 @@ def sep_bound(
     d^4 array is built and a sweep over n restarts costs O(n d^2) in
     products. Each matrix it diagonalizes is a pencil x X0 + y X1 of one
     party's observables, which squares to (x^2 + y^2) I + 2xy H with
-    H = (X0 X1 + X1 X0) / 2, so one ``eigh`` of H per party gives every
-    top eigenvalue in closed form (:func:`_pencil_candidates`); a 1x1
-    block at an edge of H takes the signed value s (x +/- y), since the
+    H = (X0 X1 + X1 X0) / 2, whose eigenvalues are the same c; so the c of
+    the formula give every top eigenvalue in closed form
+    (:func:`_pencil_candidates`), and the see-saw runs no eigensolver. A
+    1x1 block at c = +/-1 takes the signed value s (x +/- y), since the
     root |x +/- y| would overshoot it. Its ``oracle_value`` is the
     Rayleigh quotient of the returned product state, so it is reached
     whatever the shift. No Hermiticity check runs here: each observable
     was checked when it was built.
     """
-    s_a, gap_a = _min_phase_sine(a0, a1)
-    s_b, gap_b = _min_phase_sine(b0, b1)
+    sides = []
+    for x0, x1 in ((a0, a1), (b0, b1)):
+        if x0.dim != x1.dim:
+            raise ValidationError("observables must act on the same space")
+        cosines, sines = _unit_phases(np.linalg.eigvals(x0.matrix @ x1.matrix))
+        k = int(np.argmin(sines))
+        sides.append((float(sines[k]), float(cosines[k] ** 2 / (1.0 + sines[k])), (cosines, x0.matrix, x1.matrix)))
+    (s_a, gap_a, alice), (s_b, gap_b, bob) = sides
     p = s_a * s_b
     structure = ChshBlockStructure((), 2.0 * math.sqrt(1.0 + p))
     formula = math.sqrt(1.0 + p) + math.sqrt(gap_a + s_a * gap_b)
@@ -517,5 +510,5 @@ def sep_bound(
         raise ValidationError("need at least one iteration")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
-    value, state = _see_saw((a0.matrix, a1.matrix), (b0.matrix, b1.matrix), restarts, iters, seed)
+    value, state = _see_saw(alice, bob, restarts, iters, seed)
     return structure, SepBoundResult(formula, value, state)

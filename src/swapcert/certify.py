@@ -20,6 +20,7 @@ from .measurements import FourOutcomeMeasurement, bell_basis
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
+QUANTUM_CEILING = TSIRELSON + DEFAULT_TOL  # largest exact CHSH value accepted: rounding slack above 2*sqrt(2)
 CLASSICAL_BOUND = 2.0
 
 # Sign pattern of each conditional-CHSH variant on (E11, E12, E21, E22).
@@ -184,7 +185,7 @@ def distance_bounds(s_ab_values: Sequence[float]) -> DistanceBounds:
     for c, v in enumerate(values):
         if not math.isfinite(v):
             raise ValidationError(f"conditional value for outcome {c + 1} is undefined")
-        if v > TSIRELSON + DEFAULT_TOL:
+        if v > QUANTUM_CEILING:
             raise ValidationError(f"conditional value {v:.12g} exceeds the quantum ceiling")
     clamped = [min(v, TSIRELSON) for v in values]
     lower = math.sqrt(max(0.0, 0.5 * (1.0 - max(clamped) / TSIRELSON)))

@@ -185,7 +185,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds_curve(args: argparse.Namespace) -> int:
-    if not (0.0 <= args.s_min <= args.s_max <= certify.TSIRELSON + DEFAULT_TOL):
+    if not (0.0 <= args.s_min <= args.s_max <= certify.QUANTUM_CEILING):
         raise UsageError(
             f"need 0 <= s-min <= s-max <= {certify.TSIRELSON:.9g}, "
             f"got [{args.s_min}, {args.s_max}]"
@@ -223,9 +223,8 @@ def _structure_payload(settings: tuple, **sep_bound_args: Any) -> tuple[dict, bl
     a0, a1, b0, b1 = settings
     a_blocks = blocks.jordan_blocks(a0, a1)
     b_blocks = blocks.jordan_blocks(b0, b1)
-    alpha = [[0.0] * len(b_blocks.blocks) for _ in a_blocks.blocks]
-    for pair in blocks.block_chsh(a_blocks, b_blocks).pairs:
-        alpha[pair.row][pair.col] = pair.alpha
+    pairs = blocks.block_chsh(a_blocks, b_blocks).pairs  # row-major
+    alpha = np.reshape([pair.alpha for pair in pairs], (len(a_blocks.blocks), len(b_blocks.blocks))).tolist()
     structure, result = blocks.sep_bound(a0, a1, b0, b1, **sep_bound_args)
     payload = {
         "a_blocks": a_blocks.blocks,

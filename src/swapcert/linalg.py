@@ -29,15 +29,19 @@ def _checked_int(value: object, name: str) -> int:
     return int(value)
 
 
-def _checked_dims(dims: Iterable[object]) -> tuple[int, ...]:
-    """``dims`` as a tuple of ``int``; a dimension below 1 raises ``ValidationError``.
+def _checked_dims(dims: Iterable[object], count: int | None = None) -> tuple[int, ...]:
+    """``dims`` as ``int``s, each read by :func:`_checked_int`; a dimension below 1, or not ``count`` of them, raises.
 
-    Two negative dimensions can multiply to a valid side, and a reshape to
-    them then fails inside numpy instead of at the boundary.
+    Two negative dimensions can multiply to a valid side, and a reshape to them then fails inside numpy.
     """
-    out = tuple(int(d) for d in dims)
-    if any(d < 1 for d in out):
+    try:
+        out = tuple([_checked_int(d, "each dimension") for d in dims])
+    except TypeError:  # not iterable
+        raise ValidationError(f"dims must be a sequence of integers, got {dims!r}") from None
+    if min(out, default=1) < 1:
         raise ValidationError(f"dims {out} must all be at least 1")
+    if count is not None and len(out) != count:
+        raise ValidationError(f"dims {out} must have {count} entries")
     return out
 
 

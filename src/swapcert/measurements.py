@@ -128,7 +128,7 @@ class FourOutcomeMeasurement:
     def __post_init__(self, tol: float) -> None:
         if len(self.projectors) != 4:
             raise ValidationError(f"expected 4 projectors, got {len(self.projectors)}")
-        dims = _checked_dims((self.dims[0], self.dims[1]))
+        dims = _checked_dims(self.dims, 2)
         side = dims[0] * dims[1]
         projs = []
         for k, proj in enumerate(self.projectors):
@@ -158,7 +158,7 @@ class FourOutcomeMeasurement:
         and ``projectors`` are views of its rows.
         """
         vecs = np.asarray(vectors, dtype=complex)
-        dims = _checked_dims((dims[0], dims[1]))
+        dims = _checked_dims(dims, 2)
         side = dims[0] * dims[1]
         if vecs.shape != (4, side):
             raise ValidationError(f"expected 4 vectors of length {side}, got shape {vecs.shape}")

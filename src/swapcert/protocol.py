@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import certify
-from .certify import SQRT2, TSIRELSON
+from .certify import QUANTUM_CEILING, SQRT2
 from .linalg import (
     DEFAULT_TOL,
     DensityMatrix,
@@ -141,7 +141,7 @@ class ChshReport:
     def check_quantum_ceiling(self, prefix: str = "") -> None:
         """Every defined CHSH value at most 2*sqrt(2) + ``DEFAULT_TOL`` in magnitude, the rule for exact values."""
         for value in (self.s_ac, self.s_bc, *self.s_ab_given_c):
-            if math.isfinite(value) and abs(value) > TSIRELSON + DEFAULT_TOL:
+            if math.isfinite(value) and abs(value) > QUANTUM_CEILING:
                 raise ValidationError(f"{prefix}CHSH value {value} exceeds the quantum ceiling")
 
 

@@ -24,7 +24,7 @@ from swapcert import (
     theorem_check,
     version_operator,
 )
-from swapcert.blocks import _pencil_candidates, _pencil_top, _top_eigvecs
+from swapcert.blocks import _pencil_candidates, _pencil_top, _top_eigvecs, _unit_phases
 from swapcert.serialize import json_dumps, observable_from_json, observable_to_json
 from support import (
     I2,
@@ -486,7 +486,51 @@ class TestVersionOperator:
             version_operator((Z_OBS, X_OBS), (Z_OBS, X_OBS), version)
 
 
+EIGENSOLVERS = ("eig", "eigvals", "eigh", "eigvalsh")
+
+
+def count_eigensolves(monkeypatch) -> dict[str, int]:
+    """Count the calls of each numpy eigensolver from here on, through counting wrappers set on ``np.linalg``."""
+    calls = dict.fromkeys(EIGENSOLVERS, 0)
+    for name in EIGENSOLVERS:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestBlockChsh:
+    @pytest.mark.parametrize("a_layout,b_layout", [
+        ((((1, 1), (1, -1)), (0.7, 1.1)), (((-1, 1),), (0.4,))),
+        (((), (math.pi / 2,)), (((1, 1), (-1, -1)), ())),
+    ])
+    def test_runs_no_eigensolver(self, monkeypatch, a_layout, b_layout):
+        rng = np.random.default_rng(41)
+        a_blocks, b_blocks = (jordan_blocks(*planted_layout(*layout, rng=rng)) for layout in (a_layout, b_layout))
+        calls = count_eigensolves(monkeypatch)
+        structure = block_chsh(a_blocks, b_blocks)
+        assert calls == dict.fromkeys(EIGENSOLVERS, 0)
+        pairs, lam = reference_block_chsh(a_blocks, b_blocks)
+        assert len(structure.pairs) == len(pairs)
+        assert all(abs(got.alpha - alpha) <= 1e-12 for got, (_, _, _, alpha) in zip(structure.pairs, pairs))
+        assert abs(structure.lam - lam) <= 1e-12
+
+    @given(bound_layouts())
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_sines_are_each_blocks_own(self, layout):
+        # jordan_blocks reads the sines off its eig of the restricted A0 A1; each block's own
+        # restrictions, orthogonalized against the earlier blocks, give the same |sin phi|
+        blocks = jordan_blocks(*layout[:2])
+        assert len(blocks.sines) == len(blocks.blocks)
+        for block, sine in zip(blocks.blocks, blocks.sines):
+            if block.size == 1:
+                assert sine == 0.0
+            else:
+                w = np.linalg.eigvals(block.a0 @ block.a1)
+                assert np.all(np.abs(np.abs(w.imag) / np.abs(w) - sine) <= 1e-12)
+
     def test_single_qubit_parties(self):
         a_blocks = jordan_blocks(Z_OBS, X_OBS)
         b_blocks = jordan_blocks(DIAG_OBS, ANTI_OBS)
@@ -743,6 +787,15 @@ class TestBatchedSeeSaw:
                               seed=np.uint8(3))
         assert result.oracle_value == pytest.approx(SQRT2, abs=1e-9)
 
+    @pytest.mark.parametrize("kind,d", [("ideal", 2), ("classical", 2), ("generic", 3), ("planted", 4)])
+    def test_reads_one_eigvals_per_party(self, monkeypatch, kind, d):
+        # the formula and the see-saw's closed-form tops share one eigvals of X0 X1 per party
+        obs = oracle_input(kind, d, 0)
+        calls = count_eigensolves(monkeypatch)
+        _, result = sep_bound(*obs, with_oracle=True, restarts=4, iters=50)
+        assert calls == {"eig": 0, "eigvals": 2, "eigh": 0, "eigvalsh": 0}
+        assert result.formula_value - result.oracle_value >= -1e-9
+
 
 def pencil_settings(kind: str, d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """A0 and A1 of generic, planted or mixed-edge settings, or of planted ones with equal phases unrotated.
@@ -765,6 +818,11 @@ def pencil_settings(kind: str, d: int, rng: np.random.Generator) -> tuple[np.nda
     return pair[0].matrix, pair[1].matrix
 
 
+def pencil_candidates(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The see-saw's pencil candidates of two observables, from the cosines ``sep_bound`` reads off A0 A1."""
+    return _pencil_candidates(_unit_phases(np.linalg.eigvals(a0 @ a1))[0], a0, a1)
+
+
 class TestTopEigvecs:
     """The see-saw's eigenpair kernel: a pencil's top eigenvalue in closed form and one shifted solve for its vector."""
 
@@ -773,7 +831,7 @@ class TestTopEigvecs:
         n, d = len(weights), a0.shape[0]
         mats = weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1
         probes = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-        top = _pencil_top(_pencil_candidates(a0, a1), weights)
+        top = _pencil_top(pencil_candidates(a0, a1), weights)
         vecs = _top_eigvecs(mats, top, probes, np.eye(d))
         want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
         assert np.all(np.abs(top - want) <= 1e-12 * (1.0 + np.abs(want)))
@@ -806,7 +864,7 @@ class TestTopEigvecs:
         a0, a1 = pencil_settings("mixed_edge", d, rng)
         weights = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         mats = weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1
-        top = _pencil_top(_pencil_candidates(a0, a1), weights)
+        top = _pencil_top(pencil_candidates(a0, a1), weights)
         vecs = _top_eigvecs(mats, top, rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d)), np.eye(d))
         want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
         tiny = want < 1e-6
@@ -827,7 +885,7 @@ class TestTopEigvecs:
         weights = np.array(weights)
         mats = weights[:, 0, None, None] * a0.matrix + weights[:, 1, None, None] * a1.matrix
         want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
-        top = _pencil_top(_pencil_candidates(a0.matrix, a1.matrix), weights)
+        top = _pencil_top(pencil_candidates(a0.matrix, a1.matrix), weights)
         slack = 1e-15 * np.abs(weights).sum(axis=1) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):  # fmin drops the NaN of 0 / 0
             rounding = np.fmin(np.sqrt(slack), slack / np.abs(want))
@@ -839,7 +897,7 @@ class TestTopEigvecs:
         rng = np.random.default_rng(7)
         weights = np.array([[1.0, 0.0]] * 8)
         self.check(sign * X, Z, weights, rng)
-        top = _pencil_top(_pencil_candidates(sign * X, Z), weights[:1])
+        top = _pencil_top(pencil_candidates(sign * X, Z), weights[:1])
         assert top[0] == 1.0
         vecs = _top_eigvecs(np.array([sign * X]), top, rng.normal(size=(1, 2)) + 0j, np.eye(2))
         assert abs(abs(np.vdot(vecs[0], [1.0, sign])) - SQRT2) <= 1e-12

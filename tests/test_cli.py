@@ -631,8 +631,8 @@ class TestSepBound:
     ("mixed_edge_settings.json", "mixed_edge"),
 ])
 def test_blocks_output_is_pinned(capsys, tmp_path, settings, name):
-    # alpha comes from the block eigenphases, lambda and sep_bound from the eigenphases
-    # of the whole settings, with the 9-digit bytes of a per-pair eigvalsh; oracle_value
+    # alpha comes from the block eigenphases that jordan_blocks records, lambda and
+    # sep_bound from the eigenphases of the whole settings; oracle_value
     # equals the bytes of the per-restart see-saw loop, and oracle_state is the
     # lowest-index restart within 1e-9 of the best. difference, |sep_bound -
     # oracle_value| at rounding level, holds the closed form's value.

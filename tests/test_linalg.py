@@ -245,6 +245,28 @@ class TestStateTypes:
         with pytest.raises(ValidationError, match="must all be at least 1"):
             PureState(np.eye(4)[0], dims)
 
+    @pytest.mark.parametrize("dims,message", [
+        ((2.7, 2.2), r"^each dimension must be an integer, got 2.7$"),  # int() would read (2, 2)
+        ((2, 2.0), r"^each dimension must be an integer, got 2.0$"),
+        (4, r"^dims must be a sequence of integers, got 4$"),
+    ])
+    def test_pure_rejects_non_integer_dims(self, dims, message):
+        with pytest.raises(ValidationError, match=message):
+            PureState(np.eye(4)[0], dims)
+
+    @pytest.mark.parametrize("dims,message", [
+        ((True, 4), r"^each dimension must be an integer, got True$"),  # a bool is not a dimension
+        ((2, "2"), r"^each dimension must be an integer, got '2'$"),
+        (None, r"^dims must be a sequence of integers, got None$"),
+    ])
+    def test_density_rejects_non_integer_dims(self, dims, message):
+        with pytest.raises(ValidationError, match=message):
+            DensityMatrix(np.eye(4) / 4, dims)
+
+    def test_numpy_integer_dims_read_as_int(self):
+        state = PureState(np.eye(4)[0], np.array([2, 2]))
+        assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
+
     def test_pure_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             PureState(np.array([1.0, 1.0]), (2,))

@@ -215,6 +215,16 @@ class TestFromVectors:
         with pytest.raises(ValidationError, match="must all be at least 1"):
             FourOutcomeMeasurement.from_vectors(np.eye(4), dims)
 
+    @pytest.mark.parametrize("dims,message", [
+        ((4,), r"^dims \(4,\) must have 2 entries$"),
+        ((2, 2, 1), r"^dims \(2, 2, 1\) must have 2 entries$"),
+        (4, r"^dims must be a sequence of integers, got 4$"),
+        ((2.0, 2), r"^each dimension must be an integer, got 2.0$"),
+    ])
+    def test_rejects_dims_of_wrong_shape_or_type(self, dims, message):
+        with pytest.raises(ValidationError, match=message):
+            FourOutcomeMeasurement.from_vectors(np.eye(4), dims)
+
     def test_projectors_are_views_of_one_read_only_stack(self):
         meas = FourOutcomeMeasurement.from_vectors(haar_unitary(4, np.random.default_rng(3)), (2, 2))
         assert meas.projector_stack.shape == (4, 4, 4) and not meas.projector_stack.flags.writeable
@@ -404,6 +414,17 @@ class TestValidation:
         projs.append(np.zeros((4, 4)))
         with pytest.raises(ValidationError):
             FourOutcomeMeasurement(tuple(projs), (2, 2))
+
+    @pytest.mark.parametrize("dims,message", [
+        ((2, 2, 5), r"^dims \(2, 2, 5\) must have 2 entries$"),  # only (2, 2) was read before
+        ((4,), r"^dims \(4,\) must have 2 entries$"),
+        (4, r"^dims must be a sequence of integers, got 4$"),
+        ((2, 2.5), r"^each dimension must be an integer, got 2.5$"),
+        ((True, 4), r"^each dimension must be an integer, got True$"),
+    ])
+    def test_dims_of_wrong_shape_or_type_rejected(self, dims, message):
+        with pytest.raises(ValidationError, match=message):
+            FourOutcomeMeasurement(bell_measurement().projectors, dims)
 
     def test_negative_dims_rejected(self):
         # (-2, -2) multiplies to the side 4 of the Bell projectors
