@@ -8,6 +8,7 @@ from .blocks import (
     ObservableBlocks,
     SepBoundResult,
     block_chsh,
+    block_witness,
     chsh_operator,
     chsh_spectrum,
     jordan_blocks,

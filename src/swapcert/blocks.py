@@ -6,8 +6,10 @@ two such pairs then splits into a direct sum over block pairs. By Landau's
 identity the top eigenvalue of a block pair depends only on the two blocks'
 eigenphases, and the smallest of them pins down the largest CHSH value
 reachable by separable states; so both the block table and the bound are
-read from eigenphases of A0 A1 and B0 B1. A see-saw ascent over pure
-product states, run by :func:`sep_bound` on request, checks the bound.
+read from eigenphases of A0 A1 and B0 B1. On request :func:`sep_bound`
+checks the bound against the separable maximum read block pair by block
+pair from the Jordan blocks (:func:`block_witness`), which a product state
+reaches.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .certify import VERSION_SIGNS
-from .linalg import PureState, ValidationError, _as_matrix, _checked_int, seeded_generator
-from .measurements import DichotomicObservable
+from .linalg import PureState, ValidationError, _as_matrix, _checked_int
+from .measurements import PAULI_X, PAULI_Y, PAULI_Z, DichotomicObservable
 
 # Floor of the principal-angle split: within an eigenspace of A0, a vector
 # on which A1 - A0 (A1 + A0) is below this, or below 8 times the larger
@@ -32,13 +34,16 @@ EDGE_TOL = 1e-9
 # chsh_spectrum: slack of the +/- pairing and of alpha1^2 + alpha2^2 = 8.
 SPECTRUM_TOL = 1e-8
 
-# Half-width of the clusters of cos(phi) at +/-1, over the eigenphases phi of
-# X0 X1, that the see-saw's closed-form top eigenvalue reads as 1x1 blocks.
-# An observable passes its checks squaring to I within 1e-9, which moves
-# cos(phi) on a 1x1 block by about as much; a 2x2 block falls inside only
-# within phase 1.4e-4 of the edge, and then keeps the cluster among the roots.
-PENCIL_EDGE_TOL = 1e-8
+# Largest distance from the unit circle accepted for an eigenvalue of A0 A1.
+# An observable passes its checks squaring to I within DEFAULT_TOL = 1e-9,
+# which moves these eigenvalues off the circle by about as much; a pair that
+# is not a product of two +/-1 observables lands far outside.
+UNIT_CIRCLE_TOL = 1e-8
 
+# Largest entry of the observables reassembled from jordan_blocks minus the
+# input. Correct blocks reassemble at rounding level (about 1e-15 at d = 16);
+# criterion 08 of the acceptance suite holds the decomposition to this bound.
+RECONSTRUCTION_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ObservableBlock:
@@ -95,7 +100,7 @@ class ChshBlockStructure:
 
 @dataclass(frozen=True)
 class SepBoundResult:
-    """Separable bound from the closed form, optionally cross-checked by see-saw."""
+    """Separable bound from the closed form, optionally with the block-wise maximum and a product state reaching it."""
 
     formula_value: float
     oracle_value: float | None = None
@@ -105,11 +110,11 @@ class SepBoundResult:
 def _unit_phases(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos phi and |sin phi| of eigenvalues w = e^{i phi} of A0 A1, both read relative to |w|.
 
-    w off the unit circle by more than 1e-8 raises ``ValidationError``.
+    w off the unit circle by more than ``UNIT_CIRCLE_TOL`` raises ``ValidationError``.
     """
     modulus = np.abs(w)
-    if np.any(np.abs(modulus - 1.0) > 1e-8):  # an empty w, from a commuting pair, passes
-        raise ValidationError("eigenvalues of A0*A1 lie off the unit circle by more than 1e-8")
+    if np.any(np.abs(modulus - 1.0) > UNIT_CIRCLE_TOL):  # an empty w, from a commuting pair, passes
+        raise ValidationError(f"eigenvalues of A0*A1 lie off the unit circle by more than {UNIT_CIRCLE_TOL:g}")
     return w.real / modulus, np.abs(w.imag) / modulus
 
 
@@ -124,14 +129,14 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     threshold is the larger of ``EDGE_TOL`` and 8 max|Ai^2 - I| over the two
     observables, so settings rounded to 9 digits split at their own rounding
     level. On the remainder, U restricted by one ``eig`` has its eigenphases
-    in conjugate pairs (off the unit circle by more than 1e-8, they raise
+    in conjugate pairs (off the unit circle by more than ``UNIT_CIRCLE_TOL``, they raise
     ``ValidationError``), and each eigenvector u at a positive phase pairs
     with A0 u to span a 2x2 block, whose |sin phi| is recorded. Blocks are
     listed by ascending phase, the 1x1 blocks at 0 first and those at pi
     last, and each block's basis is orthogonalized against all earlier
     blocks, which A0 and A1 leave invariant: eigenvectors at equal or close
     phases are not orthogonal as ``eig`` returns them. The reconstruction
-    from the returned blocks is verified to 1e-8.
+    from the returned blocks is verified to ``RECONSTRUCTION_TOL``.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
@@ -177,8 +182,8 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     result = ObservableBlocks(d, tuple(blocks), sines)
     r0, r1 = result.embed()
     err = max(float(np.max(np.abs(r0 - mat0))), float(np.max(np.abs(r1 - mat1))))
-    if not err <= 1e-8:  # NaN fails too
-        raise ValidationError(f"block reconstruction error {err:.3g} exceeds 1e-8")
+    if not err <= RECONSTRUCTION_TOL:  # NaN fails too
+        raise ValidationError(f"block reconstruction error {err:.3g} exceeds {RECONSTRUCTION_TOL:g}")
     return result
 
 
@@ -272,176 +277,70 @@ def sep_bound_formula(structure: ChshBlockStructure) -> float:
     return sep_bound_value(structure.lam)
 
 
-def _pencil_candidates(c: np.ndarray, x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates for the top eigenvalue of every pencil x X0 + y X1 of two +/-1 observables, with no eigensolve.
+# A 2x2 restriction r has the Bloch vector Re tr(r sigma_k) / 2 over these.
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 
-    ``c`` is cos(phi) over the eigenvalues e^{i phi} of X0 X1 (:func:`_unit_phases`).
-    Since X0^2 = X1^2 = I, M = x X0 + y X1 squares to (x^2 + y^2) I + 2xy H
-    with H = (X0 X1 + X1 X0) / 2, whose eigenvalues are these c. On a 2x2
-    block at phase phi, H = cos(phi) and M has the eigenvalues
-    +/- sqrt(x^2 + y^2 + 2xy cos(phi)), which are monotone in cos(phi); so
-    over the 2x2 blocks the top is that root at the smallest or the largest
-    c. A 1x1 block sits at c = e = +/-1 with X0 = s and X1 = e s, and M
-    there is s (x + e y) alone, not both signs of it: the root |x + e y|
-    would overshoot it wherever s (x + e y) is negative, and a shift set
-    from it could lie far above the spectrum. Every 2x2 restriction is
-    traceless, so (tr X0 + e tr X1) / 2 is the sum of s over the 1x1 blocks
-    at e. Each cluster of c within ``PENCIL_EDGE_TOL`` of e whose size that
-    sum reaches, so that X0 has one sign s there, leaves the roots and gives
-    the line (s, s e), the candidate s x + s e y. A cluster that holds both
-    signs of X0 (1x1 blocks of both signs, or a 2x2 block near the edge)
-    stays among the roots, where |x + e y| up to the cluster's width is
-    reached or bounds the cluster's eigenvalues from above, so the top stays
-    an upper bound.
-
-    Returns the roots, the smallest and largest c left (none if every c fell
-    in a one-signed cluster), and the lines as the (2, k) columns (s, s e).
-    """
-    keep = np.ones(len(c), dtype=bool)
-    lines = []
-    for edge in (-1.0, 1.0):
-        cluster = np.abs(c - edge) <= PENCIL_EDGE_TOL
-        if cluster.any():
-            ones = float(np.trace(x0 + edge * x1).real) / 2.0
-            if abs(ones) > np.count_nonzero(cluster) - 0.5:
-                sign = math.copysign(1.0, ones)
-                lines.append((sign, sign * edge))
-                keep &= ~cluster
-    rest = c[keep]
-    return np.array([rest.min(), rest.max()]) if rest.size else rest, np.array(lines).reshape(-1, 2).T.copy()
+# Mixes B's rows (B0, B1) into (B0 + B1, B0 - B1), the partners of A0 and A1 in the CHSH operator.
+_CHSH_MIX = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _pencil_top(candidates: tuple[np.ndarray, np.ndarray], weights: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of x X0 + y X1 for each row (x, y) of an (n, 2) real stack, from :func:`_pencil_candidates`.
-
-    It is the largest of s x + s e y over the lines and of
-    sqrt(x^2 + y^2 + 2xy c) over the roots c, the argument clipped at 0
-    against rounding. Where the top is small against |x| + |y| the root
-    loses accuracy: an error of 1e-16 in c moves sqrt(2|xy| (1 - c)) near
-    1 - c = 1.25e-15 by about 1e-8.
-    """
-    roots, lines = candidates
-    top = (weights @ lines).max(axis=1) if lines.size else -np.inf
-    if roots.size:
-        xy2 = 2.0 * weights[:, 0] * weights[:, 1]
-        squares = np.einsum("ij,ij->i", weights, weights) + np.maximum(xy2 * roots[0], xy2 * roots[1])
-        top = np.maximum(top, np.sqrt(np.maximum(squares, 0.0)))
-    return top
+def _block_coordinates(block: ObservableBlock) -> np.ndarray:
+    """Rows (X0, X1) of a block's restrictions: their +/-1 values on a 1x1 block, their Bloch vectors on a 2x2."""
+    if block.size == 1:
+        return np.array([[block.a0[0, 0].real], [block.a1[0, 0].real]])
+    return np.einsum("kij,nji->nk", _PAULIS, np.array([block.a0, block.a1])).real / 2.0
 
 
-def _top_eigvecs(mats: np.ndarray, top: np.ndarray, probes: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """A unit top eigenvector of each symmetrized matrix of an (n, d, d) stack whose top eigenvalues are ``top``.
-
-    One shifted inverse-iteration step (Ipsen 1997): a batched ``solve`` of
-    (M - sigma I) x = probe with sigma = top + 1e-12 (1 + |top|), just above
-    the spectrum, then normalized. ``top`` comes from :func:`_pencil_top`,
-    so no eigenvalue is computed here. ``probes`` is (n, d), one random
-    vector per matrix: a structured right-hand side can be orthogonal to
-    the top eigenspace, a Gaussian one almost surely is not. ``eye`` is the
-    d x d identity.
-    """
-    sym = (mats + mats.conj().swapaxes(1, 2)) / 2.0
-    shift = top + 1e-12 * (1.0 + np.abs(top))
-    vecs = np.linalg.solve(sym - shift[:, None, None] * eye, probes[:, :, None])[:, :, 0]
-    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+def _qubit_state(bloch: np.ndarray) -> np.ndarray:
+    """(1 + z, x + iy), or (x - iy, 1 - z) if z < 0, normalized: Bloch vector (x, y, z); [1] on a 1x1 block."""
+    if bloch.size == 1:
+        return np.ones(1, dtype=complex)
+    x, y, z = bloch
+    vec = np.array([1.0 + z, x + 1j * y]) if z >= 0.0 else np.array([x - 1j * y, 1.0 - z])
+    return vec / np.linalg.norm(vec)
 
 
-def _see_saw(
-    alice: tuple[np.ndarray, np.ndarray, np.ndarray],
-    bob: tuple[np.ndarray, np.ndarray, np.ndarray],
-    restarts: int,
-    iters: int,
-    seed: int,
+def block_witness(
+    a0: DichotomicObservable,
+    a1: DichotomicObservable,
+    b0: DichotomicObservable,
+    b1: DichotomicObservable,
+    a_blocks: ObservableBlocks,
+    b_blocks: ObservableBlocks,
 ) -> tuple[float, PureState]:
-    """Best CHSH value A0 x (B0 + B1) + A1 x (B0 - B1) over pure product states, by alternating ascent.
+    """Separable maximum of A0 x (B0 + B1) + A1 x (B0 - B1) from the Jordan blocks, and a product state reaching it.
 
-    ``alice`` is (c, A0, A1) and ``bob`` (c, B0, B1), as arrays, with c the
-    cosines of the eigenphases of A0 A1 (:func:`_unit_phases`). The operator
-    is the sum of the two product terms T_k x U_k with T = (A0, A1) and
-    U = (B0 + B1, B0 - B1). From a random product start, one side is fixed
-    while the other is set to the top eigenvector of the contracted
-    operator, back and forth until the value improves by less than 1e-12 or
-    ``iters`` sweeps elapse. All restarts ascend together, and those that
-    have converged drop out. With one side's vectors v fixed, the other
-    side's operator is sum_k <v|term_k|v> times its own term_k: one matrix
-    product of the flattened outer products conj(v) v^T against the fixed
-    side's flattened terms gives the n x 2 weights, and a second, of the
-    weights against the free side's flattened terms, gives the n matrices.
-    The fixed side's flattened terms enter transposed, as C-ordered copies,
-    since a matrix product against a transposed view can round differently.
-
-    The weights <v|term_k|v> of Hermitian terms are real, and their
-    rounding-level imaginary parts are dropped.
-
-    Each contracted matrix is a pencil x X0 + y X1 of one party's two
-    observables: (x, y) are the weights on A's side and
-    (u0 + u1, u0 - u1) for the weights (u0, u1) on B's. Its top eigenvalue,
-    which sets the shift of :func:`_top_eigvecs`, is read in closed form by
-    :func:`_pencil_top` from one :func:`_pencil_candidates` per side, from
-    its cosines, so a sweep over n restarts costs O(n d^2) in products
-    besides two stacked solves and runs no eigensolver. A restart's value is
-    the Rayleigh quotient of its product state a x b, sum_k <a|T_k|a> <b|U_k|b>, read from the weights of a and of b;
-    so the state reaches its value whatever the shift was, and the weights
-    of b also give the next sweep's A matrices.
-
-    Restart k draws, in one ``normal`` call of the generator keyed by
-    ``(seed, k)``, its start on B (d_b real parts, then d_b imaginary parts)
-    and after it the probes of :func:`_top_eigvecs` on A and on B, which it
-    keeps for every sweep. A draw's prefix does not depend on its length, so
-    the start is the one a draw of 2 d_b normals gives, and restart k does
-    not depend on ``restarts``. Many restarts tie at the optimum up to
-    rounding, so the lowest-index restart within 1e-9 of the best is
-    returned: a lower bound on the separable maximum, reached by the
-    returned product state.
+    ``a_blocks`` and ``b_blocks`` are the :func:`jordan_blocks` of (a0, a1)
+    and (b0, b1). The operator is block diagonal over block pairs, so a
+    product state's value is a convex combination of block-pair values and
+    the separable maximum is the best pair's (Masanes 2006). In coordinates
+    (a 2x2 restriction's real Bloch vector, a 1x1 one's +/-1 value) a pair's
+    product-state value is m^T T n with T = a0 (b0 + b1)^T + a1 (b0 - b1)^T,
+    whose maximum sigma_1(T) is sqrt(1 + p) + sqrt(1 - p) with p = s_i s_j,
+    except on two 1x1 blocks, where T is one signed value (-2 possibly). The
+    best pair's top singular vectors, a 1x1 block's coordinate turned to +1,
+    give the qubit states, embedded through the block bases. The value is
+    the state's Rayleigh quotient on the full observables through the two
+    product terms, so the state reaches it and no d^4 array is built.
     """
-    (_, a0, a1), (_, b0, b1) = alice, bob
-    d_a, d_b = a0.shape[0], b0.shape[0]
-    flat_a = np.array([a0, a1]).reshape(2, -1)
-    flat_b = np.array([b0 + b1, b0 - b1]).reshape(2, -1)
-    fixed_a, fixed_b = flat_a.T.copy(), flat_b.T.copy()
-    eye_a, eye_b = np.eye(d_a), np.eye(d_b)
-    pencil_a, pencil_b = _pencil_candidates(*alice), _pencil_candidates(*bob)
-    b_pencil = np.array([[1.0, 1.0], [1.0, -1.0]])  # B's weights on (B0 + B1, B0 - B1) -> on (B0, B1)
-
-    def weigh(vecs: np.ndarray, fixed: np.ndarray) -> np.ndarray:  # <v|term_k|v>, (n, 2) real
-        outer = vecs.conj()[:, :, None] * vecs[:, None, :]
-        return (outer.reshape(len(vecs), -1) @ fixed).real
-
-    def pencils(weights: np.ndarray, free: np.ndarray, side: int) -> np.ndarray:
-        return (weights @ free).reshape(-1, side, side)
-
-    def complex_rows(part: np.ndarray) -> np.ndarray:  # real parts, then imaginary parts
-        real, imag = np.split(part, 2, axis=1)
-        return real + 1j * imag
-
-    draws = np.array([seeded_generator(seed, restart).normal(size=2 * (d_a + 2 * d_b))
-                      for restart in range(restarts)])
-    b_vecs, probes_a, probes_b = map(complex_rows, np.split(draws, [2 * d_b, 2 * (d_a + d_b)], axis=1))
-    b_vecs /= np.linalg.norm(b_vecs, axis=1, keepdims=True)
-    a_vecs = np.empty((restarts, d_a), dtype=complex)
-    values = np.full(restarts, -math.inf)
-    active = np.arange(restarts)
-    b_weights = weigh(b_vecs, fixed_b)
-    for _ in range(iters):
-        w_b = b_weights[active]
-        a_new = _top_eigvecs(pencils(w_b, flat_a, d_a), _pencil_top(pencil_a, w_b), probes_a[active], eye_a)
-        w_a = weigh(a_new, fixed_a)
-        b_new = _top_eigvecs(pencils(w_a, flat_b, d_b), _pencil_top(pencil_b, w_a @ b_pencil), probes_b[active], eye_b)
-        w_b = weigh(b_new, fixed_b)
-        new_values = np.einsum("nk,nk->n", w_a, w_b)  # <a x b| sum_k T_k x U_k |a x b>
-        converged = new_values - values[active] < 1e-12
-        a_vecs[active], b_vecs[active], b_weights[active], values[active] = a_new, b_new, w_b, new_values
-        active = active[~converged]
-        if not active.size:
-            break
-
-    best = int(np.flatnonzero(values >= values.max() - 1e-9)[0])
-    value = float(values[best])
-    a_vec, b_vec = a_vecs[best], b_vecs[best]
-    achieved = float(np.real(a_vec.conj() @ pencils(b_weights[best, None], flat_a, d_a)[0] @ a_vec))
-    if abs(achieved - value) > 1e-9:
-        raise ValidationError(f"see-saw state reaches {achieved:.12g}, not its value {value:.12g}")
-    return value, PureState(np.kron(a_vec, b_vec), (d_a, d_b))
+    p = np.outer(a_blocks.sines, b_blocks.sines)
+    pair_max = np.sqrt(1.0 + p) + np.sqrt(1.0 - p)
+    ones_a, ones_b = ([k for k, block in enumerate(side.blocks) if block.size == 1] for side in (a_blocks, b_blocks))
+    if ones_a and ones_b:
+        values_a, values_b = (np.hstack([_block_coordinates(side.blocks[k]) for k in ones])
+                              for side, ones in ((a_blocks, ones_a), (b_blocks, ones_b)))
+        pair_max[np.ix_(ones_a, ones_b)] = values_a.T @ _CHSH_MIX @ values_b
+    i, j = np.unravel_index(int(np.argmax(pair_max)), pair_max.shape)
+    block_a, block_b = a_blocks.blocks[i], b_blocks.blocks[j]
+    u, _, vh = np.linalg.svd(_block_coordinates(block_a).T @ _CHSH_MIX @ _block_coordinates(block_b))
+    m, n = u[:, 0], vh[0]
+    # a 1x1 block's one state has coordinate +1, so the other side's vector takes its sign
+    m, n = m * (n[0] if n.size == 1 else 1.0), n * (m[0] if m.size == 1 else 1.0)
+    a_vec, b_vec = block_a.basis @ _qubit_state(m), block_b.basis @ _qubit_state(n)
+    expect_a = [np.vdot(a_vec, x @ a_vec).real for x in (a0.matrix, a1.matrix)]
+    expect_b = [np.vdot(b_vec, x @ b_vec).real for x in (b0.matrix + b1.matrix, b0.matrix - b1.matrix)]
+    value = expect_a[0] * expect_b[0] + expect_a[1] * expect_b[1]
+    return float(value), PureState(np.kron(a_vec, b_vec), (a0.dim, b0.dim))
 
 
 def sep_bound(
@@ -454,7 +353,7 @@ def sep_bound(
     iters: int = 500,
     seed: int = 0,
 ) -> tuple[ChshBlockStructure, SepBoundResult]:
-    """Closed-form separable bound from eigenphases, with an optional see-saw check.
+    """Closed-form separable bound from eigenphases, optionally checked by the block-wise maximum.
 
     On a 2x2 Jordan block at phase phi, A0 = X and A1 = cos(phi) X + sin(phi) Y,
     so [A0, A1] = 2i sin(phi) Z. Landau's identity
@@ -464,30 +363,27 @@ def sep_bound(
     lam = min alpha_ij = 2 sqrt(1 + p) with p = s_A s_B, where s_A is the
     smallest |sin| over the eigenphases of A0 A1 and s_B that of B0 B1, and
     the bound (lam + sqrt(8 - lam^2)) / 2 equals sqrt(1 + p) + sqrt(1 - p).
-    No blocks are built: one ``eigvals`` of X0 X1 per party gives its
+    No blocks are built for it: one ``eigvals`` of X0 X1 per party gives its
     eigenvalues w, read by :func:`_unit_phases` as c = Re w / |w| and
     s = |Im w| / |w|. 1 - s is formed as c^2 / (1 + s), which keeps its
     relative accuracy where s is close to 1, and 1 - p as
     (1 - s_A) + s_A (1 - s_B), so the ideal settings give sqrt(2) without
-    snapping. Eigenvalues off the unit circle by more than 1e-8 raise
-    ``ValidationError``.
+    snapping. Eigenvalues off the unit circle by more than ``UNIT_CIRCLE_TOL``
+    raise ``ValidationError``.
 
     The returned structure lists no block pairs (only :func:`block_chsh`
     does) and carries lam for :func:`sep_bound_formula`; near
     lam = 2 sqrt(2) that recomputes the bound from the rounded lam, so
-    ``formula_value`` is the accurate one. The see-saw (:func:`_see_saw`)
-    runs on the two product terms A0 x (B0 + B1) and A1 x (B0 - B1), so no
-    d^4 array is built and a sweep over n restarts costs O(n d^2) in
-    products. Each matrix it diagonalizes is a pencil x X0 + y X1 of one
-    party's observables, which squares to (x^2 + y^2) I + 2xy H with
-    H = (X0 X1 + X1 X0) / 2, whose eigenvalues are the same c; so the c of
-    the formula give every top eigenvalue in closed form
-    (:func:`_pencil_candidates`), and the see-saw runs no eigensolver. A
-    1x1 block at c = +/-1 takes the signed value s (x +/- y), since the
-    root |x +/- y| would overshoot it. Its ``oracle_value`` is the
-    Rayleigh quotient of the returned product state, so it is reached
-    whatever the shift. No Hermiticity check runs here: each observable
-    was checked when it was built.
+    ``formula_value`` is the accurate one. With ``with_oracle``,
+    :func:`block_witness` on each party's :func:`jordan_blocks` gives the
+    separable maximum as ``oracle_value`` and a product state reaching it as
+    ``oracle_state``, an independent check: the blocks come from ``eigh``,
+    SVDs and ``eig``, the formula from ``eigvals``. They agree unless both
+    parties commute, where the signed block value (-2 for A0 = A1 = I,
+    B0 = -I, B1 = I) is the maximum and the formula an upper bound.
+    ``restarts``, ``iters`` and ``seed`` are checked as integers of at least
+    1, 1 and 0 but no longer change the result. The observables were each
+    checked Hermitian when they were built.
     """
     sides = []
     for x0, x1 in ((a0, a1), (b0, b1)):
@@ -495,8 +391,8 @@ def sep_bound(
             raise ValidationError("observables must act on the same space")
         cosines, sines = _unit_phases(np.linalg.eigvals(x0.matrix @ x1.matrix))
         k = int(np.argmin(sines))
-        sides.append((float(sines[k]), float(cosines[k] ** 2 / (1.0 + sines[k])), (cosines, x0.matrix, x1.matrix)))
-    (s_a, gap_a, alice), (s_b, gap_b, bob) = sides
+        sides.append((float(sines[k]), float(cosines[k] ** 2 / (1.0 + sines[k]))))
+    (s_a, gap_a), (s_b, gap_b) = sides
     p = s_a * s_b
     structure = ChshBlockStructure((), 2.0 * math.sqrt(1.0 + p))
     formula = math.sqrt(1.0 + p) + math.sqrt(gap_a + s_a * gap_b)
@@ -510,5 +406,5 @@ def sep_bound(
         raise ValidationError("need at least one iteration")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
-    value, state = _see_saw(alice, bob, restarts, iters, seed)
+    value, state = block_witness(a0, a1, b0, b1, jordan_blocks(a0, a1), jordan_blocks(b0, b1))
     return structure, SepBoundResult(formula, value, state)

@@ -59,21 +59,6 @@ def hermitian_deviation(mat: np.ndarray) -> np.ndarray:
     return np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)), axis=(-2, -1))
 
 
-def seeded_generator(*key: int) -> np.random.Generator:
-    """The generator ``np.random.default_rng(list(key))`` returns, with the same stream.
-
-    Its only caller is the see-saw, which keys one generator per restart by
-    ``(seed, restart)``. ``SeedSequence`` splits each Python integer of a
-    list into 32-bit words one at a time. When every entry fits in one word,
-    the same words are handed over as one ``uint32`` array instead, which
-    builds the seed sequence about three times as fast. Any other key goes
-    through the list as before.
-    """
-    if all(isinstance(k, (int, np.integer)) and 0 <= k < 2**32 for k in key):
-        return np.random.default_rng(np.array(key, dtype=np.uint32))
-    return np.random.default_rng(list(key))
-
-
 def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, leftmost factor most significant."""
     if not factors:
@@ -88,11 +73,12 @@ def ptrace_array(mat: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> n
     """Partial trace of a square operator, keeping the listed subsystems.
 
     Kept subsystems stay in their original relative order regardless of the
-    order they are listed in.
+    order they are listed in. ``dims`` are read by :func:`_checked_dims` and
+    each kept index by :func:`_checked_int`.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _checked_dims(dims)
     n = len(dims)
-    keep = sorted({int(k) for k in keep})
+    keep = sorted({_checked_int(k, "each keep index") for k in keep})
     if any(k < 0 or k >= n for k in keep):
         raise ValidationError(f"keep indices {keep} out of range for {n} subsystems")
     mat = _as_matrix(mat)
@@ -172,6 +158,6 @@ class DensityMatrix:
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the kept subsystems, in their original relative order."""
-    keep = sorted({int(k) for k in keep})
+    keep = list(keep)
     reduced = ptrace_array(rho.matrix, rho.dims, keep)
-    return DensityMatrix(reduced, tuple(rho.dims[k] for k in keep))
+    return DensityMatrix(reduced, tuple(rho.dims[k] for k in sorted(set(keep))))

@@ -27,6 +27,12 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 CANONICAL_BIT_FOR_A = (1, 1, -1, -1)
 CANONICAL_BIT_FOR_B = (1, -1, 1, -1)
 
+# require_rank_one: slack of a projector's trace, its rank, about 1. A
+# projector that passed its checks has eigenvalues within about its tolerance
+# of 0 or 1, so at the default tolerance its trace lies within about d * 1e-9
+# of an integer; a rank of 0 or 2 misses 1 by 1, and 1e-6 sits far from both.
+RANK_ONE_TOL = 1e-6
+
 
 @cache
 def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +222,7 @@ class FourOutcomeMeasurement:
     def require_rank_one(self) -> None:
         """Raise unless every projector has rank 1, naming the first that does not."""
         # the trace of a projector is its rank, so this is a robust rank test
-        wrong = np.abs(np.trace(self.projector_stack, axis1=1, axis2=2).real - 1.0) > 1e-6
+        wrong = np.abs(np.trace(self.projector_stack, axis1=1, axis2=2).real - 1.0) > RANK_ONE_TOL
         if wrong.any():
             raise ValidationError(f"projector {int(np.argmax(wrong)) + 1} has rank != 1")
 

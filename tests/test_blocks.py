@@ -24,7 +24,7 @@ from swapcert import (
     theorem_check,
     version_operator,
 )
-from swapcert.blocks import _pencil_candidates, _pencil_top, _top_eigvecs, _unit_phases
+from swapcert.blocks import block_witness
 from swapcert.serialize import json_dumps, observable_from_json, observable_to_json
 from support import (
     I2,
@@ -377,7 +377,7 @@ class TestClosedFormBound:
         ("restarts", 2.5, "restarts"), ("restarts", True, "restarts"), ("iters", 1.5, "iters"),
         ("iters", "3", "iters"), ("seed", 1.5, "seed"), ("seed", None, "seed"),
     ])
-    def test_rejects_bad_see_saw_arguments(self, arg, value, match):
+    def test_rejects_bad_oracle_arguments(self, arg, value, match):
         with pytest.raises(ValidationError, match=match):
             sep_bound(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS, **{arg: value})
 
@@ -387,40 +387,62 @@ class TestClosedFormBound:
 
     @pytest.mark.parametrize("kind", ["generic", "planted"])
     @pytest.mark.parametrize("d_a,d_b", [(2, 2), (3, 3), (4, 4), (8, 8), (3, 2), (4, 8), (16, 16)])
-    def test_see_saw_matches_operator_builder(self, kind, d_a, d_b):
-        # the seeds past 32 bits take the generator's list path, the others its uint32 path
+    def test_witness_matches_operator_builder(self, kind, d_a, d_b):
+        # the witness value is its product state's Rayleigh quotient on the dense operator,
+        # meets the formula, bounds a reference see-saw and does not depend on the see-saw arguments
         rng = np.random.default_rng([d_a, d_b, kind == "planted"])
         obs = setting_pair(kind, d_a, rng) + setting_pair(kind, d_b, rng)
         beta = chsh_operator(*obs)
-        for iters, seed in ((500, 3), (1, 3), (500, 2**32 + 5), (1, 2**40)):
-            _, result = sep_bound(*obs, restarts=8, iters=iters, seed=seed)
-            ref_value, _ = reference_sep_bound_oracle(beta, (d_a, d_b), restarts=8, iters=iters, seed=seed)
-            assert abs(result.oracle_value - ref_value) <= 1e-12
-            assert f"{result.oracle_value:.9g}" == f"{ref_value:.9g}"
-            _, again = sep_bound(*obs, restarts=8, iters=iters, seed=seed)
+        _, result = sep_bound(*obs)
+        vec = result.oracle_state.vector
+        assert result.oracle_state.dims == (d_a, d_b)
+        assert abs(float(np.real(vec.conj() @ beta @ vec)) - result.oracle_value) <= 1e-12
+        assert abs(result.oracle_value - result.formula_value) <= 1e-12
+        ref_value, _ = reference_sep_bound_oracle(beta, (d_a, d_b), restarts=4, iters=100, seed=3)
+        assert ref_value <= result.oracle_value + 1e-9
+        for restarts, iters, seed in ((8, 1, 3), (8, 500, 2**32 + 5), (1, 1, 2**40)):
+            _, again = sep_bound(*obs, restarts=restarts, iters=iters, seed=seed)
             assert again.oracle_value == result.oracle_value
-            assert again.oracle_state.vector.tobytes() == result.oracle_state.vector.tobytes()
+            assert again.oracle_state.vector.tobytes() == vec.tobytes()
+
+    @given(bound_layouts(), bound_layouts())
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_witness_meets_closed_form(self, a_layout, b_layout):
+        # the block-wise maximum is the separable maximum, which the formula gives unless
+        # both parties commute; there the operator is diagonal in a product basis, so its
+        # top eigenvalue is the truth. The witness state reaches its value on the operator.
+        obs = (*a_layout[:2], *b_layout[:2])
+        _, result = sep_bound(*obs)
+        beta = chsh_operator(*obs)
+        if all(block.size == 1 for x0, x1 in (obs[:2], obs[2:]) for block in jordan_blocks(x0, x1).blocks):
+            assert result.oracle_value <= result.formula_value + 1e-12
+            assert abs(result.oracle_value - np.linalg.eigvalsh(beta)[-1]) <= 1e-12
+        else:
+            assert abs(result.oracle_value - result.formula_value) <= 1e-12
+        vec = result.oracle_state.vector
+        assert abs(float(np.real(vec.conj() @ beta @ vec)) - result.oracle_value) <= 1e-12
+        svals = np.linalg.svd(vec.reshape(result.oracle_state.dims), compute_uv=False)
+        assert svals[1:].max(initial=0.0) <= 1e-12  # really a product state
 
     @given(bound_layouts(), bound_layouts())
     @settings(max_examples=150, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_see_saw_never_exceeds_closed_form(self, a_layout, b_layout):
-        # a product state reaches at most the separable maximum, so the see-saw
-        # may fall short of the closed form but never pass it, and its state
-        # must reach its value on the CHSH operator itself
+    def test_reference_see_saw_never_exceeds_witness(self, a_layout, b_layout):
+        # a see-saw over product states reaches at most the separable maximum
         obs = (*a_layout[:2], *b_layout[:2])
-        _, result = sep_bound(*obs, restarts=8)
-        assert result.oracle_value <= result.formula_value + 1e-9
-        vec = result.oracle_state.vector
-        assert abs(float(np.real(vec.conj() @ chsh_operator(*obs) @ vec)) - result.oracle_value) <= 1e-9
+        _, result = sep_bound(*obs)
+        beta = chsh_operator(*obs)
+        ref_value, _ = reference_sep_bound_oracle(beta, (obs[0].dim, obs[2].dim), restarts=4, iters=200)
+        assert ref_value <= result.oracle_value + 1e-9
 
-    def test_see_saw_stays_below_one_dense_operator(self):
+    def test_witness_stays_below_one_dense_operator(self):
         # the CHSH operator at d = 32 holds 32**4 complex entries, 16 MiB
         rng = np.random.default_rng(32)
         obs = [random_observable(32, rng) for _ in range(4)]
         tracemalloc.start()
         try:
-            sep_bound(*obs, restarts=4, iters=2)
+            sep_bound(*obs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -749,8 +771,8 @@ ORACLE_CASES = [("ideal", 2, 0), ("classical", 2, 0)] + [
 ]
 
 
-class TestBatchedSeeSaw:
-    """The batched see-saw of sep_bound against the one-restart-at-a-time reference loop."""
+class TestWitnessOracle:
+    """The block witness of sep_bound against the one-restart-at-a-time reference see-saw."""
 
     @pytest.mark.parametrize("kind,d,seed", ORACLE_CASES)
     def test_matches_reference_loop(self, kind, d, seed):
@@ -764,23 +786,18 @@ class TestBatchedSeeSaw:
         svals = np.linalg.svd(state.vector.reshape(dims), compute_uv=False)
         assert svals[1] < 1e-9
         achieved = float(np.real(state.vector.conj() @ beta @ state.vector))
-        assert abs(achieved - value) <= 1e-10
+        assert abs(achieved - value) <= 1e-12
         _, again = sep_bound(*obs, seed=seed)
         assert again.oracle_value == value
         assert again.oracle_state.vector.tobytes() == state.vector.tobytes()
-        # one sweep per restart: the cap applies to each restart, not to the batch
-        _, capped = sep_bound(*obs, iters=1, seed=seed)
-        assert abs(capped.oracle_value - reference_sep_bound_oracle(beta, dims, iters=1, seed=seed)[0]) <= 1e-12
 
-    @pytest.mark.parametrize("seed", [2**31, 2**32 - 1, 2**32, 2**40 + 3])
-    def test_large_seeds_match_reference_loop(self, seed):
-        # seeds past 32 bits take the generator's list path, the others its uint32 path
+    @pytest.mark.parametrize("restarts,iters,seed", [(1, 1, 0), (8, 1, 3), (32, 500, 2**32), (2, 7, 2**40 + 3)])
+    def test_see_saw_arguments_do_not_change_the_result(self, restarts, iters, seed):
         obs = oracle_input("generic", 3, 1)
-        beta = chsh_operator(*obs)
-        for iters in (1, 500):
-            _, result = sep_bound(*obs, restarts=8, iters=iters, seed=seed)
-            ref_value, _ = reference_sep_bound_oracle(beta, (3, 3), restarts=8, iters=iters, seed=seed)
-            assert abs(result.oracle_value - ref_value) <= 1e-12
+        _, want = sep_bound(*obs)
+        _, got = sep_bound(*obs, restarts=restarts, iters=iters, seed=seed)
+        assert got.oracle_value == want.oracle_value
+        assert got.oracle_state.vector.tobytes() == want.oracle_state.vector.tobytes()
 
     def test_accepts_numpy_integers(self):
         _, result = sep_bound(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS, restarts=np.int64(4), iters=np.int32(50),
@@ -788,119 +805,55 @@ class TestBatchedSeeSaw:
         assert result.oracle_value == pytest.approx(SQRT2, abs=1e-9)
 
     @pytest.mark.parametrize("kind,d", [("ideal", 2), ("classical", 2), ("generic", 3), ("planted", 4)])
-    def test_reads_one_eigvals_per_party(self, monkeypatch, kind, d):
-        # the formula and the see-saw's closed-form tops share one eigvals of X0 X1 per party
+    def test_eigensolvers_on_the_witness_path(self, monkeypatch, kind, d):
+        # the formula's eigvals of X0 X1 and each jordan_blocks' eigh and eig, per party; the
+        # witness itself runs one SVD and no eigensolver
         obs = oracle_input(kind, d, 0)
         calls = count_eigensolves(monkeypatch)
         _, result = sep_bound(*obs, with_oracle=True, restarts=4, iters=50)
-        assert calls == {"eig": 0, "eigvals": 2, "eigh": 0, "eigvalsh": 0}
-        assert result.formula_value - result.oracle_value >= -1e-9
+        assert calls == {"eig": 2, "eigvals": 2, "eigh": 2, "eigvalsh": 0}
+        assert abs(result.formula_value - result.oracle_value) <= 1e-12
 
+    def test_commuting_parties_keep_the_sign(self):
+        # beta = -2 I: every state scores -2, which the formula's unsigned bound 2 does not see
+        minus = DichotomicObservable(-np.eye(2))
+        one = DichotomicObservable(np.eye(2))
+        _, result = sep_bound(one, one, minus, one)
+        assert result.formula_value == 2.0 and result.oracle_value == -2.0
 
-def pencil_settings(kind: str, d: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """A0 and A1 of generic, planted or mixed-edge settings, or of planted ones with equal phases unrotated.
+    @pytest.mark.parametrize("a_signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize("b_signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_one_dim_parties_take_the_signed_value(self, a_signs, b_signs):
+        # two 1x1 blocks: the one product state scores a0 (b0 + b1) + a1 (b0 - b1)
+        a0, a1, b0, b1 = (DichotomicObservable(np.array([[float(s)]])) for s in (*a_signs, *b_signs))
+        want = a_signs[0] * (b_signs[0] + b_signs[1]) + a_signs[1] * (b_signs[0] - b_signs[1])
+        _, result = sep_bound(a0, a1, b0, b1)
+        assert result.oracle_value == want == chsh_operator(a0, a1, b0, b1)[0, 0].real
+        assert result.formula_value == 2.0
+        assert result.oracle_state.dims == (1, 1)
+        assert abs(abs(result.oracle_state.vector[0]) - 1.0) <= 1e-15
 
-    Mixed-edge settings hold 1x1 blocks at 0 (and at pi at even d) beside a
-    2x2 block 5e-8 from phase 0 and interior ones. ``degenerate`` repeats one
-    planted 2x2 block (a 1x1 block first at odd d) without a Haar rotation,
-    so every pencil w0 A0 + w1 A1 has an exactly degenerate top eigenvalue
-    from d = 4 on.
-    """
-    if kind in ("generic", "planted"):
-        pair = setting_pair(kind, d, rng)
-    else:
-        ones = ((1.0, 1.0), (1.0, -1.0))[: 2 - d % 2]
-        if kind == "mixed_edge":
-            angles = (5e-8, 0.7, 1.9, 2.6, 1.2, 0.4, 2.2)[: (d - len(ones)) // 2]
-            pair = planted_layout(ones, angles, rng)
-        else:
-            pair = planted_layout(ones[: d % 2], (1.1,) * (d // 2))
-    return pair[0].matrix, pair[1].matrix
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize("one_dim_side", ["alice", "bob"])
+    def test_one_dim_block_against_a_qubit_block_reaches_two(self, signs, one_dim_side):
+        # a 1x1 block beside a 2x2 one: T is 1x3 or 3x1, and (s0 + s1, s0 - s1) holds one +/-2
+        # and one 0, so the pair's maximum is 2 whatever the signs
+        scalar = tuple(DichotomicObservable(np.array([[float(s)]])) for s in signs)
+        qubit = planted_layout((), (1.1,), np.random.default_rng(11))
+        obs = (*scalar, *qubit) if one_dim_side == "alice" else (*qubit, *scalar)
+        _, result = sep_bound(*obs)
+        assert abs(result.oracle_value - 2.0) <= 1e-12
+        assert abs(result.formula_value - 2.0) <= 1e-12
+        vec = result.oracle_state.vector
+        assert abs(float(np.real(vec.conj() @ chsh_operator(*obs) @ vec)) - result.oracle_value) <= 1e-12
 
-
-def pencil_candidates(a0: np.ndarray, a1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The see-saw's pencil candidates of two observables, from the cosines ``sep_bound`` reads off A0 A1."""
-    return _pencil_candidates(_unit_phases(np.linalg.eigvals(a0 @ a1))[0], a0, a1)
-
-
-class TestTopEigvecs:
-    """The see-saw's eigenpair kernel: a pencil's top eigenvalue in closed form and one shifted solve for its vector."""
-
-    @staticmethod
-    def check(a0: np.ndarray, a1: np.ndarray, weights: np.ndarray, rng: np.random.Generator) -> None:
-        n, d = len(weights), a0.shape[0]
-        mats = weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1
-        probes = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-        top = _pencil_top(pencil_candidates(a0, a1), weights)
-        vecs = _top_eigvecs(mats, top, probes, np.eye(d))
-        want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
-        assert np.all(np.abs(top - want) <= 1e-12 * (1.0 + np.abs(want)))
-        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-14)
-        rayleigh = np.einsum("ni,nij,nj->n", vecs.conj(), mats, vecs).real
-        assert np.all(np.abs(rayleigh - want) <= 1e-12 * (1.0 + np.abs(want)))
-        residual = np.linalg.norm(np.einsum("nij,nj->ni", mats, vecs) - want[:, None] * vecs, axis=1)
-        assert np.all(residual <= 1e-9)
-
-    @pytest.mark.parametrize("kind", ["generic", "planted", "mixed_edge", "degenerate"])
-    @pytest.mark.parametrize("d", [2, 3, 8, 16])
-    def test_pencils_of_settings(self, kind, d):
-        rng = np.random.default_rng([d, len(kind)])
-        a0, a1 = pencil_settings(kind, d, rng)
-        weights = rng.normal(size=(16, 2))
-        weights[:2] = [[1.0, 0.0], [0.0, -1.0]]  # A0 and -A1 themselves: degenerate tops from d = 4 on
-        if kind == "degenerate" and d >= 4:
-            w = np.linalg.eigvalsh(weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1)
-            assert np.all(w[:, -1] == w[:, -2])
-        self.check(a0, a1, weights, rng)
-
-    @pytest.mark.parametrize("d", [3, 8, 16])
-    def test_mixed_edge_unit_weights(self, d):
-        # At odd d, A0 - A1 has the spectrum {0, +/-5e-8}: the 1x1 block at phase 0 and the 2x2
-        # block 5e-8 from it. Its root sqrt(2 (1 - c)) reads 1 - c = 1.25e-15 from c rounded to
-        # about 1e-16, so the closed-form top is good only to a few 1e-8, and the shift may fall
-        # below the top. The vector's Rayleigh quotient, which the see-saw takes as its value,
-        # then lies below the top by as much; it never exceeds the top.
-        rng = np.random.default_rng([d, 5])
-        a0, a1 = pencil_settings("mixed_edge", d, rng)
-        weights = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-        mats = weights[:, 0, None, None] * a0 + weights[:, 1, None, None] * a1
-        top = _pencil_top(pencil_candidates(a0, a1), weights)
-        vecs = _top_eigvecs(mats, top, rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d)), np.eye(d))
-        want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
-        tiny = want < 1e-6
-        assert tiny.tolist() == [False, d % 2 == 1, d % 2 == 1, False]
-        tol = np.where(tiny, 1e-7, 1e-12 * (1.0 + np.abs(want)))
-        assert np.all(np.abs(top - want) <= tol)
-        rayleigh = np.einsum("ni,nij,nj->n", vecs.conj(), mats, vecs).real
-        assert np.all(rayleigh - want <= 1e-12 * (1.0 + np.abs(want)))
-        assert np.all(want - rayleigh <= tol)
-
-    @given(bound_layouts(), st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)), min_size=1, max_size=6))
-    @settings(max_examples=300, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_closed_form_top_matches_eigvalsh(self, layout, weights):
-        # The rounding of the square x^2 + y^2 + 2xy c, c within 1e-15 of exact, is at most
-        # e = 1e-15 (|x| + |y|)^2, so its root is off by at most min(sqrt(e), e / |lambda|).
-        a0, a1, _ = layout
-        weights = np.array(weights)
-        mats = weights[:, 0, None, None] * a0.matrix + weights[:, 1, None, None] * a1.matrix
-        want = np.linalg.eigvalsh((mats + mats.conj().swapaxes(1, 2)) / 2.0)[:, -1]
-        top = _pencil_top(pencil_candidates(a0.matrix, a1.matrix), weights)
-        slack = 1e-15 * np.abs(weights).sum(axis=1) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):  # fmin drops the NaN of 0 / 0
-            rounding = np.fmin(np.sqrt(slack), slack / np.abs(want))
-        assert np.all(np.abs(top - want) <= 1e-12 * (1.0 + np.abs(want)) + rounding)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_pauli_pencil(self, sign):
-        # the top eigenvector of -X is (1, -1) / sqrt(2), orthogonal to an all-ones probe
-        rng = np.random.default_rng(7)
-        weights = np.array([[1.0, 0.0]] * 8)
-        self.check(sign * X, Z, weights, rng)
-        top = _pencil_top(pencil_candidates(sign * X, Z), weights[:1])
-        assert top[0] == 1.0
-        vecs = _top_eigvecs(np.array([sign * X]), top, rng.normal(size=(1, 2)) + 0j, np.eye(2))
-        assert abs(abs(np.vdot(vecs[0], [1.0, sign])) - SQRT2) <= 1e-12
+    def test_takes_the_blocks_it_is_given(self):
+        obs = oracle_input("planted", 4, 1)
+        a_blocks, b_blocks = jordan_blocks(*obs[:2]), jordan_blocks(*obs[2:])
+        value, state = block_witness(*obs, a_blocks, b_blocks)
+        _, result = sep_bound(*obs)
+        assert value == result.oracle_value
+        assert state.vector.tobytes() == result.oracle_state.vector.tobytes()
 
 
 class TestTheoremCheck:

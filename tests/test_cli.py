@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapcert import chsh_operator, ideal_scenario, noisy_scenario
-from swapcert.cli import build_parser, main
+from swapcert import blocks
+from swapcert.cli import MAX_STEPS, build_parser, main
 from swapcert.linalg import hermitian_deviation
 from swapcert.protocol import MAX_N_PER_SETTING, estimate_report, sample_counts
 from swapcert.serialize import counts_to_csv, json_dumps, matrix_to_json, report_to_json, scenario_to_json
@@ -157,6 +158,27 @@ class TestBoundsCurve:
     def test_invalid_range(self, capsys):
         code, _, err = run(capsys, "bounds-curve", "--s-min", "3", "--s-max", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**12])
+    def test_steps_above_the_cap_is_usage_error(self, capsys, steps):
+        # the cap is checked before the grid is allocated, so 1e12 costs nothing
+        code, out, err = run(capsys, "bounds-curve", "--steps", str(steps))
+        assert code == 2 and out == ""
+        assert err == f"error: --steps must be at most {MAX_STEPS}\n"
+
+    def test_steps_at_the_cap_stay_within_budget(self, tmp_path):
+        # a child at the cap, measured at about 0.8 s and 60 MB; the budget is 10 s and 1 GB
+        out_path = tmp_path / "curve.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-m", "swapcert.cli", "bounds-curve", "--steps", str(MAX_STEPS),
+                                 "--out", str(out_path)], stdout=subprocess.DEVNULL, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert usage.ru_utime + usage.ru_stime < 10.0
+        assert usage.ru_maxrss < 2**20  # kilobytes on Linux
+        assert len(out_path.read_text().splitlines()) == MAX_STEPS + 1
 
     @pytest.mark.parametrize("flags,steps", [((), 100), (("--steps", "200"), 200)])
     def test_csv_bytes_match_csv_writer(self, capsys, flags, steps):
@@ -609,6 +631,31 @@ class TestSepBound:
         code, out, err = run(capsys, "sep-bound", str(tmp_path / "missing.json"), "--seed", "-1")
         assert code == 2 and out == "" and "--seed" in err
 
+    def test_commuting_settings_keep_the_sign(self, capsys, tmp_path):
+        # A0 = A1 = I, B0 = -I, B1 = I: beta = -2 I, so every state scores -2
+        eye = np.eye(2)
+        path = tmp_path / "commuting.json"
+        settings = dict(zip(("a0", "a1", "b0", "b1"), (eye, eye, -eye, eye)))
+        path.write_text(json.dumps({k: matrix_to_json(m) for k, m in settings.items()}))
+        code, out, _ = run(capsys, "sep-bound", str(path), "--seed", "0")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["sep_bound"], payload["oracle_value"], payload["difference"]) == (2.0, -2.0, 4.0)
+
+    def test_runs_jordan_blocks_once_per_party(self, capsys, monkeypatch):
+        calls = []
+        jordan_blocks = blocks.jordan_blocks
+        monkeypatch.setattr(blocks, "jordan_blocks", lambda *args: calls.append(args) or jordan_blocks(*args))
+        code, _, _ = run(capsys, "sep-bound", str(GOLDEN / "planted_d4_settings.json"), "--seed", "7")
+        assert code == 0 and len(calls) == 2
+
+    @pytest.mark.parametrize("name", ["planted_d4", "mixed_edge"])
+    def test_restart_flags_do_not_change_the_output(self, capsys, name):
+        path = GOLDEN / f"{name}_settings.json"
+        _, want, _ = run(capsys, "sep-bound", str(path), "--seed", "7")
+        code, got, _ = run(capsys, "sep-bound", str(path), "--seed", "0", "--restarts", "1", "--iters", "1")
+        assert code == 0 and got == want
+
     def test_settings_with_an_off_hermitian_operator(self, capsys, tmp_path):
         # each observable is within 4e-10 of Hermitian, their CHSH operator is not within 1e-9
         rng = np.random.default_rng(0)
@@ -632,10 +679,11 @@ class TestSepBound:
 ])
 def test_blocks_output_is_pinned(capsys, tmp_path, settings, name):
     # alpha comes from the block eigenphases that jordan_blocks records, lambda and
-    # sep_bound from the eigenphases of the whole settings; oracle_value
-    # equals the bytes of the per-restart see-saw loop, and oracle_state is the
-    # lowest-index restart within 1e-9 of the best. difference, |sep_bound -
-    # oracle_value| at rounding level, holds the closed form's value.
+    # sep_bound from the eigenphases of the whole settings; oracle_value is the
+    # block-wise separable maximum of the first best block pair in row-major
+    # order, and oracle_state the product state built from its top singular
+    # vectors. difference, |sep_bound - oracle_value| at rounding level, holds
+    # the closed form's value.
     path = settings_file(tmp_path) if settings is None else GOLDEN / settings
     code, out, _ = run(capsys, "decompose", str(path))
     assert code == 0

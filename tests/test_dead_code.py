@@ -1,4 +1,4 @@
-"""Static guards on the package source: no unused module-level import, no unreferenced private name."""
+"""Static guards on the package source: no unused import, no unreferenced private name, no bare tolerance."""
 
 import ast
 from pathlib import Path
@@ -54,3 +54,26 @@ def test_every_import_is_used(module):
 def test_every_private_name_is_referenced(module):
     referenced = set().union(*(loaded_names(tree) for tree in TREES.values()))
     assert [name for name in private_names(TREES[module]) if name not in referenced] == []
+
+
+def bare_small_floats(tree: ast.Module) -> list[tuple[int, float]]:
+    """(line, value) of each float literal in (0, 1e-3) outside the value of an UPPER_CASE module-level assignment."""
+    named = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if all(isinstance(target, ast.Name) and target.id.isupper() for target in targets):
+            named |= {id(sub) for sub in ast.walk(node.value)}
+    return [(node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < node.value < 1e-3
+            and id(node) not in named]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_tolerance_is_a_named_constant(module):
+    # a tolerance is named once, beside a comment on what sets it, and the checks read the name
+    assert bare_small_floats(TREES[module]) == []

@@ -12,7 +12,7 @@ from swapcert import (
     ptrace_array,
     tensor,
 )
-from swapcert.linalg import hermitian_deviation, seeded_generator
+from swapcert.linalg import hermitian_deviation
 from support import I2, X, Z, eig_hermitian, kron_all, overlap_sq, permute_subsystems, ptrace_loops, to_density
 
 
@@ -263,6 +263,24 @@ class TestStateTypes:
         with pytest.raises(ValidationError, match=message):
             DensityMatrix(np.eye(4) / 4, dims)
 
+    @pytest.mark.parametrize("dims,keep,message", [
+        ((2.7, 2.2), [0], r"^each dimension must be an integer, got 2.7$"),  # int() would read (2, 2)
+        ((True, 4), [0], r"^each dimension must be an integer, got True$"),
+        ((2, "2"), [0], r"^each dimension must be an integer, got '2'$"),
+        ((-2, -2), [0], r"^dims \(-2, -2\) must all be at least 1$"),
+        (4, [0], r"^dims must be a sequence of integers, got 4$"),
+        ((2, 2), [0.5], r"^each keep index must be an integer, got 0.5$"),  # int() would read 0
+        ((2, 2), [True], r"^each keep index must be an integer, got True$"),
+        ((2, 2), ["1"], r"^each keep index must be an integer, got '1'$"),
+    ])
+    def test_ptrace_rejects_non_integer_dims_and_keep(self, dims, keep, message):
+        with pytest.raises(ValidationError, match=message):
+            ptrace_array(np.eye(4) / 4, dims, keep)
+
+    def test_ptrace_reads_numpy_integers(self):
+        reduced = ptrace_array(np.eye(4) / 4, np.array([2, 2]), [np.int64(1)])
+        np.testing.assert_array_equal(reduced, np.eye(2) / 2)
+
     def test_numpy_integer_dims_read_as_int(self):
         state = PureState(np.eye(4)[0], np.array([2, 2]))
         assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
@@ -311,23 +329,3 @@ class TestPermuteSubsystems:
     def test_invalid_permutation(self):
         with pytest.raises(ValidationError):
             permute_subsystems(np.eye(4), (2, 2), (0, 0))
-
-
-class TestSeededGenerator:
-    @pytest.mark.parametrize("key", [
-        (), (0,), (0, 0, 0, 0), (2**31, 1, 2, 3), (7, 2**32 - 1), (2**32, 1, 1, 1), (5, 2**32),
-        (2**64, 2, 2, 3), (2**40, 0), (np.int64(9), np.uint32(2), 1), (True, 2),
-    ])
-    def test_same_stream_as_default_rng(self, key):
-        got, want = seeded_generator(*key), np.random.default_rng(list(key))
-        assert got.bit_generator.state == want.bit_generator.state
-        assert got.integers(0, 2**63, size=16).tolist() == want.integers(0, 2**63, size=16).tolist()
-        assert got.normal(size=(2, 5)).tobytes() == want.normal(size=(2, 5)).tobytes()
-        assert got.multinomial(10**6, [0.25] * 4).tolist() == want.multinomial(10**6, [0.25] * 4).tolist()
-
-    @pytest.mark.parametrize("key,error", [((-1, 1), ValueError), ((1.5,), TypeError), ((2, -(2**40)), ValueError)])
-    def test_invalid_key_fails_like_default_rng(self, key, error):
-        with pytest.raises(error):
-            np.random.default_rng(list(key))
-        with pytest.raises(error):
-            seeded_generator(*key)
