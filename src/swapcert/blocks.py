@@ -15,7 +15,7 @@ reaches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -62,19 +62,23 @@ class ObservableBlock:
 class ObservableBlocks:
     """Complete block decomposition of a pair of +/-1 observables, with |sin phi| of each block's eigenphase."""
 
-    parent_dim: int
     blocks: tuple[ObservableBlock, ...]
     sines: tuple[float, ...]  # 0 on a 1x1 block; on a 2x2 block from the eig of A0 A1 that built it
+    split: float  # the principal-angle threshold jordan_blocks split the 1x1 blocks off at
+    reconstruction_error: float  # largest entry of embed() minus the input, at most RECONSTRUCTION_TOL
 
     def embed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reassemble the full observables from the blocks."""
-        a0 = np.zeros((self.parent_dim, self.parent_dim), dtype=complex)
-        a1 = np.zeros_like(a0)
+        """Reassemble the full observables as V R V^dagger, one batched product for both.
+
+        V holds the block bases side by side and R, ``(2, n, n)``, their restrictions on its diagonal.
+        """
+        basis = np.concatenate([block.basis for block in self.blocks], axis=1)
+        restricted = np.zeros((2, basis.shape[1], basis.shape[1]), dtype=complex)
+        k = 0
         for block in self.blocks:
-            v = block.basis
-            a0 += v @ block.a0 @ v.conj().T
-            a1 += v @ block.a1 @ v.conj().T
-        return a0, a1
+            restricted[:, k:k + block.size, k:k + block.size] = block.a0, block.a1
+            k += block.size
+        return tuple(basis @ restricted @ basis.conj().T)
 
 
 @dataclass(frozen=True)
@@ -124,34 +128,37 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     The 1x1 blocks are the common eigenvectors, found by principal angles
     (Halmos 1969; Bjorck and Golub 1973): within each eigenspace of A0, from
     one ``eigh``, the right singular vectors of A1 - A0 with singular value
-    at most the split threshold are 1x1 blocks at phase 0 of U = A0 A1, and
-    then, on what is left, those of A1 + A0 are 1x1 blocks at phase pi. The
-    threshold is the larger of ``EDGE_TOL`` and 8 max|Ai^2 - I| over the two
-    observables, so settings rounded to 9 digits split at their own rounding
-    level. On the remainder, U restricted by one ``eig`` has its eigenphases
-    in conjugate pairs (off the unit circle by more than ``UNIT_CIRCLE_TOL``, they raise
-    ``ValidationError``), and each eigenvector u at a positive phase pairs
-    with A0 u to span a 2x2 block, whose |sin phi| is recorded. Blocks are
-    listed by ascending phase, the 1x1 blocks at 0 first and those at pi
-    last, and each block's basis is orthogonalized against all earlier
-    blocks, which A0 and A1 leave invariant: eigenvectors at equal or close
-    phases are not orthogonal as ``eig`` returns them. The reconstruction
-    from the returned blocks is verified to ``RECONSTRUCTION_TOL``.
+    at most ``split`` are 1x1 blocks at phase 0 of U = A0 A1, and then, on
+    what is left, those of A1 + A0 are 1x1 blocks at phase pi. ``split`` is
+    the larger of ``EDGE_TOL`` and 8 times the larger ``involution_residual``
+    max|Ai^2 - I|, so settings rounded to 9 digits split at their own
+    rounding level. On the remainder, U restricted by one ``eig`` has its
+    eigenphases in conjugate pairs (off the unit circle by more than
+    ``UNIT_CIRCLE_TOL``, they raise ``ValidationError``), and each eigenvector
+    u at a positive phase pairs with A0 u to span a 2x2 block, whose
+    |sin phi| is recorded. Blocks are listed by ascending phase, 1x1 blocks
+    at 0 first and at pi last; their columns fill one d x d basis in that
+    order, each orthogonalized against all earlier ones, which A0 and A1
+    leave invariant (``eig`` returns eigenvectors at close phases
+    non-orthogonal). ``embed`` must give back the input within
+    ``RECONSTRUCTION_TOL``; that ``reconstruction_error`` is recorded too.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
         raise ValidationError("observables must act on the same space")
     d = mat0.shape[0]
-    split = max(EDGE_TOL, 8.0 * max(float(np.max(np.abs(mat @ mat - np.eye(d)))) for mat in (mat0, mat1)))
+    split = max(EDGE_TOL, 8.0 * max(a0.involution_residual, a1.involution_residual))
 
     values, eigvecs = np.linalg.eigh(mat0)
-    at_zero: list[np.ndarray] = []
-    at_pi: list[np.ndarray] = []
+    at_zero, at_pi = [], []  # 1x1 block vectors at phase 0 and pi
+    moves = [(at_zero, mat1 + -1.0 * mat0), (at_pi, mat1 + 1.0 * mat0)]  # not mat1 - mat0: it can flip a zero's sign
     rest = []
     for space in (eigvecs[:, values < 0.0], eigvecs[:, values >= 0.0]):
-        for ones, sign in ((at_zero, -1.0), (at_pi, 1.0)):
-            _, singular, right = np.linalg.svd((mat1 + sign * mat0) @ space)
-            ones.extend((space @ right[singular <= split].conj().T).T)
+        for ones, move in moves:
+            _, singular, right = np.linalg.svd(move @ space, full_matrices=False)
+            low = singular <= split
+            if low.any():
+                ones.extend((space @ right[low].conj().T).T)
             space = space @ right[singular > split].conj().T
         rest.append(space)
     rest = np.hstack(rest)
@@ -164,27 +171,33 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     twos = (rest @ rest_vecs[:, positive]).T
     sines = (0.0,) * len(at_zero) + tuple(_unit_phases(rest_vals)[1][positive].tolist()) + (0.0,) * len(at_pi)
 
-    def fresh(v: np.ndarray, built: np.ndarray) -> np.ndarray:
-        v = v - built @ (built.conj().T @ v)
+    built = np.empty((d, d), dtype=complex)  # every block's basis columns, in block order
+
+    def fresh(v: np.ndarray, k: int) -> np.ndarray:  # v orthogonalized against built's first k columns, normalized
+        prefix = np.ascontiguousarray(built[:, :k])  # C-ordered: no BLAS takes a strided path here
+        v = v - prefix @ (prefix.conj().T @ v)
         return v / np.linalg.norm(v)
 
     blocks: list[ObservableBlock] = []
-    built = np.zeros((d, 0), dtype=complex)
+    k = 0
     for u, size in [(v, 1) for v in at_zero] + [(u, 2) for u in twos] + [(v, 1) for v in at_pi]:
-        u = fresh(u, built)
-        basis = u[:, None] if size == 1 else np.column_stack([u, fresh(mat0 @ u, np.column_stack([built, u]))])
-        built = np.column_stack([built, basis])
-        r0, r1 = (basis.conj().T @ mat @ basis for mat in (mat0, mat1))
+        built[:, k] = u = fresh(u, k)
+        if size == 2:
+            built[:, k + 1] = fresh(mat0 @ u, k + 1)
+        basis = u[:, None] if size == 1 else np.ascontiguousarray(built[:, k:k + 2])
+        k += size
+        adjoint = basis.conj().T
+        r0, r1 = (adjoint @ mat @ basis for mat in (mat0, mat1))
         if size == 1:  # a common eigenvector: both restrictions are real eigenvalues
             r0, r1 = r0.real.astype(complex), r1.real.astype(complex)
         blocks.append(ObservableBlock(basis, r0, r1))
 
-    result = ObservableBlocks(d, tuple(blocks), sines)
+    result = ObservableBlocks(tuple(blocks), sines, split, math.nan)
     r0, r1 = result.embed()
     err = max(float(np.max(np.abs(r0 - mat0))), float(np.max(np.abs(r1 - mat1))))
     if not err <= RECONSTRUCTION_TOL:  # NaN fails too
         raise ValidationError(f"block reconstruction error {err:.3g} exceeds {RECONSTRUCTION_TOL:g}")
-    return result
+    return replace(result, reconstruction_error=err)
 
 
 def _chsh_matrix(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:

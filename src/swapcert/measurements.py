@@ -59,7 +59,7 @@ def _projector_failures(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class DichotomicObservable:
-    """Hermitian operator whose spectrum lies in {-1, +1} (it squares to I)."""
+    """Hermitian operator whose spectrum lies in {-1, +1}: it squares to I within ``involution_residual``."""
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
@@ -68,19 +68,24 @@ class DichotomicObservable:
         mat = np.array(_as_matrix(self.matrix, "observable"))
         if mat.shape[0] != mat.shape[1]:
             raise ValidationError("observable must be square")
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
         with np.errstate(all="ignore"):  # an overflow shows up as an inf or NaN deviation
             herm = hermitian_deviation(mat)
-            invol = np.max(np.abs(mat @ mat - np.eye(mat.shape[0])))
+            invol = self.involution_residual  # computed here once, then cached
         if not herm <= tol:  # NaN fails too
             raise ValidationError("observable is not Hermitian within tolerance")
         if not invol <= tol:
             raise ValidationError("observable does not square to the identity within tolerance")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def involution_residual(self) -> float:
+        """max|A^2 - I|, computed by the construction check that accepted the matrix; ``jordan_blocks`` reads it."""
+        return float(np.max(np.abs(self.matrix @ self.matrix - np.eye(self.dim))))
 
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Spectral projectors onto the +1 and -1 outcomes, in that order."""

@@ -33,6 +33,7 @@ from swapcert import (
     conditional_version_matrix,
     relabel,
 )
+from swapcert.blocks import EDGE_TOL
 from swapcert.certify import VERSION_SIGNS
 from swapcert.linalg import _as_matrix, hermitian_deviation, ptrace_array
 
@@ -662,6 +663,54 @@ def reference_perturbed_bell_measurement(theta: float, pair: int) -> FourOutcome
     c, s = math.cos(theta), math.sin(theta)
     basis[lo], basis[hi] = c * basis[lo] + s * basis[hi], -s * basis[lo] + c * basis[hi]
     return FourOutcomeMeasurement(tuple(np.outer(v, v.conj()) for v in basis), (2, 2))
+
+
+def reference_jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> tuple[list[tuple], tuple]:
+    """Jordan blocks assembled one block at a time: ``(basis, r0, r1)`` per block, and the sines.
+
+    The per-block loop that regrows its basis with ``np.column_stack``, with
+    the split read from max|A^2 - I| of both matrices; every arithmetic step
+    is the one :func:`swapcert.jordan_blocks` takes, so the two agree byte
+    for byte. No reconstruction check runs.
+    """
+    mat0, mat1 = a0.matrix, a1.matrix
+    d = mat0.shape[0]
+    split = max(EDGE_TOL, 8.0 * max(float(np.max(np.abs(mat @ mat - np.eye(d)))) for mat in (mat0, mat1)))
+
+    values, eigvecs = np.linalg.eigh(mat0)
+    at_zero: list[np.ndarray] = []
+    at_pi: list[np.ndarray] = []
+    rest = []
+    for space in (eigvecs[:, values < 0.0], eigvecs[:, values >= 0.0]):
+        for ones, sign in ((at_zero, -1.0), (at_pi, 1.0)):
+            _, singular, right = np.linalg.svd((mat1 + sign * mat0) @ space)
+            ones.extend((space @ right[singular <= split].conj().T).T)
+            space = space @ right[singular > split].conj().T
+        rest.append(space)
+    rest = np.hstack(rest)
+    rest_vals, rest_vecs = np.linalg.eig(rest.conj().T @ mat0 @ mat1 @ rest)
+    phases = np.angle(rest_vals)
+    positive = np.flatnonzero(phases > 0.0)
+    positive = positive[np.argsort(phases[positive], kind="stable")]
+    twos = (rest @ rest_vecs[:, positive]).T
+    sines = (0.0,) * len(at_zero) + tuple((np.abs(rest_vals.imag) / np.abs(rest_vals))[positive].tolist())
+    sines += (0.0,) * len(at_pi)
+
+    def fresh(v: np.ndarray, built: np.ndarray) -> np.ndarray:
+        v = v - built @ (built.conj().T @ v)
+        return v / np.linalg.norm(v)
+
+    blocks = []
+    built = np.zeros((d, 0), dtype=complex)
+    for u, size in [(v, 1) for v in at_zero] + [(u, 2) for u in twos] + [(v, 1) for v in at_pi]:
+        u = fresh(u, built)
+        basis = u[:, None] if size == 1 else np.column_stack([u, fresh(mat0 @ u, np.column_stack([built, u]))])
+        built = np.column_stack([built, basis])
+        r0, r1 = (basis.conj().T @ mat @ basis for mat in (mat0, mat1))
+        if size == 1:
+            r0, r1 = r0.real.astype(complex), r1.real.astype(complex)
+        blocks.append((basis, r0, r1))
+    return blocks, sines
 
 
 def reference_block_chsh(a_blocks, b_blocks) -> tuple[list[tuple[int, int, np.ndarray, float]], float]:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from swapcert import (
     theorem_check,
     version_operator,
 )
-from swapcert.blocks import block_witness
+from swapcert.blocks import EDGE_TOL, RECONSTRUCTION_TOL, block_witness
 from swapcert.serialize import json_dumps, observable_from_json, observable_to_json
 from support import (
     I2,
@@ -44,6 +45,7 @@ from support import (
     random_observable,
     reference_block_chsh,
     reference_chsh_operator,
+    reference_jordan_blocks,
     reference_sep_bound_oracle,
     reference_version_operator,
     skewed_observable,
@@ -134,6 +136,69 @@ class TestJordanBlocks:
         good = Z_OBS
         with pytest.raises(ValidationError):
             jordan_blocks(good, DichotomicObservable(np.eye(3)))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Interior phases that fill a planted layout up to d = 16 after its first block.
+FILL_PHASES = (0.7, 1.9, 2.6, 1.1, 0.4, 2.3, 1.5)
+
+
+def assembly_pair(kind: str, d: int, seed: int) -> tuple[DichotomicObservable, DichotomicObservable]:
+    """A seeded pair of each layout the assembly must reproduce byte for byte.
+
+    ``generic``: balanced Haar observables. ``repeated`` and ``ones_repeated``:
+    two eigenphases repeated over every 2x2 block, the second after 1x1 blocks
+    at 0 and pi. ``mixed_edge``: 1x1 blocks at 0 and pi beside a 2x2 block 5e-8
+    from 0. ``near_edge``: a 2x2 block 5e-8 from pi beside interior ones.
+    """
+    rng = np.random.default_rng([seed, d])
+    if kind == "generic":
+        return random_observable(d, rng), random_observable(d, rng)
+    if kind in ("repeated", "ones_repeated"):
+        phases = rng.uniform(0.3, math.pi - 0.3, size=2)
+        sign = float(rng.choice([-1.0, 1.0]))
+        ones = ((sign, sign), (sign, -sign)) if kind == "ones_repeated" else ()
+        return planted_layout(ones, tuple(phases[k % 2] for k in range((d - len(ones)) // 2)), rng)
+    if kind == "mixed_edge":
+        return planted_layout(((1.0, 1.0), (-1.0, 1.0)), ((5e-8,) + FILL_PHASES)[:(d - 2) // 2], rng)
+    return planted_layout((), ((math.pi - 5e-8,) + FILL_PHASES)[:d // 2], rng)
+
+
+def assert_reference_bytes(a0: DichotomicObservable, a1: DichotomicObservable) -> None:
+    got = jordan_blocks(a0, a1)
+    want, sines = reference_jordan_blocks(a0, a1)
+    assert len(got.blocks) == len(want)
+    for block, arrays in zip(got.blocks, want):
+        for mine, theirs in zip((block.basis, block.a0, block.a1), arrays):
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    assert np.array(got.sines).tobytes() == np.array(sines).tobytes()
+
+
+class TestJordanBlocksAssembly:
+    """The one-basis assembly against the block-by-block reference loop, byte for byte, and what it records."""
+
+    @pytest.mark.parametrize("kind", ["generic", "repeated", "ones_repeated", "mixed_edge", "near_edge"])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_matches_reference_bytes(self, kind, d):
+        for seed in range(3):
+            assert_reference_bytes(*assembly_pair(kind, d, seed))
+
+    @pytest.mark.parametrize("name", ["planted_d4", "mixed_edge"])
+    def test_golden_settings_match_reference_bytes(self, name):
+        obj = json.loads((GOLDEN / f"{name}_settings.json").read_text(encoding="utf-8"))
+        a0, a1, b0, b1 = (observable_from_json(obj[key], key) for key in ("a0", "a1", "b0", "b1"))
+        assert_reference_bytes(a0, a1)
+        assert_reference_bytes(b0, b1)
+
+    @pytest.mark.parametrize("kind", ["generic", "ones_repeated", "mixed_edge"])
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_records_split_and_reconstruction_error(self, kind, d):
+        a0, a1 = assembly_pair(kind, d, 0)
+        blocks = jordan_blocks(a0, a1)
+        residual = max(float(np.max(np.abs(o.matrix @ o.matrix - np.eye(d)))) for o in (a0, a1))
+        assert blocks.split == max(EDGE_TOL, 8.0 * residual)
+        assert blocks.reconstruction_error == embed_error(blocks, a0, a1) <= RECONSTRUCTION_TOL
 
 
 SIGN_PAIRS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
@@ -508,11 +573,11 @@ class TestVersionOperator:
             version_operator((Z_OBS, X_OBS), (Z_OBS, X_OBS), version)
 
 
-EIGENSOLVERS = ("eig", "eigvals", "eigh", "eigvalsh")
+EIGENSOLVERS = ("eig", "eigvals", "eigh", "eigvalsh", "svd")
 
 
 def count_eigensolves(monkeypatch) -> dict[str, int]:
-    """Count the calls of each numpy eigensolver from here on, through counting wrappers set on ``np.linalg``."""
+    """Count the calls of each eigensolver and of the SVD from here on, through wrappers set on ``np.linalg``."""
     calls = dict.fromkeys(EIGENSOLVERS, 0)
     for name in EIGENSOLVERS:
         def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
@@ -806,12 +871,12 @@ class TestWitnessOracle:
 
     @pytest.mark.parametrize("kind,d", [("ideal", 2), ("classical", 2), ("generic", 3), ("planted", 4)])
     def test_eigensolvers_on_the_witness_path(self, monkeypatch, kind, d):
-        # the formula's eigvals of X0 X1 and each jordan_blocks' eigh and eig, per party; the
-        # witness itself runs one SVD and no eigensolver
+        # the formula's eigvals of X0 X1 and each jordan_blocks' eigh, four principal-angle SVDs
+        # and eig, per party; the witness itself runs one SVD and no eigensolver
         obs = oracle_input(kind, d, 0)
         calls = count_eigensolves(monkeypatch)
         _, result = sep_bound(*obs, with_oracle=True, restarts=4, iters=50)
-        assert calls == {"eig": 2, "eigvals": 2, "eigh": 2, "eigvalsh": 0}
+        assert calls == {"eig": 2, "eigvals": 2, "eigh": 2, "eigvalsh": 0, "svd": 2 * 4 + 1}
         assert abs(result.formula_value - result.oracle_value) <= 1e-12
 
     def test_commuting_parties_keep_the_sign(self):

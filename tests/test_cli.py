@@ -643,11 +643,13 @@ class TestSepBound:
         assert (payload["sep_bound"], payload["oracle_value"], payload["difference"]) == (2.0, -2.0, 4.0)
 
     def test_runs_jordan_blocks_once_per_party(self, capsys, monkeypatch):
-        calls = []
-        jordan_blocks = blocks.jordan_blocks
+        # four principal-angle SVDs per jordan_blocks and one in block_witness
+        calls, svds = [], []
+        jordan_blocks, svd = blocks.jordan_blocks, np.linalg.svd
         monkeypatch.setattr(blocks, "jordan_blocks", lambda *args: calls.append(args) or jordan_blocks(*args))
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args) or svd(*args, **kwargs))
         code, _, _ = run(capsys, "sep-bound", str(GOLDEN / "planted_d4_settings.json"), "--seed", "7")
-        assert code == 0 and len(calls) == 2
+        assert code == 0 and len(calls) == 2 and len(svds) == 2 * 4 + 1
 
     @pytest.mark.parametrize("name", ["planted_d4", "mixed_edge"])
     def test_restart_flags_do_not_change_the_output(self, capsys, name):

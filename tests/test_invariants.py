@@ -2,7 +2,9 @@
 
 Any correct Born-rule simulator, sampler and certification rule satisfies
 them, wherever the scenario lies, so they catch a wrong contraction, sign or
-draw that the golden files would only catch at their few points.
+draw that the golden files would only catch at their few points. The
+separable bound and the Jordan blocks' sines are held to the symmetries of
+the CHSH operator in the same way.
 """
 
 import math
@@ -24,10 +26,19 @@ from swapcert import (
     conditional_version_matrix,
     estimate_report,
     exact_report,
+    jordan_blocks,
     overlap_version_matrix,
     sample_counts,
+    sep_bound,
 )
-from support import haar_unitary, ideal_with_charlie3, kron_all, random_scenario, rotated_bell_measurement
+from support import (
+    haar_unitary,
+    ideal_with_charlie3,
+    kron_all,
+    random_observable,
+    random_scenario,
+    rotated_bell_measurement,
+)
 
 # Largest move of any report value or probability; the measured moves are 1.3e-15 and 5.6e-17.
 INVARIANCE_TOL = 1e-12
@@ -152,3 +163,65 @@ def test_verdicts_are_monotone(rule, inputs, tol_raise, slot, value_raise):
     raised = list(values)
     raised[slot] += value_raise  # an undefined value stays undefined
     assert rule(s_ac, s_bc, raised, tol).passed
+
+
+# Settings of two parties, each a pair of Haar +/-1 observables on dimension 2, 3 or 4.
+SETTINGS = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4)), st.sampled_from((2, 3, 4)))
+PARTY = st.sampled_from((0, 1))
+
+
+def random_settings(drawn) -> tuple[list[tuple[DichotomicObservable, DichotomicObservable]], np.random.Generator]:
+    """Both parties' (X0, X1) and the generator that drew them, to draw transformations from."""
+    seed, d_a, d_b = drawn
+    rng = np.random.default_rng([seed, 17])
+    return [(random_observable(d, rng), random_observable(d, rng)) for d in (d_a, d_b)], rng
+
+
+def commutes(x0: DichotomicObservable, x1: DichotomicObservable) -> bool:
+    return bool(np.max(np.abs(x0.matrix @ x1.matrix - x1.matrix @ x0.matrix)) <= INVARIANCE_TOL)
+
+
+def bound_and_sines(parties) -> tuple[float, list[list[float]]]:
+    """sep_bound's formula value, after checking the witness against it, and each party's sorted sines."""
+    (a0, a1), (b0, b1) = parties
+    _, result = sep_bound(a0, a1, b0, b1)
+    if not (commutes(a0, a1) and commutes(b0, b1)):
+        assert abs(result.oracle_value - result.formula_value) <= INVARIANCE_TOL
+    return result.formula_value, [sorted(jordan_blocks(*party).sines) for party in parties]
+
+
+def assert_same_bound(parties, moved, order=(0, 1)) -> None:
+    """``moved`` has the bound of ``parties`` and, party ``order[k]`` of ``parties`` at place k, its sines."""
+    value, sines = bound_and_sines(parties)
+    moved_value, moved_sines = bound_and_sines(moved)
+    assert abs(moved_value - value) <= INVARIANCE_TOL
+    for k, j in enumerate(order):
+        assert len(moved_sines[k]) == len(sines[j])
+        assert np.max(np.abs(np.subtract(moved_sines[k], sines[j])), initial=0.0) <= INVARIANCE_TOL
+
+
+@given(SETTINGS, PARTY)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_separable_bound_local_unitary_invariance(drawn, party):
+    parties, rng = random_settings(drawn)
+    u = haar_unitary(parties[party][0].dim, rng)
+    moved = list(parties)
+    moved[party] = tuple(DichotomicObservable(u @ x.matrix @ u.conj().T) for x in parties[party])
+    assert_same_bound(parties, moved)
+
+
+@given(SETTINGS)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_separable_bound_party_swap_invariance(drawn):
+    parties, _ = random_settings(drawn)
+    assert_same_bound(parties, parties[::-1], order=(1, 0))
+
+
+@given(SETTINGS, PARTY)
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_separable_bound_setting_swap_invariance(drawn, party):
+    # X1 X0 is the adjoint of X0 X1: its eigenphases are the conjugates, with the same |sin|
+    parties, _ = random_settings(drawn)
+    moved = list(parties)
+    moved[party] = parties[party][::-1]
+    assert_same_bound(parties, moved)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from swapcert import (
 )
 from swapcert import measurements
 from swapcert.measurements import checked_bits
+from swapcert.serialize import matrix_to_json, observable_from_json, observable_to_json
 from support import (
     I2,
     X,
@@ -276,6 +278,46 @@ class TestFromVectors:
             assert scale > 0.0
             return
         reference_validate_projectors([np.outer(v, v.conj()) for v in vecs], 4, tol * (1.0 + tol))
+
+
+def involution_residual(mat: np.ndarray) -> float:
+    return float(np.max(np.abs(mat @ mat - np.eye(mat.shape[0]))))
+
+
+class TestInvolutionResidual:
+    """The construction check's max|A^2 - I| is kept, preset, and equal bit for bit to a fresh computation."""
+
+    @staticmethod
+    def assert_preset(obs: DichotomicObservable) -> None:
+        assert "involution_residual" in obs.__dict__
+        assert obs.involution_residual == involution_residual(obs.matrix)
+        assert type(obs.involution_residual) is float
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+    def test_built_directly(self, d):
+        rng = np.random.default_rng(d)
+        for obs in (random_observable(d, rng), DichotomicObservable(np.eye(d) * (1.0 + 2e-10))):
+            self.assert_preset(obs)
+        assert DichotomicObservable(np.eye(d) * (1.0 + 2e-10)).involution_residual > 0.0
+
+    def test_read_from_json(self):
+        exact = observable_from_json(observable_to_json(qubit_observable((0.6, 0.0, 0.8))))
+        self.assert_preset(exact)
+        # 2e-7 from squaring to I: only the snap tolerance accepts it, and the snapped matrix is kept
+        off = (1.0 + 1e-7) * Z
+        snapped = observable_from_json(matrix_to_json(off))
+        assert involution_residual(off) > 1e-9 >= snapped.involution_residual
+        self.assert_preset(snapped)
+
+    def test_replaced_observable_recomputes(self):
+        obs = random_observable(4, np.random.default_rng(5))
+        other = dataclasses.replace(obs, matrix=-obs.matrix)
+        self.assert_preset(other)
+        assert dataclasses.replace(obs).involution_residual == obs.involution_residual
+
+    def test_cannot_be_assigned(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            qubit_observable((0.0, 0.0, 1.0)).involution_residual = 0.0
 
 
 def _observables():
