@@ -6,10 +6,10 @@ two such pairs then splits into a direct sum over block pairs. By Landau's
 identity the top eigenvalue of a block pair depends only on the two blocks'
 eigenphases, and the smallest of them pins down the largest CHSH value
 reachable by separable states; so both the block table and the bound are
-read from eigenphases of A0 A1 and B0 B1. On request :func:`sep_bound`
-checks the bound against the separable maximum read block pair by block
-pair from the Jordan blocks (:func:`block_witness`), which a product state
-reaches.
+read from the eigenphases that :func:`jordan_blocks` records for each block
+of A0 A1 and B0 B1. On request :func:`sep_bound` checks the bound against
+the separable maximum read block pair by block pair from the same Jordan
+blocks (:func:`block_witness`), which a product state reaches.
 """
 
 from __future__ import annotations
@@ -60,10 +60,11 @@ class ObservableBlock:
 
 @dataclass(frozen=True)
 class ObservableBlocks:
-    """Complete block decomposition of a pair of +/-1 observables, with |sin phi| of each block's eigenphase."""
+    """Complete block decomposition of a +/-1 observable pair, with cos phi and |sin phi| of each block's eigenphase."""
 
     blocks: tuple[ObservableBlock, ...]
     sines: tuple[float, ...]  # 0 on a 1x1 block; on a 2x2 block from the eig of A0 A1 that built it
+    cosines: tuple[float, ...]  # +/-1 on a 1x1 block, the product of its two restrictions
     split: float  # the principal-angle threshold jordan_blocks split the 1x1 blocks off at
     reconstruction_error: float  # largest entry of embed() minus the input, at most RECONSTRUCTION_TOL
 
@@ -92,14 +93,11 @@ class BlockPair:
 
 @dataclass(frozen=True)
 class ChshBlockStructure:
-    """Smallest top eigenvalue over the block pairs, and the pairs themselves.
-
-    Only :func:`block_chsh` lists the pairs; :func:`sep_bound` reads lam from
-    the eigenphases of the whole settings and leaves ``pairs`` empty.
-    """
+    """The block pairs, their smallest top eigenvalue and the separable bound it gives."""
 
     pairs: tuple[BlockPair, ...]
     lam: float  # smallest alpha over all block pairs
+    bound: float  # (lam + sqrt(8 - lam^2)) / 2, read from the eigenphases without rounding through lam
 
 
 @dataclass(frozen=True)
@@ -117,7 +115,7 @@ def _unit_phases(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w off the unit circle by more than ``UNIT_CIRCLE_TOL`` raises ``ValidationError``.
     """
     modulus = np.abs(w)
-    if np.any(np.abs(modulus - 1.0) > UNIT_CIRCLE_TOL):  # an empty w, from a commuting pair, passes
+    if np.any(np.abs(modulus - 1.0) > UNIT_CIRCLE_TOL):
         raise ValidationError(f"eigenvalues of A0*A1 lie off the unit circle by more than {UNIT_CIRCLE_TOL:g}")
     return w.real / modulus, np.abs(w.imag) / modulus
 
@@ -133,15 +131,18 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     the larger of ``EDGE_TOL`` and 8 times the larger ``involution_residual``
     max|Ai^2 - I|, so settings rounded to 9 digits split at their own
     rounding level. On the remainder, U restricted by one ``eig`` has its
-    eigenphases in conjugate pairs (off the unit circle by more than
-    ``UNIT_CIRCLE_TOL``, they raise ``ValidationError``), and each eigenvector
-    u at a positive phase pairs with A0 u to span a 2x2 block, whose
-    |sin phi| is recorded. Blocks are listed by ascending phase, 1x1 blocks
-    at 0 first and at pi last; their columns fill one d x d basis in that
-    order, each orthogonalized against all earlier ones, which A0 and A1
-    leave invariant (``eig`` returns eigenvectors at close phases
-    non-orthogonal). ``embed`` must give back the input within
-    ``RECONSTRUCTION_TOL``; that ``reconstruction_error`` is recorded too.
+    eigenphases in conjugate pairs, and each eigenvector u at a positive
+    phase pairs with A0 u to span a 2x2 block. Blocks are listed by
+    ascending phase, 1x1 blocks at 0 first and at pi last; their columns
+    fill one d x d basis in that order, each orthogonalized against all
+    earlier ones, which A0 and A1 leave invariant (``eig`` returns
+    eigenvectors at close phases non-orthogonal). Every eigenvalue w of U,
+    both of each 2x2 block's and on a 1x1 block the product of its two
+    restrictions, must lie within ``UNIT_CIRCLE_TOL`` of the unit circle or
+    raises ``ValidationError``; each block records cos phi and |sin phi| of
+    its w at phase phi in [0, pi]. ``embed`` must give back the input
+    within ``RECONSTRUCTION_TOL``; that ``reconstruction_error`` is recorded
+    too.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
@@ -169,7 +170,6 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     positive = np.flatnonzero(phases > 0.0)
     positive = positive[np.argsort(phases[positive], kind="stable")]
     twos = (rest @ rest_vecs[:, positive]).T
-    sines = (0.0,) * len(at_zero) + tuple(_unit_phases(rest_vals)[1][positive].tolist()) + (0.0,) * len(at_pi)
 
     built = np.empty((d, d), dtype=complex)  # every block's basis columns, in block order
 
@@ -192,7 +192,13 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
             r0, r1 = r0.real.astype(complex), r1.real.astype(complex)
         blocks.append(ObservableBlock(basis, r0, r1))
 
-    result = ObservableBlocks(tuple(blocks), sines, split, math.nan)
+    # one unit-circle read of every eigenvalue of A0 A1: a 1x1 block's and both of each 2x2 block's
+    n0 = len(at_zero)
+    one_w = [block.a0[0, 0] * block.a1[0, 0] for block in blocks if block.size == 1]
+    w = np.concatenate([one_w[:n0], rest_vals, one_w[n0:]])
+    in_block_order = np.concatenate([np.arange(n0), n0 + positive, np.arange(n0 + len(rest_vals), len(w))])
+    cosines, sines = (tuple(x[in_block_order].tolist()) for x in _unit_phases(w))
+    result = ObservableBlocks(tuple(blocks), sines, cosines, split, math.nan)
     r0, r1 = result.embed()
     err = max(float(np.max(np.abs(r0 - mat0))), float(np.max(np.abs(r1 - mat1))))
     if not err <= RECONSTRUCTION_TOL:  # NaN fails too
@@ -245,19 +251,35 @@ def version_operator(
 
 
 def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBlockStructure:
-    """Every block pair as (row, col, alpha), in row-major order, and the smallest alpha.
+    """Every block pair as (row, col, alpha), in row-major order, the smallest alpha and the separable bound.
 
     alpha is the top eigenvalue of the CHSH operator restricted to the pair.
-    Landau's identity gives it, as in :func:`sep_bound`, without building the
-    operator: alpha_ij = 2 sqrt(1 + s_i s_j), where s is the |sin| of a
-    block's eigenphase that :func:`jordan_blocks` recorded in ``sines``, so
-    the whole table is one broadcast and no eigensolver runs. A pair with a
-    1x1 block gets the classical value 2 and two blocks at phase pi/2 get
-    2*sqrt(2).
+    On a 2x2 Jordan block at phase phi, A0 = X and A1 = cos(phi) X + sin(phi) Y,
+    so [A0, A1] = 2i sin(phi) Z. Landau's identity
+    beta^2 = 4I - [A0, A1] x [B0, B1] then gives, without building the
+    operator, alpha_ij = 2 sqrt(1 + s_i s_j), where s is the |sin| of a
+    block's eigenphase that :func:`jordan_blocks` recorded in ``sines`` (0 on
+    a 1x1 block), so the whole table is one broadcast and no eigensolver
+    runs. A pair with a 1x1 block gets the classical value 2 and two blocks
+    at phase pi/2 get 2*sqrt(2).
+
+    Hence lam = min alpha_ij = 2 sqrt(1 + p) with p = s_A s_B, the product of
+    each party's smallest sine, and the bound (lam + sqrt(8 - lam^2)) / 2
+    equals sqrt(1 + p) + sqrt(1 - p). ``bound`` forms 1 - s as c^2 / (1 + s)
+    with c the block's ``cosines`` entry, which keeps its relative accuracy
+    where s is close to 1, and 1 - p as (1 - s_A) + s_A (1 - s_B), so the
+    ideal settings give sqrt(2) without snapping.
     """
     alpha = 2.0 * np.sqrt(1.0 + np.outer(a_blocks.sines, b_blocks.sines))
     pairs = tuple(BlockPair(i, j, value) for i, row in enumerate(alpha.tolist()) for j, value in enumerate(row))
-    return ChshBlockStructure(pairs, min((pair.alpha for pair in pairs), default=math.inf))
+    sides = []
+    for side in (a_blocks, b_blocks):
+        k = int(np.argmin(side.sines))
+        s, c = side.sines[k], side.cosines[k]
+        sides.append((s, c * c / (1.0 + s)))
+    (s_a, gap_a), (s_b, gap_b) = sides
+    bound = math.sqrt(1.0 + s_a * s_b) + math.sqrt(gap_a + s_a * gap_b)
+    return ChshBlockStructure(pairs, min(pair.alpha for pair in pairs), bound)
 
 
 def chsh_spectrum(beta2q: np.ndarray) -> tuple[float, float]:
@@ -286,8 +308,8 @@ def sep_bound_value(lam: float) -> float:
 
 
 def sep_bound_formula(structure: ChshBlockStructure) -> float:
-    """Separable bound of a block structure, driven by its smallest top eigenvalue."""
-    return sep_bound_value(structure.lam)
+    """Separable bound of a block structure: its ``bound``, the closed form that :func:`block_chsh` reads accurately."""
+    return structure.bound
 
 
 # A 2x2 restriction r has the Bloch vector Re tr(r sigma_k) / 2 over these.
@@ -366,51 +388,24 @@ def sep_bound(
     iters: int = 500,
     seed: int = 0,
 ) -> tuple[ChshBlockStructure, SepBoundResult]:
-    """Closed-form separable bound from eigenphases, optionally checked by the block-wise maximum.
+    """Closed-form separable bound from the Jordan blocks, optionally checked by the block-wise maximum.
 
-    On a 2x2 Jordan block at phase phi, A0 = X and A1 = cos(phi) X + sin(phi) Y,
-    so [A0, A1] = 2i sin(phi) Z. Landau's identity
-    beta^2 = 4I - [A0, A1] x [B0, B1] then gives block pair (i, j) the top
-    eigenvalue alpha_ij = 2 sqrt(1 + sin(phi_i) sin(psi_j)), where phi_i and
-    psi_j lie in [0, pi]; a 1x1 block has sin = 0. Hence
-    lam = min alpha_ij = 2 sqrt(1 + p) with p = s_A s_B, where s_A is the
-    smallest |sin| over the eigenphases of A0 A1 and s_B that of B0 B1, and
-    the bound (lam + sqrt(8 - lam^2)) / 2 equals sqrt(1 + p) + sqrt(1 - p).
-    No blocks are built for it: one ``eigvals`` of X0 X1 per party gives its
-    eigenvalues w, read by :func:`_unit_phases` as c = Re w / |w| and
-    s = |Im w| / |w|. 1 - s is formed as c^2 / (1 + s), which keeps its
-    relative accuracy where s is close to 1, and 1 - p as
-    (1 - s_A) + s_A (1 - s_B), so the ideal settings give sqrt(2) without
-    snapping. Eigenvalues off the unit circle by more than ``UNIT_CIRCLE_TOL``
-    raise ``ValidationError``.
-
-    The returned structure lists no block pairs (only :func:`block_chsh`
-    does) and carries lam for :func:`sep_bound_formula`; near
-    lam = 2 sqrt(2) that recomputes the bound from the rounded lam, so
-    ``formula_value`` is the accurate one. With ``with_oracle``,
-    :func:`block_witness` on each party's :func:`jordan_blocks` gives the
+    Each party's :func:`jordan_blocks` feeds :func:`block_chsh`, which gives
+    the returned structure; its ``bound`` is ``formula_value``. With
+    ``with_oracle``, :func:`block_witness` on the same blocks gives the
     separable maximum as ``oracle_value`` and a product state reaching it as
-    ``oracle_state``, an independent check: the blocks come from ``eigh``,
-    SVDs and ``eig``, the formula from ``eigvals``. They agree unless both
-    parties commute, where the signed block value (-2 for A0 = A1 = I,
-    B0 = -I, B1 = I) is the maximum and the formula an upper bound.
-    ``restarts``, ``iters`` and ``seed`` are checked as integers of at least
-    1, 1 and 0 but no longer change the result. The observables were each
-    checked Hermitian when they were built.
+    ``oracle_state``, an independent check: the witness value is the
+    state's Rayleigh quotient on the full observables and reads no sines.
+    They agree unless both parties commute, where the signed block value
+    (-2 for A0 = A1 = I, B0 = -I, B1 = I) is the maximum and the formula an
+    upper bound. ``restarts``, ``iters`` and ``seed`` are checked as
+    integers of at least 1, 1 and 0 but no longer change the result. The
+    observables were each checked Hermitian when they were built.
     """
-    sides = []
-    for x0, x1 in ((a0, a1), (b0, b1)):
-        if x0.dim != x1.dim:
-            raise ValidationError("observables must act on the same space")
-        cosines, sines = _unit_phases(np.linalg.eigvals(x0.matrix @ x1.matrix))
-        k = int(np.argmin(sines))
-        sides.append((float(sines[k]), float(cosines[k] ** 2 / (1.0 + sines[k]))))
-    (s_a, gap_a), (s_b, gap_b) = sides
-    p = s_a * s_b
-    structure = ChshBlockStructure((), 2.0 * math.sqrt(1.0 + p))
-    formula = math.sqrt(1.0 + p) + math.sqrt(gap_a + s_a * gap_b)
+    a_blocks, b_blocks = jordan_blocks(a0, a1), jordan_blocks(b0, b1)
+    structure = block_chsh(a_blocks, b_blocks)
     if not with_oracle:
-        return structure, SepBoundResult(formula)
+        return structure, SepBoundResult(structure.bound)
     for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
         _checked_int(value, name)
     if restarts < 1:
@@ -419,5 +414,5 @@ def sep_bound(
         raise ValidationError("need at least one iteration")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
-    value, state = block_witness(a0, a1, b0, b1, jordan_blocks(a0, a1), jordan_blocks(b0, b1))
-    return structure, SepBoundResult(formula, value, state)
+    value, state = block_witness(a0, a1, b0, b1, a_blocks, b_blocks)
+    return structure, SepBoundResult(structure.bound, value, state)

@@ -229,15 +229,14 @@ def _structure_payload(settings: tuple) -> tuple[dict, blocks.ObservableBlocks, 
     a0, a1, b0, b1 = settings
     a_blocks = blocks.jordan_blocks(a0, a1)
     b_blocks = blocks.jordan_blocks(b0, b1)
-    pairs = blocks.block_chsh(a_blocks, b_blocks).pairs  # row-major
-    alpha = np.reshape([pair.alpha for pair in pairs], (len(a_blocks.blocks), len(b_blocks.blocks))).tolist()
-    structure, result = blocks.sep_bound(a0, a1, b0, b1, with_oracle=False)
+    structure = blocks.block_chsh(a_blocks, b_blocks)
+    alpha = np.reshape([pair.alpha for pair in structure.pairs], (len(a_blocks.blocks), len(b_blocks.blocks))).tolist()
     payload = {
         "a_blocks": a_blocks.blocks,
         "b_blocks": b_blocks.blocks,
         "alpha": alpha,
         "lambda": structure.lam,
-        "sep_bound": result.formula_value,
+        "sep_bound": structure.bound,
     }
     return payload, a_blocks, b_blocks
 

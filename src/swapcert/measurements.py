@@ -68,6 +68,8 @@ class DichotomicObservable:
         mat = np.array(_as_matrix(self.matrix, "observable"))
         if mat.shape[0] != mat.shape[1]:
             raise ValidationError("observable must be square")
+        if mat.size == 0:
+            raise ValidationError("observable must be at least 1x1")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         with np.errstate(all="ignore"):  # an overflow shows up as an inf or NaN deviation

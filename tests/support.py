@@ -731,6 +731,25 @@ def reference_block_chsh(a_blocks, b_blocks) -> tuple[list[tuple[int, int, np.nd
     return pairs, lam
 
 
+def reference_sep_bound_formula(a0, a1, b0, b1) -> tuple[float, float]:
+    """Lambda and the separable bound from one ``eigvals`` of X0 X1 per party, no Jordan blocks built.
+
+    Each eigenvalue w gives c = Re w / |w| and s = |Im w| / |w|; the smallest
+    s of each party gives lam = 2 sqrt(1 + s_A s_B) and the bound
+    sqrt(1 + p) + sqrt((1 - s_A) + s_A (1 - s_B)) with p = s_A s_B and
+    1 - s = c^2 / (1 + s).
+    """
+    sides = []
+    for x0, x1 in ((a0, a1), (b0, b1)):
+        w = np.linalg.eigvals(x0.matrix @ x1.matrix)
+        cosines, sines = w.real / np.abs(w), np.abs(w.imag) / np.abs(w)
+        k = int(np.argmin(sines))
+        sides.append((float(sines[k]), float(cosines[k] ** 2 / (1.0 + sines[k]))))
+    (s_a, gap_a), (s_b, gap_b) = sides
+    p = s_a * s_b
+    return 2.0 * math.sqrt(1.0 + p), math.sqrt(1.0 + p) + math.sqrt(gap_a + s_a * gap_b)
+
+
 def reference_steer(state: DensityMatrix, meas: FourOutcomeMeasurement) -> list[tuple[float, DensityMatrix | None]]:
     """Steered end-party states from the sandwich (I x P) rho (I x P), traced over the middle party.
 

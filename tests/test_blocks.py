@@ -46,6 +46,7 @@ from support import (
     reference_block_chsh,
     reference_chsh_operator,
     reference_jordan_blocks,
+    reference_sep_bound_formula,
     reference_sep_bound_oracle,
     reference_version_operator,
     skewed_observable,
@@ -379,7 +380,7 @@ def bound_layouts(draw):
 
 
 class TestClosedFormBound:
-    """sep_bound reads lambda from eigenphases; the block path is the oracle."""
+    """sep_bound reads lambda and the bound from the Jordan blocks; one eigvals of X0 X1 per party is the reference."""
 
     @given(bound_layouts(), bound_layouts())
     @settings(max_examples=400, derandomize=True, deadline=None,
@@ -389,12 +390,14 @@ class TestClosedFormBound:
         b0, b1, ideal_b = b_layout
         blocks = block_chsh(jordan_blocks(a0, a1), jordan_blocks(b0, b1))
         structure, result = sep_bound(a0, a1, b0, b1, with_oracle=False)
-        assert structure.pairs == () and result.oracle_value is None
-        assert sep_bound_formula(structure) == sep_bound_value(structure.lam)
-        assert abs(structure.lam - blocks.lam) <= 1e-12
+        assert result.oracle_value is None
+        assert (structure.pairs, structure.lam, structure.bound) == (blocks.pairs, blocks.lam, blocks.bound)
+        assert sep_bound_formula(structure) == result.formula_value == sep_bound(a0, a1, b0, b1)[1].formula_value
+        lam, formula = reference_sep_bound_formula(a0, a1, b0, b1)
+        assert abs(structure.lam - lam) <= 1e-12
         if not (ideal_a and ideal_b):
             # at lambda = 2*sqrt(2) the bound is infinitely steep in lambda
-            assert abs(result.formula_value - sep_bound_formula(blocks)) <= 1e-12
+            assert abs(result.formula_value - formula) <= 1e-12
         if ideal_a and ideal_b:
             assert abs(result.formula_value - SQRT2) <= 1e-15
 
@@ -436,6 +439,18 @@ class TestClosedFormBound:
         else:
             with pytest.raises(ValidationError, match="unit circle"):
                 sep_bound(loose, minus_z, Z_OBS, X_OBS, with_oracle=False)
+
+    @pytest.mark.parametrize("stretch,accepted", [(0.2, False), (1e-6, False), (5e-9, True)])
+    def test_one_dim_blocks_off_the_unit_circle(self, stretch, accepted):
+        # every block of (A0, -Z) is 1x1, with A0 A1 = -diag(1 + stretch, 1) on them
+        loose = DichotomicObservable(np.diag([1.0 + stretch, -1.0]), tol=1.0)
+        minus_z = qubit_observable((0, 0, -1))
+        if accepted:
+            blocks = jordan_blocks(loose, minus_z)
+            assert blocks.sines == (0.0, 0.0) and all(abs(c) == 1.0 for c in blocks.cosines)
+        else:
+            with pytest.raises(ValidationError, match="unit circle"):
+                jordan_blocks(loose, minus_z)
 
     @pytest.mark.parametrize("arg,value,match", [
         ("restarts", 0, "restart"), ("iters", 0, "iteration"), ("seed", -1, "seed"),
@@ -871,13 +886,21 @@ class TestWitnessOracle:
 
     @pytest.mark.parametrize("kind,d", [("ideal", 2), ("classical", 2), ("generic", 3), ("planted", 4)])
     def test_eigensolvers_on_the_witness_path(self, monkeypatch, kind, d):
-        # the formula's eigvals of X0 X1 and each jordan_blocks' eigh, four principal-angle SVDs
-        # and eig, per party; the witness itself runs one SVD and no eigensolver
+        # each jordan_blocks' eigh, four principal-angle SVDs and eig, per party, which the
+        # formula reads too; the witness itself runs one SVD and no eigensolver
         obs = oracle_input(kind, d, 0)
         calls = count_eigensolves(monkeypatch)
         _, result = sep_bound(*obs, with_oracle=True, restarts=4, iters=50)
-        assert calls == {"eig": 2, "eigvals": 2, "eigh": 2, "eigvalsh": 0, "svd": 2 * 4 + 1}
+        assert calls == {"eig": 2, "eigvals": 0, "eigh": 2, "eigvalsh": 0, "svd": 2 * 4 + 1}
         assert abs(result.formula_value - result.oracle_value) <= 1e-12
+
+    @pytest.mark.parametrize("kind,d", [("ideal", 2), ("classical", 2), ("generic", 3), ("planted", 4)])
+    def test_eigensolvers_without_the_witness(self, monkeypatch, kind, d):
+        # the same jordan_blocks per party, and no witness SVD
+        obs = oracle_input(kind, d, 0)
+        calls = count_eigensolves(monkeypatch)
+        sep_bound(*obs, with_oracle=False)
+        assert calls == {"eig": 2, "eigvals": 0, "eigh": 2, "eigvalsh": 0, "svd": 2 * 4}
 
     def test_commuting_parties_keep_the_sign(self):
         # beta = -2 I: every state scores -2, which the formula's unsigned bound 2 does not see

@@ -651,6 +651,16 @@ class TestSepBound:
         code, _, _ = run(capsys, "sep-bound", str(GOLDEN / "planted_d4_settings.json"), "--seed", "7")
         assert code == 0 and len(calls) == 2 and len(svds) == 2 * 4 + 1
 
+    @pytest.mark.parametrize("argv", [("decompose",), ("sep-bound", "--seed", "7")], ids=["decompose", "sep-bound"])
+    def test_reads_the_eigenphases_once_per_party(self, capsys, monkeypatch, argv):
+        # lambda, sep_bound and alpha all come from the one block_chsh over the two parties' blocks
+        calls, eigvals = [], []
+        jordan_blocks, eigvals_solver = blocks.jordan_blocks, np.linalg.eigvals
+        monkeypatch.setattr(blocks, "jordan_blocks", lambda *args: calls.append(args) or jordan_blocks(*args))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *args: eigvals.append(args) or eigvals_solver(*args))
+        code, _, _ = run(capsys, argv[0], str(GOLDEN / "planted_d4_settings.json"), *argv[1:])
+        assert code == 0 and len(calls) == 2 and eigvals == []
+
     @pytest.mark.parametrize("name", ["planted_d4", "mixed_edge"])
     def test_restart_flags_do_not_change_the_output(self, capsys, name):
         path = GOLDEN / f"{name}_settings.json"
@@ -680,9 +690,8 @@ class TestSepBound:
     ("mixed_edge_settings.json", "mixed_edge"),
 ])
 def test_blocks_output_is_pinned(capsys, tmp_path, settings, name):
-    # alpha comes from the block eigenphases that jordan_blocks records, lambda and
-    # sep_bound from the eigenphases of the whole settings; oracle_value is the
-    # block-wise separable maximum of the first best block pair in row-major
+    # alpha, lambda and sep_bound come from the block eigenphases that jordan_blocks
+    # records; oracle_value is the block-wise separable maximum of the first best block pair in row-major
     # order, and oracle_state the product state built from its top singular
     # vectors. difference, |sep_bound - oracle_value| at rounding level, holds
     # the closed form's value.

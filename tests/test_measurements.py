@@ -73,7 +73,8 @@ class TestQubitObservable:
 @pytest.mark.parametrize("build,message", [
     (lambda: qubit_observable([1.0, 0.0]), "^Bloch vector must have three components$"),
     (lambda: checked_bits(5, "bits"), r"^bits must map all four outcomes to -1 or \+1$"),
-], ids=["two-component Bloch vector", "bits not a sequence"])
+    (lambda: DichotomicObservable(np.zeros((0, 0))), "^observable must be at least 1x1$"),
+], ids=["two-component Bloch vector", "bits not a sequence", "empty observable"])
 def test_rejections_name_their_cause(build, message):
     with pytest.raises(ValidationError, match=message):
         build()
