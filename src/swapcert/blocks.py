@@ -239,7 +239,9 @@ def version_operator(
 
     Variant v weighs (A1 B1, A1 B2, A2 B1, A2 B2) by ``VERSION_SIGNS[v - 1]`` =
     (s, s, t, -t), so it is :func:`chsh_operator` of (s A1, t A2, B1, B2).
+    ``version`` is read by :func:`_checked_int`.
     """
+    version = _checked_int(version, "version")
     if version not in (1, 2, 3, 4):
         raise ValidationError("version must be in 1..4")
     a1, a2 = alice
@@ -398,14 +400,11 @@ def sep_bound(
     state's Rayleigh quotient on the full observables and reads no sines.
     They agree unless both parties commute, where the signed block value
     (-2 for A0 = A1 = I, B0 = -I, B1 = I) is the maximum and the formula an
-    upper bound. ``restarts``, ``iters`` and ``seed`` are checked as
-    integers of at least 1, 1 and 0 but no longer change the result. The
+    upper bound. ``restarts``, ``iters`` and ``seed``, left from the
+    see-saw this check replaced, are checked first, with or without the
+    witness, as integers of at least 1, 1 and 0, and change nothing. The
     observables were each checked Hermitian when they were built.
     """
-    a_blocks, b_blocks = jordan_blocks(a0, a1), jordan_blocks(b0, b1)
-    structure = block_chsh(a_blocks, b_blocks)
-    if not with_oracle:
-        return structure, SepBoundResult(structure.bound)
     for name, value in (("restarts", restarts), ("iters", iters), ("seed", seed)):
         _checked_int(value, name)
     if restarts < 1:
@@ -414,5 +413,9 @@ def sep_bound(
         raise ValidationError("need at least one iteration")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
+    a_blocks, b_blocks = jordan_blocks(a0, a1), jordan_blocks(b0, b1)
+    structure = block_chsh(a_blocks, b_blocks)
+    if not with_oracle:
+        return structure, SepBoundResult(structure.bound)
     value, state = block_witness(a0, a1, b0, b1, a_blocks, b_blocks)
     return structure, SepBoundResult(structure.bound, value, state)

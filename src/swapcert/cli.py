@@ -224,11 +224,17 @@ def _load_settings(path_str: str) -> tuple:
     return tuple(out)
 
 
-def _structure_payload(settings: tuple) -> tuple[dict, blocks.ObservableBlocks, blocks.ObservableBlocks]:
-    """Blocks, alpha table, lambda and bound of settings (a0, a1, b0, b1); and each party's blocks."""
-    a0, a1, b0, b1 = settings
-    a_blocks = blocks.jordan_blocks(a0, a1)
-    b_blocks = blocks.jordan_blocks(b0, b1)
+def cmd_blocks(args: argparse.Namespace) -> int:
+    """Blocks, alpha table, lambda and bound of settings (a0, a1, b0, b1), as ``decompose`` prints them.
+
+    ``sep-bound`` adds the block-wise maximum on the same blocks and a product state reaching it.
+    Its optional ``--seed`` is checked before the file is read and changes nothing.
+    """
+    witness = args.command == "sep-bound"
+    if witness and args.seed is not None:
+        _check_seed(args.seed)
+    settings = _load_settings(args.settings)
+    a_blocks, b_blocks = blocks.jordan_blocks(*settings[:2]), blocks.jordan_blocks(*settings[2:])
     structure = blocks.block_chsh(a_blocks, b_blocks)
     alpha = np.reshape([pair.alpha for pair in structure.pairs], (len(a_blocks.blocks), len(b_blocks.blocks))).tolist()
     payload = {
@@ -238,25 +244,9 @@ def _structure_payload(settings: tuple) -> tuple[dict, blocks.ObservableBlocks, 
         "lambda": structure.lam,
         "sep_bound": structure.bound,
     }
-    return payload, a_blocks, b_blocks
-
-
-def cmd_decompose(args: argparse.Namespace) -> int:
-    payload, _, _ = _structure_payload(_load_settings(args.settings))
-    _write_output(serialize.json_dumps(payload), args.out)
-    return EXIT_OK
-
-
-def cmd_sep_bound(args: argparse.Namespace) -> int:
-    if args.restarts < 1:
-        raise UsageError("--restarts must be at least 1")
-    if args.iters < 1:
-        raise UsageError("--iters must be at least 1")
-    _check_seed(args.seed)
-    settings = _load_settings(args.settings)
-    payload, a_blocks, b_blocks = _structure_payload(settings)
-    value, state = blocks.block_witness(*settings, a_blocks, b_blocks)
-    payload.update(oracle_value=value, oracle_state=state.vector, difference=abs(payload["sep_bound"] - value))
+    if witness:
+        value, state = blocks.block_witness(*settings, a_blocks, b_blocks)
+        payload.update(oracle_value=value, oracle_state=state.vector, difference=abs(structure.bound - value))
     _write_output(serialize.json_dumps(payload), args.out)
     return EXIT_OK
 
@@ -340,18 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="block decomposition and separable bound of CHSH settings")
     p.add_argument("settings", help="JSON file with observables a0, a1, b0, b1")
     add_common(p, ())
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("sep-bound", help="separable bound, checked by the block-wise separable maximum")
     p.add_argument("settings", help="JSON file with observables a0, a1, b0, b1")
-    p.add_argument("--restarts", type=int, default=32,
-                   help="positive integer, kept for existing command lines; no longer changes the output (default 32)")
-    p.add_argument("--iters", type=int, default=500,
-                   help="positive integer, kept for existing command lines; no longer changes the output (default 500)")
-    p.add_argument("--seed", type=int, required=True,
-                   help="nonnegative integer, required for existing command lines; no longer changes the output")
+    p.add_argument("--seed", type=int, default=None,
+                   help="optional nonnegative integer, accepted for existing command lines; does not change the output")
     add_common(p, ())
-    p.set_defaults(func=cmd_sep_bound)
+    p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("sample", help="draw outcome counts from a scenario")
     p.add_argument("--n-per-setting", type=int, required=True, help="samples per setting triple")

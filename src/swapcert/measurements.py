@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, PureState, ValidationError, _as_matrix, _checked_dims, hermitian_deviation, tensor
+from .linalg import (DEFAULT_TOL, PureState, ValidationError, _as_matrix, _checked_dims, _checked_int,
+                     hermitian_deviation, tensor)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -277,8 +278,9 @@ def perturbed_bell_measurement(theta: float, pair: int = 1) -> FourOutcomeMeasur
     become cos(theta) v_lo + sin(theta) v_hi and -sin(theta) v_lo +
     cos(theta) v_hi, and :meth:`FourOutcomeMeasurement.from_vectors` checks
     the rotated basis and builds all four projectors, the two unrotated ones
-    with the bytes of :func:`bell_measurement`.
+    with the bytes of :func:`bell_measurement`. ``pair`` is read by :func:`_checked_int`.
     """
+    pair = _checked_int(pair, "pair")
     if pair not in (1, 2):
         raise ValidationError("pair must be 1 or 2")
     if not math.isfinite(theta):

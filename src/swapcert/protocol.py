@@ -181,8 +181,9 @@ def joint_distribution(sc: Scenario, x: int, y: int, z: int) -> np.ndarray:
     """Exact outcome table p[a, b, c] for one setting triple: a read-only view into :func:`born_tables`.
 
     Index a (resp. b) is 0 for outcome +1 and 1 for outcome -1; c is the
-    0-based raw outcome of the middle party.
+    0-based raw outcome of the middle party. Each setting is read by :func:`_checked_int`.
     """
+    x, y, z = _checked_int(x, "x"), _checked_int(y, "y"), _checked_int(z, "z")
     if x not in (1, 2) or y not in (1, 2):
         raise ValidationError("x and y must be in {1, 2}")
     if z not in (1, 2, 3):

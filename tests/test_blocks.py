@@ -461,6 +461,18 @@ class TestClosedFormBound:
         with pytest.raises(ValidationError, match=match):
             sep_bound(Z_OBS, X_OBS, DIAG_OBS, ANTI_OBS, **{arg: value})
 
+    @pytest.mark.parametrize("with_oracle", [False, True])
+    @pytest.mark.parametrize("arg,value,message", [
+        ("restarts", 0, "need at least one restart"), ("iters", -3, "need at least one iteration"),
+        ("seed", -1, "seed must be a nonnegative integer"), ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ], ids=["restarts 0", "iters -3", "seed -1", "seed 1.5"])
+    def test_checks_oracle_arguments_before_any_work(self, monkeypatch, arg, value, message, with_oracle):
+        # one error, with or without the witness, raised before either party's blocks are built
+        monkeypatch.setattr("swapcert.blocks.jordan_blocks", lambda *args: pytest.fail("jordan_blocks ran"))
+        with pytest.raises(ValidationError) as excinfo:
+            sep_bound(Z_OBS, X_OBS, Z_OBS, X_OBS, with_oracle=with_oracle, **{arg: value})
+        assert str(excinfo.value) == message
+
     def test_rejects_settings_on_different_spaces(self):
         with pytest.raises(ValidationError, match="same space"):
             sep_bound(Z_OBS, X_OBS, Z_OBS, DichotomicObservable(np.eye(3)), with_oracle=False)
@@ -585,6 +597,11 @@ class TestVersionOperator:
     @pytest.mark.parametrize("version", [0, 5])
     def test_rejects_unknown_version(self, version):
         with pytest.raises(ValidationError, match="version must be in 1..4"):
+            version_operator((Z_OBS, X_OBS), (Z_OBS, X_OBS), version)
+
+    @pytest.mark.parametrize("version", [1.0, 3.0, True, "2", None])
+    def test_rejects_non_integer_version(self, version):
+        with pytest.raises(ValidationError, match=f"^version must be an integer, got {version!r}$"):
             version_operator((Z_OBS, X_OBS), (Z_OBS, X_OBS), version)
 
 

@@ -592,7 +592,7 @@ class TestDecompose:
 class TestSepBound:
     def test_ideal_settings(self, capsys, tmp_path):
         path = settings_file(tmp_path)
-        code, out, _ = run(capsys, "sep-bound", str(path), "--seed", "11", "--restarts", "16")
+        code, out, _ = run(capsys, "sep-bound", str(path), "--seed", "11")
         assert code == 0
         payload = json.loads(out)
         assert payload["oracle_value"] == pytest.approx(SQRT2, abs=1e-6)
@@ -616,16 +616,15 @@ class TestSepBound:
         payload = json.loads(out)
         assert payload["difference"] <= 1e-4
 
-    def test_requires_seed(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flag", ["--restarts", "--iters"])
+    def test_see_saw_flags_are_usage_errors(self, capsys, tmp_path, flag):
         path = settings_file(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
-            main(["sep-bound", str(path)])
-        assert excinfo.value.code == 2
-
-    def test_zero_iterations_is_usage_error(self, capsys, tmp_path):
-        path = settings_file(tmp_path)
-        code, out, err = run(capsys, "sep-bound", str(path), "--seed", "1", "--iters", "0")
-        assert code == 2 and out == "" and "--iters" in err
+            main(["sep-bound", str(path), "--seed", "1", flag, "1"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: swapcert ")
+        assert captured.err.endswith(f"error: unrecognized arguments: {flag} 1\n")
 
     def test_negative_seed_is_usage_error_before_the_file_is_read(self, capsys, tmp_path):
         code, out, err = run(capsys, "sep-bound", str(tmp_path / "missing.json"), "--seed", "-1")
@@ -661,13 +660,6 @@ class TestSepBound:
         code, _, _ = run(capsys, argv[0], str(GOLDEN / "planted_d4_settings.json"), *argv[1:])
         assert code == 0 and len(calls) == 2 and eigvals == []
 
-    @pytest.mark.parametrize("name", ["planted_d4", "mixed_edge"])
-    def test_restart_flags_do_not_change_the_output(self, capsys, name):
-        path = GOLDEN / f"{name}_settings.json"
-        _, want, _ = run(capsys, "sep-bound", str(path), "--seed", "7")
-        code, got, _ = run(capsys, "sep-bound", str(path), "--seed", "0", "--restarts", "1", "--iters", "1")
-        assert code == 0 and got == want
-
     def test_settings_with_an_off_hermitian_operator(self, capsys, tmp_path):
         # each observable is within 4e-10 of Hermitian, their CHSH operator is not within 1e-9
         rng = np.random.default_rng(0)
@@ -682,13 +674,16 @@ class TestSepBound:
         assert json.loads(out)["difference"] <= 1e-9
 
 
-@pytest.mark.parametrize("settings,name", [
+BLOCK_GOLDENS = [
     (None, "ideal"),
     ("planted_d4_settings.json", "planted_d4"),
     # A: 1x1 blocks at 0 and pi beside a 2x2 block 5e-8 from 0 and one at 0.7;
     # B: a 1x1 block at pi beside a 2x2 block at 1.2 (support.planted_layout).
     ("mixed_edge_settings.json", "mixed_edge"),
-])
+]
+
+
+@pytest.mark.parametrize("settings,name", BLOCK_GOLDENS)
 def test_blocks_output_is_pinned(capsys, tmp_path, settings, name):
     # alpha, lambda and sep_bound come from the block eigenphases that jordan_blocks
     # records; oracle_value is the block-wise separable maximum of the first best block pair in row-major
@@ -701,6 +696,15 @@ def test_blocks_output_is_pinned(capsys, tmp_path, settings, name):
     assert out.encode() == (GOLDEN / f"decompose_{name}.json").read_bytes()
     code, out, _ = run(capsys, "sep-bound", str(path), "--seed", "7")
     assert code == 0
+    assert out.encode() == (GOLDEN / f"sep_bound_{name}_seed7.json").read_bytes()
+
+
+@pytest.mark.parametrize("settings,name", BLOCK_GOLDENS)
+def test_sep_bound_without_seed_prints_the_seeded_bytes(capsys, tmp_path, settings, name):
+    # --seed is optional and changes nothing: the block-wise maximum draws no random numbers
+    path = settings_file(tmp_path) if settings is None else GOLDEN / settings
+    code, out, err = run(capsys, "sep-bound", str(path))
+    assert code == 0 and err == ""
     assert out.encode() == (GOLDEN / f"sep_bound_{name}_seed7.json").read_bytes()
 
 
@@ -902,7 +906,7 @@ def test_mutated_settings_file_never_crashes(tmp_path_factory, mutations):
     path = tmp_path_factory.mktemp("fuzz") / "settings.json"
     path.write_text(json.dumps(obj))
     _run_fuzzed("decompose", path)
-    _run_fuzzed("sep-bound", path, "--restarts", "2", "--iters", "5", "--seed", "1")
+    _run_fuzzed("sep-bound", path, "--seed", "1")
 
 
 NUMBER_TOKEN = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?")
@@ -935,8 +939,7 @@ def _fuzz_flags(command: str, rng: random.Random) -> list[str]:
         return rng.choice(valid if rng.random() < 0.8 else odd)
 
     if command == "sep-bound":
-        return ["--restarts", value(["1", "3"], ["0", "-2", "x"]), "--iters", value(["1", "20"], ["0", "nan"]),
-                "--seed", value(["0", "7", str(2**70)], ["-1", "2.5"])]
+        return ["--seed", value(["0", "7", str(2**70)], ["-1", "2.5"])]
     if command == "certify":
         tol = rng.choice([[], ["--tol", value(["0", "1e-9", "0.1"], ["nan", "-1", "inf", "1e400", "x"])],
                           ["--tol-sigma", value(["3", "0"], ["nan", "-3"])], ["--tol", "0.01", "--tol-sigma", "3"]])
@@ -1064,12 +1067,11 @@ class TestInputFaults:
 
     @pytest.mark.parametrize("argv,code,message", [
         (("bounds-curve", "--steps", "0"), 2, "error: --steps must be at least 1"),
-        (("sep-bound", "{settings}", "--seed", "1", "--restarts", "0"), 2, "error: --restarts must be at least 1"),
         (("sample", "--n-per-setting", "0", "--seed", "1"), 2, "error: --n-per-setting must be at least 1"),
         (("certify", "{tmp}"), 3, "validation error: [Errno 21] Is a directory: '{tmp}'"),
         (("decompose", "{text}"), 3, "validation error: text.json: Expecting value: line 1 column 1 (char 0)"),
         (("decompose", "{array}"), 3, "validation error: array.json: expected a JSON object"),
-    ], ids=["steps 0", "restarts 0", "n-per-setting 0", "input is a directory", "input not JSON",
+    ], ids=["steps 0", "n-per-setting 0", "input is a directory", "input not JSON",
             "settings a JSON array"])
     def test_unusable_input_is_one_error_line(self, capsys, tmp_path, argv, code, message):
         paths = {"settings": settings_file(tmp_path), "tmp": tmp_path,

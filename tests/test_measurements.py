@@ -190,6 +190,11 @@ class TestPerturbedBellMeasurement:
         with pytest.raises(ValidationError):
             perturbed_bell_measurement(0.3, pair=3)
 
+    @pytest.mark.parametrize("pair", [1.0, 2.0, True, "1", None])
+    def test_rejects_non_integer_pair(self, pair):
+        with pytest.raises(ValidationError, match=f"^pair must be an integer, got {pair!r}$"):
+            perturbed_bell_measurement(0.1, pair=pair)
+
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
     def test_non_finite_theta(self, theta):
         with pytest.raises(ValidationError, match="theta"):

@@ -164,6 +164,17 @@ class TestJointDistribution:
         with pytest.raises(ValidationError):
             joint_distribution(IDEAL, 1, 1, 4)
 
+    @pytest.mark.parametrize("arg,value", [("x", 1.0), ("x", True), ("y", 2.0), ("y", True), ("z", 3.0),
+                                           ("z", True), ("z", "1"), ("x", None)])
+    def test_rejects_non_integer_settings(self, arg, value):
+        settings = {"x": 1, "y": 1, "z": 1, arg: value}
+        with pytest.raises(ValidationError, match=f"^{arg} must be an integer, got {value!r}$"):
+            joint_distribution(IDEAL, **settings)
+
+    def test_accepts_numpy_integer_settings(self):
+        got = joint_distribution(IDEAL, np.int64(2), np.uint8(1), np.int32(3))
+        assert got.tobytes() == joint_distribution(IDEAL, 2, 1, 3).tobytes()
+
 
 class TestSwapSideChsh:
     def test_ideal_maximal(self):
