@@ -7,9 +7,10 @@ identity the top eigenvalue of a block pair depends only on the two blocks'
 eigenphases, and the smallest of them pins down the largest CHSH value
 reachable by separable states; so both the block table and the bound are
 read from the eigenphases that :func:`jordan_blocks` records for each block
-of A0 A1 and B0 B1. On request :func:`sep_bound` checks the bound against
-the separable maximum read block pair by block pair from the same Jordan
-blocks (:func:`block_witness`), which a product state reaches.
+of A0 A1 and B0 B1, from one ``eig`` of each product. On request
+:func:`sep_bound` checks the bound against the separable maximum read block
+pair by block pair from the same Jordan blocks (:func:`block_witness`),
+which a product state reaches.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from .certify import VERSION_SIGNS
 from .linalg import PureState, ValidationError, _as_matrix, _checked_int
 from .measurements import PAULI_X, PAULI_Y, PAULI_Z, DichotomicObservable
 
-# Floor of the principal-angle split: within an eigenspace of A0, a vector
-# on which A1 - A0 (A1 + A0) is below this, or below 8 times the larger
-# residual max|A^2 - I| of the two observables, is a 1x1 block at phase 0
-# (pi). On settings rounded to 9 digits, a 1x1 vector measured at most 3.1
-# times that residual and a 2x2 block 5e-8 from the edge at least 49 times it.
+# Floor of the 1x1-block split: an eigenvalue w of A0 A1 with |w - 1| (|w + 1|)
+# below this, or below 8 times the larger residual max|A^2 - I| of the two
+# observables, marks a 1x1 block at phase 0 (pi); so does, within an eigenspace
+# of A0, a vector on which A1 - A0 (A1 + A0) is below it. On settings rounded to
+# 9 digits, a 1x1 vector measured at most 3.1 times that residual and a 2x2
+# block 5e-8 from the edge at least 49 times it.
 EDGE_TOL = 1e-9
 
 # chsh_spectrum: slack of the +/- pairing and of alpha1^2 + alpha2^2 = 8.
@@ -60,12 +62,17 @@ class ObservableBlock:
 
 @dataclass(frozen=True)
 class ObservableBlocks:
-    """Complete block decomposition of a +/-1 observable pair, with cos phi and |sin phi| of each block's eigenphase."""
+    """Complete block decomposition of a +/-1 observable pair, with cos phi and |sin phi| of each block's eigenphase.
+
+    The last three fields record how the split went and are never printed; a
+    ``split_margin`` near 0 means rounding could tip a 2x2 block into two 1x1 ones.
+    """
 
     blocks: tuple[ObservableBlock, ...]
-    sines: tuple[float, ...]  # 0 on a 1x1 block; on a 2x2 block from the eig of A0 A1 that built it
+    sines: tuple[float, ...]  # 0 on a 1x1 block; on a 2x2 block from the eigenvalue of A0 A1 that built it
     cosines: tuple[float, ...]  # +/-1 on a 1x1 block, the product of its two restrictions
-    split: float  # the principal-angle threshold jordan_blocks split the 1x1 blocks off at
+    split: float  # the threshold jordan_blocks split the 1x1 blocks off at
+    split_margin: float  # smallest |min(|w - 1|, |w + 1|) - split| over the eigenvalues w of A0 A1
     reconstruction_error: float  # largest entry of embed() minus the input, at most RECONSTRUCTION_TOL
 
     def embed(self) -> tuple[np.ndarray, np.ndarray]:
@@ -120,29 +127,49 @@ def _unit_phases(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w.real / modulus, np.abs(w.imag) / modulus
 
 
+def _common_eigenvectors(mat0: np.ndarray, mat1: np.ndarray, split: float) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the 1x1 blocks at phase 0 and at phase pi of U = A0 A1, found by principal angles.
+
+    Within each eigenspace of A0, from one ``eigh``, the right singular
+    vectors of A1 - A0 with singular value at most ``split`` are 1x1 blocks
+    at phase 0, and then, on what is left, those of A1 + A0 are 1x1 blocks
+    at phase pi (Halmos 1969; Bjorck and Golub 1973): four SVDs in all.
+    """
+    values, eigvecs = np.linalg.eigh(mat0)
+    at_zero, at_pi = [], []
+    moves = [(at_zero, mat1 + -1.0 * mat0), (at_pi, mat1 + 1.0 * mat0)]  # not mat1 - mat0: it can flip a zero's sign
+    for space in (eigvecs[:, values < 0.0], eigvecs[:, values >= 0.0]):
+        for ones, move in moves:
+            _, singular, right = np.linalg.svd(move @ space, full_matrices=False)
+            ones.append(space @ right[singular <= split].conj().T)
+            space = space @ right[singular > split].conj().T
+    return np.hstack(at_zero), np.hstack(at_pi)
+
+
 def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> ObservableBlocks:
     """Split a pair of +/-1 observables into jointly invariant blocks of size <= 2.
 
-    The 1x1 blocks are the common eigenvectors, found by principal angles
-    (Halmos 1969; Bjorck and Golub 1973): within each eigenspace of A0, from
-    one ``eigh``, the right singular vectors of A1 - A0 with singular value
-    at most ``split`` are 1x1 blocks at phase 0 of U = A0 A1, and then, on
-    what is left, those of A1 + A0 are 1x1 blocks at phase pi. ``split`` is
-    the larger of ``EDGE_TOL`` and 8 times the larger ``involution_residual``
-    max|Ai^2 - I|, so settings rounded to 9 digits split at their own
-    rounding level. On the remainder, U restricted by one ``eig`` has its
-    eigenphases in conjugate pairs, and each eigenvector u at a positive
-    phase pairs with A0 u to span a 2x2 block. Blocks are listed by
-    ascending phase, 1x1 blocks at 0 first and at pi last; their columns
-    fill one d x d basis in that order, each orthogonalized against all
-    earlier ones, which A0 and A1 leave invariant (``eig`` returns
-    eigenvectors at close phases non-orthogonal). Every eigenvalue w of U,
-    both of each 2x2 block's and on a 1x1 block the product of its two
-    restrictions, must lie within ``UNIT_CIRCLE_TOL`` of the unit circle or
-    raises ``ValidationError``; each block records cos phi and |sin phi| of
-    its w at phase phi in [0, pi]. ``embed`` must give back the input
-    within ``RECONSTRUCTION_TOL``; that ``reconstruction_error`` is recorded
-    too.
+    One ``eig`` of U = A0 A1 on the whole space reads every eigenphase. An
+    eigenvalue w with min(|w - 1|, |w + 1|) at most ``split`` marks a 1x1
+    block: |e^{i phi} - 1| = 2 sin(phi/2) is the principal-angle singular
+    value on a 2x2 block at phase phi. ``split`` is the larger of
+    ``EDGE_TOL`` and 8 times the larger ``involution_residual`` max|Ai^2 - I|,
+    so settings rounded to 9 digits split at their own rounding level. Only
+    when such an eigenvalue exists does :func:`_common_eigenvectors` run, and
+    the common eigenvectors it finds must be as many, or ``ValidationError``
+    is raised. The other eigenphases must pair into conjugates; each
+    eigenvector u at a positive phase pairs with A0 u to span a 2x2 block.
+    Blocks are listed by ascending phase, 1x1 blocks at 0 first and at pi
+    last. One QR of their columns in that order, with R's diagonal made
+    real and positive, gives the orthonormal basis that Gram-Schmidt would
+    (``eig`` returns eigenvectors at close phases non-orthogonal), and one
+    batched product Q^dagger A Q gives every restriction. Every eigenvalue
+    w of U, and on a 1x1 block the product of its two real restrictions,
+    must lie within ``UNIT_CIRCLE_TOL`` of the unit circle or raises
+    ``ValidationError``; each block records cos phi and |sin phi| of its w
+    at phase phi in [0, pi]. ``embed`` must give back the input within
+    ``RECONSTRUCTION_TOL``; that ``reconstruction_error`` is recorded too,
+    and so is ``split_margin``.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
@@ -150,55 +177,40 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     d = mat0.shape[0]
     split = max(EDGE_TOL, 8.0 * max(a0.involution_residual, a1.involution_residual))
 
-    values, eigvecs = np.linalg.eigh(mat0)
-    at_zero, at_pi = [], []  # 1x1 block vectors at phase 0 and pi
-    moves = [(at_zero, mat1 + -1.0 * mat0), (at_pi, mat1 + 1.0 * mat0)]  # not mat1 - mat0: it can flip a zero's sign
-    rest = []
-    for space in (eigvecs[:, values < 0.0], eigvecs[:, values >= 0.0]):
-        for ones, move in moves:
-            _, singular, right = np.linalg.svd(move @ space, full_matrices=False)
-            low = singular <= split
-            if low.any():
-                ones.extend((space @ right[low].conj().T).T)
-            space = space @ right[singular > split].conj().T
-        rest.append(space)
-    rest = np.hstack(rest)
-    rest_vals, rest_vecs = np.linalg.eig(rest.conj().T @ mat0 @ mat1 @ rest)
-    phases = np.angle(rest_vals)
-    if np.count_nonzero(phases > 0.0) != np.count_nonzero(phases <= 0.0):
+    w, vecs = np.linalg.eig(mat0 @ mat1)
+    edge = np.minimum(np.abs(w - 1.0), np.abs(w + 1.0))
+    at_edge = edge <= split
+    at_zero = at_pi = np.empty((d, 0), dtype=complex)
+    if at_edge.any():
+        at_zero, at_pi = _common_eigenvectors(mat0, mat1, split)
+        found, n_edge = at_zero.shape[1] + at_pi.shape[1], np.count_nonzero(at_edge)
+        if found != n_edge:
+            raise ValidationError(f"{n_edge} eigenvalues of A0*A1 lie at +/-1, but principal angles find {found} "
+                                  "common eigenvectors of A0 and A1")
+    rest = np.flatnonzero(~at_edge)
+    phases = np.angle(w[rest])
+    up = phases > 0.0
+    if 2 * np.count_nonzero(up) != len(rest):
         raise ValidationError("eigenphases of A0*A1 do not pair into conjugates")
-    positive = np.flatnonzero(phases > 0.0)
-    positive = positive[np.argsort(phases[positive], kind="stable")]
-    twos = (rest @ rest_vecs[:, positive]).T
+    positive = rest[up][np.argsort(phases[up], kind="stable")]
+    twos = vecs[:, positive]
+    pairs = np.stack([twos, mat0 @ twos], axis=2).reshape(d, 2 * len(positive))  # u1, A0 u1, u2, A0 u2, ...
+    q, r = np.linalg.qr(np.hstack([at_zero, pairs, at_pi]))
+    q *= r.diagonal() / np.abs(r.diagonal())  # R's diagonal real and positive, as Gram-Schmidt makes it
+    restricted = q.conj().T @ np.array([mat0, mat1]) @ q
 
-    built = np.empty((d, d), dtype=complex)  # every block's basis columns, in block order
-
-    def fresh(v: np.ndarray, k: int) -> np.ndarray:  # v orthogonalized against built's first k columns, normalized
-        prefix = np.ascontiguousarray(built[:, :k])  # C-ordered: no BLAS takes a strided path here
-        v = v - prefix @ (prefix.conj().T @ v)
-        return v / np.linalg.norm(v)
-
-    blocks: list[ObservableBlock] = []
-    k = 0
-    for u, size in [(v, 1) for v in at_zero] + [(u, 2) for u in twos] + [(v, 1) for v in at_pi]:
-        built[:, k] = u = fresh(u, k)
-        if size == 2:
-            built[:, k + 1] = fresh(mat0 @ u, k + 1)
-        basis = u[:, None] if size == 1 else np.ascontiguousarray(built[:, k:k + 2])
-        k += size
-        adjoint = basis.conj().T
-        r0, r1 = (adjoint @ mat @ basis for mat in (mat0, mat1))
-        if size == 1:  # a common eigenvector: both restrictions are real eigenvalues
-            r0, r1 = r0.real.astype(complex), r1.real.astype(complex)
-        blocks.append(ObservableBlock(basis, r0, r1))
-
-    # one unit-circle read of every eigenvalue of A0 A1: a 1x1 block's and both of each 2x2 block's
-    n0 = len(at_zero)
-    one_w = [block.a0[0, 0] * block.a1[0, 0] for block in blocks if block.size == 1]
-    w = np.concatenate([one_w[:n0], rest_vals, one_w[n0:]])
-    in_block_order = np.concatenate([np.arange(n0), n0 + positive, np.arange(n0 + len(rest_vals), len(w))])
-    cosines, sines = (tuple(x[in_block_order].tolist()) for x in _unit_phases(w))
-    result = ObservableBlocks(tuple(blocks), sines, cosines, split, math.nan)
+    n0, n_pi = at_zero.shape[1], at_pi.shape[1]
+    ones = list(range(n0)) + list(range(d - n_pi, d))  # the columns of the 1x1 blocks
+    restricted[:, ones, ones] = restricted[:, ones, ones].real  # a common eigenvector: real eigenvalues
+    starts = ones[:n0] + list(range(n0, d - n_pi, 2)) + ones[n0:]
+    sizes = [1] * n0 + [2] * len(positive) + [1] * n_pi
+    blocks = tuple(ObservableBlock(q[:, k:k + size], *restricted[:, k:k + size, k:k + size])
+                   for k, size in zip(starts, sizes))
+    # one unit-circle read of every eigenvalue of A0 A1 and of each 1x1 block's product of restrictions
+    read = np.concatenate([restricted[0, ones, ones] * restricted[1, ones, ones], w])
+    in_block_order = np.concatenate([np.arange(n0), len(ones) + positive, np.arange(n0, len(ones))])
+    cosines, sines = (tuple(x[in_block_order].tolist()) for x in _unit_phases(read))
+    result = ObservableBlocks(blocks, sines, cosines, split, float(np.min(np.abs(edge - split))), math.nan)
     r0, r1 = result.embed()
     err = max(float(np.max(np.abs(r0 - mat0))), float(np.max(np.abs(r1 - mat1))))
     if not err <= RECONSTRUCTION_TOL:  # NaN fails too

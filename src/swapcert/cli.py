@@ -37,6 +37,11 @@ TOL_ENV_VAR = "SWAPCERT_TOL"
 # 0.8 s and 60 MB (2 vCPUs); each point adds about 5 us and 0.3 KB to start-up.
 MAX_STEPS = 100_000
 
+# sep-bound: decimals of the printed |sep_bound - oracle_value|, a resolution
+# of 1e-12. Where the two agree they meet within a few 1e-15, so rounding noise
+# prints as 0.0; a real gap (4.0 for commuting parties) still shows.
+DIFFERENCE_DECIMALS = 12
+
 
 class UsageError(Exception):
     pass
@@ -246,7 +251,8 @@ def cmd_blocks(args: argparse.Namespace) -> int:
     }
     if witness:
         value, state = blocks.block_witness(*settings, a_blocks, b_blocks)
-        payload.update(oracle_value=value, oracle_state=state.vector, difference=abs(structure.bound - value))
+        difference = round(abs(structure.bound - value), DIFFERENCE_DECIMALS)
+        payload.update(oracle_value=value, oracle_state=state.vector, difference=difference)
     _write_output(serialize.json_dumps(payload), args.out)
     return EXIT_OK
 

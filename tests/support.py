@@ -665,13 +665,18 @@ def reference_perturbed_bell_measurement(theta: float, pair: int) -> FourOutcome
     return FourOutcomeMeasurement(tuple(np.outer(v, v.conj()) for v in basis), (2, 2))
 
 
-def reference_jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> tuple[list[tuple], tuple]:
-    """Jordan blocks assembled one block at a time: ``(basis, r0, r1)`` per block, and the sines.
+def reference_jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> tuple[list[tuple], tuple, tuple]:
+    """Jordan blocks, the principal-angle split first: ``(basis, r0, r1)`` per block, the sines and the cosines.
 
-    The per-block loop that regrows its basis with ``np.column_stack``, with
-    the split read from max|A^2 - I| of both matrices; every arithmetic step
-    is the one :func:`swapcert.jordan_blocks` takes, so the two agree byte
-    for byte. No reconstruction check runs.
+    The reference that :func:`swapcert.jordan_blocks` is held to, not a byte
+    twin of it: one ``eigh`` of A0 and four SVDs split off the 1x1 blocks in
+    every case, one ``eig`` of A0 A1 restricted to the rest gives the 2x2
+    blocks, and a per-block loop regrows the basis by Gram-Schmidt with
+    ``np.column_stack``. The split is read from max|A^2 - I| of both
+    matrices. Blocks are in the same order, so sizes, sines, cosines and
+    the projector onto each set of blocks at one phase agree within
+    rounding, while each basis may differ by a gauge. No reconstruction or
+    unit-circle check runs.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     d = mat0.shape[0]
@@ -695,6 +700,7 @@ def reference_jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) 
     twos = (rest @ rest_vecs[:, positive]).T
     sines = (0.0,) * len(at_zero) + tuple((np.abs(rest_vals.imag) / np.abs(rest_vals))[positive].tolist())
     sines += (0.0,) * len(at_pi)
+    cosines = tuple((rest_vals.real / np.abs(rest_vals))[positive].tolist())
 
     def fresh(v: np.ndarray, built: np.ndarray) -> np.ndarray:
         v = v - built @ (built.conj().T @ v)
@@ -710,7 +716,9 @@ def reference_jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) 
         if size == 1:
             r0, r1 = r0.real.astype(complex), r1.real.astype(complex)
         blocks.append((basis, r0, r1))
-    return blocks, sines
+    signs = [float(np.sign(r0[0, 0].real * r1[0, 0].real)) for _, r0, r1 in blocks if r0.shape == (1, 1)]
+    cosines = tuple(signs[:len(at_zero)]) + cosines + tuple(signs[len(at_zero):])
+    return blocks, sines, cosines
 
 
 def reference_block_chsh(a_blocks, b_blocks) -> tuple[list[tuple[int, int, np.ndarray, float]], float]:

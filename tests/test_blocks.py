@@ -146,7 +146,7 @@ FILL_PHASES = (0.7, 1.9, 2.6, 1.1, 0.4, 2.3, 1.5)
 
 
 def assembly_pair(kind: str, d: int, seed: int) -> tuple[DichotomicObservable, DichotomicObservable]:
-    """A seeded pair of each layout the assembly must reproduce byte for byte.
+    """A seeded pair of each layout the assembly must reproduce.
 
     ``generic``: balanced Haar observables. ``repeated`` and ``ones_repeated``:
     two eigenphases repeated over every 2x2 block, the second after 1x1 blocks
@@ -166,31 +166,58 @@ def assembly_pair(kind: str, d: int, seed: int) -> tuple[DichotomicObservable, D
     return planted_layout((), ((math.pi - 5e-8,) + FILL_PHASES)[:d // 2], rng)
 
 
-def assert_reference_bytes(a0: DichotomicObservable, a1: DichotomicObservable) -> None:
+def assert_matches_reference(a0: DichotomicObservable, a1: DichotomicObservable) -> None:
+    """jordan_blocks against the principal-angle-first reference, through gauge-free quantities only.
+
+    The same block sizes in the same order, sines and cosines within 1e-14,
+    the summed projector of each run of blocks at one phase within 1e-10,
+    and every block invariant: max|A B - B r| <= 1e-13 for both observables.
+    """
     got = jordan_blocks(a0, a1)
-    want, sines = reference_jordan_blocks(a0, a1)
-    assert len(got.blocks) == len(want)
-    for block, arrays in zip(got.blocks, want):
-        for mine, theirs in zip((block.basis, block.a0, block.a1), arrays):
-            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
-    assert np.array(got.sines).tobytes() == np.array(sines).tobytes()
+    want, sines, cosines = reference_jordan_blocks(a0, a1)
+    assert [block.size for block in got.blocks] == [basis.shape[1] for basis, _, _ in want]
+    assert np.max(np.abs(np.array(got.sines) - sines)) <= 1e-14
+    assert np.max(np.abs(np.array(got.cosines) - cosines)) <= 1e-14
+    phases = np.arctan2(sines, cosines)
+    runs: list[list[int]] = []  # consecutive blocks of one size at one phase
+    for k, (basis, _, _) in enumerate(want):
+        if runs and want[runs[-1][0]][0].shape == basis.shape and abs(phases[k] - phases[runs[-1][0]]) <= 1e-8:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    for run in runs:
+        mine = sum(got.blocks[k].basis @ got.blocks[k].basis.conj().T for k in run)
+        theirs = sum(want[k][0] @ want[k][0].conj().T for k in run)
+        assert np.max(np.abs(mine - theirs)) <= 1e-10
+    for block in got.blocks:
+        for mat, restricted in ((a0.matrix, block.a0), (a1.matrix, block.a1)):
+            assert np.max(np.abs(mat @ block.basis - block.basis @ restricted)) <= 1e-13
 
 
 class TestJordanBlocksAssembly:
-    """The one-basis assembly against the block-by-block reference loop, byte for byte, and what it records."""
+    """One eig and one QR against the principal-angle-first reference loop, gauge-free, and what they record."""
 
     @pytest.mark.parametrize("kind", ["generic", "repeated", "ones_repeated", "mixed_edge", "near_edge"])
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
-    def test_matches_reference_bytes(self, kind, d):
+    def test_matches_reference(self, kind, d):
         for seed in range(3):
-            assert_reference_bytes(*assembly_pair(kind, d, seed))
+            assert_matches_reference(*assembly_pair(kind, d, seed))
 
     @pytest.mark.parametrize("name", ["planted_d4", "mixed_edge"])
-    def test_golden_settings_match_reference_bytes(self, name):
+    def test_golden_settings_match_reference(self, name):
         obj = json.loads((GOLDEN / f"{name}_settings.json").read_text(encoding="utf-8"))
         a0, a1, b0, b1 = (observable_from_json(obj[key], key) for key in ("a0", "a1", "b0", "b1"))
-        assert_reference_bytes(a0, a1)
-        assert_reference_bytes(b0, b1)
+        assert_matches_reference(a0, a1)
+        assert_matches_reference(b0, b1)
+
+    @pytest.mark.parametrize("kind", ["generic", "planted"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_sep_bound_inputs_match_reference(self, kind, d):
+        # the settings of test_witness_matches_operator_builder and of TestWitnessOracle's oracle_input
+        for seed in range(3):
+            obs = oracle_input(kind, d, seed)
+            for pair in (setting_pair(kind, d, np.random.default_rng([seed, d, 5])), obs[:2], obs[2:]):
+                assert_matches_reference(*pair)
 
     @pytest.mark.parametrize("kind", ["generic", "ones_repeated", "mixed_edge"])
     @pytest.mark.parametrize("d", [2, 8])
@@ -200,6 +227,15 @@ class TestJordanBlocksAssembly:
         residual = max(float(np.max(np.abs(o.matrix @ o.matrix - np.eye(d)))) for o in (a0, a1))
         assert blocks.split == max(EDGE_TOL, 8.0 * residual)
         assert blocks.reconstruction_error == embed_error(blocks, a0, a1) <= RECONSTRUCTION_TOL
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_records_split_margin(self, seed):
+        # a 2x2 block 5e-8 from phase 0 and no 1x1 block: its eigenvalues lie 2 sin(2.5e-8) from 1,
+        # and every other one much farther from +/-1
+        a0, a1 = planted_layout((), (5e-8, 0.7, 1.9, 2.6), np.random.default_rng(seed))
+        blocks = jordan_blocks(a0, a1)
+        assert [b.size for b in blocks.blocks] == [2] * 4
+        assert abs(blocks.split_margin - (2.0 * math.sin(2.5e-8) - blocks.split)) <= 1e-14
 
 
 SIGN_PAIRS = ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
@@ -605,11 +641,11 @@ class TestVersionOperator:
             version_operator((Z_OBS, X_OBS), (Z_OBS, X_OBS), version)
 
 
-EIGENSOLVERS = ("eig", "eigvals", "eigh", "eigvalsh", "svd")
+EIGENSOLVERS = ("eig", "eigvals", "eigh", "eigvalsh", "svd", "qr")
 
 
 def count_eigensolves(monkeypatch) -> dict[str, int]:
-    """Count the calls of each eigensolver and of the SVD from here on, through wrappers set on ``np.linalg``."""
+    """Count the calls of each eigensolver, the SVD and the QR from here on, through wrappers set on ``np.linalg``."""
     calls = dict.fromkeys(EIGENSOLVERS, 0)
     for name in EIGENSOLVERS:
         def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
@@ -901,23 +937,26 @@ class TestWitnessOracle:
                               seed=np.uint8(3))
         assert result.oracle_value == pytest.approx(SQRT2, abs=1e-9)
 
-    @pytest.mark.parametrize("kind,d", [("ideal", 2), ("classical", 2), ("generic", 3), ("planted", 4)])
-    def test_eigensolvers_on_the_witness_path(self, monkeypatch, kind, d):
-        # each jordan_blocks' eigh, four principal-angle SVDs and eig, per party, which the
-        # formula reads too; the witness itself runs one SVD and no eigensolver
+    # (kind, d, the number of parties with a 1x1 block): Z, Z in "classical" and every pair at odd d have one
+    SOLVER_CASES = [("ideal", 2, 0), ("classical", 2, 1), ("generic", 3, 2), ("planted", 4, 0)]
+
+    @pytest.mark.parametrize("kind,d,with_ones", SOLVER_CASES)
+    def test_eigensolvers_on_the_witness_path(self, monkeypatch, kind, d, with_ones):
+        # one eig and one QR per party, and one eigh and four principal-angle SVDs per party with
+        # a 1x1 block, which the formula reads too; the witness itself runs one SVD and no eigensolver
         obs = oracle_input(kind, d, 0)
         calls = count_eigensolves(monkeypatch)
         _, result = sep_bound(*obs, with_oracle=True, restarts=4, iters=50)
-        assert calls == {"eig": 2, "eigvals": 0, "eigh": 2, "eigvalsh": 0, "svd": 2 * 4 + 1}
+        assert calls == {"eig": 2, "eigvals": 0, "eigh": with_ones, "eigvalsh": 0, "svd": 4 * with_ones + 1, "qr": 2}
         assert abs(result.formula_value - result.oracle_value) <= 1e-12
 
-    @pytest.mark.parametrize("kind,d", [("ideal", 2), ("classical", 2), ("generic", 3), ("planted", 4)])
-    def test_eigensolvers_without_the_witness(self, monkeypatch, kind, d):
+    @pytest.mark.parametrize("kind,d,with_ones", SOLVER_CASES)
+    def test_eigensolvers_without_the_witness(self, monkeypatch, kind, d, with_ones):
         # the same jordan_blocks per party, and no witness SVD
         obs = oracle_input(kind, d, 0)
         calls = count_eigensolves(monkeypatch)
         sep_bound(*obs, with_oracle=False)
-        assert calls == {"eig": 2, "eigvals": 0, "eigh": 2, "eigvalsh": 0, "svd": 2 * 4}
+        assert calls == {"eig": 2, "eigvals": 0, "eigh": with_ones, "eigvalsh": 0, "svd": 4 * with_ones, "qr": 2}
 
     def test_commuting_parties_keep_the_sign(self):
         # beta = -2 I: every state scores -2, which the formula's unsigned bound 2 does not see

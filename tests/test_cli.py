@@ -642,13 +642,29 @@ class TestSepBound:
         assert (payload["sep_bound"], payload["oracle_value"], payload["difference"]) == (2.0, -2.0, 4.0)
 
     def test_runs_jordan_blocks_once_per_party(self, capsys, monkeypatch):
-        # four principal-angle SVDs per jordan_blocks and one in block_witness
-        calls, svds = [], []
-        jordan_blocks, svd = blocks.jordan_blocks, np.linalg.svd
+        # one QR per jordan_blocks; no principal-angle SVD, as no party has a 1x1 block, and one SVD in block_witness
+        calls, svds, qrs = [], [], []
+        jordan_blocks, svd, qr = blocks.jordan_blocks, np.linalg.svd, np.linalg.qr
         monkeypatch.setattr(blocks, "jordan_blocks", lambda *args: calls.append(args) or jordan_blocks(*args))
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(args) or svd(*args, **kwargs))
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: qrs.append(args) or qr(*args, **kwargs))
         code, _, _ = run(capsys, "sep-bound", str(GOLDEN / "planted_d4_settings.json"), "--seed", "7")
-        assert code == 0 and len(calls) == 2 and len(svds) == 2 * 4 + 1
+        assert code == 0 and len(calls) == 2 and len(svds) == 1 and len(qrs) == 2
+
+    @pytest.mark.parametrize("command", ["decompose", "sep-bound"])
+    def test_common_eigenvector_count_mismatch_is_one_validation_line(self, capsys, monkeypatch, command):
+        # the principal-angle split made to drop one of the 1x1 blocks that the eig of A0 A1 marks
+        split = blocks._common_eigenvectors
+
+        def drop_one(*args):
+            at_zero, at_pi = split(*args)
+            return at_zero[:, 1:], at_pi
+
+        monkeypatch.setattr(blocks, "_common_eigenvectors", drop_one)
+        code, out, err = run(capsys, command, str(GOLDEN / "mixed_edge_settings.json"))
+        assert code == 3 and out == ""
+        assert err == ("validation error: 2 eigenvalues of A0*A1 lie at +/-1, but principal angles find 1 "
+                       "common eigenvectors of A0 and A1\n")
 
     @pytest.mark.parametrize("argv", [("decompose",), ("sep-bound", "--seed", "7")], ids=["decompose", "sep-bound"])
     def test_reads_the_eigenphases_once_per_party(self, capsys, monkeypatch, argv):
