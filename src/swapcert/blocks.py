@@ -16,7 +16,8 @@ which a product state reaches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -68,7 +69,9 @@ class ObservableBlocks:
     ``split_margin`` near 0 means rounding could tip a 2x2 block into two 1x1 ones.
     """
 
-    blocks: tuple[ObservableBlock, ...]
+    basis: np.ndarray  # d x d, read-only and orthonormal: the block bases side by side
+    restricted: np.ndarray  # (2, d, d), read-only: basis^dagger A0 basis and A1's, 0 off the diagonal blocks
+    blocks: tuple[ObservableBlock, ...]  # views of basis's columns and restricted's diagonal blocks
     sines: tuple[float, ...]  # 0 on a 1x1 block; on a 2x2 block from the eigenvalue of A0 A1 that built it
     cosines: tuple[float, ...]  # +/-1 on a 1x1 block, the product of its two restrictions
     split: float  # the threshold jordan_blocks split the 1x1 blocks off at
@@ -76,17 +79,8 @@ class ObservableBlocks:
     reconstruction_error: float  # largest entry of embed() minus the input, at most RECONSTRUCTION_TOL
 
     def embed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reassemble the full observables as V R V^dagger, one batched product for both.
-
-        V holds the block bases side by side and R, ``(2, n, n)``, their restrictions on its diagonal.
-        """
-        basis = np.concatenate([block.basis for block in self.blocks], axis=1)
-        restricted = np.zeros((2, basis.shape[1], basis.shape[1]), dtype=complex)
-        k = 0
-        for block in self.blocks:
-            restricted[:, k:k + block.size, k:k + block.size] = block.a0, block.a1
-            k += block.size
-        return tuple(basis @ restricted @ basis.conj().T)
+        """Reassemble the full observables as ``basis @ restricted @ basis^dagger``, one batched product for both."""
+        return tuple(self.basis @ self.restricted @ self.basis.conj().T)
 
 
 @dataclass(frozen=True)
@@ -100,11 +94,20 @@ class BlockPair:
 
 @dataclass(frozen=True)
 class ChshBlockStructure:
-    """The block pairs, their smallest top eigenvalue and the separable bound it gives."""
+    """The alpha table of the block pairs, their smallest top eigenvalue and the separable bound it gives."""
 
-    pairs: tuple[BlockPair, ...]
-    lam: float  # smallest alpha over all block pairs
+    alpha: np.ndarray  # read-only, [row, col]: the top eigenvalue on A's block row and B's block col
     bound: float  # (lam + sqrt(8 - lam^2)) / 2, read from the eigenphases without rounding through lam
+
+    @property
+    def lam(self) -> float:
+        """The smallest alpha over all block pairs."""
+        return float(self.alpha.min())
+
+    @cached_property
+    def pairs(self) -> tuple[BlockPair, ...]:
+        """The table as (row, col, alpha) in row-major order, built on first read."""
+        return tuple(BlockPair(i, j, value) for i, row in enumerate(self.alpha.tolist()) for j, value in enumerate(row))
 
 
 @dataclass(frozen=True)
@@ -167,9 +170,10 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     w of U, and on a 1x1 block the product of its two real restrictions,
     must lie within ``UNIT_CIRCLE_TOL`` of the unit circle or raises
     ``ValidationError``; each block records cos phi and |sin phi| of its w
-    at phase phi in [0, pi]. ``embed`` must give back the input within
-    ``RECONSTRUCTION_TOL``; that ``reconstruction_error`` is recorded too,
-    and so is ``split_margin``.
+    at phase phi in [0, pi]. Q and the restrictions R, set to 0 off the
+    diagonal blocks, are kept as ``basis`` and ``restricted``; Q R Q^dagger
+    must give back the input within ``RECONSTRUCTION_TOL``, and that
+    ``reconstruction_error`` is recorded too, as is ``split_margin``.
     """
     mat0, mat1 = a0.matrix, a1.matrix
     if mat0.shape != mat1.shape:
@@ -197,25 +201,28 @@ def jordan_blocks(a0: DichotomicObservable, a1: DichotomicObservable) -> Observa
     pairs = np.stack([twos, mat0 @ twos], axis=2).reshape(d, 2 * len(positive))  # u1, A0 u1, u2, A0 u2, ...
     q, r = np.linalg.qr(np.hstack([at_zero, pairs, at_pi]))
     q *= r.diagonal() / np.abs(r.diagonal())  # R's diagonal real and positive, as Gram-Schmidt makes it
-    restricted = q.conj().T @ np.array([mat0, mat1]) @ q
+    observables = np.array([mat0, mat1])
+    restricted = q.conj().T @ observables @ q
 
     n0, n_pi = at_zero.shape[1], at_pi.shape[1]
     ones = list(range(n0)) + list(range(d - n_pi, d))  # the columns of the 1x1 blocks
     restricted[:, ones, ones] = restricted[:, ones, ones].real  # a common eigenvector: real eigenvalues
-    starts = ones[:n0] + list(range(n0, d - n_pi, 2)) + ones[n0:]
     sizes = [1] * n0 + [2] * len(positive) + [1] * n_pi
-    blocks = tuple(ObservableBlock(q[:, k:k + size], *restricted[:, k:k + size, k:k + size])
-                   for k, size in zip(starts, sizes))
+    label = np.repeat(np.arange(len(sizes)), sizes)  # the block of each column
+    restricted[:, label[:, None] != label] = 0.0  # rounding leaks between blocks; embed() reads none of it
     # one unit-circle read of every eigenvalue of A0 A1 and of each 1x1 block's product of restrictions
     read = np.concatenate([restricted[0, ones, ones] * restricted[1, ones, ones], w])
     in_block_order = np.concatenate([np.arange(n0), len(ones) + positive, np.arange(n0, len(ones))])
     cosines, sines = (tuple(x[in_block_order].tolist()) for x in _unit_phases(read))
-    result = ObservableBlocks(blocks, sines, cosines, split, float(np.min(np.abs(edge - split))), math.nan)
-    r0, r1 = result.embed()
-    err = max(float(np.max(np.abs(r0 - mat0))), float(np.max(np.abs(r1 - mat1))))
+    err = float(np.max(np.abs(q @ restricted @ q.conj().T - observables)))
     if not err <= RECONSTRUCTION_TOL:  # NaN fails too
         raise ValidationError(f"block reconstruction error {err:.3g} exceeds {RECONSTRUCTION_TOL:g}")
-    return replace(result, reconstruction_error=err)
+    for array in (q, restricted):
+        array.setflags(write=False)
+    starts = ones[:n0] + list(range(n0, d - n_pi, 2)) + ones[n0:]
+    blocks = tuple(ObservableBlock(q[:, k:k + size], *restricted[:, k:k + size, k:k + size])
+                   for k, size in zip(starts, sizes))
+    return ObservableBlocks(q, restricted, blocks, sines, cosines, split, float(np.min(np.abs(edge - split))), err)
 
 
 def _chsh_matrix(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
@@ -265,7 +272,7 @@ def version_operator(
 
 
 def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBlockStructure:
-    """Every block pair as (row, col, alpha), in row-major order, the smallest alpha and the separable bound.
+    """The alpha table of every block pair, row by A's block and column by B's, and the separable bound.
 
     alpha is the top eigenvalue of the CHSH operator restricted to the pair.
     On a 2x2 Jordan block at phase phi, A0 = X and A1 = cos(phi) X + sin(phi) Y,
@@ -285,7 +292,7 @@ def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBl
     ideal settings give sqrt(2) without snapping.
     """
     alpha = 2.0 * np.sqrt(1.0 + np.outer(a_blocks.sines, b_blocks.sines))
-    pairs = tuple(BlockPair(i, j, value) for i, row in enumerate(alpha.tolist()) for j, value in enumerate(row))
+    alpha.setflags(write=False)
     sides = []
     for side in (a_blocks, b_blocks):
         k = int(np.argmin(side.sines))
@@ -293,7 +300,7 @@ def block_chsh(a_blocks: ObservableBlocks, b_blocks: ObservableBlocks) -> ChshBl
         sides.append((s, c * c / (1.0 + s)))
     (s_a, gap_a), (s_b, gap_b) = sides
     bound = math.sqrt(1.0 + s_a * s_b) + math.sqrt(gap_a + s_a * gap_b)
-    return ChshBlockStructure(pairs, min(pair.alpha for pair in pairs), bound)
+    return ChshBlockStructure(alpha, bound)
 
 
 def chsh_spectrum(beta2q: np.ndarray) -> tuple[float, float]:

@@ -16,12 +16,16 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ValidationError
-from .measurements import FourOutcomeMeasurement, bell_basis
+from .measurements import BELL_VECTORS, FourOutcomeMeasurement
 
 SQRT2 = math.sqrt(2.0)
 TSIRELSON = 2.0 * SQRT2
 QUANTUM_CEILING = TSIRELSON + DEFAULT_TOL  # largest exact CHSH value accepted: rounding slack above 2*sqrt(2)
 CLASSICAL_BOUND = 2.0
+
+# A slot passes only above threshold + SLACK: an exact value on a threshold, as a separable
+# middle measurement's can be, lands at most a few 1e-15 past it by rounding (DEFAULT_TOL is 1e-9).
+SLACK = 1e-12
 
 # Sign pattern of each conditional-CHSH variant on (E11, E12, E21, E22).
 # Variant 3 is the negative of variant 2, variant 4 the negative of variant 1.
@@ -33,12 +37,8 @@ VERSION_SIGNS = (
 )
 
 # The 24 bijections of outcomes to slots in itertools order, which is
-# lexicographic: row p maps outcome c to slot _PERMUTATIONS[p][c].
-_PERMUTATIONS = tuple(itertools.permutations(range(4)))
-_PERMUTATION_TABLE = np.array(_PERMUTATIONS)
-
-# Row v is reference state v + 1 of the entangled basis.
-_BELL_VECTORS = np.array([s.vector for s in bell_basis()])
+# lexicographic: row p maps outcome c to slot _PERMUTATION_TABLE[p, c].
+_PERMUTATION_TABLE = np.array(list(itertools.permutations(range(4))))
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,10 @@ def relabel(version_matrix: np.ndarray) -> tuple[tuple[int, int, int, int], tupl
         if c not in usable and finite[c].any():
             raise ValidationError(f"outcome {c + 1} has a partially defined row")
     landed = m[range(4), _PERMUTATION_TABLE]  # [p, c]: the value outcome c brings to its slot
-    scores = np.zeros(len(_PERMUTATIONS))
+    scores = np.zeros(len(_PERMUTATION_TABLE))
     for c in usable:  # summed in outcome order, as the score of each bijection is defined
         scores += landed[:, c]
-    best_perm = _PERMUTATIONS[int(np.argmax(scores))]  # the first maximum wins ties
+    best_perm = tuple(_PERMUTATION_TABLE[int(np.argmax(scores))].tolist())  # the first maximum wins ties
     values = [math.nan] * 4
     for c in usable:
         values[best_perm[c]] = float(m[c, best_perm[c]])
@@ -123,7 +123,7 @@ def _verdict(criterion: str, s_ac: float, s_bc: float, values: Sequence[float],
     else:
         best_value = best_outcome = margin = None
     side_ok = (hit_ac and hit_bc) if need_both else (hit_ac or hit_bc)
-    passed = side_ok and best_value is not None and best_value > threshold
+    passed = side_ok and best_value is not None and best_value > threshold + SLACK
     witness = VerdictWitness(hit_ac, hit_bc, dev_ac, dev_bc,
                              best_outcome, best_value, threshold, margin)
     return Verdict(criterion, passed, tol, witness)
@@ -131,15 +131,15 @@ def _verdict(criterion: str, s_ac: float, s_bc: float, values: Sequence[float],
 
 def certify_crit1(s_ac: float, s_bc: float, s_ab_values: Sequence[float], tol: float) -> Verdict:
     """One-sided rule: a maximal swap-side violation on either side plus a
-    conditional value above the classical bound certifies the joint measurement
-    as entangling (hence entangled)."""
+    conditional value above the classical bound (by more than ``SLACK``)
+    certifies the joint measurement as entangling (hence entangled)."""
     return _verdict("crit1", s_ac, s_bc, s_ab_values, tol, CLASSICAL_BOUND, need_both=False)
 
 
 def certify_crit2(s_ac: float, s_bc: float, s_ab_values: Sequence[float], tol: float) -> Verdict:
     """Two-sided rule: maximal violations on both swap sides lower the needed
     conditional value to sqrt(2), the ceiling reachable by separable joint
-    measurements under that premise."""
+    measurements under that premise; a value must exceed it by more than ``SLACK``."""
     return _verdict("crit2", s_ac, s_bc, s_ab_values, tol, SQRT2, need_both=True)
 
 
@@ -154,8 +154,8 @@ def _reference_overlaps(meas: FourOutcomeMeasurement) -> np.ndarray:
     if meas.dims != (2, 2):
         raise ValidationError(f"measurement acts on {meas.dims}, expected (2, 2)")
     meas.require_rank_one()
-    images = meas.projector_stack[:, None] @ _BELL_VECTORS[None, :, :, None]  # [c, v] = P_c ref_v, a column
-    return (_BELL_VECTORS.conj()[None, :, None, :] @ images)[:, :, 0, 0].real
+    images = meas.projector_stack[:, None] @ BELL_VECTORS[None, :, :, None]  # [c, v] = P_c ref_v, a column
+    return (BELL_VECTORS.conj()[None, :, None, :] @ images)[:, :, 0, 0].real
 
 
 def trace_distance(meas: FourOutcomeMeasurement, relabeling: Sequence[int]) -> float:

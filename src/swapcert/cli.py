@@ -241,11 +241,10 @@ def cmd_blocks(args: argparse.Namespace) -> int:
     settings = _load_settings(args.settings)
     a_blocks, b_blocks = blocks.jordan_blocks(*settings[:2]), blocks.jordan_blocks(*settings[2:])
     structure = blocks.block_chsh(a_blocks, b_blocks)
-    alpha = np.reshape([pair.alpha for pair in structure.pairs], (len(a_blocks.blocks), len(b_blocks.blocks))).tolist()
     payload = {
         "a_blocks": a_blocks.blocks,
         "b_blocks": b_blocks.blocks,
-        "alpha": alpha,
+        "alpha": structure.alpha.tolist(),
         "lambda": structure.lam,
         "sep_bound": structure.bound,
     }

@@ -9,7 +9,7 @@ measurements, and the middle party's two binned settings.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cache, cached_property, reduce
 from typing import Sequence
 
@@ -113,22 +113,19 @@ def qubit_observable(bloch: Sequence[float]) -> DichotomicObservable:
     return DichotomicObservable(vec[0] * PAULI_X + vec[1] * PAULI_Y + vec[2] * PAULI_Z)
 
 
+# Row k is the maximally entangled two-qubit state of outcome k + 1: (|00>+|11>)/sqrt2,
+# (|00>-|11>)/sqrt2, (|01>+|10>)/sqrt2 and (|01>-|10>)/sqrt2. Read-only.
+BELL_VECTORS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) * complex(1.0 / math.sqrt(2.0))
+BELL_VECTORS.setflags(write=False)
+
+
 @cache
 def bell_basis() -> tuple[PureState, PureState, PureState, PureState]:
-    """The four maximally entangled two-qubit states, in the fixed outcome order.
+    """The four maximally entangled two-qubit states of ``BELL_VECTORS``, in the fixed outcome order.
 
-    Outcome 1 is (|00>+|11>)/sqrt2, outcome 2 is (|00>-|11>)/sqrt2, outcome 3
-    is (|01>+|10>)/sqrt2 and outcome 4 is (|01>-|10>)/sqrt2. The states are
-    built once and shared: they are frozen dataclasses over read-only vectors.
+    The states are built once and shared: they are frozen dataclasses over read-only vectors.
     """
-    s = 1.0 / math.sqrt(2.0)
-    vectors = (
-        np.array([s, 0.0, 0.0, s]),
-        np.array([s, 0.0, 0.0, -s]),
-        np.array([0.0, s, s, 0.0]),
-        np.array([0.0, s, -s, 0.0]),
-    )
-    return tuple(PureState(v, (2, 2)) for v in vectors)
+    return tuple(PureState(v, (2, 2)) for v in BELL_VECTORS)
 
 
 @dataclass(frozen=True)
@@ -138,6 +135,7 @@ class FourOutcomeMeasurement:
     projectors: tuple[np.ndarray, ...]
     dims: tuple[int, int]
     tol: InitVar[float] = DEFAULT_TOL
+    projector_stack: np.ndarray = field(init=False, repr=False, compare=False)  # read-only; projectors are its rows
 
     def __post_init__(self, tol: float) -> None:
         if len(self.projectors) != 4:
@@ -146,14 +144,19 @@ class FourOutcomeMeasurement:
         side = dims[0] * dims[1]
         projs = []
         for k, proj in enumerate(self.projectors):
-            mat = np.array(_as_matrix(proj, f"projector {k + 1}"))
+            mat = _as_matrix(proj, f"projector {k + 1}")
             if mat.shape != (side, side):
                 raise ValidationError(f"projector {k + 1} has shape {mat.shape}, expected {side}x{side}")
-            mat.setflags(write=False)
             projs.append(mat)
-        object.__setattr__(self, "projectors", tuple(projs))
-        object.__setattr__(self, "dims", dims)
+        self._store(np.array(projs), dims)
         self.validate(tol)
+
+    def _store(self, stack: np.ndarray, dims: tuple[int, int]) -> None:
+        """Keep ``stack`` read-only as ``projector_stack``, its rows as ``projectors``, and ``dims``."""
+        stack.setflags(write=False)
+        object.__setattr__(self, "projector_stack", stack)
+        object.__setattr__(self, "projectors", tuple(stack))
+        object.__setattr__(self, "dims", dims)
 
     @classmethod
     def from_vectors(cls, vectors: np.ndarray, dims: tuple[int, int],
@@ -166,10 +169,9 @@ class FourOutcomeMeasurement:
         :meth:`validate` are not run again, because they follow up to
         rounding: P_j P_k - delta_jk P_k = G_jk v_j v_k^dagger, whose
         entries are at most |G_jk| |v_j| |v_k| <= ``tol * (1 + tol)``, and
-        the projectors sum to V^T V*. ``projector_stack`` is the read-only
-        ``(4, d, d)`` stack of outer products, each entry one product as in
-        ``np.outer`` (so real vectors give exactly Hermitian projectors),
-        and ``projectors`` are views of its rows.
+        the projectors sum to V^T V*. ``projector_stack`` is the stack of
+        outer products, each entry one product as in ``np.outer`` (so real
+        vectors give exactly Hermitian projectors).
         """
         vecs = np.asarray(vectors, dtype=complex)
         dims = _checked_dims(dims, 2)
@@ -185,27 +187,13 @@ class FourOutcomeMeasurement:
             if not orthonormal:
                 raise ValidationError("vectors are not orthonormal within tolerance")
             raise ValidationError("vectors do not span the space within tolerance")
-        stack = vecs[:, :, None] * vecs.conj()[:, None, :]
-        stack.setflags(write=False)
         meas = object.__new__(cls)
-        object.__setattr__(meas, "projectors", tuple(stack))
-        object.__setattr__(meas, "dims", dims)
-        meas.__dict__["projector_stack"] = stack  # what the cached property would build
+        meas._store(vecs[:, :, None] * vecs.conj()[:, None, :], dims)
         return meas
 
     @property
     def dim(self) -> int:
         return self.dims[0] * self.dims[1]
-
-    @cached_property
-    def projector_stack(self) -> np.ndarray:
-        """The projectors as one read-only ``(4, d, d)`` array, built on first use and shared.
-
-        :meth:`from_vectors` sets it at construction, and its projectors are views of it.
-        """
-        stack = np.array(self.projectors)
-        stack.setflags(write=False)
-        return stack
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Enforce Hermiticity, idempotence, mutual orthogonality and completeness.
@@ -263,18 +251,18 @@ class BinnedMeasurement:
 def bell_measurement() -> FourOutcomeMeasurement:
     """Projective measurement onto the maximally entangled basis, in outcome order.
 
-    Built once from the :func:`bell_basis` vectors by
+    Built once from ``BELL_VECTORS`` by
     :meth:`FourOutcomeMeasurement.from_vectors`, and shared: its projectors
     are read-only.
     """
-    return FourOutcomeMeasurement.from_vectors(np.array([s.vector for s in bell_basis()]), (2, 2))
+    return FourOutcomeMeasurement.from_vectors(BELL_VECTORS, (2, 2))
 
 
 def perturbed_bell_measurement(theta: float, pair: int = 1) -> FourOutcomeMeasurement:
     """Rotate one two-dimensional plane of the entangled basis by ``theta``.
 
     ``pair`` selects the rotated plane: pair 1 mixes outcomes 1 and 4, pair 2
-    mixes outcomes 2 and 3. Rows lo and hi of the :func:`bell_basis` vectors
+    mixes outcomes 2 and 3. Rows lo and hi of ``BELL_VECTORS``
     become cos(theta) v_lo + sin(theta) v_hi and -sin(theta) v_lo +
     cos(theta) v_hi, and :meth:`FourOutcomeMeasurement.from_vectors` checks
     the rotated basis and builds all four projectors, the two unrotated ones
@@ -286,7 +274,7 @@ def perturbed_bell_measurement(theta: float, pair: int = 1) -> FourOutcomeMeasur
     if not math.isfinite(theta):
         raise ValidationError(f"theta must be finite, got {theta}")
     lo, hi = pair - 1, 4 - pair
-    vecs = np.array([s.vector for s in bell_basis()])
+    vecs = BELL_VECTORS.copy()
     c, s = math.cos(theta), math.sin(theta)
     vecs[lo], vecs[hi] = c * vecs[lo] + s * vecs[hi], -s * vecs[lo] + c * vecs[hi]
     return FourOutcomeMeasurement.from_vectors(vecs, (2, 2))

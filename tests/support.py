@@ -264,6 +264,54 @@ def ideal_with_charlie3(meas: FourOutcomeMeasurement) -> Scenario:
     return replace(ideal_scenario(), charlie3=meas)
 
 
+def conjugated(sc: Scenario, u_a: np.ndarray, u_b: np.ndarray, u_c: np.ndarray) -> Scenario:
+    """The scenario seen in a local basis: the state by U_A x U_B x U_C, each setting by its factor's unitary."""
+    u = kron_all(u_a, u_b, u_c)
+
+    def obs(o: DichotomicObservable, v: np.ndarray) -> DichotomicObservable:
+        return DichotomicObservable(v @ o.matrix @ v.conj().T)
+
+    def meas(m: FourOutcomeMeasurement) -> FourOutcomeMeasurement:
+        return FourOutcomeMeasurement(tuple(u_c @ p @ u_c.conj().T for p in m.projectors), m.dims)
+
+    return Scenario(
+        state=DensityMatrix(u @ sc.state.matrix @ u.conj().T, sc.dims),
+        alice=tuple(obs(o, u_a) for o in sc.alice),
+        bob=tuple(obs(o, u_b) for o in sc.bob),
+        charlie12=tuple(BinnedMeasurement(meas(b.base), b.bit_for_a, b.bit_for_b) for b in sc.charlie12),
+        charlie3=meas(sc.charlie3),
+    )
+
+
+def local_unitary_copies(sc: Scenario, n: int, rng: np.random.Generator) -> list[Scenario]:
+    """``n`` copies of ``sc``, each under Haar unitaries drawn for A, B, C_A and C_B in that order."""
+    d_a, d_b, d_ca, d_cb = sc.dims
+    return [conjugated(sc, haar_unitary(d_a, rng), haar_unitary(d_b, rng),
+                       np.kron(haar_unitary(d_ca, rng), haar_unitary(d_cb, rng))) for _ in range(n)]
+
+
+def separable_on_threshold(criterion: str) -> Scenario:
+    """A qubit scenario with a product middle measurement whose best conditional value is the threshold as built.
+
+    ``"crit2"``: ideal sources and settings with ``product_measurement(Z, Z)``;
+    every conditional value is sqrt(2) and both swap sides are maximal.
+    ``"crit1"``: A0 = A1 = Z, Bob and both sources ideal, and
+    ``product_measurement((|0><0|, |1><1|), B0's eigenprojectors)``; S_BC is
+    2 sqrt(2) and slot 1 holds 2. A verdict that passes either one was
+    decided by rounding.
+    """
+    from dataclasses import replace
+
+    from swapcert import ideal_scenario, product_measurement
+
+    sc = ideal_scenario()
+    z = (np.eye(2) + Z) / 2.0, (np.eye(2) - Z) / 2.0
+    if criterion == "crit2":
+        return replace(sc, charlie3=product_measurement(z, z))
+    z_obs = DichotomicObservable(Z)
+    return replace(sc, alice=(z_obs, z_obs), charlie3=product_measurement(z, sc.bob[0].projectors()))
+
+
 def planted_pair(angle: float) -> tuple[np.ndarray, np.ndarray]:
     """Qubit +/-1 pair whose product has eigenphases +/-angle."""
     return X.copy(), math.cos(angle) * X + math.sin(angle) * Y

@@ -25,7 +25,7 @@ from swapcert import (
     theorem_check,
     version_operator,
 )
-from swapcert.blocks import EDGE_TOL, RECONSTRUCTION_TOL, block_witness
+from swapcert.blocks import EDGE_TOL, RECONSTRUCTION_TOL, BlockPair, block_witness
 from swapcert.serialize import json_dumps, observable_from_json, observable_to_json
 from support import (
     I2,
@@ -192,6 +192,36 @@ def assert_matches_reference(a0: DichotomicObservable, a1: DichotomicObservable)
     for block in got.blocks:
         for mat, restricted in ((a0.matrix, block.a0), (a1.matrix, block.a1)):
             assert np.max(np.abs(mat @ block.basis - block.basis @ restricted)) <= 1e-13
+    assert_blocks_are_views(got)
+
+
+def assert_blocks_are_views(blocks) -> None:
+    """Each block views ``basis``'s columns and ``restricted``'s diagonal block; ``restricted`` is 0 elsewhere."""
+    basis, restricted = blocks.basis, blocks.restricted
+    assert not basis.flags.writeable and not restricted.flags.writeable
+    off_blocks = np.ones(basis.shape, dtype=bool)
+    k = 0
+    for block in blocks.blocks:
+        rows = slice(k, k + block.size)
+        assert np.shares_memory(block.basis, basis) and np.array_equal(block.basis, basis[:, rows])
+        for part, stored in zip((block.a0, block.a1), restricted):
+            assert np.shares_memory(part, restricted) and np.array_equal(part, stored[rows, rows])
+        off_blocks[rows, rows] = False
+        k += block.size
+    assert k == basis.shape[0]
+    assert np.all(restricted[:, off_blocks] == 0.0)
+    assert np.array_equal(np.array(blocks.embed()), basis @ restricted @ basis.conj().T)
+
+
+def assert_alpha_table(structure, a_blocks, b_blocks) -> None:
+    """``pairs`` is the row-major view of the read-only ``alpha`` table, built once, and ``lam`` its minimum."""
+    alpha = structure.alpha
+    assert alpha.shape == (len(a_blocks.blocks), len(b_blocks.blocks)) and not alpha.flags.writeable
+    n_b = alpha.shape[1]
+    assert len(structure.pairs) == alpha.size and structure.pairs is structure.pairs
+    for i, j in np.ndindex(alpha.shape):
+        assert structure.pairs[i * n_b + j] == BlockPair(i, j, alpha[i, j])
+    assert structure.lam == alpha.min()
 
 
 class TestJordanBlocksAssembly:
@@ -227,6 +257,7 @@ class TestJordanBlocksAssembly:
         residual = max(float(np.max(np.abs(o.matrix @ o.matrix - np.eye(d)))) for o in (a0, a1))
         assert blocks.split == max(EDGE_TOL, 8.0 * residual)
         assert blocks.reconstruction_error == embed_error(blocks, a0, a1) <= RECONSTRUCTION_TOL
+        assert_blocks_are_views(blocks)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_records_split_margin(self, seed):
@@ -751,6 +782,7 @@ class TestBlockChsh:
         for got, (row, col, _, alpha) in zip(structure.pairs, pairs):
             assert (got.row, got.col) == (row, col) and abs(got.alpha - alpha) <= 1e-12
         assert abs(structure.lam - lam) <= 1e-12
+        assert_alpha_table(structure, a_blocks, b_blocks)
 
     @given(bound_layouts(), bound_layouts())
     @settings(max_examples=300, derandomize=True, deadline=None,
@@ -763,6 +795,7 @@ class TestBlockChsh:
         for got, (_, _, _, alpha) in zip(structure.pairs, pairs):
             assert abs(got.alpha - alpha) <= 1e-12
         assert abs(structure.lam - lam) <= 1e-12
+        assert_alpha_table(structure, a_blocks, b_blocks)
 
     def test_scalar_blocks_pin_alpha_to_classical(self):
         structure = block_chsh(jordan_blocks(Z_OBS, Z_OBS), jordan_blocks(Z_OBS, Z_OBS))

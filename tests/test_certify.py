@@ -15,6 +15,7 @@ from swapcert import (
     certify_crit2,
     conditional_version_matrix,
     distance_bounds,
+    exact_report,
     overlap_chsh,
     overlap_version_matrix,
     perturbed_bell_measurement,
@@ -23,7 +24,7 @@ from swapcert import (
     trace_distance,
     version_operator,
 )
-from swapcert.certify import _reference_overlaps
+from swapcert.certify import SLACK, _reference_overlaps
 from support import (
     SQRT2,
     TSIRELSON,
@@ -31,12 +32,14 @@ from support import (
     eigenstates,
     ideal_with_charlie3,
     kron_all,
+    local_unitary_copies,
     reference_overlap_version_matrix,
     reference_overlaps,
     reference_relabel,
     reference_trace_distance,
     rotated_bell_measurement,
     scenario_settings_ideal,
+    separable_on_threshold,
 )
 
 IDEAL_MATRIX, _ = conditional_version_matrix(ideal_with_charlie3(bell_measurement()))
@@ -165,6 +168,14 @@ class TestCriteria:
         # must not certify
         assert not certify_crit2(TSIRELSON, TSIRELSON, [SQRT2] * 4, 1e-9).passed
 
+    @pytest.mark.parametrize("rule,threshold", [(certify_crit1, 2.0), (certify_crit2, SQRT2)])
+    def test_a_value_must_clear_the_slack(self, rule, threshold):
+        # the last bits of an exact value on the threshold do not pass; the margin is still best - threshold
+        above = threshold + 3e-15
+        verdict = rule(TSIRELSON, TSIRELSON, [above] * 4, 1e-9)
+        assert not verdict.passed and verdict.witness.margin == above - threshold
+        assert rule(TSIRELSON, TSIRELSON, [threshold + 2.0 * SLACK] * 4, 1e-9).passed
+
     def test_crit2_needs_both_sides(self):
         assert not certify_crit2(TSIRELSON, 2.0, [TSIRELSON] * 4, 1e-9).passed
 
@@ -205,6 +216,23 @@ class TestCriteria:
             slot = witness.best_outcome - 1
             assert values[slot] == witness.best_value
             assert all(math.isnan(v) or v < witness.best_value for v in values[:slot])
+
+
+class TestRoundingOnTheThreshold:
+    """Separable middle measurements whose best value is the threshold as built, in 400 local bases each."""
+
+    @pytest.mark.parametrize("rule,seed", [(certify_crit1, 11), (certify_crit2, 12)])
+    def test_no_copy_passes(self, rule, seed):
+        criterion = rule.__name__.removeprefix("certify_")
+        copies = local_unitary_copies(separable_on_threshold(criterion), 400, np.random.default_rng(seed))
+        reports = [exact_report(sc) for sc in copies]
+        for tol in (1e-9, 1e-6):
+            verdicts = [rule(r.s_ac, r.s_bc, r.s_ab_given_c, tol) for r in reports]
+            margins = np.array([v.witness.margin for v in verdicts])
+            # the swap-side premise holds, every best value sits on the threshold, and rounding puts some past it
+            assert all(v.witness.s_bc_hit and (v.witness.s_ac_hit or criterion == "crit1") for v in verdicts)
+            assert np.max(np.abs(margins)) <= 1e-14 and np.any(margins > 0.0)
+            assert sum(v.passed for v in verdicts) == 0
 
 
 class TestTraceDistance:

@@ -15,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapcert import (
-    BinnedMeasurement,
-    DensityMatrix,
     DichotomicObservable,
     FourOutcomeMeasurement,
     Scenario,
@@ -32,9 +30,9 @@ from swapcert import (
     sep_bound,
 )
 from support import (
+    conjugated,
     haar_unitary,
     ideal_with_charlie3,
-    kron_all,
     random_observable,
     random_scenario,
     rotated_bell_measurement,
@@ -49,25 +47,6 @@ SAMPLED_SIGMAS = 6.0
 SAMPLED_N = 10**6
 
 SCENARIOS = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from((2, 3)), st.sampled_from((2, 3)))
-
-
-def conjugated(sc: Scenario, u_a: np.ndarray, u_b: np.ndarray, u_c: np.ndarray) -> Scenario:
-    """The scenario seen in a local basis: the state by U_A x U_B x U_C, each setting by its factor's unitary."""
-    u = kron_all(u_a, u_b, u_c)
-
-    def obs(o: DichotomicObservable, v: np.ndarray) -> DichotomicObservable:
-        return DichotomicObservable(v @ o.matrix @ v.conj().T)
-
-    def meas(m: FourOutcomeMeasurement) -> FourOutcomeMeasurement:
-        return FourOutcomeMeasurement(tuple(u_c @ p @ u_c.conj().T for p in m.projectors), m.dims)
-
-    return Scenario(
-        state=DensityMatrix(u @ sc.state.matrix @ u.conj().T, sc.dims),
-        alice=tuple(obs(o, u_a) for o in sc.alice),
-        bob=tuple(obs(o, u_b) for o in sc.bob),
-        charlie12=tuple(BinnedMeasurement(meas(b.base), b.bit_for_a, b.bit_for_b) for b in sc.charlie12),
-        charlie3=meas(sc.charlie3),
-    )
 
 
 def report_values(sc: Scenario) -> tuple[np.ndarray, tuple[int, int, int, int]]:

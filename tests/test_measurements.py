@@ -357,6 +357,7 @@ class TestProjectorStacks:
         stack = meas.projector_stack
         assert meas.projector_stack is stack
         assert stack.shape == (4, meas.dim, meas.dim)
+        assert all(proj.base is stack for proj in meas.projectors)  # either constructor: views of its rows
         expected = np.array(meas.projectors)
         assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes()
         with pytest.raises(ValueError):
