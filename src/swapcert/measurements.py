@@ -91,14 +91,14 @@ class DichotomicObservable:
         return float(np.max(np.abs(self.matrix @ self.matrix - np.eye(self.dim))))
 
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Spectral projectors onto the +1 and -1 outcomes, in that order."""
-        eye = np.eye(self.dim)
-        return (eye + self.matrix) / 2.0, (eye - self.matrix) / 2.0
+        """Spectral projectors onto the +1 and -1 outcomes, in that order: the rows of :attr:`projector_stack`."""
+        return tuple(self.projector_stack)
 
     @cached_property
     def projector_stack(self) -> np.ndarray:
-        """:meth:`projectors` as one read-only ``(2, d, d)`` array, built on first use and shared."""
-        stack = np.array(self.projectors())
+        """(I + A)/2 and (I - A)/2 as one read-only ``(2, d, d)`` array, built on first use and shared."""
+        eye = np.eye(self.dim)
+        stack = np.array([(eye + self.matrix) / 2.0, (eye - self.matrix) / 2.0])
         stack.setflags(write=False)
         return stack
 

@@ -108,13 +108,24 @@ class Scenario:
         return tables
 
 
+# A sampled report may sit above 2*sqrt(2) by sampling noise, but no CHSH
+# value of +/-1 correlators exceeds 4 in magnitude.
+CHSH_ALGEBRAIC_MAX = 4.0
+# Probabilities read back at 9 significant digits sum to 1 within about 2e-9, computed ones within a few ulp.
+PROB_SUM_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class ReportStdErr:
-    """Propagated standard errors for an estimated report."""
+    """Propagated standard errors for an estimated report: each nonnegative, or NaN where undefined."""
 
     s_ac: float
     s_bc: float
     s_ab_given_c: tuple[float, float, float, float]
+
+    def __post_init__(self) -> None:
+        if any(v < 0 for v in (self.s_ac, self.s_bc, *self.s_ab_given_c)):
+            raise ValidationError("standard errors must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,15 @@ class ChshReport:
     ``s_ab_given_c`` and ``outcome_probs`` are aligned to the relabeled slots;
     ``relabeling`` maps 0-based raw outcome to its slot. Undefined conditional
     values (outcomes with no statistics) are NaN.
+
+    Every report is checked where it is built, whatever its source: the
+    relabeling is a permutation of the four slots (named 1-based in the
+    message, as files and the CLI write it), the probabilities are no lower
+    than -``DEFAULT_TOL`` and sum to 1 within ``PROB_SUM_TOL``, and every
+    CHSH value is at most ``CHSH_ALGEBRAIC_MAX`` in magnitude. A report
+    without ``stderr`` is exact, so its values also keep to
+    ``QUANTUM_CEILING``; a sampled one may exceed it by sampling noise. NaN
+    passes every check.
     """
 
     s_ac: float
@@ -133,16 +153,18 @@ class ChshReport:
     relabeling: tuple[int, int, int, int]
     stderr: ReportStdErr | None = None
 
-    def validate(self) -> None:
-        if abs(sum(self.outcome_probs) - 1.0) > DEFAULT_TOL:
-            raise ValidationError("outcome probabilities do not sum to 1")
-        self.check_quantum_ceiling()
-
-    def check_quantum_ceiling(self, prefix: str = "") -> None:
-        """Every defined CHSH value at most 2*sqrt(2) + ``DEFAULT_TOL`` in magnitude, the rule for exact values."""
-        for value in (self.s_ac, self.s_bc, *self.s_ab_given_c):
-            if math.isfinite(value) and abs(value) > QUANTUM_CEILING:
-                raise ValidationError(f"{prefix}CHSH value {value} exceeds the quantum ceiling")
+    def __post_init__(self) -> None:
+        for value in (self.s_ac, self.s_bc, *self.s_ab_given_c):  # NaN (undefined) compares False
+            if abs(value) > CHSH_ALGEBRAIC_MAX:
+                raise ValidationError(f"CHSH value {value} exceeds the algebraic maximum {CHSH_ALGEBRAIC_MAX:g}")
+            if self.stderr is None and abs(value) > QUANTUM_CEILING:
+                raise ValidationError(f"CHSH value {value} exceeds the quantum ceiling")
+        probs = self.outcome_probs
+        if min(probs) < -DEFAULT_TOL or abs(sum(probs) - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"outcome_probs {list(probs)} are not a probability distribution")
+        if sorted(self.relabeling) != [0, 1, 2, 3]:
+            shown = [slot + 1 for slot in self.relabeling]
+            raise ValidationError(f"relabeling {shown} is not a permutation of 1..4")
 
 
 def _steered(pc: np.ndarray, state: DensityMatrix) -> np.ndarray:
@@ -400,9 +422,7 @@ def _report(table: np.ndarray, bits: np.ndarray) -> ChshReport:
 
 def exact_report(sc: Scenario) -> ChshReport:
     """Exact CHSH report with conditional values relabeled to their best variants."""
-    report = _report(born_tables(sc), _bit_maps(sc))
-    report.validate()
-    return report
+    return _report(born_tables(sc), _bit_maps(sc))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, DensityMatrix, ValidationError
+from .linalg import DensityMatrix, ValidationError
 from .measurements import BinnedMeasurement, DichotomicObservable, FourOutcomeMeasurement
 from .protocol import _INT64_MAX, ChshReport, CountsTable, ReportStdErr, Scenario
 
@@ -288,78 +288,50 @@ def report_to_json(report: ChshReport) -> dict:
     return {**_round_tree(report), "relabeling": [slot + 1 for slot in report.relabeling]}
 
 
-# A sampled report may sit above 2*sqrt(2) by sampling noise, but no CHSH
-# value of +/-1 correlators exceeds 4 in magnitude.
-CHSH_ALGEBRAIC_MAX = 4.0
-# Probabilities written at 9 significant digits sum to 1 within about 2e-9.
-PROB_SUM_TOL = 1e-6
-
-
 def _report_number(value: Any, name: str, nullable: bool = False) -> float:
     """A finite JSON number, or NaN for ``null`` where a value may be undefined."""
     if value is None and nullable:
         return math.nan
-    return _json_number(value, f"report: {name} must be a finite number, got {_shown_json(value)}")
+    return _json_number(value, f"{name} must be a finite number, got {_shown_json(value)}")
 
 
 def _report_list(values: Any, name: str, nullable: bool = False) -> tuple[float, ...]:
     if not isinstance(values, list) or len(values) != 4:
-        raise ValidationError(f"report: {name} must list four values")
+        raise ValidationError(f"{name} must list four values")
     return tuple(_report_number(v, f"{name}[{k}]", nullable) for k, v in enumerate(values))
 
 
 def report_from_json(obj: Any) -> ChshReport:
-    """Parse a report, rejecting any that no CHSH experiment could produce.
+    """Parse a report; every error, the reader's or :class:`ChshReport`'s, starts ``report: ``.
 
-    The relabeling must be a permutation of 1..4, the outcome probabilities a
-    distribution (to ``PROB_SUM_TOL``), every CHSH value at most 4 in
-    magnitude, and ``stderr`` either null or complete. A report with
-    ``stderr`` null is exact, so its values must also keep to the quantum
-    ceiling as :meth:`ChshReport.validate` applies it (2*sqrt(2) plus
-    ``DEFAULT_TOL``); a sampled report, with ``stderr``, may exceed the
-    ceiling by sampling noise.
+    The reader checks only the JSON: the keys, finite numbers (``null``
+    where a value may be undefined), four values per list, a list of
+    integers for the relabeling, and ``stderr`` null or complete. The rules
+    of a report are those of :class:`ChshReport` and :class:`ReportStdErr`.
     """
-    if not isinstance(obj, dict):
-        raise ValidationError("report: expected a JSON object")
-    for key in ("s_ac", "s_bc", "s_ab_given_c", "outcome_probs", "relabeling"):
-        if key not in obj:
-            raise ValidationError(f"report: missing '{key}'")
-    s_ac = _report_number(obj["s_ac"], "s_ac")
-    s_bc = _report_number(obj["s_bc"], "s_bc")
-    values = _report_list(obj["s_ab_given_c"], "s_ab_given_c", nullable=True)
-    for value in (s_ac, s_bc, *values):  # NaN (undefined) compares False
-        if abs(value) > CHSH_ALGEBRAIC_MAX:
-            raise ValidationError(f"report: CHSH value {value} exceeds the algebraic maximum 4")
-    probs = _report_list(obj["outcome_probs"], "outcome_probs")
-    if min(probs) < -DEFAULT_TOL or abs(sum(probs) - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(f"report: outcome_probs {list(probs)} are not a probability distribution")
-    slots = obj["relabeling"]
-    if (not isinstance(slots, list) or any(isinstance(s, bool) or not isinstance(s, int) for s in slots)
-            or sorted(slots) != [1, 2, 3, 4]):
-        raise ValidationError(f"report: relabeling {slots!r} is not a permutation of 1..4")
-    stderr = None
-    if obj.get("stderr") is not None:
-        block = obj["stderr"]
-        if not isinstance(block, dict) or any(k not in block for k in ("s_ac", "s_bc", "s_ab_given_c")):
-            raise ValidationError("report: stderr must hold s_ac, s_bc and s_ab_given_c")
-        stderr = ReportStdErr(
-            _report_number(block["s_ac"], "stderr.s_ac"),
-            _report_number(block["s_bc"], "stderr.s_bc"),
-            _report_list(block["s_ab_given_c"], "stderr.s_ab_given_c", nullable=True),
-        )
-        if any(v < 0 for v in (stderr.s_ac, stderr.s_bc, *stderr.s_ab_given_c)):
-            raise ValidationError("report: standard errors must be nonnegative")
-    report = ChshReport(
-        s_ac=s_ac,
-        s_bc=s_bc,
-        s_ab_given_c=values,
-        outcome_probs=probs,
-        relabeling=tuple(s - 1 for s in slots),
-        stderr=stderr,
-    )
-    if stderr is None:
-        report.check_quantum_ceiling("report: ")
-    return report
+    try:
+        if not isinstance(obj, dict):
+            raise ValidationError("expected a JSON object")
+        for key in ("s_ac", "s_bc", "s_ab_given_c", "outcome_probs", "relabeling"):
+            if key not in obj:
+                raise ValidationError(f"missing '{key}'")
+        s_ac = _report_number(obj["s_ac"], "s_ac")
+        s_bc = _report_number(obj["s_bc"], "s_bc")
+        values = _report_list(obj["s_ab_given_c"], "s_ab_given_c", nullable=True)
+        probs = _report_list(obj["outcome_probs"], "outcome_probs")
+        slots = obj["relabeling"]
+        if not isinstance(slots, list) or any(isinstance(s, bool) or not isinstance(s, int) for s in slots):
+            raise ValidationError(f"relabeling {slots!r} is not a permutation of 1..4")
+        block, stderr = obj.get("stderr"), None
+        if block is not None:
+            if not isinstance(block, dict) or any(k not in block for k in ("s_ac", "s_bc", "s_ab_given_c")):
+                raise ValidationError("stderr must hold s_ac, s_bc and s_ab_given_c")
+            stderr = ReportStdErr(_report_number(block["s_ac"], "stderr.s_ac"),
+                                  _report_number(block["s_bc"], "stderr.s_bc"),
+                                  _report_list(block["s_ab_given_c"], "stderr.s_ab_given_c", nullable=True))
+        return ChshReport(s_ac, s_bc, values, probs, tuple(s - 1 for s in slots), stderr)
+    except ValidationError as exc:
+        raise ValidationError(f"report: {exc}") from None
 
 
 # Every cell (x, y, z, a, b, c) of a counts table in the table's C order

@@ -25,6 +25,7 @@ from swapcert import (
     estimate_report,
     exact_report,
     jordan_blocks,
+    noisy_scenario,
     overlap_version_matrix,
     sample_counts,
     sep_bound,
@@ -33,6 +34,7 @@ from support import (
     conjugated,
     haar_unitary,
     ideal_with_charlie3,
+    local_unitary_copies,
     random_observable,
     random_scenario,
     rotated_bell_measurement,
@@ -67,6 +69,23 @@ def test_local_unitary_invariance(drawn):
     rotated_values, rotated_relabeling = report_values(rotated)
     assert rotated_relabeling == relabeling
     assert np.max(np.abs(rotated_values - values)) <= INVARIANCE_TOL
+
+
+# Noiseless to visibly noisy pairs, so that the verdicts below are not all failures.
+VISIBILITIES = st.sampled_from((1.0, 0.9999999, 0.999, 0.9))
+
+
+@given(VISIBILITIES, VISIBILITIES, st.floats(0.0, math.pi / 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_verdict_local_unitary_invariance(v_ac, v_bc, theta, seed):
+    # random_scenario would leave this vacuous: its reports pass neither rule, even at tol 1
+    sc = noisy_scenario(v_ac, v_bc, theta)
+    (rotated,) = local_unitary_copies(sc, 1, np.random.default_rng(seed))
+    reports = exact_report(sc), exact_report(rotated)
+    for rule in (certify_crit1, certify_crit2):
+        for tol in (1e-9, 1e-6, 1e-2):
+            passed, rotated_passed = (rule(r.s_ac, r.s_bc, r.s_ab_given_c, tol).passed for r in reports)
+            assert rotated_passed == passed
 
 
 @given(SCENARIOS, st.permutations(range(4)))

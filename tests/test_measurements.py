@@ -346,6 +346,7 @@ class TestProjectorStacks:
         stack = obs.projector_stack
         assert obs.projector_stack is stack
         assert stack.shape == (2, obs.dim, obs.dim)
+        assert all(proj.base is stack for proj in obs.projectors())
         expected = np.array(obs.projectors())
         assert stack.dtype == expected.dtype and stack.tobytes() == expected.tobytes()
         with pytest.raises(ValueError):

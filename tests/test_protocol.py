@@ -409,13 +409,13 @@ class TestInvariants:
                 assert unconditioned == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("s_ac,probs,message", [
-        (2.0, (0.3, 0.3, 0.3, 0.3), "^outcome probabilities do not sum to 1$"),
+        (2.0, (0.3, 0.3, 0.3, 0.3), r"^outcome_probs \[0.3, 0.3, 0.3, 0.3\] are not a probability distribution$"),
         (3.0, (0.25, 0.25, 0.25, 0.25), "^CHSH value 3.0 exceeds the quantum ceiling$"),
     ], ids=["probabilities off 1", "value above the ceiling"])
     def test_report_validate_rejects(self, s_ac, probs, message):
-        report = ChshReport(s_ac, 2.0, (2.0,) * 4, probs, (0, 1, 2, 3))
+        # the report checks itself where it is built
         with pytest.raises(ValidationError, match=message):
-            report.validate()
+            ChshReport(s_ac, 2.0, (2.0,) * 4, probs, (0, 1, 2, 3))
 
 
 class TestExactReport:

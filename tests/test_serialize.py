@@ -334,6 +334,21 @@ class TestScenarioFormat:
             parse(obj)
 
 
+def _report_field(key, value):
+    """A report field as JSON gives it, as :class:`ChshReport` takes it, or None for a fault of JSON type or shape.
+
+    A field is a number or a list of four, all finite floats (integers for
+    the 1-based relabeling, which becomes 0-based); JSON has no infinity.
+    """
+    items = value if isinstance(value, list) else [value]
+    kind = int if key == "relabeling" else float
+    if len(items) not in (1, 4) or any(type(v) is not kind or not math.isfinite(v) for v in items):
+        return None
+    if key == "relabeling":
+        return tuple(v - 1 for v in items)
+    return tuple(items) if isinstance(value, list) else value
+
+
 class TestReportFormat:
     def test_round_trip(self):
         report = exact_report(ideal_scenario())
@@ -382,10 +397,17 @@ class TestReportFormat:
         ("s_ac", True),
     ])
     def test_impossible_report_rejected(self, key, value):
-        obj = report_to_json(exact_report(ideal_scenario()))
+        report = exact_report(ideal_scenario())
+        obj = report_to_json(report)
         obj[key] = value
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^report: ") as from_json:
             report_from_json(obj)
+        # a fault of value, not of JSON type or shape, is the report's own: built directly, it raises the same
+        field = _report_field(key, value)
+        if field is not None:
+            with pytest.raises(ValidationError) as built:
+                replace(report, **{key: field})
+            assert str(from_json.value) == f"report: {built.value}"
 
     @pytest.mark.parametrize("stderr", [
         {"s_ac": 0.01},
