@@ -37,8 +37,10 @@ VERSION_SIGNS = (
 )
 
 # The 24 bijections of outcomes to slots in itertools order, which is
-# lexicographic: row p maps outcome c to slot _PERMUTATION_TABLE[p, c].
-_PERMUTATION_TABLE = np.array(list(itertools.permutations(range(4))))
+# lexicographic: bijection p maps outcome c to slot _PERMUTATIONS[p][c].
+_PERMUTATIONS = tuple(itertools.permutations(range(4)))
+# Flat index into a 4x4 version matrix of the value outcome c brings to its slot under bijection p: [p, c].
+_LANDED_INDEX = 4 * np.arange(4) + np.array(_PERMUTATIONS)
 
 
 @dataclass(frozen=True)
@@ -88,15 +90,15 @@ def relabel(version_matrix: np.ndarray) -> tuple[tuple[int, int, int, int], tupl
     if m.shape != (4, 4):
         raise ValidationError(f"version matrix must be 4x4, got {m.shape}")
     finite = np.isfinite(m)
-    usable = [c for c in range(4) if finite[c].all()]
-    for c in range(4):
-        if c not in usable and finite[c].any():
+    finite_counts = finite.sum(axis=1).tolist()
+    usable = [c for c, count in enumerate(finite_counts) if count == 4]
+    for c, count in enumerate(finite_counts):
+        if 0 < count < 4:
             raise ValidationError(f"outcome {c + 1} has a partially defined row")
-    landed = m[range(4), _PERMUTATION_TABLE]  # [p, c]: the value outcome c brings to its slot
-    scores = np.zeros(len(_PERMUTATION_TABLE))
-    for c in usable:  # summed in outcome order, as the score of each bijection is defined
-        scores += landed[:, c]
-    best_perm = tuple(_PERMUTATION_TABLE[int(np.argmax(scores))].tolist())  # the first maximum wins ties
+    # summed from 0 in outcome order, as the score of each bijection is defined; an unusable
+    # outcome adds an exact 0.0, so each score has the bits of its sum over the usable outcomes
+    scores = np.where(finite, m, 0.0).take(_LANDED_INDEX).sum(axis=1)
+    best_perm = _PERMUTATIONS[int(np.argmax(scores))]  # the first maximum wins ties
     values = [math.nan] * 4
     for c in usable:
         values[best_perm[c]] = float(m[c, best_perm[c]])

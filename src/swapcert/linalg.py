@@ -10,12 +10,17 @@ the composite index of ``dims = (d0, d1, ...)`` unrolls as
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+# Units of eps * (side + 1)^2 * (1 + (side + 2) tol) by which the Cholesky positivity test stays inside -tol:
+# the bound of the factorization's backward error plus that of eigvalsh, with room for complex arithmetic.
+_CHOLESKY_ROUNDING = 4
 
 
 class ValidationError(ValueError):
@@ -120,9 +125,35 @@ class PureState:
         return self.vector.size
 
 
+def _clears_lowest_eigenvalue(sym: np.ndarray, tol: float) -> bool:
+    """Whether a Cholesky factorization shows the Hermitian ``sym`` has no eigenvalue below ``-tol``.
+
+    ``sym`` has trace within ``tol`` of 1 and ``tol`` is nonnegative. It
+    factors ``sym + (tol - margin) I``. A factorization that runs to the
+    end is exact for a perturbation at most a multiple of eps times the
+    trace (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., section 10.1), and that trace is at most 1 + (side + 1) tol; the
+    margin covers that and the rounding of ``eigvalsh``, so a success is a
+    matrix ``eigvalsh`` would also read at or above ``-tol``. A failure
+    decides nothing: the caller reads the lowest eigenvalue.
+    """
+    side = sym.shape[0]
+    margin = _CHOLESKY_ROUNDING * (side + 1) ** 2 * sys.float_info.epsilon * (1.0 + (side + 2) * tol)
+    shifted = sym.copy()
+    shifted.flat[:: side + 1] += tol - margin
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Positive unit-trace operator on a declared tensor factorization."""
+    """Positive unit-trace operator on a declared tensor factorization.
+
+    Positivity is read by :func:`_clears_lowest_eigenvalue`; only when it fails does the lowest eigenvalue decide.
+    """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
@@ -144,9 +175,11 @@ class DensityMatrix:
         trace = complex(mat.trace())
         if not abs(trace - 1.0) <= tol:
             raise ValidationError(f"trace {trace.real:.12g} != 1 within {tol:g}")
-        lowest = float(np.linalg.eigvalsh((mat + adjoint) / 2.0)[0])
-        if not lowest >= -tol:
-            raise ValidationError(f"negative eigenvalue {lowest:.3g} below -{tol:g}")
+        sym = (mat + adjoint) / 2.0
+        if not _clears_lowest_eigenvalue(sym, tol):
+            lowest = float(np.linalg.eigvalsh(sym)[0])
+            if not lowest >= -tol:
+                raise ValidationError(f"negative eigenvalue {lowest:.3g} below -{tol:g}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)

@@ -44,8 +44,10 @@ PROB_FLOOR = 1e-12
 _INT64_MAX = 2**63 - 1
 MAX_N_PER_SETTING = _INT64_MAX // 12
 
-# theorem_check: largest |A0 A1 + A1 A0| entry on either side, and slack over sqrt(2).
-THEOREM_TOL = 1e-8
+# theorem_check: largest |A0 A1 + A1 A0| entry of either end party's planted settings.
+ANTICOMMUTE_TOL = 1e-8
+# theorem_check: how far the largest conditional value may sit above sqrt(2) and still satisfy the bound.
+THEOREM_SLACK = 1e-8
 
 OUTCOME_SIGNS = (1.0, -1.0)  # index 0 is the +1 outcome, index 1 the -1 outcome
 _SIGNS = np.array(OUTCOME_SIGNS)
@@ -117,13 +119,15 @@ PROB_SUM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ReportStdErr:
-    """Propagated standard errors for an estimated report: each nonnegative, or NaN where undefined."""
+    """Propagated standard errors of an estimated report, four conditional: each nonnegative, or NaN where undefined."""
 
     s_ac: float
     s_bc: float
     s_ab_given_c: tuple[float, float, float, float]
 
     def __post_init__(self) -> None:
+        if len(self.s_ab_given_c) != 4:
+            raise ValidationError(f"stderr s_ab_given_c must hold four values, got {len(self.s_ab_given_c)}")
         if any(v < 0 for v in (self.s_ac, self.s_bc, *self.s_ab_given_c)):
             raise ValidationError("standard errors must be nonnegative")
 
@@ -136,14 +140,14 @@ class ChshReport:
     ``relabeling`` maps 0-based raw outcome to its slot. Undefined conditional
     values (outcomes with no statistics) are NaN.
 
-    Every report is checked where it is built, whatever its source: the
-    relabeling is a permutation of the four slots (named 1-based in the
-    message, as files and the CLI write it), the probabilities are no lower
-    than -``DEFAULT_TOL`` and sum to 1 within ``PROB_SUM_TOL``, and every
-    CHSH value is at most ``CHSH_ALGEBRAIC_MAX`` in magnitude. A report
-    without ``stderr`` is exact, so its values also keep to
-    ``QUANTUM_CEILING``; a sampled one may exceed it by sampling noise. NaN
-    passes every check.
+    Every report is checked where it is built, whatever its source: both
+    lists hold four values, the relabeling is a permutation of the four
+    slots (named 1-based in the message, as files and the CLI write it),
+    the probabilities are no lower than -``DEFAULT_TOL`` and sum to 1
+    within ``PROB_SUM_TOL``, and every CHSH value is at most
+    ``CHSH_ALGEBRAIC_MAX`` in magnitude. A report without ``stderr`` is
+    exact, so its values also keep to ``QUANTUM_CEILING``; a sampled one
+    may exceed it by sampling noise. NaN passes every check.
     """
 
     s_ac: float
@@ -154,6 +158,9 @@ class ChshReport:
     stderr: ReportStdErr | None = None
 
     def __post_init__(self) -> None:
+        for name, values in (("s_ab_given_c", self.s_ab_given_c), ("outcome_probs", self.outcome_probs)):
+            if len(values) != 4:
+                raise ValidationError(f"{name} must hold four values, got {len(values)}")
         for value in (self.s_ac, self.s_bc, *self.s_ab_given_c):  # NaN (undefined) compares False
             if abs(value) > CHSH_ALGEBRAIC_MAX:
                 raise ValidationError(f"CHSH value {value} exceeds the algebraic maximum {CHSH_ALGEBRAIC_MAX:g}")
@@ -168,10 +175,16 @@ class ChshReport:
 
 
 def _steered(pc: np.ndarray, state: DensityMatrix) -> np.ndarray:
-    """Tr_C[rho (I x P)] for each projector ``pc[z, c]``, indexed ``[z, c, j, l, i, k]`` (row jl)."""
+    """Tr_C[rho (I x P)] for each projector ``pc[z, c]``, indexed ``[z, c, j, l, i, k]`` (row jl).
+
+    One matrix product: ``pc`` as rows ``(z c)`` over ``(m n)`` times the
+    state permuted to ``[(m n), (j l i k)]``.
+    """
     d_a, d_b, d_ca, d_cb = state.dims
-    rho = state.matrix.reshape(d_a, d_b, d_ca * d_cb, d_a, d_b, d_ca * d_cb)
-    return np.einsum("zcmn,jlnikm->zcjlik", pc, rho)
+    d_c = d_ca * d_cb
+    rho = state.matrix.reshape(d_a, d_b, d_c, d_a, d_b, d_c).transpose(5, 2, 0, 1, 3, 4)
+    steered = pc.reshape(-1, d_c * d_c) @ rho.reshape(d_c * d_c, -1)
+    return steered.reshape(*pc.shape[:2], d_a, d_b, d_a, d_b)
 
 
 def _born(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray, state: DensityMatrix) -> np.ndarray:
@@ -179,10 +192,18 @@ def _born(pa: np.ndarray, pb: np.ndarray, pc: np.ndarray, state: DensityMatrix) 
 
     It is ``einsum('xaij,ybkl,zcmn,jlnikm->xyzabc', PA, PB, PC, rho)`` with
     the state reshaped to ``(dA, dB, dC, dA, dB, dC)``, contracted one party
-    at a time, the middle party first.
+    at a time as three matrix products, the middle party first: each party's
+    stack as rows ``(setting outcome)`` over its two indices, times what is
+    left permuted to bring those two indices first.
     """
-    t = np.einsum("ybkl,zcjlik->ybzcji", pb, _steered(pc, state))
-    return np.einsum("xaij,ybzcji->xyzabc", pa, t).real.copy()
+    n_zc = pc.shape[0] * pc.shape[1]
+    d_a, d_b = pa.shape[-1], pb.shape[-1]
+    steered = _steered(pc, state).reshape(n_zc, d_a, d_b, d_a, d_b)  # [(z c), j, l, i, k]
+    t = pb.reshape(-1, d_b * d_b) @ steered.transpose(4, 2, 0, 1, 3).reshape(d_b * d_b, -1)  # [(y b), (z c j i)]
+    t = t.reshape(-1, n_zc, d_a, d_a).transpose(3, 2, 0, 1).reshape(d_a * d_a, -1)  # [(i j), (y b z c)]
+    probs = (pa.reshape(-1, d_a * d_a) @ t).real  # [(x a), (y b z c)]
+    probs = probs.reshape(*pa.shape[:2], *pb.shape[:2], *pc.shape[:2])
+    return np.ascontiguousarray(probs.transpose(0, 2, 4, 1, 3, 5))
 
 
 def born_tables(sc: Scenario) -> np.ndarray:
@@ -288,10 +309,10 @@ def theorem_check(
     bob: Sequence[DichotomicObservable],
     charlie3: FourOutcomeMeasurement,
 ) -> TheoremCheckReport:
-    """Check that all conditional CHSH values stay at or below sqrt(2).
+    """Check that all conditional CHSH values stay at or below sqrt(2), up to ``THEOREM_SLACK``.
 
     The inputs are checked as :class:`Scenario` checks them, and each end
-    party's settings must anticommute to ``THEOREM_TOL``: by Landau's
+    party's settings must anticommute to ``ANTICOMMUTE_TOL``: by Landau's
     identity, the planted structure with every block pair at 2*sqrt(2).
     Anything else is rejected as an invalid construction. All four variants
     are read for every outcome from the Born-rule contraction of
@@ -301,13 +322,13 @@ def theorem_check(
     _check_parties(state, alice, bob, charlie3)
     for name, (o0, o1) in (("alice", alice), ("bob", bob)):
         anti = float(np.max(np.abs(o0.matrix @ o1.matrix + o1.matrix @ o0.matrix)))
-        if anti > THEOREM_TOL:
+        if anti > ANTICOMMUTE_TOL:
             raise ValidationError(f"{name}'s settings do not anticommute: max|A0A1 + A1A0| = {anti:.3g}")
     pa, pb = (np.array([obs.projector_stack for obs in side]) for side in (alice, bob))
     table = _born(pa, pb, charlie3.projector_stack[None], state)
     values, _, _ = _conditional(table[:, :, 0])
     max_value = float(np.nanmax(values))
-    return TheoremCheckReport(values, max_value, SQRT2, max_value <= SQRT2 + THEOREM_TOL)
+    return TheoremCheckReport(values, max_value, SQRT2, max_value <= SQRT2 + THEOREM_SLACK)
 
 
 def steer(state: DensityMatrix, meas: FourOutcomeMeasurement) -> list[tuple[float, DensityMatrix | None]]:

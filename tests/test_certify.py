@@ -138,6 +138,16 @@ class TestRelabelAgainstReference:
             matrix = rng.normal(size=(4, 4))
             assert repr(relabel(matrix)) == repr(reference_relabel(matrix))
 
+    @pytest.mark.parametrize("matrix", [
+        [[2.9e-16, 1.1, 0.3, 0.1], [1.1, 3.0, 0.1, -0.3], [1.1, 0.1, 1.1, 2.9e-16], [2.9e-16, 3.0, 1.1, -0.3]],
+        [[0.7, 0.7, 2.9e-16, 0.7], [0.7, 1.1, -0.3, 0.2], [3.0, 0.7, 0.2, 0.1], [0.7, 2.9e-16, 0.3, 1.0]],
+    ])
+    def test_scores_summed_in_outcome_order(self, matrix):
+        # two bijections tie to the last bit only when summed in outcome order: summed in reverse,
+        # each of these picks another bijection
+        matrix = np.array(matrix)
+        assert repr(relabel(matrix)) == repr(reference_relabel(matrix))
+
 
 class TestCriteria:
     def test_crit1_ideal_passes(self):

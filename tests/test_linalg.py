@@ -12,8 +12,19 @@ from swapcert import (
     ptrace_array,
     tensor,
 )
-from swapcert.linalg import hermitian_deviation
-from support import I2, X, Z, eig_hermitian, kron_all, overlap_sq, permute_subsystems, ptrace_loops, to_density
+from swapcert.linalg import DEFAULT_TOL, _clears_lowest_eigenvalue, hermitian_deviation
+from support import (
+    I2,
+    X,
+    Z,
+    eig_hermitian,
+    haar_unitary,
+    kron_all,
+    overlap_sq,
+    permute_subsystems,
+    ptrace_loops,
+    to_density,
+)
 
 
 class TestTensor:
@@ -311,6 +322,74 @@ class TestStateTypes:
     def test_rejections_name_their_cause(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
+
+
+def eigvalsh_rule(mat: np.ndarray, tol: float) -> str | None:
+    """The positivity rule by the lowest eigenvalue of the symmetrized matrix: None to accept, else its message."""
+    lowest = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
+    return None if lowest >= -tol else f"negative eigenvalue {lowest:.3g} below -{tol:g}"
+
+
+def with_lowest_eigenvalue(lowest: float, dims: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """A unit-trace Hermitian matrix whose lowest eigenvalue is ``lowest``, in a Haar-random eigenbasis."""
+    side = math.prod(dims)
+    weights = rng.uniform(0.5, 1.0, size=side)
+    weights *= (1.0 - lowest) / weights[1:].sum()
+    weights[0] = lowest
+    u = haar_unitary(side, rng)
+    return (u * weights) @ u.conj().T
+
+
+class TestPositivityBoundary:
+    """``DensityMatrix`` accepts and rejects exactly as the lowest eigenvalue does, with the same message."""
+
+    DIMS = [(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2)]
+    OFFSETS = {"0": 0.0, "+tol/2": 0.5, "-tol/2": -0.5, "-tol(1-1e-3)": -(1 - 1e-3), "-tol(1+1e-3)": -(1 + 1e-3),
+               "-2tol": -2.0}
+
+    @staticmethod
+    def outcome(mat: np.ndarray, dims: tuple[int, ...], tol: float) -> str | None:
+        try:
+            DensityMatrix(mat, dims, tol=tol)
+        except ValidationError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-6])
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    @pytest.mark.parametrize("offset", OFFSETS.values(), ids=OFFSETS.keys())
+    def test_lowest_eigenvalue_about_minus_tol(self, offset, dims, tol):
+        rng = np.random.default_rng([7, len(dims), list(self.OFFSETS.values()).index(offset)])
+        for _ in range(25):
+            mat = with_lowest_eigenvalue(offset * tol, dims, rng)
+            expected = eigvalsh_rule(mat, tol)
+            assert self.outcome(mat, dims, tol) == expected
+            # the rule is not vacuous here: 1e-3 tol away from the boundary, rounding decides nothing
+            assert (expected is None) == (offset >= -(1 - 1e-3))
+            # and the Cholesky test alone accepts each state clear of the boundary
+            assert _clears_lowest_eigenvalue((mat + mat.conj().T) / 2.0, tol) == (offset >= -(1 - 1e-3))
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 0.0])
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_pure_states(self, dims, tol):
+        # at tol 0 a pure state's lowest eigenvalue is rounding noise of either sign, and the rule decides;
+        # only states whose trace passes its check at this tol reach the positivity check
+        rng = np.random.default_rng([8, len(dims)])
+        side = math.prod(dims)
+        outcomes = []
+        while len(outcomes) < 100:
+            vec = rng.normal(size=side) + 1j * rng.normal(size=side)
+            vec /= np.linalg.norm(vec)
+            mat = np.outer(vec, vec.conj())
+            mat = (mat + mat.conj().T) / 2.0  # exactly Hermitian, with a real trace
+            mat = mat / mat.trace().real  # at tol 0, kept only when this makes the trace exactly 1
+            if abs(mat.trace() - 1.0) <= tol:
+                outcomes.append(expected := eigvalsh_rule(mat, tol))
+                assert self.outcome(mat, dims, tol) == expected
+        if tol > 0:
+            assert outcomes == [None] * 100
+        else:
+            assert any(outcomes)  # some are rejected by an eigenvalue a few 1e-17 below 0
 
 
 class TestPermuteSubsystems:

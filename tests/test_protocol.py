@@ -34,7 +34,7 @@ from swapcert import (
     steered_states,
 )
 from swapcert.linalg import tensor
-from swapcert.protocol import _CANONICAL_BITS, MAX_N_PER_SETTING, _born, _two_pair_state
+from swapcert.protocol import _CANONICAL_BITS, MAX_N_PER_SETTING, ReportStdErr, _born, _two_pair_state
 from swapcert.serialize import counts_from_csv, counts_to_csv
 from support import (
     I2,
@@ -416,6 +416,24 @@ class TestInvariants:
         # the report checks itself where it is built
         with pytest.raises(ValidationError, match=message):
             ChshReport(s_ac, 2.0, (2.0,) * 4, probs, (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("values,probs,message", [
+        ((2.0, 2.0, 2.0), (0.25, 0.25, 0.5), "^s_ab_given_c must hold four values, got 3$"),
+        ((2.0,) * 4, (0.25, 0.25, 0.5), "^outcome_probs must hold four values, got 3$"),
+        ((2.0,) * 5, (0.2,) * 5, "^s_ab_given_c must hold four values, got 5$"),
+        ((2.0,) * 4, (0.2,) * 5, "^outcome_probs must hold four values, got 5$"),
+        ((), (0.25,) * 4, "^s_ab_given_c must hold four values, got 0$"),
+    ], ids=["three values, three probabilities", "three probabilities", "five values", "five probabilities",
+            "no values"])
+    def test_report_rejects_lists_not_of_four(self, values, probs, message):
+        # a report the file reader would refuse is not built, nor written, in the first place
+        with pytest.raises(ValidationError, match=message):
+            ChshReport(2.0, 2.0, values, probs, (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_stderr_rejects_a_list_not_of_four(self, count):
+        with pytest.raises(ValidationError, match=f"^stderr s_ab_given_c must hold four values, got {count}$"):
+            ReportStdErr(0.1, 0.1, (0.1,) * count)
 
 
 class TestExactReport:

@@ -409,6 +409,21 @@ class TestReportFormat:
                 replace(report, **{key: field})
             assert str(from_json.value) == f"report: {built.value}"
 
+    @pytest.mark.parametrize("key, message", [
+        ("s_ab_given_c", "report: s_ab_given_c must list four values"),
+        ("outcome_probs", "report: outcome_probs must list four values"),
+    ])
+    def test_list_not_of_four_is_refused_by_reader_and_report(self, key, message):
+        # the reader keeps its own message; the report refuses the same list when built directly
+        report = exact_report(ideal_scenario())
+        obj = report_to_json(report)
+        obj[key] = obj[key][:3]
+        with pytest.raises(ValidationError) as from_json:
+            report_from_json(obj)
+        assert str(from_json.value) == message
+        with pytest.raises(ValidationError, match=f"^{key} must hold four values, got 3$"):
+            replace(report, **{key: getattr(report, key)[:3]})
+
     @pytest.mark.parametrize("stderr", [
         {"s_ac": 0.01},
         {"s_ac": 0.01, "s_bc": 0.01, "s_ab_given_c": [0.01, 0.01]},
