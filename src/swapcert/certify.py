@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ValidationError
+from .linalg import DEFAULT_TOL, ValidationError, _checked_int, _checked_tol
 from .measurements import BELL_VECTORS, FourOutcomeMeasurement
 
 SQRT2 = math.sqrt(2.0)
@@ -41,6 +41,10 @@ VERSION_SIGNS = (
 _PERMUTATIONS = tuple(itertools.permutations(range(4)))
 # Flat index into a 4x4 version matrix of the value outcome c brings to its slot under bijection p: [p, c].
 _LANDED_INDEX = 4 * np.arange(4) + np.array(_PERMUTATIONS)
+# The inverse of each bijection, keyed by it: the raw outcome landing in each slot.
+_SLOT_SOURCES = {perm: tuple(sorted(range(4), key=perm.__getitem__)) for perm in _PERMUTATIONS}
+# Flat index of the value landing in slot s under bijection p: [p, s].
+_SLOT_INDEX = np.array([[4 * c + s for s, c in enumerate(_SLOT_SOURCES[perm])] for perm in _PERMUTATIONS])
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,9 @@ def relabel(version_matrix: np.ndarray) -> tuple[tuple[int, int, int, int], tupl
     if m.shape != (4, 4):
         raise ValidationError(f"version matrix must be 4x4, got {m.shape}")
     finite = np.isfinite(m)
+    if finite.all():  # every outcome usable: score, pick and read the landed values in one pass
+        best = int(m.take(_LANDED_INDEX).sum(axis=1).argmax())  # the first maximum wins ties
+        return _PERMUTATIONS[best], tuple(m.take(_SLOT_INDEX[best]).tolist())
     finite_counts = finite.sum(axis=1).tolist()
     usable = [c for c, count in enumerate(finite_counts) if count == 4]
     for c, count in enumerate(finite_counts):
@@ -107,8 +114,7 @@ def relabel(version_matrix: np.ndarray) -> tuple[tuple[int, int, int, int], tupl
 
 def _verdict(criterion: str, s_ac: float, s_bc: float, values: Sequence[float],
              tol: float, threshold: float, need_both: bool) -> Verdict:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol}")
+    _checked_tol(tol)
     values = [float(v) for v in values]
     for c, v in enumerate(values):
         if math.isinf(v):
@@ -165,9 +171,10 @@ def trace_distance(meas: FourOutcomeMeasurement, relabeling: Sequence[int]) -> f
 
     ``relabeling`` maps 0-based outcome index to slot, as returned by
     :func:`relabel`; it is applied before comparing eigenstate c against
-    reference state c. Global and per-outcome phases are irrelevant.
+    reference state c. Global and per-outcome phases are irrelevant. Each
+    slot is read by :func:`_checked_int`.
     """
-    relabeling = tuple(int(s) for s in relabeling)
+    relabeling = tuple(_checked_int(s, "each relabeling slot") for s in relabeling)
     if sorted(relabeling) != [0, 1, 2, 3]:
         raise ValidationError(f"{relabeling!r} is not a permutation of outcomes")
     matched = _reference_overlaps(meas)[range(4), relabeling]

@@ -34,15 +34,25 @@ def _checked_int(value: object, name: str) -> int:
     return int(value)
 
 
+def _checked_tol(tol: float) -> None:
+    """Raise ``ValidationError`` unless ``tol``, which a check compares a deviation with, is finite and nonnegative."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
 def _checked_dims(dims: Iterable[object], count: int | None = None) -> tuple[int, ...]:
     """``dims`` as ``int``s, each read by :func:`_checked_int`; a dimension below 1, or not ``count`` of them, raises.
 
     Two negative dimensions can multiply to a valid side, and a reshape to them then fails inside numpy.
+    A tuple of Python ints (bools excluded) is already what :func:`_checked_int` returns, so it is kept as it is.
     """
-    try:
-        out = tuple([_checked_int(d, "each dimension") for d in dims])
-    except TypeError:  # not iterable
-        raise ValidationError(f"dims must be a sequence of integers, got {dims!r}") from None
+    if type(dims) is tuple and all(type(d) is int for d in dims):
+        out = dims
+    else:
+        try:
+            out = tuple([_checked_int(d, "each dimension") for d in dims])
+        except TypeError:  # not iterable
+            raise ValidationError(f"dims must be a sequence of integers, got {dims!r}") from None
     if min(out, default=1) < 1:
         raise ValidationError(f"dims {out} must all be at least 1")
     if count is not None and len(out) != count:
@@ -129,23 +139,25 @@ def _clears_lowest_eigenvalue(sym: np.ndarray, tol: float) -> bool:
     """Whether a Cholesky factorization shows the Hermitian ``sym`` has no eigenvalue below ``-tol``.
 
     ``sym`` has trace within ``tol`` of 1 and ``tol`` is nonnegative. It
-    factors ``sym + (tol - margin) I``. A factorization that runs to the
-    end is exact for a perturbation at most a multiple of eps times the
-    trace (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-    ed., section 10.1), and that trace is at most 1 + (side + 1) tol; the
-    margin covers that and the rounding of ``eigvalsh``, so a success is a
-    matrix ``eigvalsh`` would also read at or above ``-tol``. A failure
-    decides nothing: the caller reads the lowest eigenvalue.
+    factors ``sym + (tol - margin) I``, shifting ``sym`` in place, so the
+    caller passes a copy it does not keep. Only a finite factor counts: an
+    inf or NaN entry of ``sym``, as an overflow leaves, can run to the end
+    with NaN in the factor. A factorization that runs to the end is exact
+    for a perturbation at most a multiple of eps times the trace (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section
+    10.1), and that trace is at most 1 + (side + 1) tol; the margin covers
+    that and the rounding of ``eigvalsh``, so a success is a matrix
+    ``eigvalsh`` would also read at or above ``-tol``. A failure decides
+    nothing: the caller reads the lowest eigenvalue.
     """
     side = sym.shape[0]
     margin = _CHOLESKY_ROUNDING * (side + 1) ** 2 * sys.float_info.epsilon * (1.0 + (side + 2) * tol)
-    shifted = sym.copy()
-    shifted.flat[:: side + 1] += tol - margin
+    sym.flat[:: side + 1] += tol - margin
     try:
-        np.linalg.cholesky(shifted)
+        factor = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return bool(np.isfinite(factor).all())
 
 
 @dataclass(frozen=True)
@@ -153,6 +165,8 @@ class DensityMatrix:
     """Positive unit-trace operator on a declared tensor factorization.
 
     Positivity is read by :func:`_clears_lowest_eigenvalue`; only when it fails does the lowest eigenvalue decide.
+    Finiteness is read only when the Hermiticity check fails: an inf or NaN entry always fails it, since
+    the deviation of a NaN, or of inf less itself, is NaN, and that of inf less a finite entry is inf.
     """
 
     matrix: np.ndarray
@@ -160,6 +174,7 @@ class DensityMatrix:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float) -> None:
+        _checked_tol(tol)
         mat = np.array(self.matrix, dtype=complex)
         dims = _checked_dims(self.dims)
         side = math.prod(dims)
@@ -167,17 +182,20 @@ class DensityMatrix:
             raise ValidationError("density matrix must be square")
         if mat.shape[0] != side:
             raise ValidationError(f"dims {dims} imply side {side}, got {mat.shape[0]}")
-        if not np.isfinite(mat).all():
-            raise ValidationError("density matrix has non-finite entries")
-        adjoint = mat.conj().T  # one adjoint for the Hermiticity deviation and the symmetrized spectrum
-        if not np.abs(mat - adjoint).max() <= tol:  # NaN fails too, as in the measurement checks
+        adjoint = mat.conj().T  # one adjoint for the Hermiticity deviation and the symmetrized matrix
+        with np.errstate(all="ignore"):  # inf less inf, or an overflow, reads as a NaN or inf, which every check fails
+            hermitian = np.abs(mat - adjoint).max() <= tol
+            trace = complex(mat.trace())
+            sym = (mat + adjoint) / 2.0
+        if not hermitian:
+            if not np.isfinite(mat).all():
+                raise ValidationError("density matrix has non-finite entries")
             raise ValidationError("density matrix is not Hermitian within tolerance")
-        trace = complex(mat.trace())
         if not abs(trace - 1.0) <= tol:
             raise ValidationError(f"trace {trace.real:.12g} != 1 within {tol:g}")
-        sym = (mat + adjoint) / 2.0
-        if not _clears_lowest_eigenvalue(sym, tol):
-            lowest = float(np.linalg.eigvalsh(sym)[0])
+        if not _clears_lowest_eigenvalue(sym, tol):  # shifts sym in place
+            # halved before the sum, which no entry then overflows: the same matrix entry by entry unless subnormal
+            lowest = float(np.linalg.eigvalsh(mat / 2.0 + adjoint / 2.0)[0])
             if not lowest >= -tol:
                 raise ValidationError(f"negative eigenvalue {lowest:.3g} below -{tol:g}")
         mat.setflags(write=False)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, PureState, ValidationError, _as_matrix, _checked_dims, _checked_int,
-                     hermitian_deviation, tensor)
+                     _checked_tol, hermitian_deviation, tensor)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -33,6 +33,10 @@ CANONICAL_BIT_FOR_B = (1, -1, 1, -1)
 # of 0 or 1, so at the default tolerance its trace lies within about d * 1e-9
 # of an integer; a rank of 0 or 2 misses 1 by 1, and 1e-6 sits far from both.
 RANK_ONE_TOL = 1e-6
+
+# The identity a Gram matrix of four vectors is compared with, shared read-only.
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 
 
 @cache
@@ -66,6 +70,7 @@ class DichotomicObservable:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float) -> None:
+        _checked_tol(tol)
         mat = np.array(_as_matrix(self.matrix, "observable"))
         if mat.shape[0] != mat.shape[1]:
             raise ValidationError("observable must be square")
@@ -173,14 +178,17 @@ class FourOutcomeMeasurement:
         outer products, each entry one product as in ``np.outer`` (so real
         vectors give exactly Hermitian projectors).
         """
+        _checked_tol(tol)
         vecs = np.asarray(vectors, dtype=complex)
         dims = _checked_dims(dims, 2)
         side = dims[0] * dims[1]
         if vecs.shape != (4, side):
             raise ValidationError(f"expected 4 vectors of length {side}, got shape {vecs.shape}")
+        conj = vecs.conj()
+        eye = _EYE4 if side == 4 else np.eye(side)
         with np.errstate(all="ignore"):  # an overflow shows up as an inf or NaN deviation
-            orthonormal = np.abs(vecs.conj() @ vecs.T - np.eye(4)).max() <= tol  # NaN fails too
-            spanning = orthonormal and np.abs(vecs.T @ vecs.conj() - np.eye(side)).max() <= tol
+            orthonormal = np.abs(conj @ vecs.T - _EYE4).max() <= tol  # NaN fails too
+            spanning = orthonormal and np.abs(vecs.T @ conj - eye).max() <= tol
         if not spanning:
             if not np.isfinite(vecs).all():
                 raise ValidationError("vectors have non-finite entries")
@@ -188,7 +196,7 @@ class FourOutcomeMeasurement:
                 raise ValidationError("vectors are not orthonormal within tolerance")
             raise ValidationError("vectors do not span the space within tolerance")
         meas = object.__new__(cls)
-        meas._store(vecs[:, :, None] * vecs.conj()[:, None, :], dims)
+        meas._store(vecs[:, :, None] * conj[:, None, :], dims)
         return meas
 
     @property
@@ -201,8 +209,9 @@ class FourOutcomeMeasurement:
         The deviations come from :func:`_projector_failures`; the error raised
         is the first failure in the order projector by projector (Hermitian,
         then idempotent), then pairs (i, j) with i < j in lexicographic
-        order, then completeness.
+        order, then completeness. ``tol`` must be finite and nonnegative.
         """
+        _checked_tol(tol)
         not_herm, not_idem, not_orth, incomplete = _projector_failures(self.projector_stack, tol)
         for k in range(4):
             if not_herm[k]:

@@ -54,7 +54,9 @@ _SIGNS = np.array(OUTCOME_SIGNS)
 _VERSION_SIGNS = np.array(certify.VERSION_SIGNS, dtype=float)  # [v, (x, y)]
 _SWAP_SUBSCRIPTS = ("xyzabc,a,zc->xz", "xyzabc,b,zc->yz")  # E[s, z] of the first, second party
 
-# The noise term of each noisy pair state v * ideal + (1 - v) * I/4, shared read-only.
+# The two terms of each noisy pair state v * ideal + (1 - v) * I/4, shared read-only: the ideal
+# pair density is the first projector of the cached bell_measurement().
+_PAIR_IDEAL = bell_measurement().projectors[0]
 _PAIR_NOISE = np.eye(4) / 4.0
 _PAIR_NOISE.setflags(write=False)
 
@@ -234,9 +236,22 @@ def joint_distribution(sc: Scenario, x: int, y: int, z: int) -> np.ndarray:
     return born_tables(sc)[x - 1, y - 1, z - 1]
 
 
+@cache
+def _bit_array(bit_maps: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]) -> np.ndarray:
+    """``bit_maps``, the pair ``(bit_for_a, bit_for_b)`` of each setting z = 1, 2, as a read-only float array.
+
+    Every bit has been read by :func:`checked_bits`, so there are at most
+    2**16 keys, and each binning's array is built once and shared.
+    """
+    bits = np.array(bit_maps, dtype=float)
+    bits.setflags(write=False)
+    return bits
+
+
 def _bit_maps(sc: Scenario) -> np.ndarray:
     """The middle party's bits as ``[z, side, c]``: side 0 goes with the first party."""
-    return np.array([(binned.bit_for_a, binned.bit_for_b) for binned in sc.charlie12], dtype=float)
+    first, second = sc.charlie12
+    return _bit_array(((first.bit_for_a, first.bit_for_b), (second.bit_for_a, second.bit_for_b)))
 
 
 def _swap_side(table: np.ndarray, bits: np.ndarray, party: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +279,13 @@ def _conditional(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     when any (x, y) block of it weighs less than ``PROB_FLOOR``.
     """
     weights = joint.sum(axis=(2, 3))
-    defined = np.all(weights >= PROB_FLOOR, axis=(0, 1))
-    e = np.einsum("xyabc,a,b->xyc", joint, _SIGNS, _SIGNS) / np.where(defined, weights, 1)
-    e[:, :, ~defined] = math.nan
+    e = np.einsum("xyabc,a,b->xyc", joint, _SIGNS, _SIGNS)
+    if weights.min() >= PROB_FLOOR:  # every outcome defined
+        e = e / weights
+    else:
+        defined = np.all(weights >= PROB_FLOOR, axis=(0, 1))
+        e = e / np.where(defined, weights, 1)
+        e[:, :, ~defined] = math.nan
     # summed term by term in (x, y) order, as the variants' sign patterns are written
     matrix = (_VERSION_SIGNS[:, :, None] * e.reshape(4, 4)).sum(axis=1).T
     return matrix, e, weights
@@ -404,9 +423,8 @@ def noisy_scenario(v_ac: float, v_bc: float, theta: float) -> Scenario:
     for name, v in (("v_ac", v_ac), ("v_bc", v_bc)):
         if not 0.0 <= v <= 1.0:
             raise ValidationError(f"{name} must lie in [0, 1]")
-    ideal = bell_measurement().projectors[0]
-    rho_a = v_ac * ideal + (1.0 - v_ac) * _PAIR_NOISE
-    rho_b = v_bc * ideal + (1.0 - v_bc) * _PAIR_NOISE
+    rho_a = v_ac * _PAIR_IDEAL + (1.0 - v_ac) * _PAIR_NOISE
+    rho_b = v_bc * _PAIR_IDEAL + (1.0 - v_bc) * _PAIR_NOISE
     alice, bob, charlie12 = _ideal_settings()
     return Scenario(
         state=_two_pair_state(rho_a, rho_b),
@@ -429,16 +447,15 @@ def _report(table: np.ndarray, bits: np.ndarray) -> ChshReport:
     swap = [_swap_side(table, bits, party) for party in (0, 1)]
     matrix, e, weights = _conditional(table[:, :, 2])
     perm, values = certify.relabel(matrix)
-    slots = sorted(range(4), key=perm.__getitem__)  # raw outcome landing in each slot
-    probs = (weights.sum(axis=(0, 1)) / weights.sum())[slots]
+    slots = certify._SLOT_SOURCES[perm]  # raw outcome landing in each slot
+    probs = (weights.sum(axis=(0, 1)) / weights.sum()).take(slots)
     stderr = None
     if table.dtype.kind in "iu":  # counts
         se_swap = [math.sqrt(np.maximum(0.0, (1.0 - e_s * e_s) / w_s).sum()) for e_s, w_s in swap]
         var_c = np.maximum(0.0, (1.0 - e * e) / weights).reshape(4, 4)
         se_c = np.sqrt(var_c.sum(axis=0))  # NaN for undefined outcomes
-        stderr = ReportStdErr(*se_swap, tuple(float(v) for v in se_c[slots]))
-    return ChshReport(_chsh(swap[0][0]), _chsh(swap[1][0]), values,
-                      tuple(float(p) for p in probs), perm, stderr)
+        stderr = ReportStdErr(*se_swap, tuple(se_c.take(slots).tolist()))
+    return ChshReport(_chsh(swap[0][0]), _chsh(swap[1][0]), values, tuple(probs.tolist()), perm, stderr)
 
 
 def exact_report(sc: Scenario) -> ChshReport:
@@ -470,7 +487,9 @@ class CountsTable:
             raise ValidationError("counts must be whole numbers that fit in int64")
         if np.any(arr < 0):
             raise ValidationError("counts must be nonnegative")
-        if sum(arr.ravel().tolist()) > _INT64_MAX:  # Python ints: an int64 sum would wrap
+        # a total over _INT64_MAX needs a count over _INT64_MAX // size; only then is it summed, as Python
+        # ints, since an int64 sum would wrap
+        if arr.max() > _INT64_MAX // arr.size and sum(arr.ravel().tolist()) > _INT64_MAX:
             raise ValidationError("total count does not fit in int64")
         totals = arr.sum(axis=(3, 4, 5))
         if not totals.all():
@@ -511,13 +530,13 @@ def _stacked_bits(bit_maps: tuple[tuple[Sequence[int], Sequence[int]], ...]) -> 
         well_formed = False
     if not well_formed:
         raise ValidationError("bit_maps must give (bit_for_a, bit_for_b) for middle-party settings 1 and 2")
-    return np.array([[checked_bits(b, f"setting {z + 1} bit_for_{side}") for side, b in zip("ab", pair)]
-                     for z, pair in enumerate(bit_maps)], dtype=float)
+    bits = tuple(tuple(checked_bits(b, f"setting {z + 1} bit_for_{side}") for side, b in zip("ab", pair))
+                 for z, pair in enumerate(bit_maps))
+    return _bit_array(bits)
 
 
 # The canonical binning of the ideal protocol for both settings, checked once and shared read-only.
 _CANONICAL_BITS = _stacked_bits(((CANONICAL_BIT_FOR_A, CANONICAL_BIT_FOR_B),) * 2)
-_CANONICAL_BITS.setflags(write=False)
 
 
 def estimate_report(

@@ -276,6 +276,20 @@ class TestTraceDistance:
         with pytest.raises(ValidationError):
             trace_distance(bell_measurement(), (0, 0, 1, 2))
 
+    @pytest.mark.parametrize("relabeling,shown", [
+        ((0.9, 1.2, 2, 3), "0.9"),  # int() would read (0, 1, 2, 3)
+        ((True, 0, 2, 3), "True"),  # int() would read (1, 0, 2, 3)
+        ((0, 1, 2.0, 3), "2.0"),
+        ((0, 1, 2, "3"), "'3'"),
+    ])
+    def test_slots_must_be_integers(self, relabeling, shown):
+        with pytest.raises(ValidationError, match=f"^each relabeling slot must be an integer, got {shown}$"):
+            trace_distance(bell_measurement(), relabeling)
+
+    def test_numpy_integer_slots_are_read(self):
+        slots = np.array([0, 1, 2, 3])
+        assert trace_distance(bell_measurement(), slots) == trace_distance(bell_measurement(), (0, 1, 2, 3))
+
     def test_measurement_not_on_two_qubits_rejected(self):
         from swapcert import FourOutcomeMeasurement
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,11 +237,49 @@ class TestStateTypes:
         with pytest.raises(ValidationError):
             DensityMatrix(mat, (2,))
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
     @pytest.mark.parametrize("mat", [np.diag([2.0, -1.0]), np.eye(2) / 2], ids=["not positive", "valid"])
-    def test_density_tolerance_nan_or_negative_fails_every_check(self, mat, tol):
-        with pytest.raises(ValidationError, match="^density matrix is not Hermitian within tolerance$"):
+    def test_density_tolerance_not_finite_or_negative_is_refused(self, mat, tol):
+        with pytest.raises(ValidationError, match=f"^tolerance must be finite and nonnegative, got {tol}$"):
             DensityMatrix(mat, (2,), tol=tol)
+
+    @staticmethod
+    def _quarter(entries):
+        mat = np.eye(4, dtype=complex) / 4
+        for index, value in entries.items():
+            mat[index] = value
+        return mat
+
+    @pytest.mark.parametrize("entries,message", [
+        # finiteness is read only once the Hermiticity check fails, and each of these fails it
+        ({(0, 0): np.inf}, "^density matrix has non-finite entries$"),
+        ({(0, 0): np.inf, (3, 3): -np.inf}, "^density matrix has non-finite entries$"),
+        ({(1, 1): complex(np.inf, np.inf)}, "^density matrix has non-finite entries$"),
+        ({(0, 1): np.nan}, "^density matrix has non-finite entries$"),
+        ({(0, 1): np.nan, (1, 0): np.nan}, "^density matrix has non-finite entries$"),
+        ({(0, 1): np.inf, (1, 0): np.inf}, "^density matrix has non-finite entries$"),
+        ({(0, 1): 1e200, (1, 0): -1e200}, "^density matrix is not Hermitian within tolerance$"),
+        ({(0, 1): 1e308, (1, 0): -1e308}, "^density matrix is not Hermitian within tolerance$"),
+        ({(0, 1): 1e200, (1, 0): 1e200}, r"^negative eigenvalue -1e\+200 below -1e-09$"),
+        ({(0, 0): 1e200, (1, 1): -1e200}, r"^trace 0.5 != 1 within 1e-09$"),
+        # finite entries whose trace or symmetrized matrix overflows
+        ({(0, 0): 1e308, (1, 1): 1e308}, r"^trace inf != 1 within 1e-09$"),
+        ({(0, 1): 1e308, (1, 0): 1e308}, r"^negative eigenvalue -1e\+308 below -1e-09$"),
+        ({(0, 1): 1e308j, (1, 0): -1e308j}, r"^negative eigenvalue -1e\+308 below -1e-09$"),
+    ], ids=["inf diagonal", "inf and -inf diagonal", "complex inf diagonal", "NaN off diagonal",
+            "NaN pair", "inf pair", "1e200 anti-Hermitian", "1e308 anti-Hermitian", "1e200 Hermitian",
+            "1e200 diagonal", "1e308 diagonal", "1e308 Hermitian", "1e308j Hermitian"])
+    def test_density_failures_name_the_first_check_without_warnings(self, entries, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                DensityMatrix(self._quarter(entries), (2, 2))
+
+    def test_density_of_huge_entries_fails_its_trace_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^trace 4e\+200 != 1 within 1e-09$"):
+                DensityMatrix(np.full((4, 4), 1e200), (4,))
 
     def test_density_rejects_wrong_dims(self):
         with pytest.raises(ValidationError):

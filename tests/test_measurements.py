@@ -218,6 +218,18 @@ class TestFromVectors:
             with pytest.raises(ValidationError, match=message):
                 FourOutcomeMeasurement.from_vectors(vectors, dims)
 
+    @pytest.mark.parametrize("vectors", [
+        np.full((4, 4), 1e200),
+        np.full((4, 4), 1e200 - 1e200j),
+        np.diag([1e200, -1e200, 1e200, 1.0]),
+    ], ids=["real", "complex", "diagonal"])
+    def test_overflowing_gram_rejected_without_warnings(self, vectors):
+        # finite entries whose Gram product overflows to inf: the first failed check names them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^vectors are not orthonormal within tolerance$"):
+                FourOutcomeMeasurement.from_vectors(vectors, (2, 2))
+
     @pytest.mark.parametrize("dims", [(-2, -2), (0, 4)])
     def test_rejects_dims_below_one(self, dims):
         with pytest.raises(ValidationError, match="must all be at least 1"):
@@ -502,6 +514,23 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=message):
                 DichotomicObservable(mat)
+
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, -1.0, -1e-300])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        message = f"^tolerance must be finite and nonnegative, got {tol}$"
+        ones = np.ones((4, 4))
+        builders = [
+            lambda: DichotomicObservable(np.diag([5.0, 3.0]), tol=tol),
+            lambda: DichotomicObservable(Z, tol=tol),
+            lambda: FourOutcomeMeasurement((ones,) * 4, (2, 2), tol=tol),
+            lambda: FourOutcomeMeasurement(bell_measurement().projectors, (2, 2), tol=tol),
+            lambda: FourOutcomeMeasurement.from_vectors(ones, (2, 2), tol=tol),
+            lambda: FourOutcomeMeasurement.from_vectors(np.eye(4), (2, 2), tol=tol),
+            lambda: bell_measurement().validate(tol),
+        ]
+        for build in builders:
+            with pytest.raises(ValidationError, match=message):
+                build()
 
     def test_nan_deviation_rejected(self):
         # P and I - P with a huge off-diagonal pair sum to I exactly, but P @ P

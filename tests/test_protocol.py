@@ -26,6 +26,7 @@ from swapcert import (
     noisy_scenario,
     overlap_version_matrix,
     partial_trace,
+    perturbed_bell_measurement,
     product_measurement,
     qubit_observable,
     relabel,
@@ -34,7 +35,8 @@ from swapcert import (
     steered_states,
 )
 from swapcert.linalg import tensor
-from swapcert.protocol import _CANONICAL_BITS, MAX_N_PER_SETTING, ReportStdErr, _born, _two_pair_state
+from swapcert.protocol import (_CANONICAL_BITS, MAX_N_PER_SETTING, PROB_FLOOR, ReportStdErr, _bit_maps, _born,
+                               _stacked_bits, _two_pair_state)
 from swapcert.serialize import counts_from_csv, counts_to_csv
 from support import (
     I2,
@@ -227,6 +229,20 @@ class TestConditional:
         assert np.nanmax(matrix) <= SQRT2 + 1e-9
         # the bound is tight for this measurement
         assert np.nanmax(matrix) == pytest.approx(SQRT2, abs=1e-9)
+
+    @pytest.mark.parametrize("theta,defined", [(1e-6, False), (2e-6, True)])
+    def test_outcome_below_the_probability_floor_is_undefined(self, theta, defined):
+        # each middle qubit in cos(pi/8)|0> + sin(pi/8)|1>: outcome 4 of the unrotated basis never occurs, and
+        # of the basis rotated by theta it occurs with probability sin(theta)**2 / 2, half or twice PROB_FLOOR,
+        # while the other three outcomes are likely
+        vec = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8), 0.0, 0.0])  # end party in |0>
+        pair = np.outer(vec, vec)
+        sc = replace(IDEAL, state=_two_pair_state(pair, pair), charlie3=perturbed_bell_measurement(theta))
+        matrix, probs = conditional_version_matrix(sc)
+        assert min(probs[:3]) > 0.2
+        assert probs[3] == pytest.approx(PROB_FLOOR * (2.0 if defined else 0.5), rel=1e-6)
+        assert np.isnan(matrix).all(axis=1).tolist() == [False, False, False, not defined]
+        assert np.isfinite(matrix).all(axis=1).tolist() == [True, True, True, defined]
 
 
 class TestSteering:
@@ -612,6 +628,20 @@ class TestCountsTable:
         counts[1, 1, 2, 0, 0, 0] = 2**63 - 12
         assert CountsTable(counts).n_per_setting == 2**63 - 12
 
+    def test_total_one_over_int64_is_refused(self):
+        counts = np.zeros(self.SHAPE, dtype=np.int64)
+        counts[..., 0, 0, 0] = 1
+        counts[1, 1, 2, 0, 0, 0] = 2**63 - 11
+        with pytest.raises(ValidationError, match="^total count does not fit in int64$"):
+            CountsTable(counts)
+
+    def test_totals_at_the_largest_count_that_cannot_wrap(self):
+        # every count at (2**63 - 1) // 192 sums to at most 2**63 - 1; one more in each cell is 65 over
+        share = (2**63 - 1) // 192
+        assert CountsTable(np.full(self.SHAPE, share)).n_per_setting == 16 * share
+        with pytest.raises(ValidationError, match="^total count does not fit in int64$"):
+            CountsTable(np.full(self.SHAPE, share + 1))
+
     @pytest.mark.parametrize("triple", [(0, 0, 0), (1, 0, 2), (1, 1, 2)])
     def test_rejects_a_triple_with_zero_total(self, triple):
         counts = sample_counts(IDEAL, 100, seed=3).counts.copy()
@@ -668,6 +698,17 @@ class TestEstimateReport:
         table = sample_counts(noisy_scenario(0.9, 0.95, 0.3), 500, seed=5)
         canonical = (((1, 1, -1, -1), (1, -1, 1, -1)),) * 2
         assert repr(estimate_report(table)) == repr(estimate_report(table, canonical))
+
+    def test_bits_are_built_once_per_binning(self):
+        canonical = (((1, 1, -1, -1), (1, -1, 1, -1)),) * 2
+        assert _bit_maps(noisy_scenario(0.9, 0.95, 0.3)) is _bit_maps(IDEAL) is _CANONICAL_BITS
+        assert _stacked_bits(canonical) is _CANONICAL_BITS
+        # bits are keyed as checked_bits returns them, so 1.0 and True name the same binning as 1
+        flipped = (((-1, -1, 1, 1), (1, -1, 1, -1)), ((1, 1, -1, -1), (-1, 1, -1, 1)))
+        spelled = (((-1, -1, 1.0, True), (1, -1, 1, -1)), ((1, 1, -1, -1), (-1, 1, -1, 1)))
+        bits = _stacked_bits(flipped)
+        assert _stacked_bits(spelled) is bits and not bits.flags.writeable
+        np.testing.assert_array_equal(bits, np.array(flipped, dtype=float))
 
     @pytest.mark.parametrize("bit_maps", [
         (((0, 0, 0, 0), (2, 2, 2, 2)),) * 2,
