@@ -44,10 +44,9 @@ PROB_FLOOR = 1e-12
 _INT64_MAX = 2**63 - 1
 MAX_N_PER_SETTING = _INT64_MAX // 12
 
-# theorem_check: largest |A0 A1 + A1 A0| entry of either end party's planted settings.
+# theorem_check: largest |A0 A1 + A1 A0| entry of either end party's planted settings. Its slack over
+# sqrt(2) is certify.SLACK, the one slack of the separable bound that the criteria use too.
 ANTICOMMUTE_TOL = 1e-8
-# theorem_check: how far the largest conditional value may sit above sqrt(2) and still satisfy the bound.
-THEOREM_SLACK = 1e-8
 
 OUTCOME_SIGNS = (1.0, -1.0)  # index 0 is the +1 outcome, index 1 the -1 outcome
 _SIGNS = np.array(OUTCOME_SIGNS)
@@ -108,6 +107,18 @@ class Scenario:
         pc = np.array([*(binned.base.projector_stack for binned in self.charlie12),
                        self.charlie3.projector_stack])
         tables = _born(pa, pb, pc, self.state)
+        tables.setflags(write=False)
+        return tables
+
+    @cached_property
+    def _sampling(self) -> np.ndarray:
+        """The multinomial table of :func:`sample_counts`, computed on first use and kept read-only.
+
+        One row of 16 per setting triple in (x, y, z) order: the Born tables
+        with negative rounding residue clipped to 0, each row divided by its sum.
+        """
+        tables = np.clip(self.born_tables, 0.0, None).reshape(12, 16)
+        tables /= tables.sum(axis=-1, keepdims=True)
         tables.setflags(write=False)
         return tables
 
@@ -328,7 +339,7 @@ def theorem_check(
     bob: Sequence[DichotomicObservable],
     charlie3: FourOutcomeMeasurement,
 ) -> TheoremCheckReport:
-    """Check that all conditional CHSH values stay at or below sqrt(2), up to ``THEOREM_SLACK``.
+    """Check that all conditional CHSH values stay at or below sqrt(2), up to ``certify.SLACK``.
 
     The inputs are checked as :class:`Scenario` checks them, and each end
     party's settings must anticommute to ``ANTICOMMUTE_TOL``: by Landau's
@@ -347,7 +358,7 @@ def theorem_check(
     table = _born(pa, pb, charlie3.projector_stack[None], state)
     values, _, _ = _conditional(table[:, :, 0])
     max_value = float(np.nanmax(values))
-    return TheoremCheckReport(values, max_value, SQRT2, max_value <= SQRT2 + THEOREM_SLACK)
+    return TheoremCheckReport(values, max_value, SQRT2, max_value <= SQRT2 + certify.SLACK)
 
 
 def steer(state: DensityMatrix, meas: FourOutcomeMeasurement) -> list[tuple[float, DensityMatrix | None]]:
@@ -481,11 +492,14 @@ class CountsTable:
             raise ValidationError(f"counts must have shape (2,2,3,2,2,4), got {raw.shape}")
         if raw.dtype.kind not in "biuf":
             raise ValidationError(f"counts must be a numeric array of whole numbers, got dtype {raw.dtype}")
-        with np.errstate(invalid="ignore"):  # a NaN or out-of-range value casts to garbage, caught below
+        if np.can_cast(raw.dtype, np.int64):  # bool and every integer type but uint64: each value is kept
             arr = raw.astype(np.int64)
-        if not np.can_cast(raw.dtype, np.int64) and not np.array_equal(arr, raw):
-            raise ValidationError("counts must be whole numbers that fit in int64")
-        if np.any(arr < 0):
+        else:
+            with np.errstate(invalid="ignore"):  # a NaN or out-of-range value casts to garbage, caught below
+                arr = raw.astype(np.int64)
+            if not np.array_equal(arr, raw):
+                raise ValidationError("counts must be whole numbers that fit in int64")
+        if arr.min() < 0:
             raise ValidationError("counts must be nonnegative")
         # a total over _INT64_MAX needs a count over _INT64_MAX // size; only then is it summed, as Python
         # ints, since an int64 sum would wrap
@@ -507,8 +521,10 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
     (x, y, z) order, so the result is byte-identical for a fixed seed and
     numpy version. Each triple's 16 cell counts are one multinomial draw of
     ``n_per_setting`` trials over its outcome table from :func:`born_tables`,
-    which a scenario computes once, so sampling it again draws without a new
-    contraction. ``n_per_setting`` lies in 1..``MAX_N_PER_SETTING``.
+    clipped at 0 and normalized. A scenario computes that table once and keeps
+    it read-only beside its Born tables, so sampling it again draws at once,
+    with no new contraction and no new normalization. ``n_per_setting`` lies
+    in 1..``MAX_N_PER_SETTING``.
     """
     if _checked_int(n_per_setting, "n_per_setting") < 1:
         raise ValidationError("n_per_setting must be at least 1")
@@ -516,9 +532,7 @@ def sample_counts(sc: Scenario, n_per_setting: int, seed: int) -> CountsTable:
         raise ValidationError(f"n_per_setting must be at most {MAX_N_PER_SETTING}")
     if _checked_int(seed, "seed") < 0:
         raise ValidationError("seed must be a nonnegative integer")
-    tables = np.clip(born_tables(sc), 0.0, None).reshape(12, 16)
-    tables = tables / tables.sum(axis=-1, keepdims=True)
-    counts = np.random.default_rng(seed).multinomial(n_per_setting, tables)
+    counts = np.random.default_rng(seed).multinomial(n_per_setting, sc._sampling)
     return CountsTable(counts.reshape(2, 2, 3, 2, 2, 4))
 
 

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import re
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -340,8 +340,11 @@ _CELLS = tuple(itertools.product((1, 2), (1, 2), (1, 2, 3), (1, -1), (1, -1), (1
 _CELL_INDEX = {cell: k for k, cell in enumerate(_CELLS)}
 _COUNTS_ROW_PREFIXES = tuple("".join(f"{v}," for v in cell) for cell in _CELLS)
 _COUNTS_HEADER_LINE = ",".join(COUNTS_HEADER)
-# The whole file the writer emits, with one ``{}`` per count; the prefixes hold no braces.
-_COUNTS_TEMPLATE = _COUNTS_HEADER_LINE + "\n" + "".join(f"{p}{{}}\n" for p in _COUNTS_ROW_PREFIXES)
+# The whole file the writer emits, with one ``%d`` per count; the prefixes hold no ``%``.
+_COUNTS_TEMPLATE = _COUNTS_HEADER_LINE + "\n" + "".join(f"{p}%d\n" for p in _COUNTS_ROW_PREFIXES)
+# What a file in the writer's layout holds beyond its counts joined by commas: the template
+# with every count empty, less the 191 commas that join 192 counts.
+_SKELETON_LEN = len(_COUNTS_TEMPLATE.replace("%d", "")) - (len(_CELLS) - 1)
 # The 192 counts of a file in the writer's layout, joined by commas: each one
 # ASCII digits without a leading zero, at most 18 of them, so below 10**18 and
 # within int64. Handed to ``re``, whose cache compiles it on first use.
@@ -351,10 +354,10 @@ _WRITER_COUNTS = r"(?:0|[1-9][0-9]{0,17})(?:,(?:0|[1-9][0-9]{0,17})){191}"
 def counts_to_csv(table: CountsTable) -> str:
     """All cells of a counts table, zeros included, in fixed row order.
 
-    The 192 counts fill one precomputed template of the header and the row
-    prefixes in a single ``str.format`` call.
+    The 192 counts, as Python ints, fill one precomputed template of the
+    header and the row prefixes in a single ``%`` format.
     """
-    return _COUNTS_TEMPLATE.format(*table.counts.reshape(-1).tolist())
+    return _COUNTS_TEMPLATE % tuple(table.counts.reshape(-1).tolist())
 
 
 def _writer_counts(text: str) -> np.ndarray | None:
@@ -363,15 +366,19 @@ def _writer_counts(text: str) -> np.ndarray | None:
     That layout is the header, then each cell's canonical prefix and count in
     the writer's row order, every line ended by ``\\n``. Any other text gives
     None, also a count of 19 digits or more.
+
+    Each row's prefix is removed where the row starts with it, and the rows
+    are joined by commas. The text is longer than that join by exactly
+    ``_SKELETON_LEN`` when every prefix was removed; each row without its
+    prefix shortens the difference by its prefix's length. So one length
+    check stands for a test of every row, and one match then reads the
+    counts of the join.
     """
     lines = text.split("\n", len(_COUNTS_ROW_PREFIXES) + 1)
     if len(lines) != len(_COUNTS_ROW_PREFIXES) + 2 or lines[0] != _COUNTS_HEADER_LINE or lines[-1]:
         return None
-    rows = lines[1:-1]
-    if not all(map(str.startswith, rows, _COUNTS_ROW_PREFIXES)):
-        return None
-    fields = ",".join(map(str.removeprefix, rows, _COUNTS_ROW_PREFIXES))
-    if not re.fullmatch(_WRITER_COUNTS, fields):
+    fields = ",".join(map(str.removeprefix, lines[1:-1], _COUNTS_ROW_PREFIXES))
+    if len(text) - len(fields) != _SKELETON_LEN or not re.fullmatch(_WRITER_COUNTS, fields):
         return None
     return np.fromstring(fields, dtype=np.int64, sep=",")
 
@@ -410,19 +417,33 @@ def _integer_field(field: str) -> tuple[int, str] | None:
     return value, _shown_count(digits)
 
 
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """The rows of ``text`` as :mod:`csv` reads them; a line it cannot read is a ``ValidationError`` naming it.
+
+    :mod:`csv` refuses a carriage return inside an unquoted field and a field
+    longer than its field size limit.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
+
+
 def _read_rows(text: str) -> list[int]:
     """The 192 counts of a counts CSV, flat in cell order, read row by row through :mod:`csv`.
 
-    Quoting, CRLF line ends and blank lines are handled by :mod:`csv`. Every
-    field is read by :func:`_integer_field`, at any length, so spellings such
-    as ``+1``, ``01`` or a leading space are accepted. Within a line the
+    Quoting, CRLF line ends and blank lines are handled by :mod:`csv`, and a
+    line it cannot read is reported by :func:`_csv_rows`. Every field is read
+    by :func:`_integer_field`, at any length, so spellings such as ``+1``,
+    ``01`` or a leading space are accepted. Within a line the
     checks fire in this order: 7 fields, every field an integer, setting in
     range, outcome in range, count nonnegative, count within int64; the first
     bad line is reported. Rows that name the same cell add up as Python ints.
     After the last row, the grand total must fit in int64, and then every
     setting triple must have a row.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -461,11 +482,11 @@ def _read_rows(text: str) -> list[int]:
 def counts_from_csv(text: str) -> CountsTable:
     """Parse a counts CSV; malformed rows are reported with their line number.
 
-    Text laid out exactly as :func:`counts_to_csv` writes it is read in one
-    match (:func:`_writer_counts`); any other text row by row
-    (:func:`_read_rows`), which names the first bad line, a grand total past
-    int64 and a setting triple without rows. Either way the 192 counts go to
-    :class:`CountsTable`, which checks the table.
+    Text laid out exactly as :func:`counts_to_csv` writes it is read by one
+    length check and one match (:func:`_writer_counts`); any other text row
+    by row (:func:`_read_rows`), which names the first bad line, a grand
+    total past int64 and a setting triple without rows. Either way the 192
+    counts go to :class:`CountsTable`, which checks the table.
     """
     counts = _writer_counts(text)
     if counts is None:

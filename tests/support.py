@@ -536,11 +536,19 @@ def reference_counts_from_csv(text: str) -> CountsTable:
     """Counts CSV parsed row by row: every field through ``int()`` at any length, every cell added in place.
 
     Each count, and the total of all counts summed as Python integers, must
-    fit in int64.
+    fit in int64. A line that ``csv`` refuses is named with ``csv``'s message.
     """
     reader = csv.reader(io.StringIO(text))
+
+    def lines():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ValidationError(f"line {reader.line_num}: {exc}") from None
+
+    rows = lines()
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise ValidationError("counts CSV is empty") from None
     if [h.strip() for h in header] != ["x", "y", "z", "a", "b", "c", "count"]:
@@ -548,7 +556,7 @@ def reference_counts_from_csv(text: str) -> CountsTable:
     counts = np.zeros((2, 2, 3, 2, 2, 4), dtype=np.int64)
     seen = np.zeros((2, 2, 3), dtype=bool)
     total = 0
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 7:

@@ -21,7 +21,8 @@ from swapcert import blocks
 from swapcert.cli import MAX_STEPS, build_parser, main
 from swapcert.linalg import hermitian_deviation
 from swapcert.protocol import MAX_N_PER_SETTING, estimate_report, sample_counts
-from swapcert.serialize import counts_to_csv, json_dumps, matrix_to_json, report_to_json, scenario_to_json
+from swapcert.serialize import (_writer_counts, counts_to_csv, json_dumps, matrix_to_json, report_to_json,
+                               scenario_to_json)
 from support import skewed_observable
 
 SQRT2 = math.sqrt(2.0)
@@ -312,6 +313,17 @@ class TestSampleAndCertify:
         assert out.encode() == (GOLDEN / "sample_n50_seed7.csv").read_bytes()
         counts_path = tmp_path / "counts.csv"
         counts_path.write_text(out)
+        code, out, _ = run(capsys, "certify", str(counts_path), "--tol-sigma", "3")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "certify_n50_seed7_tol_sigma3.json").read_bytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_counts_read_row_by_row_certify_to_the_same_bytes(self, capsys, tmp_path, newline):
+        # reversed rows miss the writer's layout whatever the line ends, so the row reader reads them
+        header, *rows = (GOLDEN / "sample_n50_seed7.csv").read_text().splitlines()
+        counts_path = tmp_path / "reversed.csv"
+        counts_path.write_bytes(newline.join([header, *reversed(rows), ""]).encode())
+        assert _writer_counts(counts_path.read_text()) is None
         code, out, _ = run(capsys, "certify", str(counts_path), "--tol-sigma", "3")
         assert code == 0
         assert out.encode() == (GOLDEN / "certify_n50_seed7_tol_sigma3.json").read_bytes()
@@ -1131,6 +1143,13 @@ class TestInputFaults:
         code, out, err = run(capsys, "certify", str(path))
         assert code == 3 and out == ""
         assert err.startswith(f"validation error: limit.json: {message}") and err.count("\n") == 1
+
+    def test_csv_field_past_the_size_limit_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("x,y,z,a,b,c,count\n1,1,1,1,1,1," + "9" * 200_000 + "\n")
+        code, out, err = run(capsys, "certify", str(path))
+        assert code == 3 and out == ""
+        assert err == "validation error: line 2: field larger than field limit (131072)\n"
 
     def test_non_numeric_tol_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("SWAPCERT_TOL", "abc")

@@ -46,6 +46,7 @@ from support import (
     conditional_chsh_ab,
     four_factor_state,
     kron_all,
+    local_unitary_copies,
     maximally_entangled_pair,
     permute_subsystems,
     random_scenario,
@@ -54,6 +55,7 @@ from support import (
     reference_sample_counts,
     reference_steer,
     rotated_bell_measurement,
+    separable_on_threshold,
     to_density,
 )
 
@@ -501,6 +503,30 @@ class TestSampling:
         for sc, n in itertools.product(scenarios, (1, 1000, 10**12)):
             table = sample_counts(sc, n, seed)
             assert table.counts.tobytes() == reference_sample_counts(sc, n, seed).counts.tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: noisy_scenario(0.95, 0.97, 0.26),
+        lambda: random_scenario(np.random.default_rng(6300), 3, 2),
+        # a Born table with entries a few 1e-17 below 0, which the sampling table clips
+        lambda: local_unitary_copies(separable_on_threshold("crit1"), 1, np.random.default_rng(12))[0],
+    ], ids=["noisy", "random_3x2", "clipped"])
+    def test_sampling_table_is_kept_read_only(self, build):
+        sc = build()
+        table = sc._sampling
+        assert sc._sampling is table and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+        assert table.min() >= 0.0
+        draws = ((1000, 5), (10**12, 6))
+        drawn = [sample_counts(sc, n, seed).counts.tobytes() for n, seed in draws]
+        assert sc._sampling is table
+        fresh = build()
+        assert drawn == [reference_sample_counts(fresh, n, seed).counts.tobytes() for n, seed in draws]
+
+    def test_clipped_scenario_has_negative_born_entries(self):
+        sc = local_unitary_copies(separable_on_threshold("crit1"), 1, np.random.default_rng(12))[0]
+        assert born_tables(sc).min() < 0.0
+        assert sc._sampling.min() == 0.0
 
     def test_pooled_estimates_within_5_sigma_of_exact(self):
         sc = noisy_scenario(0.95, 0.97, 0.26)

@@ -785,6 +785,15 @@ class TestCountsOverflow:
         assert assert_same_parse(text) == ""
         assert counts_from_csv(text).counts.reshape(-1)[40] == 7
 
+    @pytest.mark.parametrize("line,message", [
+        ("\r" + ",".join(["1"] * 7), "line 42: new-line character seen in unquoted field"),
+        ("1,1,1,1,1,1," + "9" * 200_000, "line 42: field larger than field limit (131072)"),
+    ], ids=["lone carriage return", "field past csv's size limit"])
+    def test_line_csv_refuses_is_named(self, line, message):
+        lines = render(self.rows(), None, False, False).split("\n")
+        lines[41] = line
+        assert assert_same_parse("\n".join(lines)).startswith(message)
+
     def test_largest_int64_count_is_read(self):
         rows = [row[:6] + ["0"] for row in self.rows()]
         for k in range(0, 192, 16):
@@ -826,8 +835,26 @@ NEAR_MISSES = {
 }
 
 
+# Characters of one random edit: digits (one that int() reads though not ASCII), separators, signs and line ends.
+EDIT_CHARS = "0123456789,+- \n\r\"x\u0663"
+
+
+@st.composite
+def one_edit_from_writer_layout(draw) -> tuple[str, str]:
+    """A writer-layout text of counts of 1 to 18 digits, and that text after one single-character insert,
+    delete or replace."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    digits = rng.integers(1, 19, size=COUNTS_SHAPE)
+    counts = rng.integers(np.where(digits > 1, 10 ** (digits - 1), 0), 10**digits)
+    text = render(canonical_rows(counts), None, False, False)
+    kind = draw(st.sampled_from(("insert", "delete", "replace")))
+    at = draw(st.integers(0, len(text) - (kind != "insert")))
+    char = "" if kind == "delete" else draw(st.sampled_from(EDIT_CHARS))
+    return text, text[:at] + char + text[at + (kind != "insert"):]
+
+
 class TestCountsWriterLayout:
-    """The writer's own layout is read in one match, with the result of the row-by-row reader."""
+    """The writer's own layout is read by one length check and one match, with the result of the row-by-row reader."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -835,6 +862,19 @@ class TestCountsWriterLayout:
         text = render(writer_layout_rows(np.random.default_rng(seed)), None, False, False)
         assert _writer_counts(text) is not None
         assert assert_same_parse(text) == ""
+
+    @given(one_edit_from_writer_layout())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_one_character_edit_reads_as_row_by_row(self, texts):
+        text, edited = texts
+        assert _writer_counts(text) is not None
+        message = assert_same_parse(edited)
+        fast = _writer_counts(edited)
+        if fast is not None:  # taken only by a text in the writer's layout of its own counts
+            assert render(canonical_rows(fast.reshape(COUNTS_SHAPE)), None, False, False) == edited
+        elif not message:  # and by every such text with counts below 10**18
+            counts = reference_counts_from_csv(edited).counts
+            assert counts.max() >= 10**18 or render(canonical_rows(counts), None, False, False) != edited
 
     @pytest.mark.parametrize("count,fast,message", [
         ("0", True, "empty cells: zero total count for setting triple (1,1,2)"),
